@@ -42,14 +42,17 @@ class ConfigError(Exception):
 
 def _parse_grid(spec: str):
     """`a:b:step` sweeps inclusive of both ends (within step/2); `v` is a
-    single value."""
+    single value.  Rates are finite and nonnegative."""
     parts = spec.split(":")
     try:
         if len(parts) == 1:
-            return [float(parts[0])]
+            v = float(parts[0])
+            if not (0.0 <= v < math.inf):
+                raise ValueError
+            return [v]
         if len(parts) == 3:
             a, b, step = (float(p) for p in parts)
-            if step <= 0 or b < a:
+            if not (0.0 <= a <= b < math.inf and 0.0 < step < math.inf):
                 raise ValueError
             out = []
             v = a
@@ -291,9 +294,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

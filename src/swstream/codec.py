@@ -297,28 +297,27 @@ def _suffix_entropy(seq: bytes, start: int) -> float:
     return entropy_of_counts(counts, len(window))
 
 
-def universal_decode(cands: CandidateSet, delay: int):
-    """Minimum suffix-entropy decoding, decisions fixed left to right.
+def _decide_left_to_right(prefixes, n: int, delay: int, suffix_h):
+    """At each position l = 1 .. n - delay keep the candidates that agree with
+    the earlier decisions and commit to the l-th symbol of the one with the
+    smallest suffix_h(c, l), lexicographically smallest on ties."""
+    decided = b""
+    pool = list(prefixes)
+    for l in range(1, n - delay + 1):
+        pool = [c for c in pool if c[: l - 1] == decided]
+        decided = min(pool, key=lambda c: (suffix_h(c, l), c))[:l]
+    return decided
 
-    At position l the decoder keeps only candidates that agree with its
-    earlier decisions and commits to the l-th symbol of the candidate whose
-    suffix x_l^n has the smallest empirical entropy.
-    """
+
+def universal_decode(cands: CandidateSet, delay: int):
+    """Minimum suffix-entropy decoding, decisions fixed left to right: the
+    suffix x_l^n with the smallest empirical entropy decides position l."""
     n = cands.step
     if not (0 <= delay <= n):
         raise ValueError("delay out of range")
-    decided = b""
-    pool = list(cands.prefixes)
-    for l in range(1, n - delay + 1):
-        pool = [c for c in pool if c[: l - 1] == decided]
-        best = None
-        best_h = None
-        for c in pool:
-            h = _suffix_entropy(c, l - 1)
-            if best is None or h < best_h or (h == best_h and c < best):
-                best, best_h = c, h
-        decided = decided + best[l - 1 : l]
-    return decided
+    return _decide_left_to_right(
+        cands.prefixes, n, delay, lambda c, l: _suffix_entropy(c, l - 1)
+    )
 
 
 def _pair_counts(x_seq, y_seq):
@@ -366,19 +365,12 @@ def si_decode_universal(cands: CandidateSet, y_observed, delay: int):
         raise ValueError("side-information length must equal the horizon")
     if not (0 <= delay <= n):
         raise ValueError("delay out of range")
-    decided = b""
-    pool = list(cands.prefixes)
-    for l in range(1, n - delay + 1):
-        pool = [c for c in pool if c[: l - 1] == decided]
-        best = None
-        best_h = None
-        for c in pool:
-            counts = _pair_counts(c[l - 1 :], y_observed[l - 1 :])
-            h = entropy_of_counts(counts.values(), n - l + 1)
-            if best is None or h < best_h or (h == best_h and c < best):
-                best, best_h = c, h
-        decided = decided + best[l - 1 : l]
-    return decided
+
+    def suffix_h(c, l):
+        counts = _pair_counts(c[l - 1 :], y_observed[l - 1 :])
+        return entropy_of_counts(counts.values(), n - l + 1)
+
+    return _decide_left_to_right(cands.prefixes, n, delay, suffix_h)
 
 
 # ---------------------------------------------------------------------------

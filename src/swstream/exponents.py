@@ -6,6 +6,19 @@ tilt parameter rho, and universal (divergence-minimization) forms through the
 tilted-family parametrization of their KKT conditions.  Raw simplex-grid
 minimizers live here too, but only as oracles for the test suite -- they are
 exponential in alphabet size and are never the production path.
+
+The streaming Slepian-Wolf exponents are gamma-infima of rho-suprema of
+gamma*A + (1-gamma)*B, with A = E_{x|y} and B = E_xy.  The bracket is concave
+in rho and affine in gamma, so by Sion's minimax theorem each is one 1-D search:
+
+    inf_gamma sup_rho [gamma*A + (1-gamma)*B]           = sup_rho min(A, B)
+    inf_gamma sup_rho [gamma*A + (1-gamma)*B]/(1-gamma) = max of B on [0, rho0]
+
+with rho0 the positive root of A, or 1 if A(1) >= 0.  gamma* follows from the
+slopes A' = Rx - H(bar p^rho_{x|y}) and B' = Rx + Ry - H(p^rho) at rho*.
+Unscaled, it is 1 if A < B there, 0 if B < A, and B'/(B' - A') at a crossing.
+Scaled, it is 0 unless B still rises at rho* = rho0; then t = B'/(-A') and
+gamma* = t/(1+t).  The y terms swap x and y, so A becomes E_{y|x}.
 """
 
 from __future__ import annotations
@@ -61,8 +74,6 @@ __all__ = [
 ]
 
 _RHO_TOL = 1e-9
-_GAMMA_COARSE = 1.0 / 64.0
-_GAMMA_CAP = 1.0 - 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -240,51 +251,63 @@ def e_un_y_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> Exponen
 # ---------------------------------------------------------------------------
 
 
-def _gamma_inf(f, cap: float = 1.0):
-    """Minimize f over gamma in [0, cap]: coarse 1/64 grid + golden refinement."""
-    grid = [i * _GAMMA_COARSE for i in range(65)]
-    grid = [g for g in grid if g <= cap]
-    if grid[-1] < cap:
-        grid.append(cap)
-    vals = [f(g) for g in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    g_star, neg = _golden_max(lambda g: -f(g), lo, hi, tol=1e-7)
-    if -neg <= vals[i]:
-        return g_star, -neg
-    return grid[i], vals[i]
+def _slopes(d: JointDistribution, rates: RatePair, rho: float):
+    """(E_{x|y}'(rho), E_xy'(rho)) in closed form from the tilted families."""
+    hbar, _, h, _ = _tilted_stats(d, rho)
+    return rates.rx - hbar, rates.rx + rates.ry - h
+
+
+def _inf_unscaled(d: JointDistribution, rates: RatePair):
+    """(gamma*, value, rho*) of sup_rho min(E_{x|y}, E_xy)."""
+
+    def brackets(rho):
+        return gallager_x_given_y(d, rates.rx, rho), gallager_xy(d, rates, rho)
+
+    rho, value = _golden_max(lambda r: min(brackets(r)), 0.0, 1.0)
+    a, b = brackets(rho)
+    da, db = _slopes(d, rates, rho)
+    # a crossing within the search tolerance, or one bracket below the other
+    if abs(a - b) < 2.0 * _RHO_TOL * abs(db - da):
+        return min(max(db / (db - da), 0.0), 1.0), value, rho
+    return (1.0 if a < b else 0.0), value, rho
+
+
+def _inf_scaled(d: JointDistribution, rates: RatePair):
+    """(gamma*, value, rho*) of max E_xy on [0, rho0], rho0 the root of E_{x|y}."""
+    rho0 = 1.0
+    if gallager_x_given_y(d, rates.rx, 1.0) < 0.0:
+        # E_{x|y}(rho)/rho falls from E_{x|y}'(0) = Rx - H(x|y) > 0 to its root
+        slope0 = rates.rx - conditional_entropy_x_given_y(d)
+        rho0 = optimize.brentq(
+            lambda r: gallager_x_given_y(d, rates.rx, r) / r if r > 0.0 else slope0,
+            0.0, 1.0, xtol=1e-13,
+        )
+        da, db = _slopes(d, rates, rho0)
+        if db > 0.0:  # the constraint binds; its multiplier is gamma*/(1-gamma*)
+            t = db / -da
+            return t / (1.0 + t), gallager_xy(d, rates, rho0), rho0
+    rho, value = _golden_max(lambda r: gallager_xy(d, rates, r), 0.0, rho0)
+    return 0.0, value, rho
 
 
 def _sw_terms(d: JointDistribution, rates: RatePair):
-    """The four gamma-infima behind the streaming exponents, shared by all of
-    e_sw_x / e_sw_y / e_sw_xy."""
-    res_x: dict[float, ExponentResult] = {}
-    res_y: dict[float, ExponentResult] = {}
+    """The four gamma-infima behind e_sw_x / e_sw_y / e_sw_xy, as
+    (gamma*, value, rho*) triples, each one 1-D search (module docstring):
 
-    def ex(g):
-        r = res_x.get(g)
-        if r is None:
-            r = res_x[g] = e_x_gamma(d, rates, g)
-        return r.value
+        inf_ex        = sup_rho min(E_{x|y}, E_xy)
+        inf_ex_scaled = max of E_xy on [0, rho0], rho0 the root of E_{x|y}
 
-    def ey(g):
-        r = res_y.get(g)
-        if r is None:
-            r = res_y[g] = e_y_gamma(d, rates, g)
-        return r.value
-
-    gx, vx = _gamma_inf(ex)
-    gy, vy = _gamma_inf(ey)
-    # scaled terms diverge at gamma -> 1 strictly inside the region, so the
-    # search stops just short of 1
-    gys, vys = _gamma_inf(lambda g: ey(g) / (1.0 - g), cap=_GAMMA_CAP)
-    gxs, vxs = _gamma_inf(lambda g: ex(g) / (1.0 - g), cap=_GAMMA_CAP)
+    gamma* is 1 or 0 where E_{x|y} or E_xy alone is the minimum at rho*,
+    E_xy'/(E_xy' - E_{x|y}') at their crossing, and t/(1+t) with
+    t = E_xy'/(-E_{x|y}') when a scaled maximum sits at rho0.  The y terms
+    are the same on the swapped source: E_{x|y} becomes E_{y|x}.
+    """
+    ds, rs = d.swapped(), RatePair(rates.ry, rates.rx)
     return {
-        "inf_ex": (gx, vx, e_x_gamma(d, rates, gx).rho_star),
-        "inf_ey": (gy, vy, e_y_gamma(d, rates, gy).rho_star),
-        "inf_ey_scaled": (gys, vys, e_y_gamma(d, rates, gys).rho_star),
-        "inf_ex_scaled": (gxs, vxs, e_x_gamma(d, rates, gxs).rho_star),
+        "inf_ex": _inf_unscaled(d, rates),
+        "inf_ey": _inf_unscaled(ds, rs),
+        "inf_ey_scaled": _inf_scaled(ds, rs),
+        "inf_ex_scaled": _inf_scaled(d, rates),
     }
 
 
@@ -301,30 +324,31 @@ def _pick_min(a, b, name_a: str, name_b: str) -> ExponentResult:
     return ExponentResult(max(vb, 0.0), rb, gamma_star=gb, branch=name_b)
 
 
+def _sw_exponents(d: JointDistribution, rates: RatePair):
+    """(e_sw_x, e_sw_y, e_sw_xy) from one set of gamma-infima."""
+    out = _outside(rates, d)
+    if out is not None:
+        return out, out, out
+    t = _sw_terms(d, rates)
+    return (
+        _pick_min(t["inf_ex"], t["inf_ey_scaled"], "x", "y_scaled"),
+        _pick_min(t["inf_ey"], t["inf_ex_scaled"], "y", "x_scaled"),
+        _pick_min(t["inf_ex"], t["inf_ey"], "x", "y"),
+    )
+
+
 def e_sw_x(d: JointDistribution, rates: RatePair) -> ExponentResult:
     """Streaming exponent for stream x: min of the gamma-infimum of E_x and
     the gamma-infimum of E_y/(1-gamma)."""
-    out = _outside(rates, d)
-    if out is not None:
-        return out
-    t = _sw_terms(d, rates)
-    return _pick_min(t["inf_ex"], t["inf_ey_scaled"], "x", "y_scaled")
+    return _sw_exponents(d, rates)[0]
 
 
 def e_sw_y(d: JointDistribution, rates: RatePair) -> ExponentResult:
-    out = _outside(rates, d)
-    if out is not None:
-        return out
-    t = _sw_terms(d, rates)
-    return _pick_min(t["inf_ey"], t["inf_ex_scaled"], "y", "x_scaled")
+    return _sw_exponents(d, rates)[1]
 
 
 def e_sw_xy(d: JointDistribution, rates: RatePair) -> ExponentResult:
-    out = _outside(rates, d)
-    if out is not None:
-        return out
-    t = _sw_terms(d, rates)
-    return _pick_min(t["inf_ex"], t["inf_ey"], "x", "y")
+    return _sw_exponents(d, rates)[2]
 
 
 def e_block_sw_x(d: JointDistribution, rates: RatePair) -> ExponentResult:
@@ -544,7 +568,8 @@ def _grid_tables(d: JointDistribution, step: float):
     """(Q, D(q||p), H, H(x|y), H(y|x)) arrays over the grid for source d."""
     parts = round(1.0 / step)
     q, h, hy, hx = _grid_entropies(d.alphabet_x, d.alphabet_y, parts)
-    logp = np.where(d.probs.ravel() > 0, np.log(d.probs.ravel(), where=d.probs.ravel() > 0), -1e30)
+    p = d.probs.ravel()
+    logp = np.log(p, out=np.full_like(p, -1e30), where=p > 0)
     cross = q @ logp
     div = np.where(cross < -1e20, np.inf, -h - cross)
     return q, div, h, h - hy, h - hx
@@ -580,7 +605,7 @@ def pp_universal_grid(d: JointDistribution, rx: float, step: float = 0.02) -> fl
     q = _compositions(px.size, parts).astype(np.float64) / parts
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -np.where(q > 0, q * np.log(q), 0.0).sum(axis=1)
-    logp = np.where(px > 0, np.log(px, where=px > 0), -1e30)
+    logp = np.log(px, out=np.full_like(px, -1e30), where=px > 0)
     cross = q @ logp
     div = np.where(cross < -1e20, np.inf, -h - cross)
     return float(np.min(div + np.maximum(rx - h, 0.0)))
@@ -666,65 +691,34 @@ def block_lower_grid(d: JointDistribution, rates: RatePair, step: float = 0.01) 
 CURVE_HEADER = "rx,ry,gamma_star,rho_star,e_sw_x,e_sw_y,e_sw_xy,e_block_x,e_block_y,e_pp_x"
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return f"{x:.9g}"
-
-
 def curve_row(d: JointDistribution, rates: RatePair) -> dict:
     """One rate-grid point with every exponent column of the CSV interface."""
+    row = dict.fromkeys(CURVE_HEADER.split(","))
+    row.update(rx=rates.rx, ry=rates.ry)
     if d.is_point_to_point():
         pp = e_ml_pp(d, rates.rx)
-        return {
-            "rx": rates.rx,
-            "ry": rates.ry,
-            "gamma_star": None,
-            "rho_star": pp.rho_star,
-            "e_sw_x": None,
-            "e_sw_y": None,
-            "e_sw_xy": None,
-            "e_block_x": None,
-            "e_block_y": None,
-            "e_pp_x": pp.value,
-        }
-    out = _outside(rates, d)
-    if out is not None:
-        swx = swy = swxy = out
-        blx = e_block_sw_x(d, rates)
-        bly = e_block_sw_y(d, rates)
-    else:
-        t = _sw_terms(d, rates)
-        swx = _pick_min(t["inf_ex"], t["inf_ey_scaled"], "x", "y_scaled")
-        swy = _pick_min(t["inf_ey"], t["inf_ex_scaled"], "y", "x_scaled")
-        swxy = _pick_min(t["inf_ex"], t["inf_ey"], "x", "y")
-        blx = e_block_sw_x(d, rates)
-        bly = e_block_sw_y(d, rates)
+        row.update(rho_star=pp.rho_star, e_pp_x=pp.value)
+        return row
+    swx, swy, swxy = _sw_exponents(d, rates)
     px = JointDistribution.from_marginal(d.marginal_x())
-    pp = e_ml_pp(px, rates.rx)
-    return {
-        "rx": rates.rx,
-        "ry": rates.ry,
-        "gamma_star": swx.gamma_star,
-        "rho_star": swx.rho_star,
-        "e_sw_x": swx.value,
-        "e_sw_y": swy.value,
-        "e_sw_xy": swxy.value,
-        "e_block_x": blx.value,
-        "e_block_y": bly.value,
-        "e_pp_x": pp.value,
-    }
+    row.update(
+        gamma_star=swx.gamma_star,
+        rho_star=swx.rho_star,
+        e_sw_x=swx.value,
+        e_sw_y=swy.value,
+        e_sw_xy=swxy.value,
+        e_block_x=e_block_sw_x(d, rates).value,
+        e_block_y=e_block_sw_y(d, rates).value,
+        e_pp_x=e_ml_pp(px, rates.rx).value,
+    )
+    return row
 
 
 def format_curve_row(row: dict, scale: float = 1.0) -> str:
     """CSV line for one curve row; scale divides rate/exponent columns
     (log 2 for bit display), never the optimizers."""
-    scaled = dict(row)
-    for key in ("rx", "ry", "e_sw_x", "e_sw_y", "e_sw_xy", "e_block_x", "e_block_y", "e_pp_x"):
-        if scaled[key] is not None:
-            scaled[key] = scaled[key] / scale
-    return ",".join(
-        _fmt(scaled[k])
-        for k in ("rx", "ry", "gamma_star", "rho_star", "e_sw_x", "e_sw_y",
-                  "e_sw_xy", "e_block_x", "e_block_y", "e_pp_x")
+    cells = (
+        row[k] if row[k] is None or k in ("gamma_star", "rho_star") else row[k] / scale
+        for k in CURVE_HEADER.split(",")
     )
+    return ",".join("" if v is None else f"{v:.9g}" for v in cells)

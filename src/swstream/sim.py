@@ -22,6 +22,7 @@ from .codec import (
     CandidateSet,
     MAX_HORIZON_SINGLE,
     MAX_HORIZON_TWO_ENCODER,
+    _PRF_BITS,
     encode_step,
     initial_candidates,
     ml_decode,
@@ -82,6 +83,11 @@ class TrialConfig:
             )
         if self.decoder in _TWO_ENCODER and self.schedule_y is None:
             raise ValueError("two-encoder decoding needs schedule_y")
+        for alphabet, schedule in ((self.source.alphabet_x, self.schedule_x),
+                                   (self.source.alphabet_y, self.schedule_y)):
+            if schedule is not None and alphabet * max(schedule.pattern) > _PRF_BITS:
+                raise ValueError("alphabet size times bits per step exceeds "
+                                 f"the {_PRF_BITS}-bit hash word")
         if self.decoder in ("si_ml", "si_universal", "sw_ml", "sw_universal") \
                 and self.source.alphabet_y < 2:
             raise ValueError(f"decoder {self.decoder!r} needs |Y| >= 2")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from swstream.info_core import JointDistribution
+from swstream.verify import random_joint
 
 
 @pytest.fixture
@@ -14,14 +15,6 @@ def example1():
 def example2():
     """Skewed binary pair."""
     return JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])
-
-
-def random_joint(rng, ax, ay, floor=0.04):
-    """Full-support random joint distribution; the floor keeps every cell
-    bounded away from zero so grid oracles stay well-conditioned."""
-    p = rng.dirichlet(np.ones(ax * ay)) + floor
-    p /= p.sum()
-    return JointDistribution.from_matrix(p.reshape(ax, ay))
 
 
 def random_corpus(seed, count, max_size=3):

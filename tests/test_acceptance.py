@@ -54,16 +54,14 @@ from swstream.sim import (
     sample_source,
     wilson_interval,
 )
-from swstream.verify import run_suite
+from swstream.verify import _oracle_ml, _oracle_universal, run_suite
 from conftest import random_corpus
 
 from test_codec import (
     ONE_BIT,
-    _oracle_ml,
     _oracle_scores,
     _oracle_si_ml,
     _oracle_si_universal,
-    _oracle_universal,
 )
 
 

@@ -109,6 +109,23 @@ class TestExponentsCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("grid", ["-0.2:0.5:0.1", "-0.1", "nan", "0.3:inf:0.1"])
+    def test_negative_or_nonfinite_rate_is_config_error(self, tmp_path, source_file,
+                                                        grid):
+        rc = main(["exponents", source_file, f"--rx={grid}", "--ry", "0.6",
+                   "--out", str(tmp_path / "o"), "--threads", "1"])
+        assert rc == 2
+
+    def test_program_error_is_not_config_error(self, tmp_path, source_file,
+                                               monkeypatch):
+        def broken(d, rates):
+            raise ValueError("f(a) and f(b) must have different signs")
+
+        monkeypatch.setattr("swstream.cli.curve_row", broken)
+        with pytest.raises(ValueError, match="different signs"):
+            main(["exponents", source_file, "--rx", "0.6", "--ry", "0.6",
+                  "--out", str(tmp_path / "o"), "--threads", "1"])
+
 
 class TestSimulateCommand:
     def test_outputs_and_manifest(self, tmp_path, trial_config_file, capsys):
@@ -142,6 +159,16 @@ class TestSimulateCommand:
             "delays": [0], "trials": 0, "base_seed": 1, "decoder": "ml",
         }))
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_schedule_wider_than_hash_word_is_config_error(self, tmp_path):
+        # 2 symbols x 200 bits per step need 400 bits of one 256-bit hash word
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "source": EXAMPLE_1_JSON, "schedule_x": [200], "n": 8,
+            "delays": [0], "trials": 10, "base_seed": 1, "decoder": "si_ml",
+        }))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o"),
+                     "--threads", "1"]) == 2
 
     def test_missing_field_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -28,6 +28,7 @@ from swstream.info_core import (
     weighted_suffix_entropy,
 )
 from swstream.sim import sample_source
+from swstream.verify import _oracle_ml, _oracle_universal
 
 ONE_BIT = BinningSchedule((1,))
 TWO_BITS = BinningSchedule((2,))
@@ -203,37 +204,9 @@ class TestCandidateSets:
 
 
 # ---------------------------------------------------------------------------
-# Reference decoders built directly from the definitions, used as oracles.
+# Reference decoders built directly from the definitions, used as oracles
+# (the ML and universal ones live in swstream.verify).
 # ---------------------------------------------------------------------------
-
-
-def _oracle_ml(members, px, n, delay):
-    logp = [math.log(v) if v > 0 else -math.inf for v in px]
-
-    def ll(seq):
-        return sum(
-            seq.count(a) * logp[a] for a in range(len(px)) if seq.count(a)
-        )
-
-    best = min(members, key=lambda s: (-ll(s), s))
-    return best[: n - delay]
-
-
-def _oracle_universal(members, n, delay):
-    decided = b""
-    pool = list(members)
-    for l in range(1, n - delay + 1):
-        pool = [c for c in pool if c.startswith(decided)]
-
-        def h(c):
-            window = c[l - 1 :]
-            return entropy_of_counts(
-                [window.count(a) for a in set(window)], len(window)
-            )
-
-        best = min(pool, key=lambda c: (h(c), c))
-        decided = best[:l]
-    return decided
 
 
 def _oracle_si_ml(members, y, d, n, delay):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from swstream.exponents import (
+    ExponentResult,
     RatePair,
+    _golden_max,
+    _sw_terms,
     block_lower_grid,
     curve_row,
     e_block_lower,
@@ -40,6 +43,65 @@ from swstream.info_core import (
 from conftest import random_corpus
 
 LOG2 = math.log(2.0)
+
+# ---------------------------------------------------------------------------
+# The gamma-infima computed literally, as nested searches: a 1/64 gamma grid
+# with golden refinement, and a full golden rho search at every gamma.  This
+# is the independent slow route that the minimax form of _sw_terms is tested
+# against.  The scaled searches stop at gamma = 1 - 1e-6, so within about
+# 1e-6 of the region boundary this route is the inexact one.
+# ---------------------------------------------------------------------------
+
+_GAMMA_COARSE = 1.0 / 64.0
+_GAMMA_CAP = 1.0 - 1e-6
+
+
+def _gamma_inf(f, cap: float = 1.0):
+    """Minimize f over gamma in [0, cap]: coarse 1/64 grid + golden refinement."""
+    grid = [i * _GAMMA_COARSE for i in range(65)]
+    grid = [g for g in grid if g <= cap]
+    if grid[-1] < cap:
+        grid.append(cap)
+    vals = [f(g) for g in grid]
+    i = int(np.argmin(vals))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    g_star, neg = _golden_max(lambda g: -f(g), lo, hi, tol=1e-7)
+    if -neg <= vals[i]:
+        return g_star, -neg
+    return grid[i], vals[i]
+
+
+def _nested_sw_terms(d: JointDistribution, rates: RatePair):
+    """The four gamma-infima behind the streaming exponents, shared by all of
+    e_sw_x / e_sw_y / e_sw_xy."""
+    res_x: dict[float, ExponentResult] = {}
+    res_y: dict[float, ExponentResult] = {}
+
+    def ex(g):
+        r = res_x.get(g)
+        if r is None:
+            r = res_x[g] = e_x_gamma(d, rates, g)
+        return r.value
+
+    def ey(g):
+        r = res_y.get(g)
+        if r is None:
+            r = res_y[g] = e_y_gamma(d, rates, g)
+        return r.value
+
+    gx, vx = _gamma_inf(ex)
+    gy, vy = _gamma_inf(ey)
+    # scaled terms diverge at gamma -> 1 strictly inside the region, so the
+    # search stops just short of 1
+    gys, vys = _gamma_inf(lambda g: ey(g) / (1.0 - g), cap=_GAMMA_CAP)
+    gxs, vxs = _gamma_inf(lambda g: ex(g) / (1.0 - g), cap=_GAMMA_CAP)
+    return {
+        "inf_ex": (gx, vx, e_x_gamma(d, rates, gx).rho_star),
+        "inf_ey": (gy, vy, e_y_gamma(d, rates, gy).rho_star),
+        "inf_ey_scaled": (gys, vys, e_y_gamma(d, rates, gys).rho_star),
+        "inf_ex_scaled": (gxs, vxs, e_x_gamma(d, rates, gxs).rho_star),
+    }
 
 
 class TestRatePair:
@@ -278,6 +340,50 @@ class TestSideInformation:
         d = JointDistribution.from_marginal([0.5, 0.5])
         with pytest.raises(ValueError):
             e_ml_si(d, 1.0)
+
+
+def _region_margin(d, rates):
+    return min(
+        rates.rx - conditional_entropy_x_given_y(d),
+        rates.ry - conditional_entropy_y_given_x(d),
+        rates.rx + rates.ry - entropy(d),
+    )
+
+
+class TestMinimaxAgainstNestedSearch:
+    def test_sw_terms_match_nested_search(self, example1, example2):
+        cases = [
+            (d, RatePair(rx, ry))
+            for d, grid in (
+                (example1, (0.4, 0.55, 0.7, 0.9)),
+                (example2, (0.35, 0.45, 0.55, 0.7, 0.9)),
+            )
+            for rx in grid
+            for ry in grid
+        ]
+        rng = np.random.default_rng(20250607)
+        for d in random_corpus(20250608, 5):
+            drawn = 0
+            while drawn < 3:
+                rates = RatePair(
+                    conditional_entropy_x_given_y(d) + rng.uniform(0.02, 0.6),
+                    conditional_entropy_y_given_x(d) + rng.uniform(0.02, 0.6),
+                )
+                if _region_margin(d, rates) >= 0.02:
+                    cases.append((d, rates))
+                    drawn += 1
+        cases = [(d, rates) for d, rates in cases if _region_margin(d, rates) >= 0.02]
+        assert len(cases) >= 50
+        interior = 0
+        for d, rates in cases:
+            nested = _nested_sw_terms(d, rates)
+            for key, (gamma, value, rho) in _sw_terms(d, rates).items():
+                want_gamma, want_value, want_rho = nested[key]
+                assert value == pytest.approx(want_value, abs=1e-9)
+                assert gamma == pytest.approx(want_gamma, abs=1e-6)
+                assert rho == pytest.approx(want_rho, abs=1e-6)
+                interior += 1e-6 < gamma < 1.0 - 1e-6
+        assert interior >= 10
 
 
 class TestStreamingExponents:

@@ -21,7 +21,9 @@ from swstream.info_core import (
     weighted_suffix_entropy,
     xy_tilted,
 )
-from conftest import random_corpus, random_joint
+from swstream.verify import random_joint
+
+from conftest import random_corpus
 
 LOG2 = math.log(2.0)
 
