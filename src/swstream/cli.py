@@ -127,7 +127,7 @@ def cmd_exponents(args) -> int:
             "units": args.units,
             "threads": args.threads,
         },
-        args.seed,
+        None,  # seed: the curves use no randomness
         [csv_path],
         started,
     )
@@ -232,7 +232,7 @@ def _reproduce(args, example_json: dict, ry_values, label: str) -> int:
         out_dir,
         label,
         {"source": example_json, "ry_values": list(ry_values), "units": args.units},
-        args.seed,
+        None,  # seed: the curves use no randomness
         outputs,
         started,
     )
@@ -255,35 +255,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--units", choices=("nats", "bits"), default="nats")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=None)
+    options = {
+        "--units": {"choices": ("nats", "bits"), "default": "nats"},
+        "--threads": {"type": int, "default": os.cpu_count() or 1},
+        "--out": {"default": "out"},
+        "--seed": {"type": int, "default": None},
+    }
+
+    def common(p, *names):
+        """Add the shared options that this subcommand reads."""
+        for name in names:
+            p.add_argument(name, **options[name])
 
     p = sub.add_parser("exponents", help="compute exponent curves over a rate grid")
     p.add_argument("source", help="JSON source distribution file")
     p.add_argument("--rx", required=True, help="rate grid 'a:b:step' or value, nats")
     p.add_argument("--ry", default=None, help="rate grid or value, nats")
-    common(p)
+    common(p, "--units", "--threads", "--out")
     p.set_defaults(func=cmd_exponents)
 
     p = sub.add_parser("simulate", help="Monte Carlo error-vs-delay run")
     p.add_argument("config", help="JSON trial configuration file")
-    common(p)
+    common(p, "--threads", "--out", "--seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run a self-check suite")
     p.add_argument("suite", help="one of: " + ", ".join(sorted(SUITES)))
-    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce-example1", help="canned curves for the symmetric source")
-    common(p)
+    common(p, "--units", "--threads", "--out")
     p.set_defaults(func=cmd_reproduce_example1)
 
     p = sub.add_parser("reproduce-example2", help="canned curves for the skewed source")
-    common(p)
+    common(p, "--units", "--threads", "--out")
     p.set_defaults(func=cmd_reproduce_example2)
     return parser
 

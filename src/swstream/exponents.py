@@ -19,13 +19,26 @@ slopes A' = Rx - H(bar p^rho_{x|y}) and B' = Rx + Ry - H(p^rho) at rho*.
 Unscaled, it is 1 if A < B there, 0 if B < A, and B'/(B' - A') at a crossing.
 Scaled, it is 0 unless B still rises at rho* = rho0; then t = B'/(-A') and
 gamma* = t/(1+t).  The y terms swap x and y, so A becomes E_{y|x}.
+
+The single-event exponents are the gamma endpoints of the compound ones at
+Ry = 0, on both routes: gamma = 0 gives the point-to-point exponent
+sup_rho E_xy = inf_q D(q||p) + |R - H(q)|^+, gamma = 1 the side-information
+one sup_rho E_{x|y} = inf_q D(q||p) + |R - H(q_{x|y})|^+.  The block lower
+bound inf_q D(q||p) + |min rate margin|^+ is the min of the gamma = 0 and 1
+ends of both streams (Csiszar, IEEE Trans. IT 1982).  The block upper bound
+is the min over the three constraints of min D(q||p) s.t. H_q(.) >= R.  The
+Lagrangian D - rho*H is minimized on a tilted family: p^{1/(1+rho)} for
+H(x,y), the x-y tilt for H(x|y) (of the swapped source for H(y|x)).  H rises
+with rho >= 0 from H_p to the log of the support size (joint) or of the
+largest column support (conditional), so each minimum is 0 for R <= H_p,
++inf from that limit on, and D at the root of H = R in between.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -75,6 +88,8 @@ __all__ = [
 
 _RHO_TOL = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a tilt at which every tilted family has reached its rho -> inf limit in floats
+_RHO_INF = 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -182,11 +197,12 @@ def e_x_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> ExponentRe
     _check_unit("gamma", gamma)
 
     def obj(rho):
-        exy = rho * (rates.rx + rates.ry) - (1.0 + rho) * log_sum_tilted(d, rho)
         if gamma == 0.0:
-            return exy
-        exgy = rho * rates.rx - log_sum_xy_tilted(d, rho)
-        return gamma * exgy + (1.0 - gamma) * exy
+            return gallager_xy(d, rates, rho)
+        if gamma == 1.0:
+            return gallager_x_given_y(d, rates.rx, rho)
+        exy = gallager_xy(d, rates, rho)
+        return gamma * gallager_x_given_y(d, rates.rx, rho) + (1.0 - gamma) * exy
 
     rho, val = _golden_max(obj, 0.0, 1.0)
     return ExponentResult(value=max(val, 0.0), rho_star=rho, gamma_star=gamma)
@@ -368,61 +384,40 @@ def e_block_sw_y(d: JointDistribution, rates: RatePair) -> ExponentResult:
 
 
 # ---------------------------------------------------------------------------
-# Point-to-point and side-information exponents
+# Point-to-point and side-information exponents (the gamma endpoints)
 # ---------------------------------------------------------------------------
 
 
+def _endpoint(res: ExponentResult, in_region: bool) -> ExponentResult:
+    return replace(res, gamma_star=None, in_region=in_region)
+
+
+def _needs_y(d: JointDistribution) -> JointDistribution:
+    if d.alphabet_y < 2:
+        raise ValueError("side-information exponent needs |Y| >= 2")
+    return d
+
+
 def e_ml_pp(d: JointDistribution, rx: float) -> ExponentResult:
-    """sup_rho [rho*R - (1+rho) log sum p^{1/(1+rho)}] for a |Y| = 1 source."""
-    rates = RatePair(rx, 0.0)
-    rho, val = _golden_max(lambda r: gallager_xy(d, rates, r), 0.0, 1.0)
-    in_region = rx > entropy(d)
-    return ExponentResult(max(val, 0.0), rho, in_region=in_region)
+    """sup_rho [rho*R - (1+rho) log sum p^{1/(1+rho)}]: e_x_gamma at gamma = 0."""
+    return _endpoint(e_x_gamma(d, RatePair(rx), 0.0), rx > entropy(d))
 
 
 def e_un_pp(d: JointDistribution, rx: float) -> ExponentResult:
-    """inf_q D(q||p) + |R - H(q)|^+ via the tilted-family parametrization."""
-    h0 = entropy(d)
-    if rx <= h0:
-        return ExponentResult(0.0, 0.0, in_region=False)
-    p1 = tilted(d, 1.0).distribution
-    h1 = entropy(p1)
-    if rx >= h1:
-        return ExponentResult(kl_divergence(p1, d) + rx - h1, 1.0)
-    rho = optimize.brentq(
-        lambda r: entropy(tilted(d, r).distribution) - rx, 0.0, 1.0, xtol=1e-13
-    )
-    q = tilted(d, rho).distribution
-    return ExponentResult(kl_divergence(q, d), rho)
+    """inf_q D(q||p) + |R - H(q)|^+: e_un_x_gamma at gamma = 0."""
+    return _endpoint(e_un_x_gamma(d, RatePair(rx), 0.0), rx > entropy(d))
 
 
 def e_ml_si(d: JointDistribution, rx: float) -> ExponentResult:
-    """sup_rho of the side-information bracket E_{x|y}."""
-    if d.alphabet_y < 2:
-        raise ValueError("side-information exponent needs |Y| >= 2")
-    rho, val = _golden_max(lambda r: gallager_x_given_y(d, rx, r), 0.0, 1.0)
-    return ExponentResult(max(val, 0.0), rho, in_region=rx > conditional_entropy_x_given_y(d))
+    """sup_rho of the side-information bracket E_{x|y}: e_x_gamma at gamma = 1."""
+    res = e_x_gamma(_needs_y(d), RatePair(rx), 1.0)
+    return _endpoint(res, rx > conditional_entropy_x_given_y(d))
 
 
 def e_un_si(d: JointDistribution, rx: float) -> ExponentResult:
-    """inf_q D(q||p) + |R - H(q_{x|y})|^+ via the x-y tilted family."""
-    if d.alphabet_y < 2:
-        raise ValueError("side-information exponent needs |Y| >= 2")
-    h0 = conditional_entropy_x_given_y(d)
-    if rx <= h0:
-        return ExponentResult(0.0, 0.0, in_region=False)
-    q1 = xy_tilted(d, 1.0).distribution
-    h1 = conditional_entropy_x_given_y(q1)
-    if rx >= h1:
-        return ExponentResult(kl_divergence(q1, d) + rx - h1, 1.0)
-    rho = optimize.brentq(
-        lambda r: conditional_entropy_x_given_y(xy_tilted(d, r).distribution) - rx,
-        0.0,
-        1.0,
-        xtol=1e-13,
-    )
-    q = xy_tilted(d, rho).distribution
-    return ExponentResult(kl_divergence(q, d), rho)
+    """inf_q D(q||p) + |R - H(q_{x|y})|^+: e_un_x_gamma at gamma = 1."""
+    res = e_un_x_gamma(_needs_y(d), RatePair(rx), 1.0)
+    return _endpoint(res, rx > conditional_entropy_x_given_y(d))
 
 
 # ---------------------------------------------------------------------------
@@ -430,38 +425,67 @@ def e_un_si(d: JointDistribution, rx: float) -> ExponentResult:
 # ---------------------------------------------------------------------------
 
 
+def e_block_lower(d: JointDistribution, rates: RatePair) -> float:
+    """Achievability-side block exponent, min_q D(q||p) + |min rate margin|^+.
+
+    |min margin|^+ is the min of the three |margin|^+, so this is the min of
+    the three single-event exponents, the gamma = 0 and 1 ends of each stream.
+    """
+    return min(e_block_sw_x(d, rates).value, e_block_sw_y(d, rates).value)
+
+
+def _min_div_above(d: JointDistribution, family, stat, rate: float) -> float:
+    """min D(q||p) subject to stat(q) >= rate, on the tilted family (rho >= 0)."""
+    if rate <= stat(d):
+        return 0.0
+    if rate >= stat(family(d, _RHO_INF).distribution):
+        return math.inf
+    gap = lambda r: stat(family(d, r).distribution) - rate
+    hi = 1.0
+    while gap(hi) < 0.0:
+        hi *= 2.0
+    rho = optimize.brentq(gap, 0.0, hi, xtol=1e-13)
+    return kl_divergence(family(d, rho).distribution, d)
+
+
+def e_block_upper(d: JointDistribution, rates: RatePair) -> float:
+    """Converse-side block exponent: cheapest dummy joint under which the
+    rate pair falls outside its achievable region (module docstring)."""
+    ds = d.swapped()
+    return min(
+        _min_div_above(d, tilted, entropy, rates.rx + rates.ry),
+        _min_div_above(d, xy_tilted, conditional_entropy_x_given_y, rates.rx),
+        _min_div_above(ds, xy_tilted, conditional_entropy_x_given_y, rates.ry),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Simplex-grid oracles (test-only: exponential in alphabet size)
+# ---------------------------------------------------------------------------
+
+
 def _simplex_objective_terms(q_flat: np.ndarray, d: JointDistribution):
-    """(D(q||p), H(q), H(q_{x|y}), H(q_{y|x})) for a flat dummy joint."""
+    """(D(q||p), H(q_{x|y})) for a flat dummy joint."""
     ax, ay = d.alphabet_x, d.alphabet_y
     q = np.clip(q_flat.reshape(ax, ay), 0.0, None)
     s = q.sum()
     if s <= 0:
-        return math.inf, 0.0, 0.0, 0.0
+        return math.inf, 0.0
     q = q / s
     p = d.probs
     mask = q > 0
     if np.any(p[mask] == 0):
-        return math.inf, 0.0, 0.0, 0.0
+        return math.inf, 0.0
     h = float(-np.sum(q[mask] * np.log(q[mask])))
     dv = float(np.sum(q[mask] * (np.log(q[mask]) - np.log(p[mask]))))
     qy = q.sum(axis=0)
-    qx = q.sum(axis=1)
     hy = float(-np.sum(qy[qy > 0] * np.log(qy[qy > 0])))
-    hx = float(-np.sum(qx[qx > 0] * np.log(qx[qx > 0])))
-    return dv, h, h - hy, h - hx
+    return dv, h - hy
 
 
-def _block_objective(q_flat, d, rates: RatePair) -> float:
-    dv, h, hxy, hyx = _simplex_objective_terms(q_flat, d)
-    if not math.isfinite(dv):
-        return math.inf
-    margin = min(rates.rx + rates.ry - h, rates.rx - hxy, rates.ry - hyx)
-    return dv + max(margin, 0.0)
-
-
-def _polish(fun, x0: np.ndarray, constraints=()) -> float:
+def _polish(fun, x0: np.ndarray) -> float:
+    """One SLSQP refinement of fun over the simplex, started at x0."""
     cons = [{"type": "eq", "fun": lambda q: q.sum() - 1.0}]
-    cons.extend(constraints)
     try:
         res = optimize.minimize(
             fun,
@@ -477,47 +501,6 @@ def _polish(fun, x0: np.ndarray, constraints=()) -> float:
         return math.inf
     val = fun(res.x)
     return val if math.isfinite(val) else math.inf
-
-
-def e_block_lower(d: JointDistribution, rates: RatePair) -> float:
-    """Achievability-side block exponent: simplex minimization of
-    D(q||p) + |min(rate margins)|^+ by grid plus local refinement."""
-    cells = d.alphabet_x * d.alphabet_y
-    step = _oracle_step(cells)
-    grid_val, q0 = _grid_min(d, lambda t: _block_margin_vec(t, rates), step)
-    fun = lambda q: _block_objective(q, d, rates)
-    polished = _polish(fun, q0)
-    return min(grid_val, polished)
-
-
-def e_block_upper(d: JointDistribution, rates: RatePair) -> float:
-    """Converse-side block exponent: cheapest dummy joint under which the
-    rate pair falls outside its achievable region."""
-    cells = d.alphabet_x * d.alphabet_y
-    step = _oracle_step(cells)
-    terms = []
-    # (index into _simplex_objective_terms, threshold) per violated constraint
-    for which, threshold in ((2, rates.rx), (3, rates.ry), (1, rates.rx + rates.ry)):
-
-        def div(q_flat, w=which):
-            return _simplex_objective_terms(q_flat, d)[0]
-
-        def slack(q_flat, w=which, t=threshold):
-            return _simplex_objective_terms(q_flat, d)[w] - t
-
-        grid_val, q0 = _grid_min(
-            d, lambda t, w=which, th=threshold: _constrained_div_vec(t, w, th), step
-        )
-        best = grid_val
-        if q0 is not None:
-            best = min(best, _polish(div, q0, [{"type": "ineq", "fun": slack}]))
-        terms.append(best)
-    return min(terms)
-
-
-# ---------------------------------------------------------------------------
-# Simplex-grid oracles (test-only: exponential in alphabet size)
-# ---------------------------------------------------------------------------
 
 
 def _oracle_step(cells: int) -> float:
@@ -583,21 +566,6 @@ def _block_margin_vec(tables, rates: RatePair) -> np.ndarray:
     return div + np.maximum(margin, 0.0)
 
 
-def _constrained_div_vec(tables, which: int, threshold: float) -> np.ndarray:
-    _, div, h, hxy, hyx = tables
-    stat = (None, h, hxy, hyx)[which]
-    return np.where(stat >= threshold, div, np.inf)
-
-
-def _grid_min(d: JointDistribution, objective_vec, step: float):
-    tables = _grid_tables(d, step)
-    vals = objective_vec(tables)
-    i = int(np.argmin(vals))
-    if not math.isfinite(vals[i]):
-        return math.inf, None
-    return float(vals[i]), tables[0][i].copy()
-
-
 def pp_universal_grid(d: JointDistribution, rx: float, step: float = 0.02) -> float:
     """Brute-force inf_q D(q||p) + |R - H(q)|^+ over the marginal simplex."""
     px = d.marginal_x() if d.alphabet_y > 1 else d.probs.ravel()
@@ -628,7 +596,7 @@ def si_universal_grid(d: JointDistribution, rx: float, step: float | None = None
     if cells > 4 and math.isfinite(best):
 
         def fun(q_flat):
-            dv, _, h_cond, _ = _simplex_objective_terms(q_flat, d)
+            dv, h_cond = _simplex_objective_terms(q_flat, d)
             if not math.isfinite(dv):
                 return math.inf
             return dv + max(rx - h_cond, 0.0)

@@ -70,6 +70,8 @@ class TrialConfig:
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.n < 1:
+            raise ValueError("horizon n must be >= 1")
         if not self.delays:
             raise ValueError("need at least one delay")
         if any(d < 0 or d > self.n for d in self.delays):

@@ -76,6 +76,21 @@ def _suite_equivalence():
                     f"|{ml:.8f} - {un:.8f}|",
                 )
             )
+        # the block lower bound against its three error events, universal route
+        joint = JointDistribution.from_marginal(d.probs.ravel())
+        block = exponents.e_block_lower(d, rates)
+        events = min(
+            exponents.e_un_si(d, rates.rx).value,
+            exponents.e_un_si(d.swapped(), rates.ry).value,
+            exponents.e_un_pp(joint, rates.rx + rates.ry).value,
+        )
+        checks.append(
+            (
+                f"{name} block lower bound equivalence",
+                abs(block - events) <= 1e-5,
+                f"|{block:.8f} - {events:.8f}|",
+            )
+        )
     return checks
 
 

@@ -170,6 +170,16 @@ class TestSimulateCommand:
         assert main(["simulate", str(path), "--out", str(tmp_path / "o"),
                      "--threads", "1"]) == 2
 
+    def test_empty_horizon_is_config_error(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({
+            "source": EXAMPLE_1_JSON, "schedule_x": [1], "n": 0,
+            "delays": [0], "trials": 10, "base_seed": 1, "decoder": "si_ml",
+        }))
+        out = tmp_path / "o"
+        assert main(["simulate", str(path), "--out", str(out), "--threads", "1"]) == 2
+        assert not (out / "stats.csv").exists()
+
     def test_missing_field_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"source": EXAMPLE_1_JSON}))
@@ -189,6 +199,11 @@ class TestVerifyCommand:
         rc = main(["verify", "nonesuch"])
         assert rc == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_unread_option_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "lemmas", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestReproduceCommands:

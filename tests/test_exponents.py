@@ -7,6 +7,7 @@ from swstream.exponents import (
     ExponentResult,
     RatePair,
     _golden_max,
+    _grid_tables,
     _sw_terms,
     block_lower_grid,
     curve_row,
@@ -483,6 +484,61 @@ class TestBlockBounds:
         rates = RatePair(LOG2 + 0.3, 0.2)
         val = e_block_upper(d, rates)
         assert math.isfinite(val)
+
+    def test_lower_is_min_over_error_events(self, example1, example2):
+        # universal route, one error event at a time: x given y, y given x,
+        # and the pair as one point-to-point source at the sum rate
+        cases = [(example2, RatePair(0.30627501742262897, 0.548439177702597))]
+        cases += [
+            (d, RatePair(rx, ry))
+            for d in (example1, example2)
+            for rx in (0.3, 0.45, 0.6, 0.9)
+            for ry in (0.3, 0.5, 0.8)
+        ]
+        rng = np.random.default_rng(20261018)
+        for d in random_corpus(20261019, 6):
+            for _ in range(3):
+                cases.append((d, RatePair(
+                    conditional_entropy_x_given_y(d) + rng.uniform(-0.05, 0.6),
+                    conditional_entropy_y_given_x(d) + rng.uniform(-0.05, 0.6),
+                )))
+        assert len(cases) >= 40
+        for d, rates in cases:
+            joint = JointDistribution.from_marginal(d.probs.ravel())
+            events = min(
+                e_un_si(d, rates.rx).value,
+                e_un_si(d.swapped(), rates.ry).value,
+                e_un_pp(joint, rates.rx + rates.ry).value,
+            )
+            assert e_block_lower(d, rates) == pytest.approx(events, abs=1e-9)
+
+    def test_upper_grid_oracle(self, example1, example2):
+        # every grid point meeting a constraint is feasible, so the exact
+        # minimum can only lie below the grid's
+        step = 0.005
+        rng = np.random.default_rng(20261020)
+        for d in [example1, example2] + random_corpus(20261021, 6, max_size=2):
+            _, div, h, hxy, hyx = _grid_tables(d, step)
+            for _ in range(4):
+                rates = RatePair(
+                    conditional_entropy_x_given_y(d) + rng.uniform(-0.05, 0.4),
+                    conditional_entropy_y_given_x(d) + rng.uniform(-0.05, 0.4),
+                )
+                grid = min(
+                    float(np.min(np.where(stat >= rate, div, np.inf)))
+                    for stat, rate in (
+                        (h, rates.rx + rates.ry), (hxy, rates.rx), (hyx, rates.ry)
+                    )
+                )
+                got = e_block_upper(d, rates)
+                assert got <= grid + 1e-9
+                assert got == pytest.approx(grid, abs=5e-3)
+
+    def test_point_to_point_rejected(self):
+        d = JointDistribution.from_marginal([0.9, 0.1])
+        for bound in (e_block_lower, e_block_upper):
+            with pytest.raises(ValueError):
+                bound(d, RatePair(0.5, 0.5))
 
 
 class TestCurveExport:
