@@ -9,7 +9,6 @@ harness.
 __version__ = "0.1.0"
 
 from .info_core import (  # noqa: F401
-    EmpiricalType,
     JointDistribution,
     TiltedFamilyPoint,
     conditional_entropy_x_given_y,

@@ -247,6 +247,13 @@ def cmd_reproduce_example2(args) -> int:
     return _reproduce(args, EXAMPLE_2_JSON, (0.35, 0.49), "example2")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swstream",
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     options = {
         "--units": {"choices": ("nats", "bits"), "default": "nats"},
-        "--threads": {"type": int, "default": os.cpu_count() or 1},
+        "--threads": {"type": _positive_int, "default": os.cpu_count() or 1},
         "--out": {"default": "out"},
         "--seed": {"type": int, "default": None},
     }

@@ -11,6 +11,15 @@ set costs a single hash per surviving parent.
 Sequences and prefixes are byte strings (one byte per symbol); byte strings
 compare lexicographically, which is the tie-break order used everywhere.
 
+There is one maximum-likelihood rule (a joint-likelihood argmax over a
+product of x and y candidate lists) and one universal rule (minimum joint
+empirical suffix entropy, decided left to right).  The two-encoder ML decoder
+runs the first over Cx x Cy, the side-information decoders run both over
+Cx x {y}, and the point-to-point decoders are the |Y| = 1 case: the same
+rules against y = 0^n, with the x-marginal as an |X| x 1 table.  Every pair
+then reads (a, 0), so the counts, and the floats, are those of x alone.  The
+two-encoder universal decoder is the score decoder at the end of the module.
+
 The decoders are exact but exponential-time by design; they are meant for
 desk-scale horizons (n <= 24 single-stream, n <= 12 for the two-encoder score
 decoder).
@@ -21,11 +30,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .info_core import (
     JointDistribution,
-    entropy_of_counts,
+    empirical_entropy,
     weighted_suffix_entropy,
 )
 
@@ -248,108 +258,79 @@ def enumerate_bin(seed: int, stream_id: str, schedule: BinningSchedule,
 # ---------------------------------------------------------------------------
 
 
-def _log_probs(p) -> list:
-    return [math.log(v) if v > 0 else -math.inf for v in p]
+def _check_delay(delay: int, n: int) -> None:
+    if not (0 <= delay <= n):
+        raise ValueError("delay out of range")
 
 
-def _log_likelihood(seq: bytes, logp: list) -> float:
-    # summed in fixed symbol order so permutation-equivalent sequences tie
-    # bit-exactly
-    total = 0.0
-    for a in range(len(logp)):
-        c = seq.count(a)
-        if c:
-            total += c * logp[a]
-    return total
+def _side_information(y_observed, n: int) -> bytes:
+    y_observed = _as_bytes(y_observed)
+    if len(y_observed) != n:
+        raise ValueError("side-information length must equal the horizon")
+    return y_observed
 
 
-def _argmax_lex(items, key):
-    """Item with maximal key; among ties the lexicographically smallest."""
+def _ml_argmax(xs, ys, probs):
+    """The pair in xs x ys with the largest log-likelihood under the joint
+    table probs[a, b]; among ties the lexicographically smallest."""
+    logp = [[math.log(v) if v > 0 else -math.inf for v in row]
+            for row in probs.tolist()]
     best = None
     best_key = None
-    for item in items:
-        k = key(item)
-        if best is None or k > best_key or (k == best_key and item < best):
-            best, best_key = item, k
+    for pair in itertools.product(xs, ys):
+        # summed over sorted pair counts so that pairs of the same joint
+        # type tie bit-exactly
+        k = 0.0
+        for (a, b), c in sorted(Counter(zip(*pair)).items()):
+            k += c * logp[a][b]
+        if best is None or k > best_key or (k == best_key and pair < best):
+            best, best_key = pair, k
     return best
 
 
 def ml_decode(cands: CandidateSet, source_model: JointDistribution, delay: int):
-    """Most likely bin member under the source model, truncated to n - delay.
+    """Most likely bin member under the source model's x-marginal, truncated
+    to n - delay.
 
     The paper-style symbol-by-symbol construction and the global argmax agree
     (each decision conditions on the already-decided prefix), so the global
     form is used directly.
     """
     n = cands.step
-    if not (0 <= delay <= n):
-        raise ValueError("delay out of range")
-    px = source_model.probs.ravel() if source_model.is_point_to_point() \
-        else source_model.marginal_x()
-    logp = _log_probs(px)
-    best = _argmax_lex(cands.prefixes, key=lambda s: _log_likelihood(s, logp))
+    _check_delay(delay, n)
+    px = source_model.marginal_x().reshape(-1, 1)
+    best, _ = _ml_argmax(cands.prefixes, (bytes(n),), px)
     return best[: n - delay]
 
 
-def _suffix_entropy(seq: bytes, start: int) -> float:
-    window = seq[start:]
-    counts = [window.count(a) for a in set(window)]
-    return entropy_of_counts(counts, len(window))
-
-
-def _decide_left_to_right(prefixes, n: int, delay: int, suffix_h):
+def _decide_left_to_right(prefixes, y: bytes, delay: int):
     """At each position l = 1 .. n - delay keep the candidates that agree with
-    the earlier decisions and commit to the l-th symbol of the one with the
-    smallest suffix_h(c, l), lexicographically smallest on ties."""
+    the earlier decisions and commit to the l-th symbol of the one whose
+    suffix has the smallest joint empirical entropy with y_l^n,
+    lexicographically smallest on ties."""
+    n = len(y)
+    _check_delay(delay, n)
     decided = b""
     pool = list(prefixes)
     for l in range(1, n - delay + 1):
         pool = [c for c in pool if c[: l - 1] == decided]
-        decided = min(pool, key=lambda c: (suffix_h(c, l), c))[:l]
+        ys = y[l - 1 :]
+        decided = min(pool, key=lambda c: (empirical_entropy(c[l - 1 :], ys), c))[:l]
     return decided
 
 
 def universal_decode(cands: CandidateSet, delay: int):
     """Minimum suffix-entropy decoding, decisions fixed left to right: the
     suffix x_l^n with the smallest empirical entropy decides position l."""
-    n = cands.step
-    if not (0 <= delay <= n):
-        raise ValueError("delay out of range")
-    return _decide_left_to_right(
-        cands.prefixes, n, delay, lambda c, l: _suffix_entropy(c, l - 1)
-    )
-
-
-def _pair_counts(x_seq, y_seq):
-    counts = {}
-    for pair in zip(x_seq, y_seq):
-        counts[pair] = counts.get(pair, 0) + 1
-    return counts
-
-
-def _pair_log_likelihood(x_seq, y_seq, d: JointDistribution) -> float:
-    p = d.probs
-    total = 0.0
-    counts = _pair_counts(x_seq, y_seq)
-    for (a, b) in sorted(counts):  # canonical order: bit-exact ties
-        pv = p[a, b]
-        if pv <= 0:
-            return -math.inf
-        total += counts[a, b] * math.log(pv)
-    return total
+    return _decide_left_to_right(cands.prefixes, bytes(cands.step), delay)
 
 
 def si_decode_ml(cands: CandidateSet, y_observed, d: JointDistribution, delay: int):
     """Maximum conditional likelihood given the observed side information."""
     n = cands.step
-    y_observed = _as_bytes(y_observed)
-    if len(y_observed) != n:
-        raise ValueError("side-information length must equal the horizon")
-    if not (0 <= delay <= n):
-        raise ValueError("delay out of range")
-    best = _argmax_lex(
-        cands.prefixes, key=lambda s: _pair_log_likelihood(s, y_observed, d)
-    )
+    y_observed = _side_information(y_observed, n)
+    _check_delay(delay, n)
+    best, _ = _ml_argmax(cands.prefixes, (y_observed,), d.probs)
     return best[: n - delay]
 
 
@@ -359,18 +340,8 @@ def si_decode_universal(cands: CandidateSet, y_observed, delay: int):
     Since y is fixed, minimizing the joint suffix entropy orders candidates
     exactly as the conditional suffix entropy would.
     """
-    n = cands.step
-    y_observed = _as_bytes(y_observed)
-    if len(y_observed) != n:
-        raise ValueError("side-information length must equal the horizon")
-    if not (0 <= delay <= n):
-        raise ValueError("delay out of range")
-
-    def suffix_h(c, l):
-        counts = _pair_counts(c[l - 1 :], y_observed[l - 1 :])
-        return entropy_of_counts(counts.values(), n - l + 1)
-
-    return _decide_left_to_right(cands.prefixes, n, delay, suffix_h)
+    y_observed = _side_information(y_observed, cands.step)
+    return _decide_left_to_right(cands.prefixes, y_observed, delay)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +404,7 @@ def sw_universal_decode(cands_x: CandidateSet, cands_y: CandidateSet,
                         n: int, delay: int):
     """Pick the winners: the x (resp. y) candidate attaining the maximal
     i_x (resp. i_y) over all pairs, lexicographically smallest on ties."""
-    if not (0 <= delay <= n):
-        raise ValueError("delay out of range")
+    _check_delay(delay, n)
     best_ix = {}
     best_iy = {}
     for x_bar in cands_x.prefixes:
@@ -457,10 +427,6 @@ def sw_ml_decode(cands_x: CandidateSet, cands_y: CandidateSet,
     n = cands_x.step
     if cands_y.step != n:
         raise ValueError("candidate sets are at different steps")
-    if not (0 <= delay <= n):
-        raise ValueError("delay out of range")
-    best = _argmax_lex(
-        itertools.product(cands_x.prefixes, cands_y.prefixes),
-        key=lambda pair: _pair_log_likelihood(pair[0], pair[1], d),
-    )
-    return best[0][: n - delay], best[1][: n - delay]
+    _check_delay(delay, n)
+    x_hat, y_hat = _ml_argmax(cands_x.prefixes, cands_y.prefixes, d.probs)
+    return x_hat[: n - delay], y_hat[: n - delay]

@@ -217,16 +217,20 @@ def e_y_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> ExponentRe
 # ---------------------------------------------------------------------------
 
 
-def _tilted_stats(d: JointDistribution, rho: float):
-    """(conditional entropy, divergence) for the x-y tilt and the plain tilt."""
-    bar = xy_tilted(d, rho).distribution
-    plain = tilted(d, rho).distribution
-    return (
-        conditional_entropy_x_given_y(bar),
-        kl_divergence(bar, d),
-        entropy(plain),
-        kl_divergence(plain, d),
-    )
+def _mixed_tilt_stats(d: JointDistribution, rho: float, gamma: float):
+    """(gamma*H(bar q_{x|y}) + (1-gamma)*H(q), the same mix of D(.||d)) for
+    the x-y tilt bar q and the plain tilt q of d at rho.  A tilt of weight 0
+    is not built."""
+    h = dv = 0.0
+    if gamma > 0.0:
+        bar = xy_tilted(d, rho).distribution
+        h = gamma * conditional_entropy_x_given_y(bar)
+        dv = gamma * kl_divergence(bar, d)
+    if gamma < 1.0:
+        plain = tilted(d, rho).distribution
+        h += (1.0 - gamma) * entropy(plain)
+        dv += (1.0 - gamma) * kl_divergence(plain, d)
+    return h, dv
 
 
 def e_un_x_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> ExponentResult:
@@ -239,23 +243,17 @@ def e_un_x_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> Exponen
     """
     _check_unit("gamma", gamma)
     rg = rates.r_gamma(gamma)
-
-    def mixed_entropy(rho):
-        hbar, _, h, _ = _tilted_stats(d, rho)
-        return gamma * hbar + (1.0 - gamma) * h
-
     h0 = gamma * conditional_entropy_x_given_y(d) + (1.0 - gamma) * entropy(d)
     if rg <= h0:
         # on or outside the boundary for this error event
         return ExponentResult(0.0, 0.0, gamma_star=gamma, in_region=(rg >= h0))
-    h1 = mixed_entropy(1.0)
+    h1, dv1 = _mixed_tilt_stats(d, 1.0, gamma)
     if rg >= h1:
-        hbar, dbar, h, dv = _tilted_stats(d, 1.0)
-        value = gamma * dbar + (1.0 - gamma) * dv + (rg - h1)
-        return ExponentResult(value, 1.0, gamma_star=gamma)
-    rho = optimize.brentq(lambda r: mixed_entropy(r) - rg, 0.0, 1.0, xtol=1e-13)
-    hbar, dbar, h, dv = _tilted_stats(d, rho)
-    return ExponentResult(gamma * dbar + (1.0 - gamma) * dv, rho, gamma_star=gamma)
+        return ExponentResult(dv1 + (rg - h1), 1.0, gamma_star=gamma)
+    rho = optimize.brentq(
+        lambda r: _mixed_tilt_stats(d, r, gamma)[0] - rg, 0.0, 1.0, xtol=1e-13
+    )
+    return ExponentResult(_mixed_tilt_stats(d, rho, gamma)[1], rho, gamma_star=gamma)
 
 
 def e_un_y_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> ExponentResult:
@@ -269,7 +267,8 @@ def e_un_y_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> Exponen
 
 def _slopes(d: JointDistribution, rates: RatePair, rho: float):
     """(E_{x|y}'(rho), E_xy'(rho)) in closed form from the tilted families."""
-    hbar, _, h, _ = _tilted_stats(d, rho)
+    hbar = conditional_entropy_x_given_y(xy_tilted(d, rho).distribution)
+    h = entropy(tilted(d, rho).distribution)
     return rates.rx - hbar, rates.rx + rates.ry - h
 
 
@@ -558,24 +557,10 @@ def _grid_tables(d: JointDistribution, step: float):
     return q, div, h, h - hy, h - hx
 
 
-def _block_margin_vec(tables, rates: RatePair) -> np.ndarray:
-    _, div, h, hxy, hyx = tables
-    margin = np.minimum(
-        rates.rx + rates.ry - h, np.minimum(rates.rx - hxy, rates.ry - hyx)
-    )
-    return div + np.maximum(margin, 0.0)
-
-
 def pp_universal_grid(d: JointDistribution, rx: float, step: float = 0.02) -> float:
     """Brute-force inf_q D(q||p) + |R - H(q)|^+ over the marginal simplex."""
-    px = d.marginal_x() if d.alphabet_y > 1 else d.probs.ravel()
-    parts = round(1.0 / step)
-    q = _compositions(px.size, parts).astype(np.float64) / parts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -np.where(q > 0, q * np.log(q), 0.0).sum(axis=1)
-    logp = np.log(px, out=np.full_like(px, -1e30), where=px > 0)
-    cross = q @ logp
-    div = np.where(cross < -1e20, np.inf, -h - cross)
+    px = JointDistribution.from_marginal(d.marginal_x())
+    _, div, h, _, _ = _grid_tables(px, step)
     return float(np.min(div + np.maximum(rx - h, 0.0)))
 
 
@@ -648,8 +633,11 @@ def gamma_universal_grid(
 
 def block_lower_grid(d: JointDistribution, rates: RatePair, step: float = 0.01) -> float:
     """Raw-grid version of e_block_lower (no refinement), used as an oracle."""
-    tables = _grid_tables(d, step)
-    return float(np.min(_block_margin_vec(tables, rates)))
+    _, div, h, hxy, hyx = _grid_tables(d, step)
+    margin = np.minimum(
+        rates.rx + rates.ry - h, np.minimum(rates.rx - hxy, rates.ry - hyx)
+    )
+    return float(np.min(div + np.maximum(margin, 0.0)))
 
 
 # ---------------------------------------------------------------------------

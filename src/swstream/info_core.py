@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "JointDistribution",
-    "EmpiricalType",
     "TiltedFamilyPoint",
     "entropy",
     "conditional_entropy_x_given_y",
@@ -27,9 +26,8 @@ __all__ = [
     "xy_tilted",
     "log_sum_tilted",
     "log_sum_xy_tilted",
-    "empirical_type",
-    "empirical_joint_type",
     "entropy_of_counts",
+    "empirical_entropy",
     "weighted_suffix_entropy",
 ]
 
@@ -58,6 +56,8 @@ class JointDistribution:
             )
         if self.alphabet_x < 2 or self.alphabet_y < 1:
             raise ValueError("need |X| >= 2 and |Y| >= 1")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("non-finite probability entry")
         if np.any(p < 0):
             raise ValueError("negative probability entry")
         total = p.sum()
@@ -226,28 +226,8 @@ def xy_tilted(p: JointDistribution, rho: float) -> TiltedFamilyPoint:
 
 
 # ---------------------------------------------------------------------------
-# Empirical types
+# Empirical entropies
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmpiricalType:
-    """Occurrence counts of symbols (or symbol pairs) over a sample window."""
-
-    counts: dict
-    length: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("empty range")
-        if sum(self.counts.values()) != self.length:
-            raise ValueError("counts do not sum to window length")
-
-    def probability(self, symbol) -> float:
-        return self.counts.get(symbol, 0) / self.length
-
-    def entropy(self) -> float:
-        return entropy_of_counts(self.counts.values(), self.length)
 
 
 def entropy_of_counts(counts, total: int) -> float:
@@ -260,31 +240,11 @@ def entropy_of_counts(counts, total: int) -> float:
     return float(sum((c / total) * math.log(total / c) for c in vals))
 
 
-def empirical_type(seq: Sequence, start: int, end: int) -> EmpiricalType:
-    """Type of seq[start..end] with 1-based inclusive indices."""
-    if not (1 <= start <= end <= len(seq)):
-        raise ValueError(f"bad range [{start}, {end}] for length {len(seq)}")
-    window = seq[start - 1 : end]
-    return EmpiricalType(dict(Counter(window)), end - start + 1)
-
-
-def empirical_joint_type(x: Sequence, y: Sequence, start: int, end: int) -> EmpiricalType:
-    """Joint type of the pair sequence ((x_i, y_i)) over [start, end]."""
-    if len(x) != len(y):
-        raise ValueError("sequences differ in length")
-    if not (1 <= start <= end <= len(x)):
-        raise ValueError(f"bad range [{start}, {end}] for length {len(x)}")
-    pairs = list(zip(x[start - 1 : end], y[start - 1 : end]))
-    return EmpiricalType(dict(Counter(pairs)), end - start + 1)
-
-
-def _emp_joint_entropy(x, y, start, end) -> float:
-    return empirical_joint_type(x, y, start, end).entropy()
-
-
-def _emp_cond_entropy(x, y, start, end) -> float:
-    # H(x|y) = H(x,y) - H(y), on empirical types of the window
-    return _emp_joint_entropy(x, y, start, end) - empirical_type(y, start, end).entropy()
+def empirical_entropy(*windows) -> float:
+    """Entropy of the joint type of equal-length windows: the symbols
+    (w1[i], w2[i], ...) counted over i.  One window gives its plain type."""
+    counts = Counter(zip(*windows, strict=True))
+    return entropy_of_counts(counts.values(), len(windows[0]))
 
 
 def weighted_suffix_entropy(x: Sequence, y: Sequence, l: int, k: int, n: int) -> float:
@@ -300,19 +260,15 @@ def weighted_suffix_entropy(x: Sequence, y: Sequence, l: int, k: int, n: int) ->
         raise ValueError("sequences must have length n")
     if not (1 <= l <= n + 1 and 1 <= k <= n + 1):
         raise ValueError(f"indices l={l}, k={k} out of [1, {n + 1}]")
+    if l > k:
+        # the streams swap roles; the joint type's entropy is symmetric
+        x, y, l, k = y, x, k, l
     if l == k:
-        if l == n + 1:
-            return 0.0
-        return _emp_joint_entropy(x, y, l, n)
-    if l < k:
-        span = n + 1 - l
-        out = ((k - l) / span) * _emp_cond_entropy(x, y, l, k - 1)
-        if k <= n:
-            out += ((n + 1 - k) / span) * _emp_joint_entropy(x, y, k, n)
-        return out
-    # l > k: roles of the streams swap
-    span = n + 1 - k
-    out = ((l - k) / span) * _emp_cond_entropy(y, x, k, l - 1)
-    if l <= n:
-        out += ((n + 1 - l) / span) * _emp_joint_entropy(x, y, l, n)
+        return 0.0 if l == n + 1 else empirical_entropy(x[l - 1 :], y[l - 1 :])
+    # H(x|y) = H(x,y) - H(y) over the window [l, k-1] where only x is disputed
+    xs, ys = x[l - 1 : k - 1], y[l - 1 : k - 1]
+    span = n + 1 - l
+    out = ((k - l) / span) * (empirical_entropy(xs, ys) - empirical_entropy(ys))
+    if k <= n:
+        out += ((n + 1 - k) / span) * empirical_entropy(x[k - 1 :], y[k - 1 :])
     return out

@@ -23,6 +23,7 @@ from .codec import (
     MAX_HORIZON_SINGLE,
     MAX_HORIZON_TWO_ENCODER,
     _PRF_BITS,
+    _first_divergence,
     encode_step,
     initial_candidates,
     ml_decode,
@@ -153,14 +154,6 @@ def _build_candidates(seed: int, stream_id: str, seq, schedule, alphabet,
     return cands
 
 
-def _first_error(estimate, truth) -> int:
-    """1-based position of the first wrong symbol; n+1 if all correct."""
-    for i, (a, b) in enumerate(zip(estimate, truth)):
-        if a != b:
-            return i + 1
-    return len(truth) + 1
-
-
 def _run_one_trial(cfg: TrialConfig, trial_index: int):
     """Returns (first_x_error_pos, first_y_error_pos) or None when aborted."""
     seed = derive_trial_seed(cfg.base_seed, trial_index)
@@ -175,7 +168,8 @@ def _run_one_trial(cfg: TrialConfig, trial_index: int):
                 x_hat, y_hat = sw_ml_decode(cx, cy, cfg.source, delay=0)
             else:
                 x_hat, y_hat = sw_universal_decode(cx, cy, cfg.n, delay=0)
-            return _first_error(x_hat, x), _first_error(y_hat, y)
+            return (_first_divergence(x_hat, x, cfg.n),
+                    _first_divergence(y_hat, y, cfg.n))
         cx = _build_candidates(seed, "x", x, cfg.schedule_x,
                                cfg.source.alphabet_x, cfg.candidate_cap)
         if cfg.decoder == "ml":
@@ -186,7 +180,7 @@ def _run_one_trial(cfg: TrialConfig, trial_index: int):
             x_hat = si_decode_ml(cx, y, cfg.source, delay=0)
         else:
             x_hat = si_decode_universal(cx, y, delay=0)
-        return _first_error(x_hat, x), cfg.n + 1
+        return _first_divergence(x_hat, x, cfg.n), cfg.n + 1
     except CandidateOverflowError:
         return None
 

@@ -116,6 +116,16 @@ class TestExponentsCommand:
                    "--out", str(tmp_path / "o"), "--threads", "1"])
         assert rc == 2
 
+    def test_nan_probability_is_config_error(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"alphabet_x": 2, "alphabet_y": 2,
+                                    "probs": [[math.nan, 0.5], [0.25, 0.25]]}))
+        out = tmp_path / "o"
+        rc = main(["exponents", str(path), "--rx", "0.6", "--ry", "0.6",
+                   "--out", str(out), "--threads", "1"])
+        assert rc == 2
+        assert not (out / "exponents.csv").exists()
+
     def test_program_error_is_not_config_error(self, tmp_path, source_file,
                                                monkeypatch):
         def broken(d, rates):
@@ -184,6 +194,16 @@ class TestSimulateCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"source": EXAMPLE_1_JSON}))
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, trial_config_file,
+                                              threads, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", trial_config_file, "--out", str(out),
+                  "--threads", threads])
+        assert exc.value.code == 2
+        assert not (out / "stats.csv").exists()
 
 
 class TestVerifyCommand:

@@ -319,6 +319,30 @@ class TestSingleStreamDecoders:
                 want = _oracle_si_universal(list(cands.prefixes), y, self.N, delay)
                 assert got == want
 
+    def test_ternary_bins_match_oracles(self):
+        px = [0.6, 0.3, 0.1]
+        model = JointDistribution.from_marginal(px)
+        rng = np.random.default_rng(5)
+        for t in range(60):
+            seq = bytes(rng.integers(0, 3, size=self.N).tolist())
+            cands = candidate_set_for(t, "x", seq, TWO_BITS, alphabet=3)
+            members = list(cands.prefixes)
+            for delay in (0, 2):
+                assert ml_decode(cands, model, delay) == _oracle_ml(
+                    members, px, self.N, delay
+                )
+                assert universal_decode(cands, delay) == _oracle_universal(
+                    members, self.N, delay
+                )
+
+    def test_ml_on_joint_model_uses_x_marginal(self):
+        d = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])
+        for seq, cands in self._bins(100, seed0=3000):
+            for delay in (0, 2):
+                got = ml_decode(cands, d, delay)
+                want = _oracle_ml(list(cands.prefixes), d.marginal_x(), self.N, delay)
+                assert got == want
+
     def test_full_delay_returns_empty(self):
         _, cands = self._bins(1)[0]
         assert ml_decode(cands, JointDistribution.from_marginal([0.5, 0.5]), self.N) == b""

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swstream.info_core import (
-    EmpiricalType,
     JointDistribution,
     conditional_entropy_x_given_y,
     conditional_entropy_y_given_x,
-    empirical_joint_type,
-    empirical_type,
+    empirical_entropy,
     entropy,
     entropy_of_counts,
     kl_divergence,
@@ -36,6 +34,11 @@ class TestJointDistribution:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             JointDistribution.from_matrix([[1.1, -0.1], [0.0, 0.0]])
+
+    def test_rejects_nan(self):
+        # NaN slips past both the sign and the sum check
+        with pytest.raises(ValueError):
+            JointDistribution.from_matrix([[math.nan, 0.5], [0.25, 0.25]])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -287,43 +290,46 @@ class TestTiltedFamilyLemmas:
 
 class TestEmpiricalTypes:
     def test_full_range_counts(self):
-        t = empirical_type((0, 1, 0, 1), 1, 4)
-        assert t.counts == {0: 2, 1: 2}
-        assert t.entropy() == pytest.approx(LOG2, abs=1e-12)
+        assert empirical_entropy((0, 1, 0, 1)) == entropy_of_counts([2, 2], 4)
+        assert empirical_entropy((0, 1, 0, 1)) == pytest.approx(LOG2, abs=1e-12)
 
     def test_point_type_zero_entropy(self):
-        t = empirical_type((0, 0, 0), 1, 3)
-        assert t.entropy() == 0.0
-
-    def test_suffix_window(self):
-        assert empirical_type((0, 1, 1), 2, 3).counts == {1: 2}
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_type((0, 1), 2, 1)
-        with pytest.raises(ValueError):
-            EmpiricalType({0: 1}, 0)
+        assert empirical_entropy((0, 0, 0)) == 0.0
 
     def test_joint_type(self):
-        t = empirical_joint_type((0, 1, 0), (1, 1, 0), 1, 3)
-        assert t.counts == {(0, 1): 1, (1, 1): 1, (0, 0): 1}
+        # pairs (0,1), (1,1), (0,0): three distinct symbols, once each
+        assert empirical_entropy((0, 1, 0), (1, 1, 0)) == pytest.approx(
+            math.log(3), abs=1e-12
+        )
+
+    def test_unequal_windows_rejected(self):
+        with pytest.raises(ValueError):
+            empirical_entropy((0, 1, 0), (1, 1))
 
     def test_works_on_byte_strings(self):
-        t = empirical_type(b"\x00\x01\x00", 1, 3)
-        assert t.counts == {0: 2, 1: 1}
+        assert empirical_entropy(b"\x00\x01\x00") == empirical_entropy((0, 1, 0))
+        assert empirical_entropy(b"\x00\x01", b"\x01\x01") == empirical_entropy(
+            (0, 1), (1, 1)
+        )
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=30))
     def test_type_entropy_bounds(self, seq):
-        h = empirical_type(tuple(seq), 1, len(seq)).entropy()
+        h = empirical_entropy(tuple(seq))
         assert -1e-12 <= h <= math.log(4) + 1e-12
 
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=20))
-    def test_permuted_counts_give_identical_entropy(self, seq):
-        counts = empirical_type(tuple(seq), 1, len(seq)).counts
-        vals = list(counts.values())
-        assert entropy_of_counts(vals, len(seq)) == entropy_of_counts(
-            list(reversed(vals)), len(seq)
-        )
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=20), st.randoms())
+    def test_permuted_counts_give_identical_entropy(self, seq, rnd):
+        shuffled = list(seq)
+        rnd.shuffle(shuffled)
+        assert empirical_entropy(tuple(seq)) == empirical_entropy(tuple(shuffled))
+
+
+def _type_entropy(*windows):
+    """Reference empirical entropy: plain counts of the zipped windows."""
+    counts = {}
+    for symbol in zip(*windows):
+        counts[symbol] = counts.get(symbol, 0) + 1
+    return entropy_of_counts(counts.values(), len(windows[0]))
 
 
 class TestWeightedSuffixEntropy:
@@ -335,21 +341,15 @@ class TestWeightedSuffixEntropy:
         x = (0, 0, 1, 1)
         y = (0, 1, 0, 1)
         got = weighted_suffix_entropy(x, y, 1, 5, 4)
-        want = (
-            empirical_joint_type(x, y, 1, 4).entropy()
-            - empirical_type(y, 1, 4).entropy()
-        )
+        want = _type_entropy(x, y) - _type_entropy(y)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_hand_worked_mixed_case(self):
         # l=1, k=3, n=4: (2/4) H(x_1^2 | y_1^2) + (2/4) H(x_3^4, y_3^4)
         x = (0, 0, 1, 1)
         y = (0, 1, 0, 1)
-        h_cond = (
-            empirical_joint_type(x, y, 1, 2).entropy()
-            - empirical_type(y, 1, 2).entropy()
-        )
-        h_joint = empirical_joint_type(x, y, 3, 4).entropy()
+        h_cond = _type_entropy(x[:2], y[:2]) - _type_entropy(y[:2])
+        h_joint = _type_entropy(x[2:], y[2:])
         want = 0.5 * h_cond + 0.5 * h_joint
         assert weighted_suffix_entropy(x, y, 1, 3, 4) == pytest.approx(want, abs=1e-12)
 
