@@ -92,13 +92,13 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed,
 
 
 def _curve_worker(args):
-    source_json, rx, ry = args
-    d = JointDistribution.from_json(source_json)
+    d, rx, ry = args
     return curve_row(d, RatePair(rx, ry))
 
 
 def _compute_curve(d: JointDistribution, rx_grid, ry_grid, threads: int):
-    points = [(d.to_json(), rx, ry) for ry in ry_grid for rx in rx_grid]
+    # the source itself, not its JSON: reloading would renormalize it again
+    points = [(d, rx, ry) for ry in ry_grid for rx in rx_grid]
     if threads > 1 and len(points) > 8:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_curve_worker, points, chunksize=4))

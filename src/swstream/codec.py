@@ -17,8 +17,24 @@ empirical suffix entropy, decided left to right).  The two-encoder ML decoder
 runs the first over Cx x Cy, the side-information decoders run both over
 Cx x {y}, and the point-to-point decoders are the |Y| = 1 case: the same
 rules against y = 0^n, with the x-marginal as an |X| x 1 table.  Every pair
-then reads (a, 0), so the counts, and the floats, are those of x alone.  The
-two-encoder universal decoder is the score decoder at the end of the module.
+then reads (a, 0), so the counts, and the floats, are those of x alone.  Both
+rules read a pair as one sequence of joint symbols a * |Y| + b: the ML rule
+counts each symbol with `count`, and the entropies take the counts of a
+window as the difference of two cumulative count rows.
+
+The two-encoder universal decoder is the score decoder at the end of the
+module.  `compute_scores` is the definition for one pair: a cell (l, k) is
+marked when a rival pair first diverging there has weighted suffix entropy
+<= the pair's own, and i_x, i_y are one less than the smallest marked l, k.
+`sw_universal_decode` finds every pair's scores in one pass over the bin
+product instead of one `compute_scores` call per pair.  It reads l and k from
+first-divergence tables of Cx and Cy built once; it computes each weighted
+suffix entropy once per decode, keyed by (x index, y index, l, k), from
+window counts that are differences of cumulative count rows, through
+`entropy_of_counts` as `weighted_suffix_entropy` does, so the floats are the
+same; and it skips every rival at a cell with l > i_x and k > i_y so far:
+i_x and i_y are running minima of l - 1 and k - 1, so marking that cell
+cannot lower either score.
 
 The decoders are exact but exponential-time by design; they are meant for
 desk-scale horizons (n <= 24 single-stream, n <= 12 for the two-encoder score
@@ -30,12 +46,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .info_core import (
     JointDistribution,
-    empirical_entropy,
+    entropy_of_counts,
     weighted_suffix_entropy,
 )
 
@@ -270,19 +285,52 @@ def _side_information(y_observed, n: int) -> bytes:
     return y_observed
 
 
+def _joint_code(x: bytes, y: bytes, alphabet_x: int, alphabet_y: int):
+    """The pair as one sequence of joint symbols a * |Y| + b: bytes (one
+    integer addition) when every joint symbol fits in a byte, else a tuple."""
+    if alphabet_y == 1:
+        return x
+    if alphabet_x * alphabet_y <= 256:
+        joint = int.from_bytes(x, "big") * alphabet_y + int.from_bytes(y, "big")
+        return joint.to_bytes(len(x), "big")
+    return tuple(a * alphabet_y + b for a, b in zip(x, y))
+
+
+def _count_rows(seq):
+    """rows[t] counts each distinct symbol of seq over seq[:t] (in order of
+    first occurrence), so the counts of a window are a difference of rows."""
+    index = {}
+    for v in seq:
+        index.setdefault(v, len(index))
+    row = [0] * len(index)
+    rows = [tuple(row)]
+    for v in seq:
+        row[index[v]] += 1
+        rows.append(tuple(row))
+    return rows
+
+
+def _window_entropy(rows, lo: int, hi: int) -> float:
+    """Empirical entropy of seq[lo:hi] from the count rows of seq."""
+    return entropy_of_counts([b - a for a, b in zip(rows[lo], rows[hi])], hi - lo)
+
+
 def _ml_argmax(xs, ys, probs):
     """The pair in xs x ys with the largest log-likelihood under the joint
     table probs[a, b]; among ties the lexicographically smallest."""
-    logp = [[math.log(v) if v > 0 else -math.inf for v in row]
-            for row in probs.tolist()]
+    alphabet_x, alphabet_y = probs.shape
+    logp = [math.log(v) if v > 0 else -math.inf for v in probs.ravel().tolist()]
     best = None
     best_key = None
     for pair in itertools.product(xs, ys):
-        # summed over sorted pair counts so that pairs of the same joint
-        # type tie bit-exactly
+        # summed in ascending joint-symbol order over the symbols that occur,
+        # so that pairs of the same joint type tie bit-exactly
+        code = _joint_code(*pair, alphabet_x, alphabet_y)
         k = 0.0
-        for (a, b), c in sorted(Counter(zip(*pair)).items()):
-            k += c * logp[a][b]
+        for s, lp in enumerate(logp):
+            c = code.count(s)
+            if c:
+                k += c * lp
         if best is None or k > best_key or (k == best_key and pair < best):
             best, best_key = pair, k
     return best
@@ -303,26 +351,29 @@ def ml_decode(cands: CandidateSet, source_model: JointDistribution, delay: int):
     return best[: n - delay]
 
 
-def _decide_left_to_right(prefixes, y: bytes, delay: int):
+def _decide_left_to_right(cands: CandidateSet, y: bytes, alphabet_y: int, delay: int):
     """At each position l = 1 .. n - delay keep the candidates that agree with
     the earlier decisions and commit to the l-th symbol of the one whose
     suffix has the smallest joint empirical entropy with y_l^n,
     lexicographically smallest on ties."""
     n = len(y)
     _check_delay(delay, n)
+    rows = {c: _count_rows(_joint_code(c, y, cands.alphabet, alphabet_y))
+            for c in cands.prefixes}
     decided = b""
-    pool = list(prefixes)
+    pool = list(cands.prefixes)
     for l in range(1, n - delay + 1):
         pool = [c for c in pool if c[: l - 1] == decided]
-        ys = y[l - 1 :]
-        decided = min(pool, key=lambda c: (empirical_entropy(c[l - 1 :], ys), c))[:l]
+        if len(pool) == 1:
+            return pool[0][: n - delay]  # the later decisions are its symbols
+        decided = min(pool, key=lambda c: (_window_entropy(rows[c], l - 1, n), c))[:l]
     return decided
 
 
 def universal_decode(cands: CandidateSet, delay: int):
     """Minimum suffix-entropy decoding, decisions fixed left to right: the
     suffix x_l^n with the smallest empirical entropy decides position l."""
-    return _decide_left_to_right(cands.prefixes, bytes(cands.step), delay)
+    return _decide_left_to_right(cands, bytes(cands.step), 1, delay)
 
 
 def si_decode_ml(cands: CandidateSet, y_observed, d: JointDistribution, delay: int):
@@ -341,7 +392,8 @@ def si_decode_universal(cands: CandidateSet, y_observed, delay: int):
     exactly as the conditional suffix entropy would.
     """
     y_observed = _side_information(y_observed, cands.step)
-    return _decide_left_to_right(cands.prefixes, y_observed, delay)
+    return _decide_left_to_right(cands, y_observed, max(y_observed, default=0) + 1,
+                                 delay)
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +452,85 @@ def compute_scores(pair, cands_x: CandidateSet, cands_y: CandidateSet,
     return ScoreBoard(marks=frozenset(marks), i_x=i_x, i_y=i_y, n=n)
 
 
+def _suffix_entropies(cands_x: CandidateSet, cands_y: CandidateSet, n: int):
+    """wse(i, j, l, k): weighted_suffix_entropy of the pair (x_i, y_j) at the
+    cell (l, k), computed once per decode from cumulative count rows with
+    the same float operations, hence the same floats."""
+    xs, ys = cands_x.prefixes, cands_y.prefixes
+    rows_x = [_count_rows(x) for x in xs]
+    rows_y = [_count_rows(y) for y in ys]
+    rows_xy = {}
+    memo = {}
+
+    def wse(i, j, l, k):
+        key = (i, j, l, k)
+        value = memo.get(key)
+        if value is None:
+            joint = rows_xy.get((i, j))
+            if joint is None:
+                joint = rows_xy[i, j] = _count_rows(_joint_code(
+                    xs[i], ys[j], cands_x.alphabet, cands_y.alphabet))
+            if l == k:
+                value = 0.0 if l == n + 1 else _window_entropy(joint, l - 1, n)
+            else:
+                # H(disputed | other) over [min, max - 1], joint H after it
+                if l < k:
+                    other = rows_y[j]
+                else:
+                    other = rows_x[i]
+                    l, k = k, l
+                span = n + 1 - l
+                value = ((k - l) / span) * (_window_entropy(joint, l - 1, k - 1)
+                                            - _window_entropy(other, l - 1, k - 1))
+                if k <= n:
+                    value += ((n + 1 - k) / span) * _window_entropy(joint, k - 1, n)
+            memo[key] = value
+        return value
+
+    return wse
+
+
 def sw_universal_decode(cands_x: CandidateSet, cands_y: CandidateSet,
                         n: int, delay: int):
     """Pick the winners: the x (resp. y) candidate attaining the maximal
-    i_x (resp. i_y) over all pairs, lexicographically smallest on ties."""
+    i_x (resp. i_y) over all pairs, lexicographically smallest on ties.
+
+    The scores are those of compute_scores, found in one pass over the bin
+    product (see the module docstring).
+    """
     _check_delay(delay, n)
-    best_ix = {}
-    best_iy = {}
-    for x_bar in cands_x.prefixes:
-        for y_bar in cands_y.prefixes:
-            board = compute_scores((x_bar, y_bar), cands_x, cands_y, n)
-            if board.i_x > best_ix.get(x_bar, -1):
-                best_ix[x_bar] = board.i_x
-            if board.i_y > best_iy.get(y_bar, -1):
-                best_iy[y_bar] = board.i_y
-    top_x = max(best_ix.values())
-    top_y = max(best_iy.values())
-    x_hat = min(c for c, v in best_ix.items() if v == top_x)
-    y_hat = min(c for c, v in best_iy.items() if v == top_y)
+    xs, ys = cands_x.prefixes, cands_y.prefixes
+    if any(len(s) != n for s in xs + ys):
+        raise ValueError("sequences must have length n")
+    div_x = [[_first_divergence(a, b, n) for b in xs] for a in xs]
+    div_y = [[_first_divergence(a, b, n) for b in ys] for a in ys]
+    # rivals in ascending divergence index, so a row stops at the first
+    # cell that can no longer lower a score
+    order_x = [sorted(range(len(xs)), key=row.__getitem__) for row in div_x]
+    order_y = [sorted(range(len(ys)), key=row.__getitem__) for row in div_y]
+    wse = _suffix_entropies(cands_x, cands_y, n)
+    best_ix = [-1] * len(xs)
+    best_iy = [-1] * len(ys)
+    for a, ls in enumerate(div_x):
+        for b, ks in enumerate(div_y):
+            i_x = i_y = n + 1
+            for i in order_x[a]:
+                l = ls[i]
+                for j in order_y[b]:
+                    k = ks[j]
+                    if l > i_x and k > i_y:
+                        break
+                    if l == k == n + 1:
+                        continue  # the pair itself is not its own rival
+                    if wse(i, j, l, k) <= wse(a, b, l, k):
+                        i_x = min(i_x, l - 1)
+                        i_y = min(i_y, k - 1)
+            best_ix[a] = max(best_ix[a], i_x)
+            best_iy[b] = max(best_iy[b], i_y)
+    top_x = max(best_ix)
+    top_y = max(best_iy)
+    x_hat = min(c for c, v in zip(xs, best_ix) if v == top_x)
+    y_hat = min(c for c, v in zip(ys, best_iy) if v == top_y)
     return x_hat[: n - delay], y_hat[: n - delay]
 
 

@@ -90,6 +90,25 @@ class TestExponentsCommand:
             assert fields[4] == ""  # no two-encoder columns
             assert fields[9] != ""  # point-to-point column populated
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_exponent_is_exactly_zero_below_entropy(self, tmp_path, threads):
+        # the curve is computed on the loaded source; a second JSON round
+        # trip used to renormalize p by an ulp and give 1.1e-16 below H
+        src = tmp_path / "pp3.json"
+        src.write_text(json.dumps({
+            "alphabet_x": 3, "alphabet_y": 1, "probs": [[0.6], [0.3], [0.1]],
+        }))
+        out = tmp_path / "out"
+        rc = main(["exponents", str(src), "--rx", "0.5:1.3:0.1",
+                   "--out", str(out), "--threads", threads])
+        assert rc == 0
+        lines = (out / "exponents.csv").read_text().strip().split("\n")
+        column = lines[0].split(",").index("e_pp_x")
+        h = -sum(p * math.log(p) for p in (0.6, 0.3, 0.1))
+        below = [r.split(",") for r in lines[1:] if float(r.split(",")[0]) < h]
+        assert len(below) == 4
+        assert all(float(r[column]) == 0.0 for r in below)
+
     def test_byte_identical_reruns(self, tmp_path, source_file):
         outs = []
         for name in ("a", "b"):

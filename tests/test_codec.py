@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from swstream.codec import (
     BinningSchedule,
@@ -21,6 +22,7 @@ from swstream.codec import (
     sw_universal_decode,
     universal_decode,
     update_candidates,
+    _suffix_entropies,
 )
 from swstream.info_core import (
     JointDistribution,
@@ -270,6 +272,26 @@ def _oracle_scores(pair, members_x, members_y, n):
     return i_x, i_y
 
 
+def _oracle_winners(members_x, members_y, n, delay):
+    """Two-encoder universal winners: every pair scored by _oracle_scores,
+    then the maximal score, lexicographically smallest on ties."""
+    best_ix, best_iy = {}, {}
+    for xb in members_x:
+        for yb in members_y:
+            ix, iy = _oracle_scores((xb, yb), members_x, members_y, n)
+            best_ix[xb] = max(best_ix.get(xb, -1), ix)
+            best_iy[yb] = max(best_iy.get(yb, -1), iy)
+    want_x = min(c for c, v in best_ix.items() if v == max(best_ix.values()))
+    want_y = min(c for c, v in best_iy.items() if v == max(best_iy.values()))
+    return want_x[: n - delay], want_y[: n - delay]
+
+
+def _hand_built(stream_id, members, alphabet=2):
+    return CandidateSet(seed=0, stream_id=stream_id, schedule=ONE_BIT,
+                        alphabet=alphabet, prefixes=tuple(members),
+                        step=len(members[0]))
+
+
 class TestSingleStreamDecoders:
     N = 8
 
@@ -409,6 +431,33 @@ class TestScoreBoard:
                     assert (board.i_x, board.i_y) == want
 
 
+class TestSuffixEntropies:
+    @staticmethod
+    @st.composite
+    def pair_bins(draw):
+        n = draw(st.integers(1, 10))
+        alphabets = draw(st.tuples(*[st.sampled_from((2, 3, 17))] * 2))
+        bins = [
+            draw(st.lists(
+                st.lists(st.integers(0, a - 1), min_size=n, max_size=n).map(bytes),
+                min_size=1, max_size=3, unique=True,
+            ))
+            for a in alphabets
+        ]
+        return n, alphabets, bins
+
+    @given(pair_bins())
+    def test_bit_identical_to_weighted_suffix_entropy(self, case):
+        # 17 x 17 joint symbols overflow a byte and take the tuple code
+        n, (ax, ay), (xs, ys) = case
+        wse = _suffix_entropies(_hand_built("x", xs, ax), _hand_built("y", ys, ay), n)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                for l in range(1, n + 2):
+                    for k in range(1, n + 2):
+                        assert wse(i, j, l, k) == weighted_suffix_entropy(x, y, l, k, n)
+
+
 class TestTwoEncoderDecoders:
     N = 6
 
@@ -421,16 +470,41 @@ class TestTwoEncoderDecoders:
             cx = candidate_set_for(t, "x", x, ONE_BIT)
             cy = candidate_set_for(t, "y", y, ONE_BIT)
             got = sw_universal_decode(cx, cy, self.N, 0)
+            assert got == _oracle_winners(cx.prefixes, cy.prefixes, self.N, 0)
 
-            best_ix, best_iy = {}, {}
-            for xb in cx.prefixes:
-                for yb in cy.prefixes:
-                    ix, iy = _oracle_scores((xb, yb), cx.prefixes, cy.prefixes, self.N)
-                    best_ix[xb] = max(best_ix.get(xb, -1), ix)
-                    best_iy[yb] = max(best_iy.get(yb, -1), iy)
-            want_x = min(c for c, v in best_ix.items() if v == max(best_ix.values()))
-            want_y = min(c for c, v in best_iy.items() if v == max(best_iy.values()))
-            assert got == (want_x, want_y)
+    @pytest.mark.parametrize("n", range(6, 11))
+    @pytest.mark.parametrize("probs, alphabet, schedule, count", [
+        ([[0.45, 0.05], [0.05, 0.45]], 2, ONE_BIT, 20),
+        ([[0.1, 0.05], [0.05, 0.8]], 2, ONE_BIT, 20),
+        ([[0.3, 0.04, 0.02], [0.04, 0.25, 0.03], [0.02, 0.03, 0.27]], 3, TWO_BITS, 30),
+    ], ids=["example1", "example2", "ternary"])
+    def test_universal_matches_oracle_on_random_bins(self, n, probs, alphabet,
+                                                     schedule, count):
+        d = JointDistribution.from_matrix(probs)
+        rng = np.random.default_rng(1000 + n)
+        for t in range(count):
+            x, y = sample_source(d, n, int(rng.integers(1 << 30)))
+            cx = candidate_set_for(t, "x", x, schedule, alphabet=alphabet)
+            cy = candidate_set_for(t, "y", y, schedule, alphabet=alphabet)
+            want = _oracle_winners(cx.prefixes, cy.prefixes, n, 0)
+            for delay in (0, 2):
+                assert sw_universal_decode(cx, cy, n, delay) == (
+                    want[0][: n - delay], want[1][: n - delay])
+
+    def test_universal_ties_break_lexicographically_not_by_position(self):
+        # unsorted hand-built bins whose top scores tie: the first tied
+        # candidate in list order is not the lexicographically smallest
+        xs = [b"\x00\x01\x01\x00", b"\x01\x01\x01\x01", b"\x00\x00\x01\x01",
+              b"\x01\x00\x00\x00"]
+        ys = [b"\x00\x01\x01\x01", b"\x01\x01\x00\x00", b"\x00\x01\x00\x00",
+              b"\x00\x00\x00\x00"]
+        scores = [_oracle_scores((xb, yb), xs, ys, 4) for xb in xs for yb in ys]
+        best_x = [max(s[0] for s in scores[4 * i: 4 * i + 4]) for i in range(4)]
+        best_y = [max(scores[4 * i + j][1] for i in range(4)) for j in range(4)]
+        assert best_x == [0, 1, 0, 1] and best_y == [1, 0, 0, 1]
+        got = sw_universal_decode(_hand_built("x", xs), _hand_built("y", ys), 4, 0)
+        assert got == (b"\x01\x00\x00\x00", b"\x00\x00\x00\x00")
+        assert got == _oracle_winners(xs, ys, 4, 0)
 
     def test_ml_matches_product_argmax(self):
         d = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])

@@ -137,6 +137,19 @@ class TestRunTrials:
         b = run_trials(cfg, threads=2)
         assert a == b
 
+    def test_sw_universal_counts_pinned(self):
+        # the benchmark's mc-sw-universal config at 150 trials; the counts
+        # were recorded from the per-pair O(P^2) score decoder
+        cfg = _cfg(schedule_y=ONE_BIT, n=10, delays=tuple(range(7)), trials=150,
+                   base_seed=11, decoder="sw_universal")
+        stats = run_trials(cfg)
+        assert stats.aborted == 0
+        assert stats.errors_x == {0: 89, 1: 73, 2: 57, 3: 44, 4: 27, 5: 23, 6: 14}
+        assert stats.errors_y == {0: 88, 1: 70, 2: 58, 3: 45, 4: 33, 5: 27, 6: 19}
+        assert stats.errors_joint == {
+            0: 119, 1: 106, 2: 90, 3: 69, 4: 54, 5: 45, 6: 31,
+        }
+
     def test_overflow_counted_as_aborted(self):
         sparse = BinningSchedule((1, 0, 0, 0))
         cfg = _cfg(schedule_x=sparse, n=16, delays=(0,), trials=5,
