@@ -297,11 +297,9 @@ def _joint_code(x: bytes, y: bytes, alphabet_x: int, alphabet_y: int):
 
 
 def _count_rows(seq):
-    """rows[t] counts each distinct symbol of seq over seq[:t] (in order of
-    first occurrence), so the counts of a window are a difference of rows."""
-    index = {}
-    for v in seq:
-        index.setdefault(v, len(index))
+    """rows[t] counts each distinct symbol of seq over seq[:t], so the counts
+    of a window are a difference of rows."""
+    index = {v: m for m, v in enumerate(set(seq))}
     row = [0] * len(index)
     rows = [tuple(row)]
     for v in seq:
@@ -459,17 +457,15 @@ def _suffix_entropies(cands_x: CandidateSet, cands_y: CandidateSet, n: int):
     xs, ys = cands_x.prefixes, cands_y.prefixes
     rows_x = [_count_rows(x) for x in xs]
     rows_y = [_count_rows(y) for y in ys]
-    rows_xy = {}
+    rows_xy = [[_count_rows(_joint_code(x, y, cands_x.alphabet, cands_y.alphabet))
+                for y in ys] for x in xs]
     memo = {}
 
     def wse(i, j, l, k):
         key = (i, j, l, k)
         value = memo.get(key)
         if value is None:
-            joint = rows_xy.get((i, j))
-            if joint is None:
-                joint = rows_xy[i, j] = _count_rows(_joint_code(
-                    xs[i], ys[j], cands_x.alphabet, cands_y.alphabet))
+            joint = rows_xy[i][j]
             if l == k:
                 value = 0.0 if l == n + 1 else _window_entropy(joint, l - 1, n)
             else:
