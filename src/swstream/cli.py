@@ -77,7 +77,7 @@ def _load_source(path: str) -> JointDistribution:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed,
-                    outputs, started: float) -> Path:
+                    outputs, started: float, extra=None) -> Path:
     manifest = {
         "command": command,
         "config": config,
@@ -85,6 +85,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed,
         "seed": seed,
         "outputs": [str(p) for p in outputs],
         "duration_s": round(time.monotonic() - started, 3),
+        **(extra or {}),
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -164,6 +165,19 @@ def _load_trial_config(path: str, seed_override) -> TrialConfig:
         raise ConfigError(f"bad trial config: {e}") from e
 
 
+def _abort_report(stats) -> dict:
+    """Aborted trials by the stream and step at which their bin overflowed,
+    and the per-delay x-error rate that counts every abort as an error."""
+    by_step = {}
+    for (stream, step), count in stats.aborted_by_step.items():
+        by_step.setdefault(stream, {})[str(step)] = count
+    return {
+        "aborted": stats.aborted,
+        "aborted_by_step": by_step,
+        "rate_x_upper": {str(d): stats.rate_x_upper(d) for d in stats.delays},
+    }
+
+
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     cfg = _load_trial_config(args.config, args.seed)
@@ -188,6 +202,7 @@ def cmd_simulate(args) -> int:
         cfg.base_seed,
         [stats_path, fit_path],
         started,
+        _abort_report(stats),
     )
     if stats.aborted:
         print(f"warning: {stats.aborted} trials aborted at the candidate cap")

@@ -36,6 +36,27 @@ same; and it skips every rival at a cell with l > i_x and k > i_y so far:
 i_x and i_y are running minima of l - 1 and k - 1, so marking that cell
 cannot lower either score.
 
+The Monte Carlo harness replays the bins of a chunk of trials at once
+(`replay_bins`).  A chunk's bins are flat lanes, one per bin member: the
+trial it belongs to, its prefix as a row of an n-column uint8 array, and
+whether it is the true path.  Each trial's lanes are contiguous and in
+lexicographic order, because children are kept in parent-then-symbol order,
+as `update_candidates` keeps them.  A step hashes every surviving parent
+once, with a copy of its trial's pre-keyed hash, and reads each symbol's
+parity chunk off the unpacked digest bits.  The encoder's parity bits at step
+j are the chunk of symbol x_j in the digest of x_1^(j-1), which is the true
+parent; the true path always survives, so the true lane's digest supplies
+the received bits and the encoder costs no hash of its own.  A trial whose
+bin exceeds the cap at a step is dropped at that step and its step
+recorded.  `candidate_set_for` is the one-trial case;
+`initial_candidates`/`encode_step`/`update_candidates` and `enumerate_bin`
+remain the step-wise API and the engine's test oracles.  The ML and SI-ML
+argmax over every trial of a chunk is `ml_first_errors`: the same sums in the
+same order as `_ml_argmax`, and the first maximizer of each trial, which is
+the lexicographically smallest because the lanes are in order.  The harness
+sizes a chunk by the closed-form mean bin size (`expected_bin_size`) against
+a fixed lane budget (`chunk_trials`), which bounds its memory.
+
 The decoders are exact but exponential-time by design; they are meant for
 desk-scale horizons (n <= 24 single-stream, n <= 12 for the two-encoder score
 decoder).
@@ -47,6 +68,8 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .info_core import (
     JointDistribution,
@@ -64,6 +87,11 @@ __all__ = [
     "initial_candidates",
     "update_candidates",
     "candidate_set_for",
+    "Bins",
+    "replay_bins",
+    "expected_bin_size",
+    "chunk_trials",
+    "ml_first_errors",
     "ml_decode",
     "universal_decode",
     "si_decode_ml",
@@ -79,6 +107,11 @@ DEFAULT_CANDIDATE_CAP = 2 ** 20
 MAX_HORIZON_SINGLE = 24
 MAX_HORIZON_TWO_ENCODER = 12
 _PRF_BITS = 256
+# lanes (bin members times symbols) a chunk of trials may hold at one step,
+# in the mean.  It bounds a chunk's memory, most of it per-lane digests and
+# per-trial hashers: on the README simulate config 2 ** 12 adds about 2 MB of
+# peak RSS, and 2 ** 15 added 9 MB and ran no faster.
+_LANE_BUDGET = 2 ** 12
 
 
 class CandidateOverflowError(RuntimeError):
@@ -244,13 +277,128 @@ def update_candidates(cands: CandidateSet, new_bits,
 def candidate_set_for(seed: int, stream_id: str, sequence, schedule: BinningSchedule,
                       alphabet: int = 2,
                       cap: int = DEFAULT_CANDIDATE_CAP) -> CandidateSet:
-    """Encode a realized sequence and replay the decoder-side bin updates."""
+    """Encode a realized sequence and replay the decoder-side bin updates:
+    the one-trial case of `replay_bins`."""
     seq = _as_bytes(sequence)
-    cands = initial_candidates(seed, stream_id, schedule, alphabet)
-    for j in range(1, len(seq) + 1):
-        bits = encode_step(seed, stream_id, seq[:j], schedule)
-        cands = update_candidates(cands, bits, cap=cap)
-    return cands
+    bins = replay_bins([seed], np.frombuffer(seq, np.uint8).reshape(1, -1),
+                       stream_id, schedule, alphabet, cap)
+    if bins.overflow[0]:
+        raise CandidateOverflowError(
+            f"candidate set exceeded cap {cap} at step {bins.overflow[0]}"
+        )
+    return bins.candidate_set(0)
+
+
+@dataclass(frozen=True)
+class Bins:
+    """The full-horizon bins of a chunk of trials, one lane per bin member.
+
+    `trial[i]` is lane i's trial (ascending), `prefixes[i]` its n symbols;
+    `overflow[t]` is the step at which trial t's bin exceeded the cap, and 0
+    when it did not (an overflowed trial has no lanes)."""
+
+    seeds: tuple
+    stream_id: str
+    schedule: BinningSchedule
+    alphabet: int
+    trial: np.ndarray
+    prefixes: np.ndarray
+    overflow: np.ndarray
+
+    def candidate_set(self, t: int) -> CandidateSet:
+        lo, hi = np.searchsorted(self.trial, (t, t + 1))
+        return CandidateSet(seed=self.seeds[t], stream_id=self.stream_id,
+                            schedule=self.schedule, alphabet=self.alphabet,
+                            prefixes=tuple(map(bytes, self.prefixes[lo:hi])),
+                            step=self.prefixes.shape[1])
+
+
+def _parity_chunks(keyed, trial, parents, alphabet: int, nbits: int):
+    """Bits [a*nbits, (a+1)*nbits) of each lane's digest, MSB first, as a
+    (lanes, alphabet, nbits) array: the parity chunk of every child."""
+    width = parents.shape[1]
+    buf = parents.tobytes()
+    digests = []
+    append = digests.append
+    # one hasher alive at a time: thousands of live copies run slower
+    for t, i in zip(trial.tolist(), itertools.count(0, width)):
+        h = keyed[t].copy()
+        h.update(buf[i:i + width])
+        append(h.digest())
+    words = np.frombuffer(b"".join(digests), np.uint8)
+    used = alphabet * nbits
+    bits = np.unpackbits(words.reshape(-1, _PRF_BITS // 8)[:, :-(-used // 8)], axis=1)
+    return bits[:, :used].reshape(-1, alphabet, nbits)
+
+
+def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
+                alphabet: int, cap: int = DEFAULT_CANDIDATE_CAP,
+                live=None) -> Bins:
+    """Encode each row of seqs (trials x n symbols) under its trial's seed
+    and replay the decoder-side bins of all of them at once (see the module
+    docstring).  Only the trials the boolean mask `live` selects are
+    replayed; the others end with no lanes and overflow 0."""
+    if not (2 <= alphabet <= 256):
+        raise ValueError("alphabet must be in [2, 256]")
+    seqs = np.asarray(seqs, dtype=np.uint8)
+    trials, n = seqs.shape
+    if seqs.size and int(seqs.max()) >= alphabet:
+        raise ValueError("sequence symbol outside the alphabet")
+    if alphabet * max((schedule.bits_at(j) for j in range(1, n + 1)), default=0) \
+            > _PRF_BITS:
+        raise ValueError("alphabet size times step bit count exceeds PRF width")
+    sid = stream_id.encode()
+    keyed = [hashlib.blake2b(key=b"%d:%s" % (seed, sid), digest_size=32)
+             for seed in seeds]
+    trial = np.arange(trials) if live is None else np.flatnonzero(live)
+    prefixes = np.zeros((len(trial), n), np.uint8)
+    true = np.ones(len(trial), bool)
+    overflow = np.zeros(trials, np.int64)
+    for j in range(1, n + 1):
+        nbits = schedule.bits_at(j)
+        if nbits == 0:
+            keep = np.ones((len(trial), alphabet), bool)
+        else:
+            chunks = _parity_chunks(keyed, trial, prefixes[:, :j - 1], alphabet, nbits)
+            # the received bits: the true child's chunk of the true parent
+            target = np.zeros((trials, nbits), np.uint8)
+            truth = np.flatnonzero(true)
+            target[trial[truth]] = chunks[truth, seqs[trial[truth], j - 1]]
+            keep = (chunks == target[trial][:, None, :]).all(axis=2)
+        parent, symbol = np.nonzero(keep)
+        trial = trial[parent]
+        prefixes = prefixes[parent]
+        prefixes[:, j - 1] = symbol
+        true = true[parent] & (symbol == seqs[trial, j - 1])
+        over = np.bincount(trial, minlength=trials) > cap
+        if over.any():
+            overflow[over] = j
+            alive = ~over[trial]
+            trial, prefixes, true = trial[alive], prefixes[alive], true[alive]
+    return Bins(seeds=tuple(seeds), stream_id=stream_id, schedule=schedule,
+                alphabet=alphabet, trial=trial, prefixes=prefixes,
+                overflow=overflow)
+
+
+def expected_bin_size(step: int, alphabet: int, schedule: BinningSchedule) -> float:
+    """Closed-form mean bin size after `step` steps:
+    1 + sum_{l<=j} (|A|-1) |A|^(j-l) 2^-B(l..j), B(l..j) the schedule's bits
+    in steps l..j."""
+    total = schedule.total_bits(step)
+    return 1.0 + sum(
+        (alphabet - 1) * alphabet ** (step - l)
+        * 2.0 ** -(total - schedule.total_bits(l - 1))
+        for l in range(1, step + 1)
+    )
+
+
+def chunk_trials(n: int, streams) -> int:
+    """Trials per `replay_bins` chunk: the lane budget over the largest mean
+    number of children a trial's bin has at one step, over the
+    (alphabet, schedule) pairs of its streams."""
+    widest = max(alphabet * expected_bin_size(j, alphabet, schedule)
+                 for alphabet, schedule in streams for j in range(n))
+    return max(1, int(_LANE_BUDGET // widest))
 
 
 def enumerate_bin(seed: int, stream_id: str, schedule: BinningSchedule,
@@ -313,11 +461,15 @@ def _window_entropy(rows, lo: int, hi: int) -> float:
     return entropy_of_counts([b - a for a, b in zip(rows[lo], rows[hi])], hi - lo)
 
 
+def _log_probs(probs):
+    return [math.log(v) if v > 0 else -math.inf for v in probs.ravel().tolist()]
+
+
 def _ml_argmax(xs, ys, probs):
     """The pair in xs x ys with the largest log-likelihood under the joint
     table probs[a, b]; among ties the lexicographically smallest."""
     alphabet_x, alphabet_y = probs.shape
-    logp = [math.log(v) if v > 0 else -math.inf for v in probs.ravel().tolist()]
+    logp = _log_probs(probs)
     best = None
     best_key = None
     for pair in itertools.product(xs, ys):
@@ -332,6 +484,39 @@ def _ml_argmax(xs, ys, probs):
         if best is None or k > best_key or (k == best_key and pair < best):
             best, best_key = pair, k
     return best
+
+
+def ml_first_errors(bins: Bins, seqs, probs, side=None):
+    """The ML (side is None) or SI-ML (side: trials x n observed y) decision
+    of every trial of a chunk, as the 1-based position of its first symbol
+    that differs from the trial's row of seqs, n + 1 when none does (and for
+    an overflowed trial).
+
+    Each lane's log-likelihood is _ml_argmax's: c * log p summed over the
+    joint symbols that occur, in ascending order (an absent symbol adds an
+    exact 0.0), so ties are the same; probs is the |X| x 1 x-marginal for
+    ML.  A trial's first maximizer is its lexicographically smallest."""
+    trial, prefixes = bins.trial, bins.prefixes
+    n = prefixes.shape[1]
+    code = prefixes.astype(np.intp)
+    if side is not None:
+        code = code * probs.shape[1] + np.asarray(side)[trial]
+    score = np.zeros(len(trial))
+    for s, lp in enumerate(_log_probs(probs)):
+        counts = (code == s).sum(axis=1)
+        # where=, so that an absent zero-probability symbol adds no 0 * -inf
+        score += np.multiply(counts, lp, out=np.zeros(len(trial)), where=counts > 0)
+    out = np.full(len(bins.overflow), n + 1)
+    if not len(trial):
+        return out
+    starts = np.flatnonzero(np.r_[True, trial[1:] != trial[:-1]])
+    best = np.repeat(np.maximum.reduceat(score, starts),
+                     np.diff(np.r_[starts, len(trial)]))
+    top = np.flatnonzero(score == best)
+    winners = top[np.r_[True, trial[top][1:] != trial[top][:-1]]]
+    wrong = prefixes[winners] != np.asarray(seqs)[trial[winners]]
+    out[trial[winners]] = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, n + 1)
+    return out
 
 
 def ml_decode(cands: CandidateSet, source_model: JointDistribution, delay: int):

@@ -5,10 +5,22 @@ decoder-side candidate sets, decodes once at full horizon, and scores an
 error at delay D whenever any of the first n - D symbols is wrong.  Per-trial
 seeds are derived from the base seed by hashing, so trials are independent,
 reproducible, and may run in any order or process.
+
+Trials run in chunks of consecutive trial indices.  A chunk draws each
+trial's seed and source (one `derive_trial_seed` and one `sample_source`
+call per trial), replays all its bins at once with `codec.replay_bins`, and
+decodes them: ML and SI-ML with one vectorized argmax per chunk
+(`codec.ml_first_errors`), the other decoders one trial at a time on the
+trial's `CandidateSet`.  The chunk size is `codec.chunk_trials`: a fixed lane
+budget over the closed-form mean bin size, not an option.  Chunks split the
+trial range of `_run_range` by index and every counter is a sum, so the
+counts do not depend on the chunk size or on `--threads`.  An aborted trial
+is counted under the stream and step at which its bin overflowed.
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import hashlib
 import math
@@ -18,20 +30,24 @@ import numpy as np
 
 from .codec import (
     BinningSchedule,
-    CandidateOverflowError,
-    CandidateSet,
     MAX_HORIZON_SINGLE,
     MAX_HORIZON_TWO_ENCODER,
     _PRF_BITS,
     _first_divergence,
-    encode_step,
-    initial_candidates,
-    ml_decode,
-    si_decode_ml,
+    chunk_trials,
+    ml_first_errors,
+    replay_bins,
     si_decode_universal,
     sw_ml_decode,
     sw_universal_decode,
     universal_decode,
+)
+# imported only for bench/trace_layers.py, which wraps them here; ROADMAP item 3 removes this
+from .codec import (  # noqa: F401
+    encode_step,
+    initial_candidates,
+    ml_decode,
+    si_decode_ml,
     update_candidates,
 )
 from .info_core import JointDistribution
@@ -105,9 +121,16 @@ class DelayErrorStats:
     errors_y: dict
     errors_joint: dict
     aborted: int = 0
+    # (stream id, step) -> trials whose bin of that stream overflowed there
+    aborted_by_step: dict = field(default_factory=dict)
 
     def rate_x(self, delay: int) -> float:
         return self.errors_x[delay] / self.trials
+
+    def rate_x_upper(self, delay: int) -> float:
+        """The x-error rate over every trial, counting each aborted trial as
+        an error: an upper bound on what the completed trials estimate."""
+        return (self.errors_x[delay] + self.aborted) / (self.trials + self.aborted)
 
     def interval_x(self, delay: int):
         return wilson_interval(self.errors_x[delay], self.trials)
@@ -145,44 +168,51 @@ def sample_source(d: JointDistribution, n: int, seed: int):
     return x, y
 
 
-def _build_candidates(seed: int, stream_id: str, seq, schedule, alphabet,
-                      cap) -> CandidateSet:
-    cands = initial_candidates(seed, stream_id, schedule, alphabet)
-    for j in range(1, len(seq) + 1):
-        bits = encode_step(seed, stream_id, seq[:j], schedule)
-        cands = update_candidates(cands, bits, cap=cap)
-    return cands
-
-
-def _run_one_trial(cfg: TrialConfig, trial_index: int):
-    """Returns (first_x_error_pos, first_y_error_pos) or None when aborted."""
-    seed = derive_trial_seed(cfg.base_seed, trial_index)
-    x, y = sample_source(cfg.source, cfg.n, seed)
-    try:
+def _run_chunk(cfg: TrialConfig, start: int, stop: int):
+    """First x and y error positions (n + 1 for none) of trials start..stop-1,
+    and the (stream id, step) of each aborted one (None for a completed one)."""
+    n = cfg.n
+    seeds, xs, ys = [], [], []
+    for t in range(start, stop):
+        seed = derive_trial_seed(cfg.base_seed, t)
+        x, y = sample_source(cfg.source, n, seed)
+        seeds.append(seed)
+        xs.append(x)
+        ys.append(y)
+    x_rows = np.frombuffer(b"".join(xs), np.uint8).reshape(-1, n)
+    y_rows = np.frombuffer(b"".join(ys), np.uint8).reshape(-1, n)
+    bins_x = replay_bins(seeds, x_rows, "x", cfg.schedule_x, cfg.source.alphabet_x,
+                         cfg.candidate_cap)
+    lost = [("x", int(j)) if j else None for j in bins_x.overflow]
+    fy = np.full(len(seeds), n + 1)
+    if cfg.decoder == "ml":
+        px = cfg.source.marginal_x().reshape(-1, 1)
+        return ml_first_errors(bins_x, x_rows, px), fy, lost
+    if cfg.decoder == "si_ml":
+        return ml_first_errors(bins_x, x_rows, cfg.source.probs, side=y_rows), fy, lost
+    if cfg.decoder in _TWO_ENCODER:
+        bins_y = replay_bins(seeds, y_rows, "y", cfg.schedule_y, cfg.source.alphabet_y,
+                             cfg.candidate_cap, live=bins_x.overflow == 0)
+        for i in np.flatnonzero(bins_y.overflow):
+            lost[i] = ("y", int(bins_y.overflow[i]))
+    fx = np.full(len(seeds), n + 1)
+    for i, x in enumerate(xs):
+        if lost[i]:
+            continue
+        cx = bins_x.candidate_set(i)
         if cfg.decoder in _TWO_ENCODER:
-            cx = _build_candidates(seed, "x", x, cfg.schedule_x,
-                                   cfg.source.alphabet_x, cfg.candidate_cap)
-            cy = _build_candidates(seed, "y", y, cfg.schedule_y,
-                                   cfg.source.alphabet_y, cfg.candidate_cap)
+            cy = bins_y.candidate_set(i)
             if cfg.decoder == "sw_ml":
                 x_hat, y_hat = sw_ml_decode(cx, cy, cfg.source, delay=0)
             else:
-                x_hat, y_hat = sw_universal_decode(cx, cy, cfg.n, delay=0)
-            return (_first_divergence(x_hat, x, cfg.n),
-                    _first_divergence(y_hat, y, cfg.n))
-        cx = _build_candidates(seed, "x", x, cfg.schedule_x,
-                               cfg.source.alphabet_x, cfg.candidate_cap)
-        if cfg.decoder == "ml":
-            x_hat = ml_decode(cx, cfg.source, delay=0)
+                x_hat, y_hat = sw_universal_decode(cx, cy, n, delay=0)
+            fy[i] = _first_divergence(y_hat, ys[i], n)
         elif cfg.decoder == "universal":
             x_hat = universal_decode(cx, delay=0)
-        elif cfg.decoder == "si_ml":
-            x_hat = si_decode_ml(cx, y, cfg.source, delay=0)
         else:
-            x_hat = si_decode_universal(cx, y, delay=0)
-        return _first_divergence(x_hat, x, cfg.n), cfg.n + 1
-    except CandidateOverflowError:
-        return None
+            x_hat = si_decode_universal(cx, ys[i], delay=0)
+        fx[i] = _first_divergence(x_hat, x, n)
+    return fx, fy, lost
 
 
 def _run_range(cfg: TrialConfig, start: int, stop: int):
@@ -191,24 +221,23 @@ def _run_range(cfg: TrialConfig, start: int, stop: int):
     ex = dict.fromkeys(delays, 0)
     ey = dict.fromkeys(delays, 0)
     ej = dict.fromkeys(delays, 0)
-    aborted = 0
-    for t in range(start, stop):
-        outcome = _run_one_trial(cfg, t)
-        if outcome is None:
-            aborted += 1
-            continue
-        fx, fy = outcome
+    aborted = collections.Counter()
+    streams = [(cfg.source.alphabet_x, cfg.schedule_x)]
+    if cfg.decoder in _TWO_ENCODER:
+        streams.append((cfg.source.alphabet_y, cfg.schedule_y))
+    size = chunk_trials(cfg.n, streams)
+    for lo in range(start, stop, size):
+        fx, fy, lost = _run_chunk(cfg, lo, min(lo + size, stop))
+        done = np.array([where is None for where in lost], bool)
+        aborted.update(filter(None, lost))
         for d in delays:
             # an error at delay d is a mismatch anywhere in symbols 1..n-d;
             # the nesting of error events across delays is automatic
-            x_err = fx <= cfg.n - d
-            y_err = fy <= cfg.n - d
-            if x_err:
-                ex[d] += 1
-            if y_err:
-                ey[d] += 1
-            if x_err or y_err:
-                ej[d] += 1
+            x_err = done & (fx <= cfg.n - d)
+            y_err = done & (fy <= cfg.n - d)
+            ex[d] += int(x_err.sum())
+            ey[d] += int(y_err.sum())
+            ej[d] += int((x_err | y_err).sum())
     return ex, ey, ej, aborted
 
 
@@ -231,17 +260,18 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
     ex = dict.fromkeys(cfg.delays, 0)
     ey = dict.fromkeys(cfg.delays, 0)
     ej = dict.fromkeys(cfg.delays, 0)
-    aborted = 0
+    aborted = collections.Counter()
     for pex, pey, pej, pab in parts:
         for d in cfg.delays:
             ex[d] += pex[d]
             ey[d] += pey[d]
             ej[d] += pej[d]
-        aborted += pab
-    completed = cfg.trials - aborted
+        aborted.update(pab)
+    completed = cfg.trials - aborted.total()
     return DelayErrorStats(delays=cfg.delays, trials=completed,
                            errors_x=ex, errors_y=ey, errors_joint=ej,
-                           aborted=aborted)
+                           aborted=cfg.trials - completed,
+                           aborted_by_step=dict(sorted(aborted.items())))
 
 
 def _run_range_star(args):

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from swstream import cli
 from swstream.cli import EXAMPLE_1_JSON, _parse_grid, main
 from swstream.exponents import CURVE_HEADER
+from swstream.sim import fit_exponent, fit_to_json, run_trials, stats_to_csv
 
 
 @pytest.fixture
@@ -170,6 +173,39 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 11
+
+    def test_manifest_reports_aborts(self, tmp_path, monkeypatch):
+        # the sparse small-cap config; the cap is no config field, so the
+        # loaded config is given one that aborts most trials
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({
+            "source": EXAMPLE_1_JSON, "schedule_x": [1, 0, 0, 0], "n": 12,
+            "delays": [0, 4, 8], "trials": 200, "base_seed": 3, "decoder": "ml",
+        }))
+        load = cli._load_trial_config
+        cfg = dataclasses.replace(load(str(path), None), candidate_cap=500)
+        monkeypatch.setattr(cli, "_load_trial_config", lambda *args: cfg)
+        out = tmp_path / "o"
+        assert main(["simulate", str(path), "--out", str(out), "--threads", "1"]) == 0
+        stats = run_trials(cfg)
+        assert (out / "stats.csv").read_text() == stats_to_csv(stats)
+        assert (out / "fit.json").read_text() == fit_to_json(fit_exponent(stats))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["aborted"] == stats.aborted == 155
+        assert set(manifest["aborted_by_step"]) == {"x"}
+        assert manifest["aborted_by_step"]["x"] == {
+            str(step): count for (_, step), count in stats.aborted_by_step.items()}
+        assert sum(manifest["aborted_by_step"]["x"].values()) == 155
+        assert manifest["rate_x_upper"] == {
+            str(d): (stats.errors_x[d] + 155) / 200 for d in (0, 4, 8)}
+
+    def test_manifest_without_aborts(self, tmp_path, trial_config_file):
+        out = tmp_path / "sim"
+        assert main(["simulate", trial_config_file, "--out", str(out),
+                     "--threads", "1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["aborted"] == 0 and manifest["aborted_by_step"] == {}
+        assert set(manifest["rate_x_upper"]) == {"0", "2", "4"}
 
     def test_seed_override(self, tmp_path, trial_config_file):
         out1 = tmp_path / "s1"

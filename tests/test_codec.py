@@ -1,21 +1,28 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from swstream.codec import (
+    _LANE_BUDGET,
     BinningSchedule,
     CandidateOverflowError,
     CandidateSet,
     ParityStream,
+    _ml_argmax,
     candidate_set_for,
+    chunk_trials,
     compute_scores,
     encode_step,
     enumerate_bin,
+    expected_bin_size,
     initial_candidates,
     ml_decode,
+    ml_first_errors,
+    replay_bins,
     si_decode_ml,
     si_decode_universal,
     sw_ml_decode,
@@ -203,6 +210,171 @@ class TestCandidateSets:
         fast = sorted(candidate_set_for(4, "x", seq, TWO_BITS, alphabet=4).prefixes)
         slow = sorted(enumerate_bin(4, "x", TWO_BITS, 4, seq))
         assert fast == slow
+
+
+def _stepwise(seed, stream_id, seq, schedule, alphabet, cap):
+    """The scalar replay: the bin's prefixes, or the step at which it
+    overflowed."""
+    cands = initial_candidates(seed, stream_id, schedule, alphabet)
+    for j in range(1, len(seq) + 1):
+        bits = encode_step(seed, stream_id, seq[:j], schedule)
+        try:
+            cands = update_candidates(cands, bits, cap=cap)
+        except CandidateOverflowError:
+            return j
+    return cands.prefixes
+
+
+def _chunk(alphabet, n, trials, seed0=0, rng_seed=0):
+    rng = np.random.default_rng(rng_seed)
+    seqs = rng.integers(0, alphabet, size=(trials, n)).astype(np.uint8)
+    seeds = [seed0 + t for t in range(trials)]
+    return seeds, seqs
+
+
+class TestReplayBins:
+    @pytest.mark.parametrize("alphabet, pattern, n", [
+        (2, (1,), 10),
+        (2, (1, 0), 9),            # 0-bit steps keep every child
+        (2, (2, 1, 1, 1), 8),
+        (3, (2,), 7),
+        (3, (0, 3), 6),
+        (4, (2, 1), 6),
+        (4, (3,), 6),
+        (22, (3,), 4),             # chunks cross 64-bit word boundaries
+        (32, (8,), 4),             # the full 256-bit word
+    ])
+    def test_matches_stepwise_replay_in_order(self, alphabet, pattern, n):
+        schedule = BinningSchedule(pattern)
+        seeds, seqs = _chunk(alphabet, n, 25, seed0=100 * alphabet)
+        bins = replay_bins(seeds, seqs, "x", schedule, alphabet)
+        assert not bins.overflow.any()
+        for t, seed in enumerate(seeds):
+            got = bins.candidate_set(t)
+            want = _stepwise(seed, "x", seqs[t].tobytes(), schedule, alphabet,
+                             2 ** 20)
+            assert got.prefixes == want  # same members, same order
+            assert got.prefixes == candidate_set_for(
+                seed, "x", seqs[t].tobytes(), schedule, alphabet).prefixes
+            assert got.step == n and got.seed == seed and got.alphabet == alphabet
+
+    @pytest.mark.parametrize("alphabet, pattern, n", [
+        (2, (1,), 6), (2, (1, 0, 2), 6), (3, (2,), 5), (4, (2, 1), 4),
+    ])
+    def test_matches_exhaustive_bins(self, alphabet, pattern, n):
+        schedule = BinningSchedule(pattern)
+        seeds, seqs = _chunk(alphabet, n, 6, seed0=7, rng_seed=alphabet)
+        bins = replay_bins(seeds, seqs, "y", schedule, alphabet)
+        for t, seed in enumerate(seeds):
+            members = enumerate_bin(seed, "y", schedule, alphabet, seqs[t].tobytes())
+            assert set(bins.candidate_set(t).prefixes) == set(members)
+
+    def test_overflow_aborts_exactly_the_scalar_trials(self):
+        sparse = BinningSchedule((1, 0, 0, 0))
+        seeds, seqs = _chunk(2, 12, 40, seed0=3)
+        cap = 300
+        bins = replay_bins(seeds, seqs, "x", sparse, 2, cap)
+        outcomes = [_stepwise(seed, "x", seqs[t].tobytes(), sparse, 2, cap)
+                    for t, seed in enumerate(seeds)]
+        assert 0 < sum(isinstance(o, int) for o in outcomes) < len(seeds)
+        for t, want in enumerate(outcomes):
+            if isinstance(want, int):
+                assert bins.overflow[t] == want
+                assert t not in bins.trial
+            else:
+                assert bins.overflow[t] == 0
+                assert bins.candidate_set(t).prefixes == want
+
+    def test_live_mask_replays_only_selected_trials(self):
+        seeds, seqs = _chunk(2, 8, 6)
+        live = np.array([True, False, True, True, False, True])
+        bins = replay_bins(seeds, seqs, "x", ONE_BIT, 2, live=live)
+        assert set(bins.trial.tolist()) == {0, 2, 3, 5}
+        assert not bins.overflow.any()
+        full = replay_bins(seeds, seqs, "x", ONE_BIT, 2)
+        for t in (0, 2, 3, 5):
+            assert bins.candidate_set(t) == full.candidate_set(t)
+
+    def test_rejects_symbols_outside_alphabet_and_wide_words(self):
+        with pytest.raises(ValueError):
+            replay_bins([1], np.array([[0, 2]], np.uint8), "x", ONE_BIT, 2)
+        with pytest.raises(ValueError):
+            replay_bins([1], np.array([[0, 1]], np.uint8), "x", TWO_BITS, 129)
+
+    def test_chunk_size_from_mean_bin_size(self):
+        # 1 bit/step at |A| = 2: E|C_j| = 1 + j/2, so the widest step of a
+        # 16-step trial has 2 * 8.5 children in the mean
+        assert expected_bin_size(16, 2, ONE_BIT) == pytest.approx(9.0)
+        assert chunk_trials(16, [(2, ONE_BIT)]) == _LANE_BUDGET // 17
+        assert chunk_trials(24, [(2, ONE_BIT), (2, TWO_BITS)]) == _LANE_BUDGET // 25
+        # a bin that outgrows the budget in the mean still runs one trial
+        assert chunk_trials(24, [(2, BinningSchedule((1, 0, 0, 0)))]) == 1
+
+
+class TestBatchedMlArgmax:
+    def _check(self, d, schedule, n, trials, side_information):
+        alphabet = d.alphabet_x
+        rng = np.random.default_rng(11)
+        pairs = [sample_source(d, n, int(rng.integers(1 << 40))) for _ in range(trials)]
+        xs = np.frombuffer(b"".join(x for x, _ in pairs), np.uint8).reshape(-1, n)
+        ys = np.frombuffer(b"".join(y for _, y in pairs), np.uint8).reshape(-1, n)
+        seeds = list(range(500, 500 + trials))
+        bins = replay_bins(seeds, xs, "x", schedule, alphabet)
+        if side_information:
+            probs, side = d.probs, ys
+        else:
+            probs, side = d.marginal_x().reshape(-1, 1), None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = ml_first_errors(bins, xs, probs, side=side)
+        tied = 0
+        for t in range(trials):
+            cands = bins.candidate_set(t)
+            y = pairs[t][1] if side_information else bytes(n)
+            best, _ = _ml_argmax(cands.prefixes, (y,), probs)
+            wrong = [i for i in range(n) if best[i] != xs[t, i]]
+            assert first[t] == (wrong[0] + 1 if wrong else n + 1)
+            if side_information:
+                assert best == si_decode_ml(cands, y, d, 0)
+            else:
+                assert best == ml_decode(cands, d, 0)
+            tied += len(cands.prefixes) > 1
+        return tied
+
+    def test_ties_on_a_uniform_source(self):
+        # every bin member is equally likely: the smallest one wins
+        uniform = JointDistribution.from_marginal([0.25, 0.25, 0.25, 0.25])
+        assert self._check(uniform, TWO_BITS, 8, 60, False) > 30
+
+    def test_uniform_joint_side_information(self):
+        uniform = JointDistribution.from_matrix([[0.25, 0.25], [0.25, 0.25]])
+        assert self._check(uniform, ONE_BIT, 10, 60, True) > 30
+
+    def test_zero_probability_cells(self):
+        # members using a zero-probability symbol score -inf and never win
+        d = JointDistribution.from_matrix([[0.5, 0.0], [0.1, 0.2], [0.0, 0.2]])
+        self._check(d, TWO_BITS, 8, 80, True)
+        self._check(JointDistribution.from_marginal([0.7, 0.3, 0.0]),
+                    BinningSchedule((1, 2)), 8, 80, False)
+
+    def test_skewed_binary_and_ternary(self):
+        self._check(JointDistribution.from_marginal([0.9, 0.1]), ONE_BIT, 16, 80,
+                    False)
+        d = JointDistribution.from_matrix([[0.3, 0.05], [0.05, 0.3], [0.1, 0.2]])
+        self._check(d, TWO_BITS, 8, 80, True)
+
+    def test_overflowed_trials_are_skipped(self):
+        sparse = BinningSchedule((1, 0, 0, 0))
+        seeds, seqs = _chunk(2, 12, 20, seed0=3)
+        bins = replay_bins(seeds, seqs, "x", sparse, 2, cap=300)
+        assert bins.overflow.any() and not bins.overflow.all()
+        px = np.array([[0.5], [0.5]])
+        first = ml_first_errors(bins, seqs, px)
+        for t in range(len(seeds)):
+            if not bins.overflow[t]:
+                best, _ = _ml_argmax(bins.candidate_set(t).prefixes, (bytes(12),), px)
+                wrong = [i for i in range(12) if best[i] != seqs[t, i]]
+                assert first[t] == (wrong[0] + 1 if wrong else 13)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from swstream.codec import BinningSchedule
+from swstream.codec import (
+    BinningSchedule,
+    CandidateOverflowError,
+    chunk_trials,
+    encode_step,
+    initial_candidates,
+    update_candidates,
+)
 from swstream.info_core import JointDistribution
 from swstream.sim import (
+    _run_range,
     DelayErrorStats,
     FitResult,
     TrialConfig,
@@ -25,6 +33,57 @@ TWO_BITS = BinningSchedule((2,))
 
 def _example1():
     return JointDistribution.from_matrix([[0.45, 0.05], [0.05, 0.45]])
+
+
+def _zeros(delays):
+    return dict.fromkeys(delays, 0)
+
+
+_EXAMPLE2 = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])
+_TERNARY = JointDistribution.from_matrix([[0.3, 0.05], [0.05, 0.3], [0.1, 0.2]])
+_SPARSE = BinningSchedule((1, 0, 0, 0))
+
+# name -> (TrialConfig fields, aborted, errors_x, errors_y, errors_joint)
+PINNED = {
+    # the benchmark's mc-si-ml config at 2,000 trials
+    "si_ml-bench": (
+        dict(decoder="si_ml", n=16, delays=(0, 2, 4, 6, 8), trials=2000,
+             base_seed=11),
+        0, {0: 344, 2: 183, 4: 97, 6: 52, 8: 27}, _zeros((0, 2, 4, 6, 8)),
+        {0: 344, 2: 183, 4: 97, 6: 52, 8: 27}),
+    # the source, horizon, delays and seed of test_8 at 2,000 trials
+    "ml-n24": (
+        dict(source=JointDistribution.from_marginal([0.9, 0.1]), n=24,
+             delays=tuple(range(4, 13)), trials=2000, base_seed=20250606),
+        0, {4: 96, 5: 69, 6: 54, 7: 42, 8: 31, 9: 23, 10: 22, 11: 16, 12: 10},
+        _zeros(range(4, 13)),
+        {4: 96, 5: 69, 6: 54, 7: 42, 8: 31, 9: 23, 10: 22, 11: 16, 12: 10}),
+    "universal": (
+        dict(source=_EXAMPLE2, decoder="universal", n=10, delays=tuple(range(7)),
+             trials=300, base_seed=5),
+        0, {0: 221, 1: 156, 2: 117, 3: 95, 4: 76, 5: 61, 6: 42}, _zeros(range(7)),
+        {0: 221, 1: 156, 2: 117, 3: 95, 4: 76, 5: 61, 6: 42}),
+    "si_universal-ternary-2bits": (
+        dict(source=_TERNARY, decoder="si_universal", schedule_x=TWO_BITS, n=8,
+             delays=tuple(range(5)), trials=300, base_seed=6),
+        0, {0: 131, 1: 93, 2: 64, 3: 40, 4: 25}, _zeros(range(5)),
+        {0: 131, 1: 93, 2: 64, 3: 40, 4: 25}),
+    "sw_ml": (
+        dict(source=_EXAMPLE2, decoder="sw_ml", schedule_y=ONE_BIT, n=10,
+             delays=tuple(range(7)), trials=300, base_seed=7),
+        0, {0: 53, 1: 35, 2: 24, 3: 14, 4: 10, 5: 6, 6: 3},
+        {0: 50, 1: 34, 2: 23, 3: 13, 4: 10, 5: 7, 6: 6},
+        {0: 80, 1: 57, 2: 39, 3: 24, 4: 17, 5: 12, 6: 9}),
+    # schedules with 0-bit steps at a cap that aborts some trials but not all
+    "ml-aborts": (
+        dict(schedule_x=_SPARSE, n=12, delays=(0, 4, 8), trials=200, base_seed=3,
+             candidate_cap=500),
+        155, {0: 45, 4: 44, 8: 37}, _zeros((0, 4, 8)), {0: 45, 4: 44, 8: 37}),
+    "sw_ml-aborts": (
+        dict(decoder="sw_ml", schedule_x=_SPARSE, schedule_y=BinningSchedule((1, 0, 0)),
+             n=12, delays=(0, 4, 8), trials=80, base_seed=3, candidate_cap=400),
+        77, {0: 3, 4: 1, 8: 1}, {0: 3, 4: 2, 8: 1}, {0: 3, 4: 2, 8: 1}),
+}
 
 
 def _cfg(**kw):
@@ -149,6 +208,73 @@ class TestRunTrials:
         assert stats.errors_joint == {
             0: 119, 1: 106, 2: 90, 3: 69, 4: 54, 5: 45, 6: 31,
         }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_counts_pinned(self, name):
+        # counts recorded by running each config through the per-trial
+        # scalar replay (initial_candidates/encode_step/update_candidates)
+        kw, aborted, ex, ey, ej = PINNED[name]
+        stats = run_trials(_cfg(**kw))
+        assert stats.aborted == aborted
+        assert stats.errors_x == ex
+        assert stats.errors_y == ey
+        assert stats.errors_joint == ej
+
+    @pytest.mark.parametrize("decoder, n", [("si_ml", 16), ("ml", 24)])
+    def test_thread_count_invariant_across_chunks(self, decoder, n):
+        source = _example1() if decoder == "si_ml" else \
+            JointDistribution.from_marginal([0.9, 0.1])
+        cfg = _cfg(source=source, decoder=decoder, n=n, delays=(0, 2, 4),
+                   trials=1001, base_seed=5)
+        assert cfg.trials % chunk_trials(n, [(2, ONE_BIT)]) != 0
+        assert run_trials(cfg, threads=1) == run_trials(cfg, threads=2)
+
+    @pytest.mark.parametrize("decoder", ["si_ml", "si_universal", "sw_ml"])
+    def test_range_counters_sum_over_any_split(self, decoder):
+        cfg = _cfg(decoder=decoder, schedule_y=ONE_BIT, schedule_x=_SPARSE, n=10,
+                   trials=90, base_seed=2, candidate_cap=200)
+        whole = _run_range(cfg, 0, cfg.trials)
+        assert 0 < sum(whole[3].values()) < cfg.trials
+        for cuts in ([0, 1, 2, 90], [0, 37, 38, 61, 90], [0, 45, 90]):
+            parts = [_run_range(cfg, a, b) for a, b in zip(cuts, cuts[1:])]
+            for k in range(3):
+                for d in cfg.delays:
+                    assert sum(p[k][d] for p in parts) == whole[k][d]
+            aborted = {}
+            for p in parts:
+                for where, count in p[3].items():
+                    aborted[where] = aborted.get(where, 0) + count
+            assert aborted == whole[3]
+
+    def test_aborts_recorded_by_stream_and_step(self):
+        # the sparse small-cap config: every trial overflows, at the step
+        # where the scalar replay of its x stream raises
+        cfg = _cfg(schedule_x=_SPARSE, n=16, delays=(0,), trials=5,
+                   candidate_cap=64)
+        want = {}
+        for t in range(cfg.trials):
+            seed = derive_trial_seed(cfg.base_seed, t)
+            x, _ = sample_source(cfg.source, cfg.n, seed)
+            cands = initial_candidates(seed, "x", _SPARSE, 2)
+            for j in range(1, cfg.n + 1):
+                try:
+                    cands = update_candidates(cands, encode_step(seed, "x", x[:j], _SPARSE),
+                                              cap=64)
+                except CandidateOverflowError:
+                    want[("x", j)] = want.get(("x", j), 0) + 1
+                    break
+        stats = run_trials(cfg)
+        assert stats.aborted == 5
+        assert stats.aborted_by_step == want
+        assert stats.rate_x_upper(0) == 1.0
+
+    def test_y_stream_aborts_counted_under_y(self):
+        kw = PINNED["sw_ml-aborts"][0]
+        stats = run_trials(_cfg(**kw))
+        assert sum(stats.aborted_by_step.values()) == stats.aborted == 77
+        assert {s for s, _ in stats.aborted_by_step} == {"x", "y"}
+        for d in stats.delays:
+            assert stats.rate_x_upper(d) == (stats.errors_x[d] + 77) / 80
 
     def test_overflow_counted_as_aborted(self):
         sparse = BinningSchedule((1, 0, 0, 0))
