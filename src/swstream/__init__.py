@@ -39,7 +39,6 @@ from .exponents import (  # noqa: F401
 from .codec import (  # noqa: F401
     BinningSchedule,
     CandidateSet,
-    ParityStream,
     ScoreBoard,
 )
 from .sim import (  # noqa: F401

@@ -18,9 +18,15 @@ runs the first over Cx x Cy, the side-information decoders run both over
 Cx x {y}, and the point-to-point decoders are the |Y| = 1 case: the same
 rules against y = 0^n, with the x-marginal as an |X| x 1 table.  Every pair
 then reads (a, 0), so the counts, and the floats, are those of x alone.  Both
-rules read a pair as one sequence of joint symbols a * |Y| + b: the ML rule
-counts each symbol with `count`, and the entropies take the counts of a
-window as the difference of two cumulative count rows.
+rules read a pair as one sequence of joint symbols a * |Y| + b.  The ML rule
+is one kernel, `_ml_winners`: every pair is a lane, a row of joint symbols
+tagged with its trial, and each trial's winner is its first lane of maximal
+sum of c * log p over the symbols, in ascending order.  `ml_first_errors`
+runs it over every trial of a chunk; `ml_decode`, `si_decode_ml` and
+`sw_ml_decode` are its one-trial case, on the product of the sorted
+candidate lists, so the first maximizer is the lexicographically smallest.
+The entropies take the counts of a window as the difference of two
+cumulative count rows.
 
 The two-encoder universal decoder is the score decoder at the end of the
 module.  `compute_scores` is the definition for one pair: a cell (l, k) is
@@ -50,10 +56,8 @@ the received bits and the encoder costs no hash of its own.  A trial whose
 bin exceeds the cap at a step is dropped at that step and its step
 recorded.  `candidate_set_for` is the one-trial case;
 `initial_candidates`/`encode_step`/`update_candidates` and `enumerate_bin`
-remain the step-wise API and the engine's test oracles.  The ML and SI-ML
-argmax over every trial of a chunk is `ml_first_errors`: the same sums in the
-same order as `_ml_argmax`, and the first maximizer of each trial, which is
-the lexicographically smallest because the lanes are in order.  The harness
+remain the step-wise API and the engine's test oracles.  A chunk's lanes
+are in order, so `ml_first_errors` decodes them as they are.  The harness
 sizes a chunk by the closed-form mean bin size (`expected_bin_size`) against
 a fixed lane budget (`chunk_trials`), which bounds its memory.
 
@@ -79,7 +83,6 @@ from .info_core import (
 
 __all__ = [
     "BinningSchedule",
-    "ParityStream",
     "CandidateSet",
     "ScoreBoard",
     "CandidateOverflowError",
@@ -110,7 +113,8 @@ _PRF_BITS = 256
 # lanes (bin members times symbols) a chunk of trials may hold at one step,
 # in the mean.  It bounds a chunk's memory, most of it per-lane digests and
 # per-trial hashers: on the README simulate config 2 ** 12 adds about 2 MB of
-# peak RSS, and 2 ** 15 added 9 MB and ran no faster.
+# peak RSS, and 2 ** 15 added 9 MB and ran no faster.  A one-trial ML decode
+# takes its bin product in blocks of as many pairs.
 _LANE_BUDGET = 2 ** 12
 
 
@@ -190,31 +194,6 @@ def encode_step(seed: int, stream_id: str, prefix, schedule: BinningSchedule):
     word = _prf_word(seed, stream_id, prefix[:-1])
     chunk = _slice_chunk(word, prefix[-1], nbits)
     return tuple((chunk >> (nbits - 1 - i)) & 1 for i in range(nbits))
-
-
-@dataclass(frozen=True)
-class ParityStream:
-    """All parity bits a stream's encoder has emitted up to some step."""
-
-    seed: int
-    stream_id: str
-    schedule: BinningSchedule
-    bits: tuple = ()
-    steps: int = 0
-
-    @classmethod
-    def from_sequence(cls, seed: int, stream_id: str, sequence, schedule: BinningSchedule):
-        seq = _as_bytes(sequence)
-        bits = []
-        for j in range(1, len(seq) + 1):
-            bits.extend(encode_step(seed, stream_id, seq[:j], schedule))
-        return cls(seed=seed, stream_id=stream_id, schedule=schedule,
-                   bits=tuple(bits), steps=len(seq))
-
-    def bits_for_step(self, step: int):
-        lo = self.schedule.total_bits(step - 1)
-        hi = self.schedule.total_bits(step)
-        return self.bits[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -407,13 +386,13 @@ def enumerate_bin(seed: int, stream_id: str, schedule: BinningSchedule,
     stream matches the reference's, found by exhaustive enumeration."""
     reference = _as_bytes(reference)
     n = len(reference)
-    target = ParityStream.from_sequence(seed, stream_id, reference, schedule).bits
-    members = []
-    for combo in itertools.product(range(alphabet), repeat=n):
-        seq = bytes(combo)
-        if ParityStream.from_sequence(seed, stream_id, seq, schedule).bits == target:
-            members.append(seq)
-    return members
+
+    def parities(seq):
+        return [encode_step(seed, stream_id, seq[:j], schedule) for j in range(1, n + 1)]
+
+    target = parities(reference)
+    return [seq for seq in map(bytes, itertools.product(range(alphabet), repeat=n))
+            if parities(seq) == target]
 
 
 # ---------------------------------------------------------------------------
@@ -461,62 +440,64 @@ def _window_entropy(rows, lo: int, hi: int) -> float:
     return entropy_of_counts([b - a for a, b in zip(rows[lo], rows[hi])], hi - lo)
 
 
-def _log_probs(probs):
-    return [math.log(v) if v > 0 else -math.inf for v in probs.ravel().tolist()]
+def _ml_winners(trial, code, probs):
+    """The ML kernel: each trial's first lane of maximal log-likelihood.
 
-
-def _ml_argmax(xs, ys, probs):
-    """The pair in xs x ys with the largest log-likelihood under the joint
-    table probs[a, b]; among ties the lexicographically smallest."""
-    alphabet_x, alphabet_y = probs.shape
-    logp = _log_probs(probs)
-    best = None
-    best_key = None
-    for pair in itertools.product(xs, ys):
-        # summed in ascending joint-symbol order over the symbols that occur,
-        # so that pairs of the same joint type tie bit-exactly
-        code = _joint_code(*pair, alphabet_x, alphabet_y)
-        k = 0.0
-        for s, lp in enumerate(logp):
-            c = code.count(s)
-            if c:
-                k += c * lp
-        if best is None or k > best_key or (k == best_key and pair < best):
-            best, best_key = pair, k
-    return best
-
-
-def ml_first_errors(bins: Bins, seqs, probs, side=None):
-    """The ML (side is None) or SI-ML (side: trials x n observed y) decision
-    of every trial of a chunk, as the 1-based position of its first symbol
-    that differs from the trial's row of seqs, n + 1 when none does (and for
-    an overflowed trial).
-
-    Each lane's log-likelihood is _ml_argmax's: c * log p summed over the
-    joint symbols that occur, in ascending order (an absent symbol adds an
-    exact 0.0), so ties are the same; probs is the |X| x 1 x-marginal for
-    ML.  A trial's first maximizer is its lexicographically smallest."""
-    trial, prefixes = bins.trial, bins.prefixes
-    n = prefixes.shape[1]
-    code = prefixes.astype(np.intp)
-    if side is not None:
-        code = code * probs.shape[1] + np.asarray(side)[trial]
-    score = np.zeros(len(trial))
-    for s, lp in enumerate(_log_probs(probs)):
-        counts = (code == s).sum(axis=1)
-        # where=, so that an absent zero-probability symbol adds no 0 * -inf
-        score += np.multiply(counts, lp, out=np.zeros(len(trial)), where=counts > 0)
-    out = np.full(len(bins.overflow), n + 1)
+    Lane i belongs to trial[i] (ascending) and reads the joint symbols
+    code[i] = a * |Y| + b; its log-likelihood is c * log p summed over the
+    symbols in ascending order, with an absent symbol adding an exact 0.0
+    (never 0 * -inf), so lanes of the same joint type tie bit-exactly.
+    Returns the winning lane of each trial that has lanes, in trial order."""
     if not len(trial):
-        return out
+        return trial[:0]
+    score = np.zeros(len(trial))
+    for s, p in enumerate(probs.ravel().tolist()):
+        lp = math.log(p) if p > 0 else -math.inf
+        counts = (code == s).sum(axis=1)
+        score += np.multiply(counts, lp, out=np.zeros(len(trial)), where=counts > 0)
     starts = np.flatnonzero(np.r_[True, trial[1:] != trial[:-1]])
     best = np.repeat(np.maximum.reduceat(score, starts),
                      np.diff(np.r_[starts, len(trial)]))
     top = np.flatnonzero(score == best)
-    winners = top[np.r_[True, trial[top][1:] != trial[top][:-1]]]
+    return top[np.r_[True, trial[top][1:] != trial[top][:-1]]]
+
+
+def ml_first_errors(bins: Bins, seqs, probs, side):
+    """The ML decision of every trial of a chunk against its row of side
+    (trials x n observed y; 0^n with the |X| x 1 x-marginal as probs for
+    point-to-point ML), as the 1-based position of its first symbol that
+    differs from the trial's row of seqs, n + 1 when none does (and for an
+    overflowed trial).  A trial's lanes are in order, so its first
+    maximizer is its lexicographically smallest."""
+    trial, prefixes = bins.trial, bins.prefixes
+    n = prefixes.shape[1]
+    code = prefixes.astype(np.intp) * probs.shape[1] + np.asarray(side)[trial]
+    winners = _ml_winners(trial, code, probs)
+    out = np.full(len(bins.overflow), n + 1)
     wrong = prefixes[winners] != np.asarray(seqs)[trial[winners]]
     out[trial[winners]] = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, n + 1)
     return out
+
+
+def _ml_pair(xs, ys, probs):
+    """The one-trial case of the ML kernel: the pair of xs x ys with the
+    largest likelihood under the joint table probs[a, b], lexicographically
+    smallest among ties.  Lane i of the sorted product is the pair
+    (i // |ys|, i % |ys|), so the first maximizer is the smallest."""
+    xs, ys = sorted(xs), sorted(ys)
+    n = len(xs[0])
+    x = np.frombuffer(b"".join(xs), np.uint8).reshape(len(xs), n).astype(np.intp)
+    y = np.frombuffer(b"".join(ys), np.uint8).reshape(len(ys), n)
+    best = np.zeros(0, np.intp)
+    # the lanes in blocks of the lane budget, which bounds the memory of a
+    # large product; each block starts with the winner so far, which
+    # precedes all of its lanes, so the first maximizer stays first
+    for lo in range(0, len(xs) * len(ys), _LANE_BUDGET):
+        lanes = np.r_[best, lo:min(lo + _LANE_BUDGET, len(xs) * len(ys))]
+        code = x[lanes // len(ys)] * probs.shape[1] + y[lanes % len(ys)]
+        best = lanes[_ml_winners(np.zeros(len(lanes), np.intp), code, probs)]
+    i = int(best[0])
+    return xs[i // len(ys)], ys[i % len(ys)]
 
 
 def ml_decode(cands: CandidateSet, source_model: JointDistribution, delay: int):
@@ -530,7 +511,7 @@ def ml_decode(cands: CandidateSet, source_model: JointDistribution, delay: int):
     n = cands.step
     _check_delay(delay, n)
     px = source_model.marginal_x().reshape(-1, 1)
-    best, _ = _ml_argmax(cands.prefixes, (bytes(n),), px)
+    best, _ = _ml_pair(cands.prefixes, (bytes(n),), px)
     return best[: n - delay]
 
 
@@ -564,7 +545,7 @@ def si_decode_ml(cands: CandidateSet, y_observed, d: JointDistribution, delay: i
     n = cands.step
     y_observed = _side_information(y_observed, n)
     _check_delay(delay, n)
-    best, _ = _ml_argmax(cands.prefixes, (y_observed,), d.probs)
+    best, _ = _ml_pair(cands.prefixes, (y_observed,), d.probs)
     return best[: n - delay]
 
 
@@ -722,5 +703,5 @@ def sw_ml_decode(cands_x: CandidateSet, cands_y: CandidateSet,
     if cands_y.step != n:
         raise ValueError("candidate sets are at different steps")
     _check_delay(delay, n)
-    x_hat, y_hat = _ml_argmax(cands_x.prefixes, cands_y.prefixes, d.probs)
+    x_hat, y_hat = _ml_pair(cands_x.prefixes, cands_y.prefixes, d.probs)
     return x_hat[: n - delay], y_hat[: n - delay]

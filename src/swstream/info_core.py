@@ -39,8 +39,9 @@ class JointDistribution:
     """Finite joint pmf over an |X| x |Y| alphabet.
 
     probs is row-major: probs[x][y].  Entries must be nonnegative and sum to
-    one within 1e-12; the constructor then renormalizes exactly so that
-    downstream optimizers never see drift.
+    one within 1e-12; the constructor then renormalizes so that downstream
+    optimizers never see drift, and leaves a table that already sums to one
+    up to rounding as it is, so `from_json(to_json())` is exact.
     """
 
     alphabet_x: int
@@ -48,7 +49,7 @@ class JointDistribution:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = np.array(self.probs, dtype=float)
         if p.shape != (self.alphabet_x, self.alphabet_y):
             raise ValueError(
                 f"probs shape {p.shape} does not match "
@@ -63,7 +64,11 @@ class JointDistribution:
         total = p.sum()
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        p = p / total
+        # dividing by a sum that is 1 up to rounding is not idempotent: it
+        # can move the sum to the other side of 1 on every reload, so only
+        # a sum off by more than the rounding of the division is divided out
+        if abs(total - 1.0) > p.size * np.finfo(float).eps:
+            p = p / total
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 

@@ -6,16 +6,20 @@ error at delay D whenever any of the first n - D symbols is wrong.  Per-trial
 seeds are derived from the base seed by hashing, so trials are independent,
 reproducible, and may run in any order or process.
 
-Trials run in chunks of consecutive trial indices.  A chunk draws each
+Trials run in chunks of consecutive trial indices, the one unit of work,
+serially or one chunk per task of a process pool.  A chunk draws each
 trial's seed and source (one `derive_trial_seed` and one `sample_source`
 call per trial), replays all its bins at once with `codec.replay_bins`, and
 decodes them: ML and SI-ML with one vectorized argmax per chunk
-(`codec.ml_first_errors`), the other decoders one trial at a time on the
-trial's `CandidateSet`.  The chunk size is `codec.chunk_trials`: a fixed lane
-budget over the closed-form mean bin size, not an option.  Chunks split the
-trial range of `_run_range` by index and every counter is a sum, so the
-counts do not depend on the chunk size or on `--threads`.  An aborted trial
-is counted under the stream and step at which its bin overflowed.
+(`codec.ml_first_errors`, point-to-point ML as its |Y| = 1 case), the other
+decoders one trial at a time on the trial's `CandidateSet`.  The chunk size
+is `codec.chunk_trials`: a fixed lane budget over the closed-form mean bin
+size, not an option; a parallel run caps it so that each worker gets at
+least 8 chunks.  A chunk returns histograms of its completed trials' first
+x, y and joint error positions, and the errors at delay D are the
+cumulative count up to symbol n - D.  Every count is a sum over chunks, so
+the counts do not depend on the chunk size or on `--threads`.  An aborted
+trial is counted under the stream and step at which its bin overflowed.
 """
 
 from __future__ import annotations
@@ -23,12 +27,14 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codec import (
+    DEFAULT_CANDIDATE_CAP,
     BinningSchedule,
     MAX_HORIZON_SINGLE,
     MAX_HORIZON_TWO_ENCODER,
@@ -80,7 +86,7 @@ class TrialConfig:
     trials: int
     base_seed: int
     decoder: str
-    candidate_cap: int = 2 ** 20
+    candidate_cap: int = DEFAULT_CANDIDATE_CAP
 
     def __post_init__(self):
         if self.decoder not in DECODERS:
@@ -169,8 +175,9 @@ def sample_source(d: JointDistribution, n: int, seed: int):
 
 
 def _run_chunk(cfg: TrialConfig, start: int, stop: int):
-    """First x and y error positions (n + 1 for none) of trials start..stop-1,
-    and the (stream id, step) of each aborted one (None for a completed one)."""
+    """Trials start..stop-1: a 3 x (n + 2) array counting the completed ones
+    by the position of their first x, y and joint error (column n + 1: no
+    error), and a Counter of the aborted ones by (stream id, step)."""
     n = cfg.n
     seeds, xs, ys = [], [], []
     for t in range(start, stop):
@@ -184,98 +191,74 @@ def _run_chunk(cfg: TrialConfig, start: int, stop: int):
     bins_x = replay_bins(seeds, x_rows, "x", cfg.schedule_x, cfg.source.alphabet_x,
                          cfg.candidate_cap)
     lost = [("x", int(j)) if j else None for j in bins_x.overflow]
-    fy = np.full(len(seeds), n + 1)
-    if cfg.decoder == "ml":
-        px = cfg.source.marginal_x().reshape(-1, 1)
-        return ml_first_errors(bins_x, x_rows, px), fy, lost
-    if cfg.decoder == "si_ml":
-        return ml_first_errors(bins_x, x_rows, cfg.source.probs, side=y_rows), fy, lost
-    if cfg.decoder in _TWO_ENCODER:
-        bins_y = replay_bins(seeds, y_rows, "y", cfg.schedule_y, cfg.source.alphabet_y,
-                             cfg.candidate_cap, live=bins_x.overflow == 0)
-        for i in np.flatnonzero(bins_y.overflow):
-            lost[i] = ("y", int(bins_y.overflow[i]))
     fx = np.full(len(seeds), n + 1)
-    for i, x in enumerate(xs):
-        if lost[i]:
-            continue
-        cx = bins_x.candidate_set(i)
-        if cfg.decoder in _TWO_ENCODER:
-            cy = bins_y.candidate_set(i)
-            if cfg.decoder == "sw_ml":
-                x_hat, y_hat = sw_ml_decode(cx, cy, cfg.source, delay=0)
-            else:
-                x_hat, y_hat = sw_universal_decode(cx, cy, n, delay=0)
-            fy[i] = _first_divergence(y_hat, ys[i], n)
-        elif cfg.decoder == "universal":
-            x_hat = universal_decode(cx, delay=0)
+    fy = np.full(len(seeds), n + 1)
+    if cfg.decoder in ("ml", "si_ml"):
+        if cfg.decoder == "ml":  # the |Y| = 1 case: y = 0^n, the x-marginal
+            probs, y_rows = cfg.source.marginal_x().reshape(-1, 1), np.zeros_like(x_rows)
         else:
-            x_hat = si_decode_universal(cx, ys[i], delay=0)
-        fx[i] = _first_divergence(x_hat, x, n)
-    return fx, fy, lost
+            probs = cfg.source.probs
+        fx = ml_first_errors(bins_x, x_rows, probs, y_rows)
+    else:
+        if cfg.decoder in _TWO_ENCODER:
+            bins_y = replay_bins(seeds, y_rows, "y", cfg.schedule_y,
+                                 cfg.source.alphabet_y, cfg.candidate_cap,
+                                 live=bins_x.overflow == 0)
+            for i in np.flatnonzero(bins_y.overflow):
+                lost[i] = ("y", int(bins_y.overflow[i]))
+        for i, x in enumerate(xs):
+            if lost[i]:
+                continue
+            cx = bins_x.candidate_set(i)
+            if cfg.decoder in _TWO_ENCODER:
+                cy = bins_y.candidate_set(i)
+                if cfg.decoder == "sw_ml":
+                    x_hat, y_hat = sw_ml_decode(cx, cy, cfg.source, delay=0)
+                else:
+                    x_hat, y_hat = sw_universal_decode(cx, cy, n, delay=0)
+                fy[i] = _first_divergence(y_hat, ys[i], n)
+            elif cfg.decoder == "universal":
+                x_hat = universal_decode(cx, delay=0)
+            else:
+                x_hat = si_decode_universal(cx, ys[i], delay=0)
+            fx[i] = _first_divergence(x_hat, x, n)
+    done = np.array([where is None for where in lost], bool)
+    first = np.stack([fx, fy, np.minimum(fx, fy)])[:, done]
+    hist = np.stack([np.bincount(row, minlength=n + 2) for row in first])
+    return hist, collections.Counter(filter(None, lost))
 
 
-def _run_range(cfg: TrialConfig, start: int, stop: int):
-    """Error counters over a contiguous trial range (worker unit)."""
-    delays = cfg.delays
-    ex = dict.fromkeys(delays, 0)
-    ey = dict.fromkeys(delays, 0)
-    ej = dict.fromkeys(delays, 0)
-    aborted = collections.Counter()
+def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
+    """Run all trials in chunks and aggregate per-delay error counts.
+
+    The merge is a plain sum of counts, so the result is independent of
+    thread count and chunking.
+    """
     streams = [(cfg.source.alphabet_x, cfg.schedule_x)]
     if cfg.decoder in _TWO_ENCODER:
         streams.append((cfg.source.alphabet_y, cfg.schedule_y))
     size = chunk_trials(cfg.n, streams)
-    for lo in range(start, stop, size):
-        fx, fy, lost = _run_chunk(cfg, lo, min(lo + size, stop))
-        done = np.array([where is None for where in lost], bool)
-        aborted.update(filter(None, lost))
-        for d in delays:
-            # an error at delay d is a mismatch anywhere in symbols 1..n-d;
-            # the nesting of error events across delays is automatic
-            x_err = done & (fx <= cfg.n - d)
-            y_err = done & (fy <= cfg.n - d)
-            ex[d] += int(x_err.sum())
-            ey[d] += int(y_err.sum())
-            ej[d] += int((x_err | y_err).sum())
-    return ex, ey, ej, aborted
-
-
-def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
-    """Run all trials and aggregate per-delay error counts.
-
-    The merge is a plain sum of counters, so the result is independent of
-    thread count and chunking.
-    """
-    threads = max(1, threads)
-    if threads == 1 or cfg.trials < 64:
-        parts = [_run_range(cfg, 0, cfg.trials)]
-    else:
-        chunk = max(1, -(-cfg.trials // (threads * 8)))
-        ranges = [(s, min(s + chunk, cfg.trials))
-                  for s in range(0, cfg.trials, chunk)]
+    parallel = threads > 1 and cfg.trials >= 64
+    if parallel:
+        size = min(size, -(-cfg.trials // (8 * threads)))
+    starts = range(0, cfg.trials, size)
+    stops = [min(a + size, cfg.trials) for a in starts]
+    if parallel:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_run_range_star,
-                                  [(cfg, a, b) for a, b in ranges]))
-    ex = dict.fromkeys(cfg.delays, 0)
-    ey = dict.fromkeys(cfg.delays, 0)
-    ej = dict.fromkeys(cfg.delays, 0)
-    aborted = collections.Counter()
-    for pex, pey, pej, pab in parts:
-        for d in cfg.delays:
-            ex[d] += pex[d]
-            ey[d] += pey[d]
-            ej[d] += pej[d]
-        aborted.update(pab)
+            parts = list(pool.map(_run_chunk, itertools.repeat(cfg), starts, stops))
+    else:
+        parts = list(map(_run_chunk, itertools.repeat(cfg), starts, stops))
+    hist = sum(h for h, _ in parts)
+    aborted = sum((a for _, a in parts), collections.Counter())
+    # an error at delay d is a first error in symbols 1..n-d; the nesting of
+    # error events across delays is automatic
+    ex, ey, ej = ({d: int(row[cfg.n - d]) for d in cfg.delays}
+                  for row in np.cumsum(hist, axis=1))
     completed = cfg.trials - aborted.total()
     return DelayErrorStats(delays=cfg.delays, trials=completed,
                            errors_x=ex, errors_y=ey, errors_joint=ej,
                            aborted=cfg.trials - completed,
                            aborted_by_step=dict(sorted(aborted.items())))
-
-
-def _run_range_star(args):
-    return _run_range(*args)
 
 
 def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import warnings
@@ -11,8 +12,6 @@ from swstream.codec import (
     BinningSchedule,
     CandidateOverflowError,
     CandidateSet,
-    ParityStream,
-    _ml_argmax,
     candidate_set_for,
     chunk_trials,
     compute_scores,
@@ -118,22 +117,6 @@ class TestEncodeStep:
             encode_step(1, "x", bytes([255]), TWO_BITS)
         # 1 bit per symbol at alphabet 256 exactly fits
         assert encode_step(1, "x", bytes([255]), ONE_BIT) in ((0,), (1,))
-
-
-class TestParityStream:
-    def test_concatenates_steps(self):
-        seq = b"\x01\x00\x01\x01"
-        ps = ParityStream.from_sequence(11, "x", seq, BinningSchedule((2, 1)))
-        assert ps.steps == 4
-        assert len(ps.bits) == 6
-        assert ps.bits_for_step(1) == ps.bits[0:2]
-        assert ps.bits_for_step(2) == ps.bits[2:3]
-
-    def test_accepts_lists(self):
-        assert (
-            ParityStream.from_sequence(11, "x", [1, 0], ONE_BIT).bits
-            == ParityStream.from_sequence(11, "x", b"\x01\x00", ONE_BIT).bits
-        )
 
 
 class TestCandidateSets:
@@ -323,21 +306,22 @@ class TestBatchedMlArgmax:
         if side_information:
             probs, side = d.probs, ys
         else:
-            probs, side = d.marginal_x().reshape(-1, 1), None
+            probs, side = d.marginal_x().reshape(-1, 1), np.zeros_like(xs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            first = ml_first_errors(bins, xs, probs, side=side)
+            first = ml_first_errors(bins, xs, probs, side)
         tied = 0
         for t in range(trials):
             cands = bins.candidate_set(t)
-            y = pairs[t][1] if side_information else bytes(n)
-            best, _ = _ml_argmax(cands.prefixes, (y,), probs)
-            wrong = [i for i in range(n) if best[i] != xs[t, i]]
-            assert first[t] == (wrong[0] + 1 if wrong else n + 1)
             if side_information:
+                y = pairs[t][1]
+                best = _oracle_si_ml(cands.prefixes, y, d, n, 0)
                 assert best == si_decode_ml(cands, y, d, 0)
             else:
+                best = _oracle_ml(cands.prefixes, probs.ravel(), n, 0)
                 assert best == ml_decode(cands, d, 0)
+            wrong = [i for i in range(n) if best[i] != xs[t, i]]
+            assert first[t] == (wrong[0] + 1 if wrong else n + 1)
             tied += len(cands.prefixes) > 1
         return tied
 
@@ -369,10 +353,10 @@ class TestBatchedMlArgmax:
         bins = replay_bins(seeds, seqs, "x", sparse, 2, cap=300)
         assert bins.overflow.any() and not bins.overflow.all()
         px = np.array([[0.5], [0.5]])
-        first = ml_first_errors(bins, seqs, px)
+        first = ml_first_errors(bins, seqs, px, np.zeros_like(seqs))
         for t in range(len(seeds)):
             if not bins.overflow[t]:
-                best, _ = _ml_argmax(bins.candidate_set(t).prefixes, (bytes(12),), px)
+                best = _oracle_ml(bins.candidate_set(t).prefixes, px.ravel(), 12, 0)
                 wrong = [i for i in range(12) if best[i] != seqs[t, i]]
                 assert first[t] == (wrong[0] + 1 if wrong else 13)
 
@@ -677,6 +661,35 @@ class TestTwoEncoderDecoders:
         got = sw_universal_decode(_hand_built("x", xs), _hand_built("y", ys), 4, 0)
         assert got == (b"\x01\x00\x00\x00", b"\x00\x00\x00\x00")
         assert got == _oracle_winners(xs, ys, 4, 0)
+
+    def test_ml_ties_break_lexicographically_not_by_position(self):
+        # unsorted hand-built bins on a uniform source: every pair ties, and
+        # each ML decoder returns the lexicographically smallest
+        xs = [b"\x01\x00\x01\x00", b"\x00\x01\x01\x00", b"\x00\x01\x00\x01"]
+        ys = [b"\x01\x01\x00\x00", b"\x00\x00\x01\x00", b"\x01\x00\x00\x00"]
+        d = JointDistribution.from_matrix([[0.25, 0.25], [0.25, 0.25]])
+        cx, cy = _hand_built("x", xs), _hand_built("y", ys)
+        assert sw_ml_decode(cx, cy, d, 0) == (min(xs), min(ys))
+        assert si_decode_ml(cx, ys[0], d, 0) == min(xs)
+        assert ml_decode(cx, JointDistribution.from_marginal([0.5, 0.5]), 0) == min(xs)
+
+    def test_ml_argmax_across_lane_blocks(self):
+        # a product of four lane blocks, in shuffled list order: the first
+        # maximizer of an early block must survive the later blocks
+        members = [bytes(c) for c in itertools.product(range(2), repeat=7)]
+        order = np.random.default_rng(4).permutation(len(members))
+        cands = [_hand_built(s, [members[i] for i in order]) for s in ("x", "y")]
+        assert len(members) ** 2 == 4 * _LANE_BUDGET
+        uniform = JointDistribution.from_matrix([[0.25, 0.25], [0.25, 0.25]])
+        assert sw_ml_decode(*cands, uniform, 0) == (members[0], members[0])
+        d = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])
+
+        def ll(pair):
+            counts = sorted(collections.Counter(zip(*pair)).items())
+            return sum(c * math.log(d.probs[a, b]) for (a, b), c in counts)
+
+        want = min(itertools.product(members, members), key=lambda pr: (-ll(pr), pr))
+        assert sw_ml_decode(*cands, d, 0) == want
 
     def test_ml_matches_product_argmax(self):
         d = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])

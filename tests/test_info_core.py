@@ -67,6 +67,22 @@ class TestJointDistribution:
         obj = json.loads(example1.to_json())
         assert set(obj) == {"alphabet_x", "alphabet_y", "probs"}
 
+    def test_json_roundtrip_exact_when_the_sum_is_off_by_rounding(self):
+        # 0.6 + 0.3 + 0.1 is 1 only up to rounding: every reload of a saved
+        # pmf must give back the pmf that was saved
+        d = JointDistribution.from_marginal([0.6, 0.3, 0.1])
+        for _ in range(3):
+            back = JointDistribution.from_json(d.to_json())
+            assert back.probs.tobytes() == d.probs.tobytes()
+            d = back
+
+    def test_exact_sum_keeps_entries_and_copies(self):
+        raw = np.array([[0.1, 0.05], [0.05, 0.8]])
+        d = JointDistribution.from_matrix(raw)
+        assert d.probs.tobytes() == raw.tobytes()
+        raw[0, 0] = 0.5
+        assert d.probs[0, 0] == 0.1
+
     def test_probs_immutable(self, example1):
         with pytest.raises(ValueError):
             example1.probs[0, 0] = 0.5

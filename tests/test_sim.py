@@ -14,7 +14,7 @@ from swstream.codec import (
 )
 from swstream.info_core import JointDistribution
 from swstream.sim import (
-    _run_range,
+    _run_chunk,
     DelayErrorStats,
     FitResult,
     TrialConfig,
@@ -220,31 +220,34 @@ class TestRunTrials:
         assert stats.errors_y == ey
         assert stats.errors_joint == ej
 
-    @pytest.mark.parametrize("decoder, n", [("si_ml", 16), ("ml", 24)])
+    @pytest.mark.parametrize("decoder, n", [
+        ("si_ml", 16), ("ml", 24), ("sw_ml", 10), ("sw_universal", 8),
+    ])
     def test_thread_count_invariant_across_chunks(self, decoder, n):
-        source = _example1() if decoder == "si_ml" else \
-            JointDistribution.from_marginal([0.9, 0.1])
-        cfg = _cfg(source=source, decoder=decoder, n=n, delays=(0, 2, 4),
-                   trials=1001, base_seed=5)
-        assert cfg.trials % chunk_trials(n, [(2, ONE_BIT)]) != 0
+        source = JointDistribution.from_marginal([0.9, 0.1]) if decoder == "ml" \
+            else _example1()
+        streams = [(2, ONE_BIT)] * (2 if decoder.startswith("sw") else 1)
+        cfg = _cfg(source=source, decoder=decoder, schedule_y=ONE_BIT, n=n,
+                   delays=(0, 2, 4), trials=1001, base_seed=5)
+        assert cfg.trials % chunk_trials(n, streams) != 0
         assert run_trials(cfg, threads=1) == run_trials(cfg, threads=2)
 
     @pytest.mark.parametrize("decoder", ["si_ml", "si_universal", "sw_ml"])
     def test_range_counters_sum_over_any_split(self, decoder):
         cfg = _cfg(decoder=decoder, schedule_y=ONE_BIT, schedule_x=_SPARSE, n=10,
                    trials=90, base_seed=2, candidate_cap=200)
-        whole = _run_range(cfg, 0, cfg.trials)
-        assert 0 < sum(whole[3].values()) < cfg.trials
+        whole, whole_aborted = _run_chunk(cfg, 0, cfg.trials)
+        assert 0 < whole_aborted.total() < cfg.trials
+        assert whole.shape == (3, cfg.n + 2)
+        assert (whole.sum(axis=1) == cfg.trials - whole_aborted.total()).all()
         for cuts in ([0, 1, 2, 90], [0, 37, 38, 61, 90], [0, 45, 90]):
-            parts = [_run_range(cfg, a, b) for a, b in zip(cuts, cuts[1:])]
-            for k in range(3):
-                for d in cfg.delays:
-                    assert sum(p[k][d] for p in parts) == whole[k][d]
+            parts = [_run_chunk(cfg, a, b) for a, b in zip(cuts, cuts[1:])]
+            assert (sum(h for h, _ in parts) == whole).all()
             aborted = {}
-            for p in parts:
-                for where, count in p[3].items():
+            for _, p in parts:
+                for where, count in p.items():
                     aborted[where] = aborted.get(where, 0) + count
-            assert aborted == whole[3]
+            assert aborted == whole_aborted
 
     def test_aborts_recorded_by_stream_and_step(self):
         # the sparse small-cap config: every trial overflows, at the step
