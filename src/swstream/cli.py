@@ -20,20 +20,9 @@ from .codec import BinningSchedule
 from .exponents import CURVE_HEADER, RatePair, curve_row, format_curve_row
 from .info_core import JointDistribution
 from .sim import TrialConfig, fit_exponent, fit_to_json, run_trials, stats_to_csv
-from .verify import SUITES, run_suite
+from .verify import EXAMPLE_1, EXAMPLE_2, SUITES, run_suite
 
 LN2 = math.log(2.0)
-
-EXAMPLE_1_JSON = {
-    "alphabet_x": 2,
-    "alphabet_y": 2,
-    "probs": [[0.45, 0.05], [0.05, 0.45]],
-}
-EXAMPLE_2_JSON = {
-    "alphabet_x": 2,
-    "alphabet_y": 2,
-    "probs": [[0.1, 0.05], [0.05, 0.8]],
-}
 
 
 class ConfigError(Exception):
@@ -106,6 +95,12 @@ def _compute_curve(d: JointDistribution, rx_grid, ry_grid, threads: int):
     return [_curve_worker(p) for p in points]
 
 
+def _write_curve(path: Path, rows, units: str) -> None:
+    scale = LN2 if units == "bits" else 1.0
+    lines = [CURVE_HEADER] + [format_curve_row(r, scale) for r in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def cmd_exponents(args) -> int:
     started = time.monotonic()
     d = _load_source(args.source)
@@ -114,10 +109,8 @@ def cmd_exponents(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = _compute_curve(d, rx_grid, ry_grid, args.threads)
-    scale = LN2 if args.units == "bits" else 1.0
     csv_path = out_dir / "exponents.csv"
-    lines = [CURVE_HEADER] + [format_curve_row(r, scale) for r in rows]
-    csv_path.write_text("\n".join(lines) + "\n")
+    _write_curve(csv_path, rows, args.units)
     _write_manifest(
         out_dir,
         "exponents",
@@ -178,6 +171,23 @@ def _abort_report(stats) -> dict:
     }
 
 
+def _warn_aborts(stats) -> None:
+    """Report aborted trials on stderr, naming the first delay at which
+    counting them as errors lifts the x-error rate above the Wilson upper
+    limit of the completed trials' rate."""
+    msg = f"warning: {stats.aborted} trials aborted at the candidate cap"
+    for d in stats.delays:
+        upper, limit = stats.rate_x_upper(d), stats.interval_x(d)[1]
+        if upper > limit:
+            msg += (
+                f"; at delay {d} the x-error rate is {stats.rate_x(d):.4g} over"
+                f" completed trials and {upper:.4g} counting aborts as errors,"
+                f" above its 95% Wilson upper limit {limit:.4g}"
+            )
+            break
+    print(msg, file=sys.stderr)
+
+
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     cfg = _load_trial_config(args.config, args.seed)
@@ -205,7 +215,7 @@ def cmd_simulate(args) -> int:
         _abort_report(stats),
     )
     if stats.aborted:
-        print(f"warning: {stats.aborted} trials aborted at the candidate cap")
+        _warn_aborts(stats)
     print(f"wrote {stats_path} and {fit_path}")
     return 0
 
@@ -228,25 +238,25 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _reproduce(args, example_json: dict, ry_values, label: str) -> int:
+def _reproduce(args, d: JointDistribution, ry_values, label: str) -> int:
     started = time.monotonic()
-    d = JointDistribution.from_json(json.dumps(example_json))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rx_grid = _parse_grid("0.30:1.05:0.01")
     outputs = []
     for ry in ry_values:
-        rows = _compute_curve(d, rx_grid, [ry], args.threads)
-        scale = LN2 if args.units == "bits" else 1.0
         path = out_dir / f"{label}_ry{ry:g}.csv"
-        lines = [CURVE_HEADER] + [format_curve_row(r, scale) for r in rows]
-        path.write_text("\n".join(lines) + "\n")
+        _write_curve(path, _compute_curve(d, rx_grid, [ry], args.threads), args.units)
         outputs.append(path)
         print(f"wrote {path}")
     _write_manifest(
         out_dir,
         label,
-        {"source": example_json, "ry_values": list(ry_values), "units": args.units},
+        {
+            "source": json.loads(d.to_json()),
+            "ry_values": list(ry_values),
+            "units": args.units,
+        },
         None,  # seed: the curves use no randomness
         outputs,
         started,
@@ -255,11 +265,11 @@ def _reproduce(args, example_json: dict, ry_values, label: str) -> int:
 
 
 def cmd_reproduce_example1(args) -> int:
-    return _reproduce(args, EXAMPLE_1_JSON, (0.49, 0.67), "example1")
+    return _reproduce(args, EXAMPLE_1, (0.49, 0.67), "example1")
 
 
 def cmd_reproduce_example2(args) -> int:
-    return _reproduce(args, EXAMPLE_2_JSON, (0.35, 0.49), "example2")
+    return _reproduce(args, EXAMPLE_2, (0.35, 0.49), "example2")
 
 
 def _positive_int(text: str) -> int:

@@ -3,9 +3,7 @@
 The module computes every exponent two ways where the theory predicts
 equality: maximum-likelihood forms as 1-D concave suprema over the Gallager
 tilt parameter rho, and universal (divergence-minimization) forms through the
-tilted-family parametrization of their KKT conditions.  Raw simplex-grid
-minimizers live here too, but only as oracles for the test suite -- they are
-exponential in alphabet size and are never the production path.
+tilted-family parametrization of their KKT conditions.
 
 The streaming Slepian-Wolf exponents are gamma-infima of rho-suprema of
 gamma*A + (1-gamma)*B, with A = E_{x|y} and B = E_xy.  The bracket is concave
@@ -36,13 +34,9 @@ largest column support (conditional), so each minimum is 0 for R <= H_p,
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache
-
-import numpy as np
-from scipy import optimize
 
 from .info_core import (
     JointDistribution,
@@ -62,7 +56,6 @@ __all__ = [
     "gallager_xy",
     "gallager_x_given_y",
     "gallager_y_given_x",
-    "e_ml_pointwise",
     "e_x_gamma",
     "e_y_gamma",
     "e_un_x_gamma",
@@ -78,15 +71,12 @@ __all__ = [
     "e_un_pp",
     "e_ml_si",
     "e_un_si",
-    "pp_universal_grid",
-    "si_universal_grid",
-    "gamma_universal_grid",
-    "block_lower_grid",
     "curve_row",
     "CURVE_HEADER",
 ]
 
 _RHO_TOL = 1e-9
+_ROOT_TOL = 1e-13
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # a tilt at which every tilted family has reached its rho -> inf limit in floats
 _RHO_INF = 2.0 ** 64
@@ -151,6 +141,34 @@ def _golden_max(f, a: float, b: float, tol: float = _RHO_TOL):
     return best[1], best[0]
 
 
+def _root(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi] (0 <= lo < hi, f(lo) and f(hi) of opposite
+    signs), to within _ROOT_TOL + 4*eps*hi.
+
+    Regula falsi with the Illinois step: an end kept twice in a row has its f
+    halved, so both ends close in.  A secant point that rounding puts outside
+    the open bracket is replaced by the midpoint.
+    """
+    flo, fhi = f(lo), f(hi)
+    if fhi == 0.0:
+        return hi
+    x, fx, side = lo, flo, 0
+    while fx != 0.0 and hi - lo > _ROOT_TOL + 4.0 * sys.float_info.epsilon * hi:
+        x = (lo * fhi - hi * flo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
+            fhi *= 0.5 if side == 1 else 1.0
+            side = 1
+        else:
+            hi, fhi = x, fx
+            flo *= 0.5 if side == -1 else 1.0
+            side = -1
+    return x
+
+
 def _check_unit(name: str, value: float) -> None:
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
@@ -175,16 +193,6 @@ def gallager_x_given_y(d: JointDistribution, rx: float, rho: float) -> float:
 
 def gallager_y_given_x(d: JointDistribution, ry: float, rho: float) -> float:
     return gallager_x_given_y(d.swapped(), ry, rho)
-
-
-def e_ml_pointwise(d: JointDistribution, rates: RatePair, gamma: float, rho: float):
-    """The compound bracket at fixed (gamma, rho), for both stream roles."""
-    _check_unit("gamma", gamma)
-    _check_unit("rho", rho)
-    exy = gallager_xy(d, rates, rho)
-    ex = gamma * gallager_x_given_y(d, rates.rx, rho) + (1.0 - gamma) * exy
-    ey = gamma * gallager_y_given_x(d, rates.ry, rho) + (1.0 - gamma) * exy
-    return ex, ey
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +258,7 @@ def e_un_x_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> Exponen
     h1, dv1 = _mixed_tilt_stats(d, 1.0, gamma)
     if rg >= h1:
         return ExponentResult(dv1 + (rg - h1), 1.0, gamma_star=gamma)
-    rho = optimize.brentq(
-        lambda r: _mixed_tilt_stats(d, r, gamma)[0] - rg, 0.0, 1.0, xtol=1e-13
-    )
+    rho = _root(lambda r: _mixed_tilt_stats(d, r, gamma)[0] - rg, 0.0, 1.0)
     return ExponentResult(_mixed_tilt_stats(d, rho, gamma)[1], rho, gamma_star=gamma)
 
 
@@ -293,9 +299,9 @@ def _inf_scaled(d: JointDistribution, rates: RatePair):
     if gallager_x_given_y(d, rates.rx, 1.0) < 0.0:
         # E_{x|y}(rho)/rho falls from E_{x|y}'(0) = Rx - H(x|y) > 0 to its root
         slope0 = rates.rx - conditional_entropy_x_given_y(d)
-        rho0 = optimize.brentq(
+        rho0 = _root(
             lambda r: gallager_x_given_y(d, rates.rx, r) / r if r > 0.0 else slope0,
-            0.0, 1.0, xtol=1e-13,
+            0.0, 1.0,
         )
         da, db = _slopes(d, rates, rho0)
         if db > 0.0:  # the constraint binds; its multiplier is gamma*/(1-gamma*)
@@ -443,7 +449,7 @@ def _min_div_above(d: JointDistribution, family, stat, rate: float) -> float:
     hi = 1.0
     while gap(hi) < 0.0:
         hi *= 2.0
-    rho = optimize.brentq(gap, 0.0, hi, xtol=1e-13)
+    rho = _root(gap, 0.0, hi)
     return kl_divergence(family(d, rho).distribution, d)
 
 
@@ -456,188 +462,6 @@ def e_block_upper(d: JointDistribution, rates: RatePair) -> float:
         _min_div_above(d, xy_tilted, conditional_entropy_x_given_y, rates.rx),
         _min_div_above(ds, xy_tilted, conditional_entropy_x_given_y, rates.ry),
     )
-
-
-# ---------------------------------------------------------------------------
-# Simplex-grid oracles (test-only: exponential in alphabet size)
-# ---------------------------------------------------------------------------
-
-
-def _simplex_objective_terms(q_flat: np.ndarray, d: JointDistribution):
-    """(D(q||p), H(q_{x|y})) for a flat dummy joint."""
-    ax, ay = d.alphabet_x, d.alphabet_y
-    q = np.clip(q_flat.reshape(ax, ay), 0.0, None)
-    s = q.sum()
-    if s <= 0:
-        return math.inf, 0.0
-    q = q / s
-    p = d.probs
-    mask = q > 0
-    if np.any(p[mask] == 0):
-        return math.inf, 0.0
-    h = float(-np.sum(q[mask] * np.log(q[mask])))
-    dv = float(np.sum(q[mask] * (np.log(q[mask]) - np.log(p[mask]))))
-    qy = q.sum(axis=0)
-    hy = float(-np.sum(qy[qy > 0] * np.log(qy[qy > 0])))
-    return dv, h - hy
-
-
-def _polish(fun, x0: np.ndarray) -> float:
-    """One SLSQP refinement of fun over the simplex, started at x0."""
-    cons = [{"type": "eq", "fun": lambda q: q.sum() - 1.0}]
-    try:
-        res = optimize.minimize(
-            fun,
-            x0,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * x0.size,
-            constraints=cons,
-            options={"maxiter": 200, "ftol": 1e-12},
-        )
-    except (ValueError, RuntimeError):
-        return math.inf
-    if not np.all(np.isfinite(res.x)):
-        return math.inf
-    val = fun(res.x)
-    return val if math.isfinite(val) else math.inf
-
-
-def _oracle_step(cells: int) -> float:
-    if cells <= 4:
-        return 0.02
-    if cells <= 6:
-        return 0.05
-    return 1.0 / 16.0
-
-
-@lru_cache(maxsize=32)
-def _compositions(cells: int, parts: int) -> np.ndarray:
-    """All ways to split `parts` grid quanta over `cells` bins (stars & bars)."""
-    bars = np.array(
-        list(itertools.combinations(range(parts + cells - 1), cells - 1)), dtype=np.int64
-    )
-    padded = np.hstack(
-        [
-            np.full((bars.shape[0], 1), -1, dtype=np.int64),
-            bars,
-            np.full((bars.shape[0], 1), parts + cells - 1, dtype=np.int64),
-        ]
-    )
-    out = np.diff(padded, axis=1) - 1
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=32)
-def _grid_entropies(ax: int, ay: int, parts: int):
-    """Cached per-shape entropy tables over the joint simplex grid."""
-    q = _compositions(ax * ay, parts).astype(np.float64) / parts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xlogx = np.where(q > 0, q * np.log(q), 0.0)
-    h = -xlogx.sum(axis=1)
-    q3 = q.reshape(-1, ax, ay)
-    qy = q3.sum(axis=1)
-    qx = q3.sum(axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hy = -np.where(qy > 0, qy * np.log(qy), 0.0).sum(axis=1)
-        hx = -np.where(qx > 0, qx * np.log(qx), 0.0).sum(axis=1)
-    for arr in (q, h, hy, hx):
-        arr.flags.writeable = False
-    return q, h, hy, hx
-
-
-def _grid_tables(d: JointDistribution, step: float):
-    """(Q, D(q||p), H, H(x|y), H(y|x)) arrays over the grid for source d."""
-    parts = round(1.0 / step)
-    q, h, hy, hx = _grid_entropies(d.alphabet_x, d.alphabet_y, parts)
-    p = d.probs.ravel()
-    logp = np.log(p, out=np.full_like(p, -1e30), where=p > 0)
-    cross = q @ logp
-    div = np.where(cross < -1e20, np.inf, -h - cross)
-    return q, div, h, h - hy, h - hx
-
-
-def pp_universal_grid(d: JointDistribution, rx: float, step: float = 0.02) -> float:
-    """Brute-force inf_q D(q||p) + |R - H(q)|^+ over the marginal simplex."""
-    px = JointDistribution.from_marginal(d.marginal_x())
-    _, div, h, _, _ = _grid_tables(px, step)
-    return float(np.min(div + np.maximum(rx - h, 0.0)))
-
-
-def si_universal_grid(d: JointDistribution, rx: float, step: float | None = None) -> float:
-    """Brute-force inf over dummy joints of D + |R - H(x|y)|^+.
-
-    For more than 4 cells the grid is too coarse to hit 1e-3 accuracy on its
-    own, so the best grid point seeds one local refinement; the refinement
-    works on the raw simplex and stays independent of the tilted route.
-    """
-    cells = d.alphabet_x * d.alphabet_y
-    step = _oracle_step(cells) if step is None else step
-    tables = _grid_tables(d, step)
-    _, div, _, hxy, _ = tables
-    vals = div + np.maximum(rx - hxy, 0.0)
-    i = int(np.argmin(vals))
-    best = float(vals[i])
-    if cells > 4 and math.isfinite(best):
-
-        def fun(q_flat):
-            dv, h_cond = _simplex_objective_terms(q_flat, d)
-            if not math.isfinite(dv):
-                return math.inf
-            return dv + max(rx - h_cond, 0.0)
-
-        best = min(best, _polish(fun, tables[0][i].copy()))
-    return best
-
-
-def gamma_universal_grid(
-    d: JointDistribution, rates: RatePair, gamma: float, step: float | None = None
-) -> float:
-    """Brute-force compound universal exponent over PAIRS of dummy joints.
-
-    The pair objective couples only through the scalar inside |.|^+, so the
-    quadratic pair enumeration reduces to two sweeps over the same grid: take
-    the cheapest pair with nonpositive slack, and the cheapest linearized pair
-    among those with nonnegative slack.
-    """
-    cells = d.alphabet_x * d.alphabet_y
-    step = _oracle_step(cells) if step is None else step
-    _, div, h, hxy, _ = _grid_tables(d, step)
-    rg = rates.r_gamma(gamma)
-    finite = np.isfinite(div)
-    a = rg - gamma * hxy[finite]
-    cost_a = gamma * div[finite]
-    b = -(1.0 - gamma) * h[finite]
-    cost_b = (1.0 - gamma) * div[finite]
-
-    order = np.argsort(b)
-    b_sorted = b[order]
-    cost_b_sorted = cost_b[order]
-    prefix_min = np.minimum.accumulate(cost_b_sorted)
-    lin_sorted = cost_b_sorted + b_sorted
-    suffix_min = np.minimum.accumulate(lin_sorted[::-1])[::-1]
-
-    best = math.inf
-    # slack a+b <= 0: pure divergence cost
-    idx = np.searchsorted(b_sorted, -a, side="right") - 1
-    ok = idx >= 0
-    if np.any(ok):
-        best = float(np.min(cost_a[ok] + prefix_min[idx[ok]]))
-    # slack a+b >= 0: divergence plus the slack itself
-    jdx = np.searchsorted(b_sorted, -a, side="left")
-    ok = jdx < b_sorted.size
-    if np.any(ok):
-        best = min(best, float(np.min(cost_a[ok] + a[ok] + suffix_min[jdx[ok]])))
-    return best
-
-
-def block_lower_grid(d: JointDistribution, rates: RatePair, step: float = 0.01) -> float:
-    """Raw-grid version of e_block_lower (no refinement), used as an oracle."""
-    _, div, h, hxy, hyx = _grid_tables(d, step)
-    margin = np.minimum(
-        rates.rx + rates.ry - h, np.minimum(rates.rx - hxy, rates.ry - hyx)
-    )
-    return float(np.min(div + np.maximum(margin, 0.0)))
 
 
 # ---------------------------------------------------------------------------

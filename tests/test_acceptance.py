@@ -38,8 +38,6 @@ from swstream.exponents import (
     e_un_y_gamma,
     e_x_gamma,
     e_y_gamma,
-    pp_universal_grid,
-    si_universal_grid,
 )
 from swstream.info_core import (
     JointDistribution,
@@ -56,13 +54,15 @@ from swstream.sim import (
 )
 from swstream.verify import _oracle_ml, _oracle_universal, run_suite
 from conftest import random_corpus
-
-from test_codec import (
-    ONE_BIT,
+from oracles import (
     _oracle_scores,
     _oracle_si_ml,
     _oracle_si_universal,
+    pp_universal_grid,
+    si_universal_grid,
 )
+
+ONE_BIT = BinningSchedule((1,))
 
 
 def test_1_example_entropies(example1, example2):

@@ -5,9 +5,12 @@ import math
 import pytest
 
 from swstream import cli
-from swstream.cli import EXAMPLE_1_JSON, _parse_grid, main
+from swstream.cli import _parse_grid, main
 from swstream.exponents import CURVE_HEADER
 from swstream.sim import fit_exponent, fit_to_json, run_trials, stats_to_csv
+from swstream.verify import EXAMPLE_1
+
+EXAMPLE_1_JSON = json.loads(EXAMPLE_1.to_json())
 
 
 @pytest.fixture
@@ -174,7 +177,7 @@ class TestSimulateCommand:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 11
 
-    def test_manifest_reports_aborts(self, tmp_path, monkeypatch):
+    def test_manifest_reports_aborts(self, tmp_path, monkeypatch, capsys):
         # the sparse small-cap config; the cap is no config field, so the
         # loaded config is given one that aborts most trials
         path = tmp_path / "sparse.json"
@@ -198,6 +201,16 @@ class TestSimulateCommand:
         assert sum(manifest["aborted_by_step"]["x"].values()) == 155
         assert manifest["rate_x_upper"] == {
             str(d): (stats.errors_x[d] + 155) / 200 for d in (0, 4, 8)}
+        # the warning goes to stderr and names the first delay at which the
+        # abort-inclusive rate leaves the completed trials' Wilson interval
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out / 'stats.csv'} and {out / 'fit.json'}\n"
+        assert captured.err.startswith("warning: 155 trials aborted at the candidate cap")
+        delay = next(d for d in stats.delays
+                     if stats.rate_x_upper(d) > stats.interval_x(d)[1])
+        assert f"at delay {delay} " in captured.err
+        assert f"{stats.rate_x(delay):.4g}" in captured.err
+        assert f"{stats.rate_x_upper(delay):.4g}" in captured.err
 
     def test_manifest_without_aborts(self, tmp_path, trial_config_file):
         out = tmp_path / "sim"

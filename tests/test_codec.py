@@ -32,11 +32,16 @@ from swstream.codec import (
 )
 from swstream.info_core import (
     JointDistribution,
-    entropy_of_counts,
     weighted_suffix_entropy,
 )
-from swstream.sim import sample_source
+from swstream.sim import derive_trial_seed, sample_source
 from swstream.verify import _oracle_ml, _oracle_universal
+from oracles import (
+    _oracle_scores,
+    _oracle_si_ml,
+    _oracle_si_universal,
+    _oracle_winners,
+)
 
 ONE_BIT = BinningSchedule((1,))
 TWO_BITS = BinningSchedule((2,))
@@ -293,6 +298,27 @@ class TestReplayBins:
         # a bin that outgrows the budget in the mean still runs one trial
         assert chunk_trials(24, [(2, BinningSchedule((1, 0, 0, 0)))]) == 1
 
+    @pytest.mark.parametrize("joint, pattern, n", [
+        ([[0.45, 0.05], [0.05, 0.45]], (1,), 16),   # the README simulate config
+        ([[0.5], [0.3], [0.2]], (3, 0, 2), 9),      # ternary, with a 0-bit step
+    ])
+    def test_mean_bin_size_matches_closed_form(self, joint, pattern, n):
+        # bins are prefix-consistent, so the step-j bin is the replay of the
+        # length-j prefixes; its mean over 2,000 trials lies within 4
+        # standard errors of the closed form at every step
+        d = JointDistribution.from_matrix(joint)
+        schedule = BinningSchedule(pattern)
+        trials = 2000
+        seeds = [derive_trial_seed(11, t) for t in range(trials)]
+        seqs = np.array([np.frombuffer(sample_source(d, n, s)[0], np.uint8)
+                         for s in seeds])
+        for j in range(1, n + 1):
+            bins = replay_bins(seeds, seqs[:, :j], "x", schedule, d.alphabet_x)
+            sizes = np.bincount(bins.trial, minlength=trials)
+            stderr = sizes.std(ddof=1) / math.sqrt(trials)
+            want = expected_bin_size(j, d.alphabet_x, schedule)
+            assert abs(sizes.mean() - want) <= 4.0 * stderr, (j, sizes.mean(), want)
+
 
 class TestBatchedMlArgmax:
     def _check(self, d, schedule, n, trials, side_information):
@@ -359,87 +385,6 @@ class TestBatchedMlArgmax:
                 best = _oracle_ml(bins.candidate_set(t).prefixes, px.ravel(), 12, 0)
                 wrong = [i for i in range(12) if best[i] != seqs[t, i]]
                 assert first[t] == (wrong[0] + 1 if wrong else 13)
-
-
-# ---------------------------------------------------------------------------
-# Reference decoders built directly from the definitions, used as oracles
-# (the ML and universal ones live in swstream.verify).
-# ---------------------------------------------------------------------------
-
-
-def _oracle_si_ml(members, y, d, n, delay):
-    p = d.probs
-
-    def ll(seq):
-        # summed over sorted pair counts so candidates of the same joint
-        # type tie bit-exactly, matching the production convention
-        counts = {}
-        for pair in zip(seq, y):
-            counts[pair] = counts.get(pair, 0) + 1
-        total = 0.0
-        for a, b in sorted(counts):
-            if p[a, b] <= 0:
-                return -math.inf
-            total += counts[a, b] * math.log(p[a, b])
-        return total
-
-    best = min(members, key=lambda s: (-ll(s), s))
-    return best[: n - delay]
-
-
-def _oracle_si_universal(members, y, n, delay):
-    decided = b""
-    pool = list(members)
-    for l in range(1, n - delay + 1):
-        pool = [c for c in pool if c.startswith(decided)]
-
-        def h(c):
-            counts = {}
-            for pair in zip(c[l - 1 :], y[l - 1 :]):
-                counts[pair] = counts.get(pair, 0) + 1
-            return entropy_of_counts(counts.values(), n - l + 1)
-
-        best = min(pool, key=lambda c: (h(c), c))
-        decided = best[:l]
-    return decided
-
-
-def _oracle_scores(pair, members_x, members_y, n):
-    """Marked-cell scores recomputed straight from the definition."""
-    x_bar, y_bar = pair
-
-    def div(a, b):
-        for i in range(n):
-            if a[i] != b[i]:
-                return i + 1
-        return n + 1
-
-    i_x = i_y = n + 1
-    for x_t in members_x:
-        for y_t in members_y:
-            l, k = div(x_t, x_bar), div(y_t, y_bar)
-            if l == n + 1 and k == n + 1:
-                continue
-            if weighted_suffix_entropy(
-                x_t, y_t, l, k, n
-            ) <= weighted_suffix_entropy(x_bar, y_bar, l, k, n):
-                i_x = min(i_x, l - 1)
-                i_y = min(i_y, k - 1)
-    return i_x, i_y
-
-
-def _oracle_winners(members_x, members_y, n, delay):
-    """Two-encoder universal winners: every pair scored by _oracle_scores,
-    then the maximal score, lexicographically smallest on ties."""
-    best_ix, best_iy = {}, {}
-    for xb in members_x:
-        for yb in members_y:
-            ix, iy = _oracle_scores((xb, yb), members_x, members_y, n)
-            best_ix[xb] = max(best_ix.get(xb, -1), ix)
-            best_iy[yb] = max(best_iy.get(yb, -1), iy)
-    want_x = min(c for c, v in best_ix.items() if v == max(best_ix.values()))
-    want_y = min(c for c, v in best_iy.items() if v == max(best_iy.values()))
-    return want_x[: n - delay], want_y[: n - delay]
 
 
 def _hand_built(stream_id, members, alphabet=2):

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from swstream.exponents import (
-    ExponentResult,
     RatePair,
-    _golden_max,
-    _grid_tables,
+    _root,
     _sw_terms,
-    block_lower_grid,
     curve_row,
     e_block_lower,
     e_block_sw_x,
     e_block_sw_y,
     e_block_upper,
-    e_ml_pointwise,
     e_ml_pp,
     e_ml_si,
     e_sw_x,
@@ -31,9 +27,6 @@ from swstream.exponents import (
     gallager_x_given_y,
     gallager_xy,
     gallager_y_given_x,
-    gamma_universal_grid,
-    pp_universal_grid,
-    si_universal_grid,
 )
 from swstream.info_core import (
     JointDistribution,
@@ -42,67 +35,17 @@ from swstream.info_core import (
     entropy,
 )
 from conftest import random_corpus
+from oracles import (
+    _grid_tables,
+    _nested_sw_terms,
+    block_lower_grid,
+    e_ml_pointwise,
+    gamma_universal_grid,
+    pp_universal_grid,
+    si_universal_grid,
+)
 
 LOG2 = math.log(2.0)
-
-# ---------------------------------------------------------------------------
-# The gamma-infima computed literally, as nested searches: a 1/64 gamma grid
-# with golden refinement, and a full golden rho search at every gamma.  This
-# is the independent slow route that the minimax form of _sw_terms is tested
-# against.  The scaled searches stop at gamma = 1 - 1e-6, so within about
-# 1e-6 of the region boundary this route is the inexact one.
-# ---------------------------------------------------------------------------
-
-_GAMMA_COARSE = 1.0 / 64.0
-_GAMMA_CAP = 1.0 - 1e-6
-
-
-def _gamma_inf(f, cap: float = 1.0):
-    """Minimize f over gamma in [0, cap]: coarse 1/64 grid + golden refinement."""
-    grid = [i * _GAMMA_COARSE for i in range(65)]
-    grid = [g for g in grid if g <= cap]
-    if grid[-1] < cap:
-        grid.append(cap)
-    vals = [f(g) for g in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    g_star, neg = _golden_max(lambda g: -f(g), lo, hi, tol=1e-7)
-    if -neg <= vals[i]:
-        return g_star, -neg
-    return grid[i], vals[i]
-
-
-def _nested_sw_terms(d: JointDistribution, rates: RatePair):
-    """The four gamma-infima behind the streaming exponents, shared by all of
-    e_sw_x / e_sw_y / e_sw_xy."""
-    res_x: dict[float, ExponentResult] = {}
-    res_y: dict[float, ExponentResult] = {}
-
-    def ex(g):
-        r = res_x.get(g)
-        if r is None:
-            r = res_x[g] = e_x_gamma(d, rates, g)
-        return r.value
-
-    def ey(g):
-        r = res_y.get(g)
-        if r is None:
-            r = res_y[g] = e_y_gamma(d, rates, g)
-        return r.value
-
-    gx, vx = _gamma_inf(ex)
-    gy, vy = _gamma_inf(ey)
-    # scaled terms diverge at gamma -> 1 strictly inside the region, so the
-    # search stops just short of 1
-    gys, vys = _gamma_inf(lambda g: ey(g) / (1.0 - g), cap=_GAMMA_CAP)
-    gxs, vxs = _gamma_inf(lambda g: ex(g) / (1.0 - g), cap=_GAMMA_CAP)
-    return {
-        "inf_ex": (gx, vx, e_x_gamma(d, rates, gx).rho_star),
-        "inf_ey": (gy, vy, e_y_gamma(d, rates, gy).rho_star),
-        "inf_ey_scaled": (gys, vys, e_y_gamma(d, rates, gys).rho_star),
-        "inf_ex_scaled": (gxs, vxs, e_x_gamma(d, rates, gxs).rho_star),
-    }
 
 
 class TestRatePair:
@@ -120,6 +63,19 @@ class TestRatePair:
         assert RatePair(0.6, 0.6).achievable(example1)
         assert not RatePair(0.5, 0.5).achievable(example1)  # rx + ry < H(x,y)
         assert not RatePair(0.3, 0.9).achievable(example1)  # rx < H(x|y)
+
+
+class TestRoot:
+    @pytest.mark.parametrize("f, hi, root", [
+        (lambda r: r ** 3 - 0.2, 1.0, 0.2 ** (1.0 / 3.0)),
+        (lambda r: 0.5 - math.exp(-r), 2.0 ** 40, math.log(2.0)),
+        # a root far from 0, where 1e-13 is below the spacing of the floats
+        (lambda r: math.log1p(r) - 30.0, 2.0 ** 64, math.expm1(30.0)),
+        (lambda r: r - 1.0, 1.0, 1.0),
+        (lambda r: r, 1.0, 0.0),
+    ])
+    def test_finds_a_bracketed_root(self, f, hi, root):
+        assert _root(f, 0.0, hi) == pytest.approx(root, rel=1e-14, abs=1e-13)
 
 
 class TestGallagerBrackets:
