@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .info_core import (  # noqa: F401
     JointDistribution,
-    TiltedFamilyPoint,
     conditional_entropy_x_given_y,
     conditional_entropy_y_given_x,
     entropy,

@@ -17,16 +17,16 @@ empirical suffix entropy, decided left to right).  The two-encoder ML decoder
 runs the first over Cx x Cy, the side-information decoders run both over
 Cx x {y}, and the point-to-point decoders are the |Y| = 1 case: the same
 rules against y = 0^n, with the x-marginal as an |X| x 1 table.  Every pair
-then reads (a, 0), so the counts, and the floats, are those of x alone.  Both
-rules read a pair as one sequence of joint symbols a * |Y| + b.  The ML rule
-is one kernel, `_ml_winners`: every pair is a lane, a row of joint symbols
+then reads (a, 0), so the counts, and the floats, are those of x alone.  The
+ML rule is one kernel, `_ml_winners`, which reads a pair as one sequence of
+joint symbols a * |Y| + b: every pair is a lane, a row of joint symbols
 tagged with its trial, and each trial's winner is its first lane of maximal
 sum of c * log p over the symbols, in ascending order.  `ml_first_errors`
 runs it over every trial of a chunk; `ml_decode`, `si_decode_ml` and
 `sw_ml_decode` are its one-trial case, on the product of the sorted
 candidate lists, so the first maximizer is the lexicographically smallest.
-The entropies take the counts of a window as the difference of two
-cumulative count rows.
+The universal rules count the zipped pairs (a, b) and take every entropy
+from `info_core`, whose count rows give the counts of any window.
 
 The two-encoder universal decoder is the score decoder at the end of the
 module.  `compute_scores` is the definition for one pair: a cell (l, k) is
@@ -34,11 +34,10 @@ marked when a rival pair first diverging there has weighted suffix entropy
 <= the pair's own, and i_x, i_y are one less than the smallest marked l, k.
 `sw_universal_decode` finds every pair's scores in one pass over the bin
 product instead of one `compute_scores` call per pair.  It reads l and k from
-first-divergence tables of Cx and Cy built once; it computes each weighted
-suffix entropy once per decode, keyed by (x index, y index, l, k), from
-window counts that are differences of cumulative count rows, through
-`entropy_of_counts` as `weighted_suffix_entropy` does, so the floats are the
-same; and it skips every rival at a cell with l > i_x and k > i_y so far:
+first-divergence tables of Cx and Cy built once; it takes each weighted
+suffix entropy from one `info_core.suffix_entropies` table per decode, which
+computes each value once and gives the floats of `weighted_suffix_entropy`;
+and it skips every rival at a cell with l > i_x and k > i_y so far:
 i_x and i_y are running minima of l - 1 and k - 1, so marking that cell
 cannot lower either score.
 
@@ -77,7 +76,9 @@ import numpy as np
 
 from .info_core import (
     JointDistribution,
-    entropy_of_counts,
+    _count_rows,
+    _window_entropy,
+    suffix_entropies,
     weighted_suffix_entropy,
 )
 
@@ -126,6 +127,14 @@ class CandidateOverflowError(RuntimeError):
     """
 
 
+def _as_int(value) -> int:
+    """value as an int, rejecting a float that is not integral (16.5, nan);
+    an integral float such as 1e4 is accepted."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BinningSchedule:
     """Periodic bits-per-step pattern, e.g. (2, 1, 1, 1) for 5/4 bits/symbol."""
@@ -133,7 +142,7 @@ class BinningSchedule:
     pattern: tuple
 
     def __post_init__(self):
-        pattern = tuple(int(b) for b in self.pattern)
+        pattern = tuple(_as_int(b) for b in self.pattern)
         if not pattern:
             raise ValueError("empty schedule pattern")
         if any(b < 0 for b in pattern):
@@ -412,34 +421,6 @@ def _side_information(y_observed, n: int) -> bytes:
     return y_observed
 
 
-def _joint_code(x: bytes, y: bytes, alphabet_x: int, alphabet_y: int):
-    """The pair as one sequence of joint symbols a * |Y| + b: bytes (one
-    integer addition) when every joint symbol fits in a byte, else a tuple."""
-    if alphabet_y == 1:
-        return x
-    if alphabet_x * alphabet_y <= 256:
-        joint = int.from_bytes(x, "big") * alphabet_y + int.from_bytes(y, "big")
-        return joint.to_bytes(len(x), "big")
-    return tuple(a * alphabet_y + b for a, b in zip(x, y))
-
-
-def _count_rows(seq):
-    """rows[t] counts each distinct symbol of seq over seq[:t], so the counts
-    of a window are a difference of rows."""
-    index = {v: m for m, v in enumerate(set(seq))}
-    row = [0] * len(index)
-    rows = [tuple(row)]
-    for v in seq:
-        row[index[v]] += 1
-        rows.append(tuple(row))
-    return rows
-
-
-def _window_entropy(rows, lo: int, hi: int) -> float:
-    """Empirical entropy of seq[lo:hi] from the count rows of seq."""
-    return entropy_of_counts([b - a for a, b in zip(rows[lo], rows[hi])], hi - lo)
-
-
 def _ml_winners(trial, code, probs):
     """The ML kernel: each trial's first lane of maximal log-likelihood.
 
@@ -515,15 +496,14 @@ def ml_decode(cands: CandidateSet, source_model: JointDistribution, delay: int):
     return best[: n - delay]
 
 
-def _decide_left_to_right(cands: CandidateSet, y: bytes, alphabet_y: int, delay: int):
+def _decide_left_to_right(cands: CandidateSet, y: bytes, delay: int):
     """At each position l = 1 .. n - delay keep the candidates that agree with
     the earlier decisions and commit to the l-th symbol of the one whose
     suffix has the smallest joint empirical entropy with y_l^n,
     lexicographically smallest on ties."""
     n = len(y)
     _check_delay(delay, n)
-    rows = {c: _count_rows(_joint_code(c, y, cands.alphabet, alphabet_y))
-            for c in cands.prefixes}
+    rows = {c: _count_rows(tuple(zip(c, y))) for c in cands.prefixes}
     decided = b""
     pool = list(cands.prefixes)
     for l in range(1, n - delay + 1):
@@ -537,7 +517,7 @@ def _decide_left_to_right(cands: CandidateSet, y: bytes, alphabet_y: int, delay:
 def universal_decode(cands: CandidateSet, delay: int):
     """Minimum suffix-entropy decoding, decisions fixed left to right: the
     suffix x_l^n with the smallest empirical entropy decides position l."""
-    return _decide_left_to_right(cands, bytes(cands.step), 1, delay)
+    return _decide_left_to_right(cands, bytes(cands.step), delay)
 
 
 def si_decode_ml(cands: CandidateSet, y_observed, d: JointDistribution, delay: int):
@@ -556,8 +536,7 @@ def si_decode_universal(cands: CandidateSet, y_observed, delay: int):
     exactly as the conditional suffix entropy would.
     """
     y_observed = _side_information(y_observed, cands.step)
-    return _decide_left_to_right(cands, y_observed, max(y_observed, default=0) + 1,
-                                 delay)
+    return _decide_left_to_right(cands, y_observed, delay)
 
 
 # ---------------------------------------------------------------------------
@@ -616,42 +595,6 @@ def compute_scores(pair, cands_x: CandidateSet, cands_y: CandidateSet,
     return ScoreBoard(marks=frozenset(marks), i_x=i_x, i_y=i_y, n=n)
 
 
-def _suffix_entropies(cands_x: CandidateSet, cands_y: CandidateSet, n: int):
-    """wse(i, j, l, k): weighted_suffix_entropy of the pair (x_i, y_j) at the
-    cell (l, k), computed once per decode from cumulative count rows with
-    the same float operations, hence the same floats."""
-    xs, ys = cands_x.prefixes, cands_y.prefixes
-    rows_x = [_count_rows(x) for x in xs]
-    rows_y = [_count_rows(y) for y in ys]
-    rows_xy = [[_count_rows(_joint_code(x, y, cands_x.alphabet, cands_y.alphabet))
-                for y in ys] for x in xs]
-    memo = {}
-
-    def wse(i, j, l, k):
-        key = (i, j, l, k)
-        value = memo.get(key)
-        if value is None:
-            joint = rows_xy[i][j]
-            if l == k:
-                value = 0.0 if l == n + 1 else _window_entropy(joint, l - 1, n)
-            else:
-                # H(disputed | other) over [min, max - 1], joint H after it
-                if l < k:
-                    other = rows_y[j]
-                else:
-                    other = rows_x[i]
-                    l, k = k, l
-                span = n + 1 - l
-                value = ((k - l) / span) * (_window_entropy(joint, l - 1, k - 1)
-                                            - _window_entropy(other, l - 1, k - 1))
-                if k <= n:
-                    value += ((n + 1 - k) / span) * _window_entropy(joint, k - 1, n)
-            memo[key] = value
-        return value
-
-    return wse
-
-
 def sw_universal_decode(cands_x: CandidateSet, cands_y: CandidateSet,
                         n: int, delay: int):
     """Pick the winners: the x (resp. y) candidate attaining the maximal
@@ -670,7 +613,7 @@ def sw_universal_decode(cands_x: CandidateSet, cands_y: CandidateSet,
     # cell that can no longer lower a score
     order_x = [sorted(range(len(xs)), key=row.__getitem__) for row in div_x]
     order_y = [sorted(range(len(ys)), key=row.__getitem__) for row in div_y]
-    wse = _suffix_entropies(cands_x, cands_y, n)
+    wse = suffix_entropies(xs, ys, n)
     best_ix = [-1] * len(xs)
     best_iy = [-1] * len(ys)
     for a, ls in enumerate(div_x):

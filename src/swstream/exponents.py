@@ -90,8 +90,8 @@ class RatePair:
     ry: float = 0.0
 
     def __post_init__(self):
-        if self.rx < 0 or self.ry < 0:
-            raise ValueError("rates must be nonnegative")
+        if not (self.rx >= 0 and self.ry >= 0):
+            raise ValueError("rates must be nonnegative numbers")
 
     def r_gamma(self, gamma: float) -> float:
         """gamma*Rx + (1-gamma)*(Rx+Ry), the rate seen by the x error event."""
@@ -231,11 +231,11 @@ def _mixed_tilt_stats(d: JointDistribution, rho: float, gamma: float):
     is not built."""
     h = dv = 0.0
     if gamma > 0.0:
-        bar = xy_tilted(d, rho).distribution
+        bar = xy_tilted(d, rho)
         h = gamma * conditional_entropy_x_given_y(bar)
         dv = gamma * kl_divergence(bar, d)
     if gamma < 1.0:
-        plain = tilted(d, rho).distribution
+        plain = tilted(d, rho)
         h += (1.0 - gamma) * entropy(plain)
         dv += (1.0 - gamma) * kl_divergence(plain, d)
     return h, dv
@@ -273,8 +273,8 @@ def e_un_y_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> Exponen
 
 def _slopes(d: JointDistribution, rates: RatePair, rho: float):
     """(E_{x|y}'(rho), E_xy'(rho)) in closed form from the tilted families."""
-    hbar = conditional_entropy_x_given_y(xy_tilted(d, rho).distribution)
-    h = entropy(tilted(d, rho).distribution)
+    hbar = conditional_entropy_x_given_y(xy_tilted(d, rho))
+    h = entropy(tilted(d, rho))
     return rates.rx - hbar, rates.rx + rates.ry - h
 
 
@@ -443,14 +443,14 @@ def _min_div_above(d: JointDistribution, family, stat, rate: float) -> float:
     """min D(q||p) subject to stat(q) >= rate, on the tilted family (rho >= 0)."""
     if rate <= stat(d):
         return 0.0
-    if rate >= stat(family(d, _RHO_INF).distribution):
+    if rate >= stat(family(d, _RHO_INF)):
         return math.inf
-    gap = lambda r: stat(family(d, r).distribution) - rate
+    gap = lambda r: stat(family(d, r)) - rate
     hi = 1.0
     while gap(hi) < 0.0:
         hi *= 2.0
     rho = _root(gap, 0.0, hi)
-    return kl_divergence(family(d, rho).distribution, d)
+    return kl_divergence(family(d, rho), d)
 
 
 def e_block_upper(d: JointDistribution, rates: RatePair) -> float:

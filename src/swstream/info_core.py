@@ -3,13 +3,17 @@
 Everything downstream (exponent formulas, decoders, simulations) works on a
 finite joint pmf over X x Y.  A point-to-point source is the degenerate case
 |Y| = 1.  All logarithms are natural; entropies and divergences are in nats.
+
+Every empirical entropy is computed here: the counts of a window are a
+difference of cumulative count rows (`_count_rows`), a joint type counts the
+zipped pairs (a, b), and `weighted_suffix_entropy` is the one-pair case of
+the `suffix_entropies` table.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "JointDistribution",
-    "TiltedFamilyPoint",
     "entropy",
     "conditional_entropy_x_given_y",
     "conditional_entropy_y_given_x",
@@ -27,7 +30,7 @@ __all__ = [
     "log_sum_tilted",
     "log_sum_xy_tilted",
     "entropy_of_counts",
-    "empirical_entropy",
+    "suffix_entropies",
     "weighted_suffix_entropy",
 ]
 
@@ -115,14 +118,6 @@ class JointDistribution:
         )
 
 
-@dataclass(frozen=True)
-class TiltedFamilyPoint:
-    """One member of a tilted family: the tilt parameter and the distribution."""
-
-    rho: float
-    distribution: JointDistribution
-
-
 def _xlogx(p: np.ndarray) -> np.ndarray:
     # 0 log 0 = 0 by continuity
     out = np.zeros_like(p)
@@ -197,7 +192,7 @@ def log_sum_xy_tilted(d: JointDistribution, rho: float) -> float:
     return float(_logsumexp((1.0 + rho) * log_col))
 
 
-def tilted(p: JointDistribution, rho: float) -> TiltedFamilyPoint:
+def tilted(p: JointDistribution, rho: float) -> JointDistribution:
     """Exponentially tilted joint: p(x,y)^{1/(1+rho)}, renormalized."""
     _check_rho(rho)
     logp = _log_powered(p.probs, rho)
@@ -205,10 +200,10 @@ def tilted(p: JointDistribution, rho: float) -> TiltedFamilyPoint:
     probs = np.exp(logp - logz)
     probs[p.probs == 0] = 0.0
     probs /= probs.sum()
-    return TiltedFamilyPoint(rho, JointDistribution.from_matrix(probs))
+    return JointDistribution.from_matrix(probs)
 
 
-def xy_tilted(p: JointDistribution, rho: float) -> TiltedFamilyPoint:
+def xy_tilted(p: JointDistribution, rho: float) -> JointDistribution:
     """Column-wise tilt with a tilted y-marginal.
 
     The y-marginal of the result is A(y)/B and the conditional on each
@@ -227,7 +222,7 @@ def xy_tilted(p: JointDistribution, rho: float) -> TiltedFamilyPoint:
     # all-zero y columns contribute nothing
     probs[:, np.asarray(p.marginal_y()) == 0] = 0.0
     probs /= probs.sum()
-    return TiltedFamilyPoint(rho, JointDistribution.from_matrix(probs))
+    return JointDistribution.from_matrix(probs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,35 +240,73 @@ def entropy_of_counts(counts, total: int) -> float:
     return float(sum((c / total) * math.log(total / c) for c in vals))
 
 
-def empirical_entropy(*windows) -> float:
-    """Entropy of the joint type of equal-length windows: the symbols
-    (w1[i], w2[i], ...) counted over i.  One window gives its plain type."""
-    counts = Counter(zip(*windows, strict=True))
-    return entropy_of_counts(counts.values(), len(windows[0]))
+def _count_rows(seq):
+    """rows[t] counts each distinct symbol of seq over seq[:t], so the counts
+    of a window are a difference of rows."""
+    index = {v: m for m, v in enumerate(set(seq))}
+    row = [0] * len(index)
+    rows = [tuple(row)]
+    for v in seq:
+        row[index[v]] += 1
+        rows.append(tuple(row))
+    return rows
+
+
+def _window_entropy(rows, lo: int, hi: int) -> float:
+    """Empirical entropy of seq[lo:hi] from the count rows of seq."""
+    return entropy_of_counts([b - a for a, b in zip(rows[lo], rows[hi])], hi - lo)
+
+
+def suffix_entropies(xs, ys, n: int):
+    """wse(i, j, l, k): the weighted empirical entropy of the disputed
+    suffixes of the pair (xs[i], ys[j]) of length-n sequences, memoized.
+
+    l and k are the 1-based positions where a rival pair first diverges in x
+    and in y; l = n+1 (resp. k = n+1) means no divergence in that stream.
+    The value mixes a conditional entropy over the window where only one
+    stream is disputed with a joint entropy over the window where both are.
+    """
+    rows_x = [_count_rows(x) for x in xs]
+    rows_y = [_count_rows(y) for y in ys]
+    rows_xy = [[_count_rows(tuple(zip(x, y))) for y in ys] for x in xs]
+    memo = {}
+
+    def wse(i, j, l, k):
+        key = (i, j, l, k)
+        value = memo.get(key)
+        if value is None:
+            joint = rows_xy[i][j]
+            if l == k:
+                value = 0.0 if l == n + 1 else _window_entropy(joint, l - 1, n)
+            else:
+                # H(disputed | other) over [min, max - 1], joint H after it
+                # (the joint type's entropy is symmetric in the streams)
+                if l < k:
+                    other = rows_y[j]
+                else:
+                    other = rows_x[i]
+                    l, k = k, l
+                span = n + 1 - l
+                value = ((k - l) / span) * (_window_entropy(joint, l - 1, k - 1)
+                                            - _window_entropy(other, l - 1, k - 1))
+                if k <= n:
+                    value += ((n + 1 - k) / span) * _window_entropy(joint, k - 1, n)
+            memo[key] = value
+        return value
+
+    return wse
 
 
 def weighted_suffix_entropy(x: Sequence, y: Sequence, l: int, k: int, n: int) -> float:
-    """Weighted empirical entropy of the disputed suffixes of a pair.
+    """The weighted suffix entropy of one pair at the cell (l, k): the
+    one-pair case of `suffix_entropies`.
 
-    l and k are the 1-based positions where a candidate pair first diverges
-    in x and in y; l = n+1 (resp. k = n+1) means no divergence in that
-    stream.  The value mixes a conditional entropy over the window where
-    only one stream is disputed with a joint entropy over the window where
-    both are.
+    Only the symbols from position min(l, k) on enter the value, so the
+    pair is cut there; its windows and their weights do not change.
     """
     if len(x) != n or len(y) != n:
         raise ValueError("sequences must have length n")
     if not (1 <= l <= n + 1 and 1 <= k <= n + 1):
         raise ValueError(f"indices l={l}, k={k} out of [1, {n + 1}]")
-    if l > k:
-        # the streams swap roles; the joint type's entropy is symmetric
-        x, y, l, k = y, x, k, l
-    if l == k:
-        return 0.0 if l == n + 1 else empirical_entropy(x[l - 1 :], y[l - 1 :])
-    # H(x|y) = H(x,y) - H(y) over the window [l, k-1] where only x is disputed
-    xs, ys = x[l - 1 : k - 1], y[l - 1 : k - 1]
-    span = n + 1 - l
-    out = ((k - l) / span) * (empirical_entropy(xs, ys) - empirical_entropy(ys))
-    if k <= n:
-        out += ((n + 1 - k) / span) * empirical_entropy(x[k - 1 :], y[k - 1 :])
-    return out
+    m = min(l, k) - 1
+    return suffix_entropies([x[m:]], [y[m:]], n - m)(0, 0, l - m, k - m)

@@ -28,6 +28,7 @@ import collections
 import concurrent.futures
 import hashlib
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -99,6 +100,8 @@ class TrialConfig:
             raise ValueError("need at least one delay")
         if any(d < 0 or d > self.n for d in self.delays):
             raise ValueError("delays must lie in [0, n]")
+        if len(set(self.delays)) < len(self.delays):
+            raise ValueError("delays must not repeat")
         cap = MAX_HORIZON_TWO_ENCODER if self.decoder in _TWO_ENCODER \
             else MAX_HORIZON_SINGLE
         if self.n > cap:
@@ -108,6 +111,9 @@ class TrialConfig:
             )
         if self.decoder in _TWO_ENCODER and self.schedule_y is None:
             raise ValueError("two-encoder decoding needs schedule_y")
+        if max(self.source.alphabet_x, self.source.alphabet_y) > 256:
+            raise ValueError("alphabets hold at most 256 symbols: every stream "
+                             "is stored one byte per symbol")
         for alphabet, schedule in ((self.source.alphabet_x, self.schedule_x),
                                    (self.source.alphabet_y, self.schedule_y)):
             if schedule is not None and alphabet * max(schedule.pattern) > _PRF_BITS:
@@ -335,8 +341,6 @@ def stats_to_csv(stats: DelayErrorStats) -> str:
 
 
 def fit_to_json(fit: FitResult) -> str:
-    import json
-
     def clean(v):
         return None if not math.isfinite(v) else v
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import codec, exponents, info_core
 from .info_core import JointDistribution
+from .sim import sample_source
 
 __all__ = ["run_suite", "SUITES"]
 
@@ -100,9 +101,9 @@ def _suite_lemmas():
     rho_grid = np.concatenate([np.linspace(-0.9, -0.1, 5), np.linspace(0.0, 6.0, 13)])
     for i in range(5):
         d = random_joint(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        h_plain = [info_core.entropy(info_core.tilted(d, r).distribution) for r in rho_grid]
+        h_plain = [info_core.entropy(info_core.tilted(d, r)) for r in rho_grid]
         h_cond = [
-            info_core.conditional_entropy_x_given_y(info_core.xy_tilted(d, r).distribution)
+            info_core.conditional_entropy_x_given_y(info_core.xy_tilted(d, r))
             for r in rho_grid
         ]
         mono = np.all(np.diff(h_plain) >= -1e-9)
@@ -111,11 +112,11 @@ def _suite_lemmas():
         checks.append((f"xy-tilt cond entropy monotone #{i}", bool(mono_si), "H_bar vs rho"))
         ok8 = ok9 = True
         for r in rho_grid:
-            tp = info_core.tilted(d, r).distribution
+            tp = info_core.tilted(d, r)
             lhs = r * info_core.entropy(tp) - (1.0 + r) * info_core.log_sum_tilted(d, r)
             if abs(lhs - info_core.kl_divergence(tp, d)) > 1e-10:
                 ok8 = False
-            bp = info_core.xy_tilted(d, r).distribution
+            bp = info_core.xy_tilted(d, r)
             lhs9 = (
                 r * info_core.conditional_entropy_x_given_y(bp)
                 - info_core.log_sum_xy_tilted(d, r)
@@ -133,8 +134,6 @@ def _suite_oracle():
     sched = codec.BinningSchedule((1,))
     px = JointDistribution.from_marginal([0.9, 0.1])
     ok_ml = ok_un = True
-    from .sim import sample_source
-
     for t in range(25):
         seed = int(rng.integers(0, 2 ** 48))
         x, _ = sample_source(px, 8, seed)

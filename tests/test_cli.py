@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +258,41 @@ class TestSimulateCommand:
         out = tmp_path / "o"
         assert main(["simulate", str(path), "--out", str(out), "--threads", "1"]) == 2
         assert not (out / "stats.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        # y is always symbol 290, which one byte per symbol cannot hold
+        ("source", {"alphabet_x": 2, "alphabet_y": 300,
+                    "probs": [[0.5 * (b == 290) for b in range(300)]] * 2}),
+        ("delays", [0, 2, 2, 4]),
+        ("delays", [2, 2, 2]),
+        ("delays", [0, 1.5]),
+        ("n", 16.5),
+        ("n", math.inf),
+        ("trials", 100.9),
+        ("base_seed", 1.5),
+        ("schedule_x", [1.7, 0.2]),
+    ])
+    def test_invalid_trial_config_is_config_error(self, tmp_path, field, value):
+        config = {"source": EXAMPLE_1_JSON, "schedule_x": [1], "n": 8,
+                  "delays": [0, 2], "trials": 10, "base_seed": 1, "decoder": "si_ml"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**config, field: value}))
+        out = tmp_path / "o"
+        assert main(["simulate", str(path), "--out", str(out), "--threads", "1"]) == 2
+        assert not (out / "stats.csv").exists()
+
+    def test_integral_floats_are_accepted(self, tmp_path, trial_config_file):
+        config = json.loads(Path(trial_config_file).read_text())
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps({**config, "n": 8.0, "trials": 5e1,
+                                    "delays": [0.0, 2, 4], "schedule_x": [1.0]}))
+        outs = []
+        for name, config_path in (("int", trial_config_file), ("float", str(path))):
+            out = tmp_path / name
+            assert main(["simulate", config_path, "--out", str(out),
+                         "--threads", "1"]) == 0
+            outs.append((out / "stats.csv").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_missing_field_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -28,10 +28,10 @@ from swstream.codec import (
     sw_universal_decode,
     universal_decode,
     update_candidates,
-    _suffix_entropies,
 )
 from swstream.info_core import (
     JointDistribution,
+    suffix_entropies,
     weighted_suffix_entropy,
 )
 from swstream.sim import derive_trial_seed, sample_source
@@ -55,6 +55,11 @@ class TestBinningSchedule:
             BinningSchedule((1, -1))
         with pytest.raises(ValueError):
             BinningSchedule((0, 0))
+
+    def test_non_integral_bit_count_rejected(self):
+        with pytest.raises(ValueError):
+            BinningSchedule((1.7, 0.2))
+        assert BinningSchedule((2.0, 1)).pattern == (2, 1)
 
     def test_periodic_pattern(self):
         s = BinningSchedule((2, 1, 1, 1))
@@ -549,9 +554,8 @@ class TestSuffixEntropies:
 
     @given(pair_bins())
     def test_bit_identical_to_weighted_suffix_entropy(self, case):
-        # 17 x 17 joint symbols overflow a byte and take the tuple code
-        n, (ax, ay), (xs, ys) = case
-        wse = _suffix_entropies(_hand_built("x", xs, ax), _hand_built("y", ys, ay), n)
+        n, _, (xs, ys) = case
+        wse = suffix_entropies(xs, ys, n)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 for l in range(1, n + 2):

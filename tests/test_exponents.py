@@ -53,6 +53,11 @@ class TestRatePair:
         with pytest.raises(ValueError):
             RatePair(-0.1, 0.5)
 
+    @pytest.mark.parametrize("rx, ry", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_rejects_nan(self, rx, ry):
+        with pytest.raises(ValueError):
+            RatePair(rx, ry)
+
     def test_compound_rate(self):
         r = RatePair(0.6, 0.4)
         assert r.r_gamma(1.0) == pytest.approx(0.6)

@@ -9,7 +9,6 @@ from swstream.info_core import (
     JointDistribution,
     conditional_entropy_x_given_y,
     conditional_entropy_y_given_x,
-    empirical_entropy,
     entropy,
     entropy_of_counts,
     kl_divergence,
@@ -150,17 +149,16 @@ class TestKL:
 class TestTilted:
     def test_rho_zero_identity(self, example2):
         t = tilted(example2, 0.0)
-        assert t.rho == 0.0
-        assert np.allclose(t.distribution.probs, example2.probs, atol=1e-14)
+        assert np.allclose(t.probs, example2.probs, atol=1e-14)
 
     def test_bern_01_rho_1(self):
         # sqrt(0.1)/(sqrt(0.1)+sqrt(0.9)) = 0.25 exactly
         p = JointDistribution.from_marginal([0.1, 0.9])
-        t = tilted(p, 1.0).distribution
+        t = tilted(p, 1.0)
         assert t.probs.ravel() == pytest.approx([0.25, 0.75], abs=1e-12)
 
     def test_large_rho_limit_uniform(self, example2):
-        t = tilted(example2, 1e4).distribution
+        t = tilted(example2, 1e4)
         assert np.allclose(t.probs, 0.25, atol=1e-3)
 
     def test_rejects_rho_at_minus_one(self, example2):
@@ -169,14 +167,14 @@ class TestTilted:
 
     def test_zero_cells_stay_zero(self):
         d = JointDistribution.from_matrix([[0.6, 0.0], [0.1, 0.3]])
-        t = tilted(d, 0.7).distribution
+        t = tilted(d, 0.7)
         assert t.probs[0, 1] == 0.0
 
     def test_skewed_source_log_space(self):
         # rho near -1 raises probabilities to huge powers; log-space keeps
         # the normalization finite and concentrated on the modal cell
         d = JointDistribution.from_marginal([1e-9, 1.0 - 1e-9])
-        t = tilted(d, -0.999).distribution
+        t = tilted(d, -0.999)
         assert np.isfinite(t.probs).all()
         assert t.probs.ravel()[1] > 0.999
 
@@ -184,10 +182,10 @@ class TestTilted:
 class TestXYTilted:
     def test_rho_zero_identity(self, example2):
         t = xy_tilted(example2, 0.0)
-        assert np.allclose(t.distribution.probs, example2.probs, atol=1e-14)
+        assert np.allclose(t.probs, example2.probs, atol=1e-14)
 
     def test_example1_marginal_stays_uniform(self, example1):
-        t = xy_tilted(example1, 1.0).distribution
+        t = xy_tilted(example1, 1.0)
         assert t.marginal_y() == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_product_source_conditional_is_tilted_marginal(self):
@@ -195,9 +193,9 @@ class TestXYTilted:
         py = np.array([0.6, 0.4])
         d = JointDistribution.from_matrix(np.outer(px, py))
         rho = 0.8
-        t = xy_tilted(d, rho).distribution
+        t = xy_tilted(d, rho)
         cond = t.probs / t.marginal_y()[None, :]
-        tx = tilted(JointDistribution.from_marginal(px), rho).distribution
+        tx = tilted(JointDistribution.from_marginal(px), rho)
         for col in range(2):
             assert cond[:, col] == pytest.approx(tx.probs.ravel(), abs=1e-12)
 
@@ -206,7 +204,7 @@ class TestXYTilted:
         rho = 0.6
         c = example2.probs ** (1.0 / (1.0 + rho))
         a = c.sum(axis=0) ** (1.0 + rho)
-        t = xy_tilted(example2, rho).distribution
+        t = xy_tilted(example2, rho)
         assert t.marginal_y() == pytest.approx(a / a.sum(), abs=1e-12)
 
 
@@ -224,12 +222,12 @@ class TestTiltedFamilyLemmas:
         return random_joint(rng, ax, ay)
 
     def test_entropy_monotone_in_rho(self, joint):
-        h = [entropy(tilted(joint, r).distribution) for r in RHO_GRID]
+        h = [entropy(tilted(joint, r)) for r in RHO_GRID]
         assert np.all(np.diff(h) >= -1e-9)
 
     def test_conditional_entropy_monotone_in_rho(self, joint):
         h = [
-            conditional_entropy_x_given_y(xy_tilted(joint, r).distribution)
+            conditional_entropy_x_given_y(xy_tilted(joint, r))
             for r in RHO_GRID
         ]
         assert np.all(np.diff(h) >= -1e-9)
@@ -237,7 +235,7 @@ class TestTiltedFamilyLemmas:
     def test_divergence_identity_plain(self, joint):
         # rho*H(p^rho) - (1+rho)*log sum p^{1/(1+rho)} = D(p^rho || p)
         for rho in RHO_GRID:
-            tp = tilted(joint, rho).distribution
+            tp = tilted(joint, rho)
             lhs = rho * entropy(tp) - (1.0 + rho) * log_sum_tilted(joint, rho)
             assert lhs == pytest.approx(kl_divergence(tp, joint), abs=1e-10)
 
@@ -245,7 +243,7 @@ class TestTiltedFamilyLemmas:
         # rho*H(bar p^rho_{x|y}) - log sum_y (sum_x p^{1/(1+rho)})^{1+rho}
         #   = D(bar p^rho || p)
         for rho in RHO_GRID:
-            bp = xy_tilted(joint, rho).distribution
+            bp = xy_tilted(joint, rho)
             lhs = rho * conditional_entropy_x_given_y(bp) - log_sum_xy_tilted(joint, rho)
             assert lhs == pytest.approx(kl_divergence(bp, joint), abs=1e-10)
 
@@ -257,7 +255,7 @@ class TestTiltedFamilyLemmas:
                 (1.0 + rho + eps) * log_sum_tilted(joint, rho + eps)
                 - (1.0 + rho - eps) * log_sum_tilted(joint, rho - eps)
             ) / (2 * eps)
-            h = entropy(tilted(joint, rho).distribution)
+            h = entropy(tilted(joint, rho))
             assert fd == pytest.approx(h, rel=1e-4)
 
     def test_conditional_entropy_is_derivative_of_log_sum_xy(self, joint):
@@ -266,7 +264,7 @@ class TestTiltedFamilyLemmas:
             fd = (
                 log_sum_xy_tilted(joint, rho + eps) - log_sum_xy_tilted(joint, rho - eps)
             ) / (2 * eps)
-            h = conditional_entropy_x_given_y(xy_tilted(joint, rho).distribution)
+            h = conditional_entropy_x_given_y(xy_tilted(joint, rho))
             assert fd == pytest.approx(h, rel=1e-4)
 
     def test_divergence_slope_is_rho_times_entropy_slope(self, joint):
@@ -277,12 +275,12 @@ class TestTiltedFamilyLemmas:
         ):
             for rho in np.linspace(0.2, 3.0, 6):
                 dh = (
-                    stat(family(joint, rho + eps).distribution)
-                    - stat(family(joint, rho - eps).distribution)
+                    stat(family(joint, rho + eps))
+                    - stat(family(joint, rho - eps))
                 ) / (2 * eps)
                 dd = (
-                    kl_divergence(family(joint, rho + eps).distribution, joint)
-                    - kl_divergence(family(joint, rho - eps).distribution, joint)
+                    kl_divergence(family(joint, rho + eps), joint)
+                    - kl_divergence(family(joint, rho - eps), joint)
                 ) / (2 * eps)
                 if abs(dh) > 1e-8:
                     assert dd == pytest.approx(rho * dh, rel=1e-3, abs=1e-9)
@@ -296,7 +294,7 @@ class TestTiltedFamilyLemmas:
         ):
             for rho in list(np.linspace(0.1, 0.95, 5)) + list(np.linspace(1.05, 4.0, 5)):
                 def g(r):
-                    dist = family(joint, r).distribution
+                    dist = family(joint, r)
                     return kl_divergence(dist, joint) - stat(dist)
 
                 slope = (g(rho + eps) - g(rho - eps)) / (2 * eps)
@@ -305,39 +303,50 @@ class TestTiltedFamilyLemmas:
 
 
 class TestEmpiricalTypes:
+    # weighted_suffix_entropy(w, w, 1, 1, len(w)) is the plain type entropy
+    # of w, and weighted_suffix_entropy(a, b, 1, 1, n) the joint one
     def test_full_range_counts(self):
-        assert empirical_entropy((0, 1, 0, 1)) == entropy_of_counts([2, 2], 4)
-        assert empirical_entropy((0, 1, 0, 1)) == pytest.approx(LOG2, abs=1e-12)
+        w = (0, 1, 0, 1)
+        assert weighted_suffix_entropy(w, w, 1, 1, 4) == entropy_of_counts([2, 2], 4)
+        assert weighted_suffix_entropy(w, w, 1, 1, 4) == pytest.approx(LOG2, abs=1e-12)
 
     def test_point_type_zero_entropy(self):
-        assert empirical_entropy((0, 0, 0)) == 0.0
+        w = (0, 0, 0)
+        assert weighted_suffix_entropy(w, w, 1, 1, 3) == 0.0
 
     def test_joint_type(self):
         # pairs (0,1), (1,1), (0,0): three distinct symbols, once each
-        assert empirical_entropy((0, 1, 0), (1, 1, 0)) == pytest.approx(
+        assert weighted_suffix_entropy((0, 1, 0), (1, 1, 0), 1, 1, 3) == pytest.approx(
             math.log(3), abs=1e-12
         )
 
     def test_unequal_windows_rejected(self):
         with pytest.raises(ValueError):
-            empirical_entropy((0, 1, 0), (1, 1))
+            weighted_suffix_entropy((0, 1, 0), (1, 1), 1, 1, 3)
 
     def test_works_on_byte_strings(self):
-        assert empirical_entropy(b"\x00\x01\x00") == empirical_entropy((0, 1, 0))
-        assert empirical_entropy(b"\x00\x01", b"\x01\x01") == empirical_entropy(
-            (0, 1), (1, 1)
+        w = b"\x00\x01\x00"
+        assert weighted_suffix_entropy(w, w, 1, 1, 3) == weighted_suffix_entropy(
+            (0, 1, 0), (0, 1, 0), 1, 1, 3
         )
+        assert weighted_suffix_entropy(
+            b"\x00\x01", b"\x01\x01", 1, 1, 2
+        ) == weighted_suffix_entropy((0, 1), (1, 1), 1, 1, 2)
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=30))
     def test_type_entropy_bounds(self, seq):
-        h = empirical_entropy(tuple(seq))
+        w = tuple(seq)
+        h = weighted_suffix_entropy(w, w, 1, 1, len(w))
         assert -1e-12 <= h <= math.log(4) + 1e-12
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=20), st.randoms())
     def test_permuted_counts_give_identical_entropy(self, seq, rnd):
         shuffled = list(seq)
         rnd.shuffle(shuffled)
-        assert empirical_entropy(tuple(seq)) == empirical_entropy(tuple(shuffled))
+        w, v = tuple(seq), tuple(shuffled)
+        assert weighted_suffix_entropy(w, w, 1, 1, len(w)) == weighted_suffix_entropy(
+            v, v, 1, 1, len(v)
+        )
 
 
 def _type_entropy(*windows):
