@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .codec import BinningSchedule, _as_int
+from .codec import BinningSchedule
 from .exponents import CURVE_HEADER, RatePair, curve_row, format_curve_row
 from .info_core import JointDistribution
 from .sim import TrialConfig, fit_exponent, fit_to_json, run_trials, stats_to_csv
@@ -141,14 +141,14 @@ def _load_trial_config(path: str, seed_override) -> TrialConfig:
             BinningSchedule(tuple(obj["schedule_y"]))
             if obj.get("schedule_y") else None
         )
-        base_seed = _as_int(obj["base_seed"]) if seed_override is None else seed_override
+        base_seed = obj["base_seed"] if seed_override is None else seed_override
         return TrialConfig(
             source=source,
             schedule_x=schedule_x,
             schedule_y=schedule_y,
-            n=_as_int(obj["n"]),
-            delays=tuple(_as_int(v) for v in obj["delays"]),
-            trials=_as_int(obj["trials"]),
+            n=obj["n"],
+            delays=tuple(obj["delays"]),
+            trials=obj["trials"],
             base_seed=base_seed,
             decoder=str(obj["decoder"]),
         )

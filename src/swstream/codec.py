@@ -25,8 +25,9 @@ sum of c * log p over the symbols, in ascending order.  `ml_first_errors`
 runs it over every trial of a chunk; `ml_decode`, `si_decode_ml` and
 `sw_ml_decode` are its one-trial case, on the product of the sorted
 candidate lists, so the first maximizer is the lexicographically smallest.
-The universal rules count the zipped pairs (a, b) and take every entropy
-from `info_core`, whose count rows give the counts of any window.
+The universal rule counts the zipped pairs (a, b), or x alone when there is
+no side information (the same counts), and takes every entropy from
+`info_core`, whose count rows give the counts of any window.
 
 The two-encoder universal decoder is the score decoder at the end of the
 module.  `compute_scores` is the definition for one pair: a cell (l, k) is
@@ -496,14 +497,15 @@ def ml_decode(cands: CandidateSet, source_model: JointDistribution, delay: int):
     return best[: n - delay]
 
 
-def _decide_left_to_right(cands: CandidateSet, y: bytes, delay: int):
+def _decide_left_to_right(cands: CandidateSet, y, delay: int):
     """At each position l = 1 .. n - delay keep the candidates that agree with
     the earlier decisions and commit to the l-th symbol of the one whose
     suffix has the smallest joint empirical entropy with y_l^n,
-    lexicographically smallest on ties."""
-    n = len(y)
+    lexicographically smallest on ties.  y = None (no side information)
+    counts each candidate's own symbols."""
+    n = cands.step
     _check_delay(delay, n)
-    rows = {c: _count_rows(tuple(zip(c, y))) for c in cands.prefixes}
+    rows = {c: _count_rows(c if y is None else tuple(zip(c, y))) for c in cands.prefixes}
     decided = b""
     pool = list(cands.prefixes)
     for l in range(1, n - delay + 1):
@@ -517,7 +519,7 @@ def _decide_left_to_right(cands: CandidateSet, y: bytes, delay: int):
 def universal_decode(cands: CandidateSet, delay: int):
     """Minimum suffix-entropy decoding, decisions fixed left to right: the
     suffix x_l^n with the smallest empirical entropy decides position l."""
-    return _decide_left_to_right(cands, bytes(cands.step), delay)
+    return _decide_left_to_right(cands, None, delay)
 
 
 def si_decode_ml(cands: CandidateSet, y_observed, d: JointDistribution, delay: int):

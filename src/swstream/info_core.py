@@ -299,14 +299,9 @@ def suffix_entropies(xs, ys, n: int):
 
 def weighted_suffix_entropy(x: Sequence, y: Sequence, l: int, k: int, n: int) -> float:
     """The weighted suffix entropy of one pair at the cell (l, k): the
-    one-pair case of `suffix_entropies`.
-
-    Only the symbols from position min(l, k) on enter the value, so the
-    pair is cut there; its windows and their weights do not change.
-    """
+    one-pair case of `suffix_entropies`."""
     if len(x) != n or len(y) != n:
         raise ValueError("sequences must have length n")
     if not (1 <= l <= n + 1 and 1 <= k <= n + 1):
         raise ValueError(f"indices l={l}, k={k} out of [1, {n + 1}]")
-    m = min(l, k) - 1
-    return suffix_entropies([x[m:]], [y[m:]], n - m)(0, 0, l - m, k - m)
+    return suffix_entropies([x], [y], n)(0, 0, l, k)

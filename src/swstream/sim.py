@@ -40,6 +40,7 @@ from .codec import (
     MAX_HORIZON_SINGLE,
     MAX_HORIZON_TWO_ENCODER,
     _PRF_BITS,
+    _as_int,
     _first_divergence,
     chunk_trials,
     ml_first_errors,
@@ -90,6 +91,9 @@ class TrialConfig:
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
 
     def __post_init__(self):
+        for name in ("n", "trials", "base_seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name)))
+        object.__setattr__(self, "delays", tuple(_as_int(d) for d in self.delays))
         if self.decoder not in DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.trials < 1:

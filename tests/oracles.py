@@ -29,7 +29,6 @@ from swstream.exponents import (
 from swstream.info_core import (
     JointDistribution,
     entropy_of_counts,
-    weighted_suffix_entropy,
 )
 
 
@@ -328,6 +327,32 @@ def _oracle_si_universal(members, y, n, delay):
     return decided
 
 
+def _type_entropy(*windows):
+    """Entropy of the joint type of equal-length windows, counted by hand;
+    one window gives its plain type."""
+    counts = {}
+    for symbol in zip(*windows, strict=True):
+        counts[symbol] = counts.get(symbol, 0) + 1
+    return entropy_of_counts(counts.values(), len(windows[0]))
+
+
+def _oracle_wse(x, y, l, k, n):
+    """The weighted suffix entropy of the pair (x, y) at the cell (l, k),
+    from the definition: H(x|y) = H(x,y) - H(y) over the window where only
+    x is disputed, then the joint entropy over the window where both are
+    (the streams swap roles when l > k)."""
+    if l > k:
+        x, y, l, k = y, x, k, l
+    if l == k:
+        return 0.0 if l == n + 1 else _type_entropy(x[l - 1 :], y[l - 1 :])
+    xs, ys = x[l - 1 : k - 1], y[l - 1 : k - 1]
+    span = n + 1 - l
+    out = ((k - l) / span) * (_type_entropy(xs, ys) - _type_entropy(ys))
+    if k <= n:
+        out += ((n + 1 - k) / span) * _type_entropy(x[k - 1 :], y[k - 1 :])
+    return out
+
+
 def _oracle_scores(pair, members_x, members_y, n):
     """Marked-cell scores recomputed straight from the definition."""
     x_bar, y_bar = pair
@@ -344,9 +369,7 @@ def _oracle_scores(pair, members_x, members_y, n):
             l, k = div(x_t, x_bar), div(y_t, y_bar)
             if l == n + 1 and k == n + 1:
                 continue
-            if weighted_suffix_entropy(
-                x_t, y_t, l, k, n
-            ) <= weighted_suffix_entropy(x_bar, y_bar, l, k, n):
+            if _oracle_wse(x_t, y_t, l, k, n) <= _oracle_wse(x_bar, y_bar, l, k, n):
                 i_x = min(i_x, l - 1)
                 i_y = min(i_y, k - 1)
     return i_x, i_y

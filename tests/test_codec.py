@@ -41,6 +41,7 @@ from oracles import (
     _oracle_si_ml,
     _oracle_si_universal,
     _oracle_winners,
+    _oracle_wse,
 )
 
 ONE_BIT = BinningSchedule((1,))
@@ -560,7 +561,9 @@ class TestSuffixEntropies:
             for j, y in enumerate(ys):
                 for l in range(1, n + 2):
                     for k in range(1, n + 2):
-                        assert wse(i, j, l, k) == weighted_suffix_entropy(x, y, l, k, n)
+                        want = _oracle_wse(x, y, l, k, n)
+                        assert wse(i, j, l, k) == want
+                        assert weighted_suffix_entropy(x, y, l, k, n) == want
 
 
 class TestTwoEncoderDecoders:

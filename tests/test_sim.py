@@ -124,6 +124,19 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             _cfg(decoder="sw_universal", schedule_y=ONE_BIT, n=13, delays=(0,))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 16.5), ("n", math.inf), ("trials", 100.9), ("base_seed", 1.5),
+        ("delays", (0, 1.5)), ("delays", (math.nan,)),
+    ])
+    def test_non_integral_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            _cfg(**{field: value})
+
+    def test_integral_floats_become_ints(self):
+        cfg = _cfg(n=8.0, trials=5e1, base_seed=7.0, delays=(4.0, 0.0))
+        assert (cfg.n, cfg.trials, cfg.base_seed, cfg.delays) == (8, 50, 7, (0, 4))
+        assert all(type(v) is int for v in (cfg.n, cfg.trials, cfg.base_seed, *cfg.delays))
+
     def test_two_encoder_needs_schedule_y(self):
         with pytest.raises(ValueError):
             _cfg(decoder="sw_ml")
