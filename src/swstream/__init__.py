@@ -38,7 +38,6 @@ from .exponents import (  # noqa: F401
 from .codec import (  # noqa: F401
     BinningSchedule,
     CandidateSet,
-    ScoreBoard,
 )
 from .sim import (  # noqa: F401
     DelayErrorStats,

@@ -61,7 +61,7 @@ def _load_source(path: str) -> JointDistribution:
         raise ConfigError(f"cannot read source file: {e}") from e
     try:
         return JointDistribution.from_json(text)
-    except (KeyError, ValueError, json.JSONDecodeError) as e:
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
         raise ConfigError(f"bad source config {path}: {e}") from e
 
 

@@ -30,17 +30,18 @@ no side information (the same counts), and takes every entropy from
 `info_core`, whose count rows give the counts of any window.
 
 The two-encoder universal decoder is the score decoder at the end of the
-module.  `compute_scores` is the definition for one pair: a cell (l, k) is
-marked when a rival pair first diverging there has weighted suffix entropy
-<= the pair's own, and i_x, i_y are one less than the smallest marked l, k.
-`sw_universal_decode` finds every pair's scores in one pass over the bin
-product instead of one `compute_scores` call per pair.  It reads l and k from
-first-divergence tables of Cx and Cy built once; it takes each weighted
-suffix entropy from one `info_core.suffix_entropies` table per decode, which
-computes each value once and gives the floats of `weighted_suffix_entropy`;
-and it skips every rival at a cell with l > i_x and k > i_y so far:
-i_x and i_y are running minima of l - 1 and k - 1, so marking that cell
-cannot lower either score.
+module.  A pair's scores i_x, i_y are one less than the smallest l and k of
+the cells (l, k) it marks: those where a rival pair first diverging there has
+weighted suffix entropy <= the pair's own.  One pass, `_scores`, finds them
+for any set of pairs of the bin product; `sw_universal_decode` runs it over
+the whole product and `compute_scores` is its one-pair case.  (The O(P^2)
+definition, scored rival by rival, is the test oracle in `tests/oracles.py`.)
+The pass reads l and k from first-divergence tables of Cx and Cy built once;
+it takes each weighted suffix entropy from one `info_core.suffix_entropies`
+table, which computes each value once and gives the floats of
+`weighted_suffix_entropy`; and it skips every rival at a cell with l > i_x
+and k > i_y so far: i_x and i_y are running minima of l - 1 and k - 1, so
+marking that cell cannot lower either score.
 
 The Monte Carlo harness replays the bins of a chunk of trials at once
 (`replay_bins`).  A chunk's bins are flat lanes, one per bin member: the
@@ -71,7 +72,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,13 +82,13 @@ from .info_core import (
     _count_rows,
     _window_entropy,
     suffix_entropies,
-    weighted_suffix_entropy,
 )
+# imported only for bench/trace_layers.py, which wraps it here; ROADMAP item 3 removes this
+from .info_core import weighted_suffix_entropy  # noqa: F401
 
 __all__ = [
     "BinningSchedule",
     "CandidateSet",
-    "ScoreBoard",
     "CandidateOverflowError",
     "encode_step",
     "initial_candidates",
@@ -129,9 +131,12 @@ class CandidateOverflowError(RuntimeError):
 
 
 def _as_int(value) -> int:
-    """value as an int, rejecting a float that is not integral (16.5, nan);
-    an integral float such as 1e4 is accepted."""
-    if isinstance(value, float) and not value.is_integer():
+    """value as an int: an integer (numpy's too) or an integral float such as
+    1e4; a bool, a string or a float that is not integral (16.5, nan) is
+    rejected."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
@@ -546,16 +551,6 @@ def si_decode_universal(cands: CandidateSet, y_observed, delay: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScoreBoard:
-    """Marked (l, k) cells for one candidate pair and the induced score."""
-
-    marks: frozenset
-    i_x: int
-    i_y: int
-    n: int = field(default=0, compare=False)
-
-
 def _first_divergence(a, b, n: int) -> int:
     """1-based index of the first disagreement; n+1 when identical."""
     for i in range(n):
@@ -564,51 +559,18 @@ def _first_divergence(a, b, n: int) -> int:
     return n + 1
 
 
-def compute_scores(pair, cands_x: CandidateSet, cands_y: CandidateSet,
-                   n: int) -> ScoreBoard:
-    """Score one candidate pair against every rival pair in the bin product.
-
-    A cell (l, k) is marked when some rival diverging first at (l, k) has
-    weighted suffix entropy <= the pair's own at that cell (a rival that ties
-    still marks -- the pessimistic reading).  The score i_x is the largest
-    integer strictly below every marked l-coordinate, likewise i_y.
-    """
-    x_bar, y_bar = pair
-    own = {}
-
-    def own_hs(l, k):
-        if (l, k) not in own:
-            own[l, k] = weighted_suffix_entropy(x_bar, y_bar, l, k, n)
-        return own[l, k]
-
-    marks = set()
-    for x_t in cands_x.prefixes:
-        l = _first_divergence(x_t, x_bar, n)
-        for y_t in cands_y.prefixes:
-            k = _first_divergence(y_t, y_bar, n)
-            if l == n + 1 and k == n + 1:
-                continue  # the pair itself is not its own rival
-            if (l, k) in marks:
-                continue
-            if weighted_suffix_entropy(x_t, y_t, l, k, n) <= own_hs(l, k):
-                marks.add((l, k))
-    i_x = min((l for l, _ in marks), default=n + 2) - 1
-    i_y = min((k for _, k in marks), default=n + 2) - 1
-    return ScoreBoard(marks=frozenset(marks), i_x=i_x, i_y=i_y, n=n)
+def _horizon(cands_x: CandidateSet, cands_y: CandidateSet) -> int:
+    """The step n both bins of a two-encoder decode are at."""
+    n = cands_x.step
+    if cands_y.step != n:
+        raise ValueError("candidate sets are at different steps")
+    return n
 
 
-def sw_universal_decode(cands_x: CandidateSet, cands_y: CandidateSet,
-                        n: int, delay: int):
-    """Pick the winners: the x (resp. y) candidate attaining the maximal
-    i_x (resp. i_y) over all pairs, lexicographically smallest on ties.
-
-    The scores are those of compute_scores, found in one pass over the bin
-    product (see the module docstring).
-    """
-    _check_delay(delay, n)
-    xs, ys = cands_x.prefixes, cands_y.prefixes
-    if any(len(s) != n for s in xs + ys):
-        raise ValueError("sequences must have length n")
+def _scores(xs, ys, n: int, pairs):
+    """The score pass of the module docstring: yield (a, b, i_x, i_y) for
+    each index pair (a, b) of xs x ys in pairs.  A rival that ties still
+    marks its cell (the pessimistic reading); no mark scores n + 1."""
     div_x = [[_first_divergence(a, b, n) for b in xs] for a in xs]
     div_y = [[_first_divergence(a, b, n) for b in ys] for a in ys]
     # rivals in ascending divergence index, so a row stops at the first
@@ -616,24 +578,45 @@ def sw_universal_decode(cands_x: CandidateSet, cands_y: CandidateSet,
     order_x = [sorted(range(len(xs)), key=row.__getitem__) for row in div_x]
     order_y = [sorted(range(len(ys)), key=row.__getitem__) for row in div_y]
     wse = suffix_entropies(xs, ys, n)
+    for a, b in pairs:
+        ls, ks = div_x[a], div_y[b]
+        i_x = i_y = n + 1
+        for i in order_x[a]:
+            l = ls[i]
+            for j in order_y[b]:
+                k = ks[j]
+                if l > i_x and k > i_y:
+                    break
+                if l == k == n + 1:
+                    continue  # the pair itself is not its own rival
+                if wse(i, j, l, k) <= wse(a, b, l, k):
+                    i_x = min(i_x, l - 1)
+                    i_y = min(i_y, k - 1)
+        yield a, b, i_x, i_y
+
+
+def compute_scores(pair, cands_x: CandidateSet, cands_y: CandidateSet):
+    """The scores (i_x, i_y) of one pair of the bin product against every
+    rival pair: the one-pair case of the score pass."""
+    n = _horizon(cands_x, cands_y)
+    xs, ys = cands_x.prefixes, cands_y.prefixes
+    index = (xs.index(_as_bytes(pair[0])), ys.index(_as_bytes(pair[1])))
+    (_, _, i_x, i_y), = _scores(xs, ys, n, [index])
+    return i_x, i_y
+
+
+def sw_universal_decode(cands_x: CandidateSet, cands_y: CandidateSet, delay: int):
+    """Pick the winners: the x (resp. y) candidate attaining the maximal
+    i_x (resp. i_y) over all pairs, lexicographically smallest on ties."""
+    n = _horizon(cands_x, cands_y)
+    _check_delay(delay, n)
+    xs, ys = cands_x.prefixes, cands_y.prefixes
     best_ix = [-1] * len(xs)
     best_iy = [-1] * len(ys)
-    for a, ls in enumerate(div_x):
-        for b, ks in enumerate(div_y):
-            i_x = i_y = n + 1
-            for i in order_x[a]:
-                l = ls[i]
-                for j in order_y[b]:
-                    k = ks[j]
-                    if l > i_x and k > i_y:
-                        break
-                    if l == k == n + 1:
-                        continue  # the pair itself is not its own rival
-                    if wse(i, j, l, k) <= wse(a, b, l, k):
-                        i_x = min(i_x, l - 1)
-                        i_y = min(i_y, k - 1)
-            best_ix[a] = max(best_ix[a], i_x)
-            best_iy[b] = max(best_iy[b], i_y)
+    pairs = itertools.product(range(len(xs)), range(len(ys)))
+    for a, b, i_x, i_y in _scores(xs, ys, n, pairs):
+        best_ix[a] = max(best_ix[a], i_x)
+        best_iy[b] = max(best_iy[b], i_y)
     top_x = max(best_ix)
     top_y = max(best_iy)
     x_hat = min(c for c, v in zip(xs, best_ix) if v == top_x)
@@ -644,9 +627,7 @@ def sw_universal_decode(cands_x: CandidateSet, cands_y: CandidateSet,
 def sw_ml_decode(cands_x: CandidateSet, cands_y: CandidateSet,
                  d: JointDistribution, delay: int):
     """Joint-likelihood argmax over the bin product."""
-    n = cands_x.step
-    if cands_y.step != n:
-        raise ValueError("candidate sets are at different steps")
+    n = _horizon(cands_x, cands_y)
     _check_delay(delay, n)
     x_hat, y_hat = _ml_pair(cands_x.prefixes, cands_y.prefixes, d.probs)
     return x_hat[: n - delay], y_hat[: n - delay]

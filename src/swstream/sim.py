@@ -78,6 +78,12 @@ DECODERS = ("ml", "universal", "si_ml", "si_universal", "sw_ml", "sw_universal")
 _TWO_ENCODER = ("sw_ml", "sw_universal")
 
 
+def _check_byte_alphabets(d: JointDistribution) -> None:
+    if max(d.alphabet_x, d.alphabet_y) > 256:
+        raise ValueError("alphabets hold at most 256 symbols: every stream "
+                         "is stored one byte per symbol")
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     source: JointDistribution
@@ -115,9 +121,7 @@ class TrialConfig:
             )
         if self.decoder in _TWO_ENCODER and self.schedule_y is None:
             raise ValueError("two-encoder decoding needs schedule_y")
-        if max(self.source.alphabet_x, self.source.alphabet_y) > 256:
-            raise ValueError("alphabets hold at most 256 symbols: every stream "
-                             "is stored one byte per symbol")
+        _check_byte_alphabets(self.source)
         for alphabet, schedule in ((self.source.alphabet_x, self.schedule_x),
                                    (self.source.alphabet_y, self.schedule_y)):
             if schedule is not None and alphabet * max(schedule.pattern) > _PRF_BITS:
@@ -175,6 +179,7 @@ def derive_trial_seed(base_seed: int, trial_index: int) -> int:
 def sample_source(d: JointDistribution, n: int, seed: int):
     """n iid draws from the joint; returns (x-bytes, y-bytes), one symbol
     per byte."""
+    _check_byte_alphabets(d)
     rng = np.random.default_rng(seed)
     cum = np.cumsum(d.probs.ravel())
     cum[-1] = 1.0
@@ -225,7 +230,7 @@ def _run_chunk(cfg: TrialConfig, start: int, stop: int):
                 if cfg.decoder == "sw_ml":
                     x_hat, y_hat = sw_ml_decode(cx, cy, cfg.source, delay=0)
                 else:
-                    x_hat, y_hat = sw_universal_decode(cx, cy, n, delay=0)
+                    x_hat, y_hat = sw_universal_decode(cx, cy, delay=0)
                 fy[i] = _first_divergence(y_hat, ys[i], n)
             elif cfg.decoder == "universal":
                 x_hat = universal_decode(cx, delay=0)

@@ -222,7 +222,7 @@ class TestCriterion7DecoderOracles:
             assert sorted(cx.prefixes) == sorted(enumerate_bin(trial, "x", ONE_BIT, 2, x))
             assert sorted(cy.prefixes) == sorted(enumerate_bin(trial, "y", ONE_BIT, 2, y))
 
-            got_u = sw_universal_decode(cx, cy, n, 0)
+            got_u = sw_universal_decode(cx, cy, 0)
             best_ix, best_iy = {}, {}
             for xb in cx.prefixes:
                 for yb in cy.prefixes:

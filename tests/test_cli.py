@@ -152,6 +152,19 @@ class TestExponentsCommand:
         assert rc == 2
         assert not (out / "exponents.csv").exists()
 
+    @pytest.mark.parametrize("source", [
+        [1, 2],
+        {"alphabet_x": None, "alphabet_y": 2, "probs": [[0.5, 0.0], [0.0, 0.5]]},
+    ], ids=["list", "null-alphabet"])
+    def test_malformed_source_is_config_error(self, tmp_path, source):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(source))
+        out = tmp_path / "o"
+        rc = main(["exponents", str(path), "--rx", "0.6", "--ry", "0.6",
+                   "--out", str(out), "--threads", "1"])
+        assert rc == 2
+        assert not (out / "exponents.csv").exists()
+
     def test_program_error_is_not_config_error(self, tmp_path, source_file,
                                                monkeypatch):
         def broken(d, rates):
@@ -271,6 +284,12 @@ class TestSimulateCommand:
         ("trials", 100.9),
         ("base_seed", 1.5),
         ("schedule_x", [1.7, 0.2]),
+        # numbers given as strings or booleans
+        ("n", "8"),
+        ("trials", True),
+        ("delays", "02"),
+        ("schedule_x", "1"),
+        ("base_seed", "11"),
     ])
     def test_invalid_trial_config_is_config_error(self, tmp_path, field, value):
         config = {"source": EXAMPLE_1_JSON, "schedule_x": [1], "n": 8,

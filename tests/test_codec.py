@@ -505,9 +505,7 @@ class TestScoreBoard:
                           prefixes=(b"\x00" * n,), step=n)
         cy = CandidateSet(seed=0, stream_id="y", schedule=ONE_BIT, alphabet=2,
                           prefixes=(b"\x01" * n,), step=n)
-        board = compute_scores((b"\x00" * n, b"\x01" * n), cx, cy, n)
-        assert board.marks == frozenset()
-        assert board.i_x == board.i_y == n + 1
+        assert compute_scores((b"\x00" * n, b"\x01" * n), cx, cy) == (n + 1, n + 1)
 
     def test_tying_rival_marks_cell(self):
         # a rival pair that diverges at (1, 1) with identical weighted suffix
@@ -517,25 +515,35 @@ class TestScoreBoard:
                           prefixes=(b"\x00\x00", b"\x01\x01"), step=n)
         cy = CandidateSet(seed=0, stream_id="y", schedule=ONE_BIT, alphabet=2,
                           prefixes=(b"\x00\x00", b"\x01\x01"), step=n)
-        board = compute_scores((b"\x00\x00", b"\x00\x00"), cx, cy, n)
-        assert (1, 1) in board.marks
-        assert board.i_x == 0 and board.i_y == 0
+        assert compute_scores((b"\x00\x00", b"\x00\x00"), cx, cy) == (0, 0)
 
-    def test_matches_definition_on_random_bins(self):
-        d = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])
+    @pytest.mark.parametrize("probs, alphabet, schedule", [
+        ([[0.1, 0.05], [0.05, 0.8]], 2, ONE_BIT),
+        ([[0.3, 0.04, 0.02], [0.04, 0.25, 0.03], [0.02, 0.03, 0.27]], 3, TWO_BITS),
+    ], ids=["example2", "ternary"])
+    def test_matches_definition_on_random_bins(self, probs, alphabet, schedule):
+        d = JointDistribution.from_matrix(probs)
         rng = np.random.default_rng(99)
         n = 6
         for t in range(30):
             x, y = sample_source(d, n, int(rng.integers(1 << 30)))
-            cx = candidate_set_for(t, "x", x, ONE_BIT)
-            cy = candidate_set_for(t, "y", y, ONE_BIT)
+            cx = candidate_set_for(t, "x", x, schedule, alphabet=alphabet)
+            cy = candidate_set_for(t, "y", y, schedule, alphabet=alphabet)
             for x_bar in cx.prefixes:
                 for y_bar in cy.prefixes:
-                    board = compute_scores((x_bar, y_bar), cx, cy, n)
                     want = _oracle_scores(
                         (x_bar, y_bar), cx.prefixes, cy.prefixes, n
                     )
-                    assert (board.i_x, board.i_y) == want
+                    assert compute_scores((x_bar, y_bar), cx, cy) == want
+
+    def test_pair_outside_the_product_rejected(self):
+        n = 2
+        cx = CandidateSet(seed=0, stream_id="x", schedule=ONE_BIT, alphabet=2,
+                          prefixes=(b"\x00\x00",), step=n)
+        cy = CandidateSet(seed=0, stream_id="y", schedule=ONE_BIT, alphabet=2,
+                          prefixes=(b"\x00\x00",), step=n)
+        with pytest.raises(ValueError):
+            compute_scores((b"\x01\x01", b"\x00\x00"), cx, cy)
 
 
 class TestSuffixEntropies:
@@ -577,7 +585,7 @@ class TestTwoEncoderDecoders:
             x, y = sample_source(d, self.N, int(rng.integers(1 << 30)))
             cx = candidate_set_for(t, "x", x, ONE_BIT)
             cy = candidate_set_for(t, "y", y, ONE_BIT)
-            got = sw_universal_decode(cx, cy, self.N, 0)
+            got = sw_universal_decode(cx, cy, 0)
             assert got == _oracle_winners(cx.prefixes, cy.prefixes, self.N, 0)
 
     @pytest.mark.parametrize("n", range(6, 11))
@@ -596,7 +604,7 @@ class TestTwoEncoderDecoders:
             cy = candidate_set_for(t, "y", y, schedule, alphabet=alphabet)
             want = _oracle_winners(cx.prefixes, cy.prefixes, n, 0)
             for delay in (0, 2):
-                assert sw_universal_decode(cx, cy, n, delay) == (
+                assert sw_universal_decode(cx, cy, delay) == (
                     want[0][: n - delay], want[1][: n - delay])
 
     def test_universal_ties_break_lexicographically_not_by_position(self):
@@ -610,7 +618,7 @@ class TestTwoEncoderDecoders:
         best_x = [max(s[0] for s in scores[4 * i: 4 * i + 4]) for i in range(4)]
         best_y = [max(scores[4 * i + j][1] for i in range(4)) for j in range(4)]
         assert best_x == [0, 1, 0, 1] and best_y == [1, 0, 0, 1]
-        got = sw_universal_decode(_hand_built("x", xs), _hand_built("y", ys), 4, 0)
+        got = sw_universal_decode(_hand_built("x", xs), _hand_built("y", ys), 0)
         assert got == (b"\x01\x00\x00\x00", b"\x00\x00\x00\x00")
         assert got == _oracle_winners(xs, ys, 4, 0)
 
@@ -677,10 +685,22 @@ class TestTwoEncoderDecoders:
             assert jx == ml_decode(cx, JointDistribution.from_marginal(px), 0)
             assert jy == ml_decode(cy, JointDistribution.from_marginal(py), 0)
 
+    def test_bins_at_different_steps_rejected(self):
+        d = JointDistribution.from_matrix([[0.45, 0.05], [0.05, 0.45]])
+        x, y = sample_source(d, self.N, 5)
+        cx = candidate_set_for(8, "x", x, ONE_BIT)
+        cy = candidate_set_for(8, "y", y[:-1], ONE_BIT)
+        with pytest.raises(ValueError, match="different steps"):
+            sw_ml_decode(cx, cy, d, 0)
+        with pytest.raises(ValueError, match="different steps"):
+            sw_universal_decode(cx, cy, 0)
+        with pytest.raises(ValueError, match="different steps"):
+            compute_scores((cx.prefixes[0], cy.prefixes[0]), cx, cy)
+
     def test_full_delay_empty_estimates(self):
         d = JointDistribution.from_matrix([[0.45, 0.05], [0.05, 0.45]])
         x, y = sample_source(d, self.N, 5)
         cx = candidate_set_for(8, "x", x, ONE_BIT)
         cy = candidate_set_for(8, "y", y, ONE_BIT)
-        assert sw_universal_decode(cx, cy, self.N, self.N) == (b"", b"")
+        assert sw_universal_decode(cx, cy, self.N) == (b"", b"")
         assert sw_ml_decode(cx, cy, d, self.N) == (b"", b"")

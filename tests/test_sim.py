@@ -127,6 +127,7 @@ class TestTrialConfig:
     @pytest.mark.parametrize("field, value", [
         ("n", 16.5), ("n", math.inf), ("trials", 100.9), ("base_seed", 1.5),
         ("delays", (0, 1.5)), ("delays", (math.nan,)),
+        ("n", "8"), ("trials", True),
     ])
     def test_non_integral_numbers_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -152,6 +153,15 @@ class TestSampling:
         d = _example1()
         assert sample_source(d, 20, 5) == sample_source(d, 20, 5)
         assert sample_source(d, 20, 5) != sample_source(d, 20, 6)
+
+    @pytest.mark.parametrize("shape, symbol", [((2, 300), (0, 290)), ((300, 2), (299, 1))],
+                             ids=["y290", "x299"])
+    def test_alphabet_above_256_rejected(self, shape, symbol):
+        # one byte per symbol cannot hold symbol 290 (or 299): it would wrap
+        probs = np.zeros(shape)
+        probs[symbol] = 1.0
+        with pytest.raises(ValueError, match="one byte per symbol"):
+            sample_source(JointDistribution.from_matrix(probs), 5, 1)
 
     def test_trial_seeds_distinct(self):
         seeds = {derive_trial_seed(3, i) for i in range(1000)}
