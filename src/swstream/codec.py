@@ -32,16 +32,20 @@ no side information (the same counts), and takes every entropy from
 The two-encoder universal decoder is the score decoder at the end of the
 module.  A pair's scores i_x, i_y are one less than the smallest l and k of
 the cells (l, k) it marks: those where a rival pair first diverging there has
-weighted suffix entropy <= the pair's own.  One pass, `_scores`, finds them
-for any set of pairs of the bin product; `sw_universal_decode` runs it over
-the whole product and `compute_scores` is its one-pair case.  (The O(P^2)
-definition, scored rival by rival, is the test oracle in `tests/oracles.py`.)
-The pass reads l and k from first-divergence tables of Cx and Cy built once;
-it takes each weighted suffix entropy from one `info_core.suffix_entropies`
-table, which computes each value once and gives the floats of
-`weighted_suffix_entropy`; and it skips every rival at a cell with l > i_x
-and k > i_y so far: i_x and i_y are running minima of l - 1 and k - 1, so
-marking that cell cannot lower either score.
+weighted suffix entropy <= the pair's own (a tie marks; no mark scores
+n + 1).  One kernel, the score pass `_sw_scores`, scores every pair of every
+trial's bin product in a chunk.  Each (pair, rival) entry is an element of
+flat arrays, with l and k read from first-divergence tables of the trial's
+x and y lanes, and both entropies from a table of every cell of every pair
+(`info_core._suffix_table`, built on the lane entropy tables of
+`info_core.window_entropies`).  Fixed budgets on the pairs whose table is
+live and on the entries compared at once bound its memory.  Each trial's
+winners are its first x (y) lane of maximal best i_x (i_y) over its pairs.
+`sw_universal_first_errors` runs the pass over a chunk;
+`sw_universal_decode` is its one-trial case, on the sorted candidate lists,
+so the first maximizer is the lexicographically smallest; and
+`compute_scores` reads one pair of it.  (The O(P^2) definition, scored
+rival by rival, is the test oracle in `tests/oracles.py`.)
 
 The Monte Carlo harness replays the bins of a chunk of trials at once
 (`replay_bins`).  A chunk's bins are flat lanes, one per bin member: the
@@ -58,13 +62,14 @@ bin exceeds the cap at a step is dropped at that step and its step
 recorded.  `candidate_set_for` is the one-trial case;
 `initial_candidates`/`encode_step`/`update_candidates` and `enumerate_bin`
 remain the step-wise API and the engine's test oracles.  A chunk's lanes
-are in order, so `ml_first_errors` decodes them as they are.  The harness
+are in order, so `ml_first_errors` and `sw_universal_first_errors` decode
+them as they are.  The harness
 sizes a chunk by the closed-form mean bin size (`expected_bin_size`) against
 a fixed lane budget (`chunk_trials`), which bounds its memory.
 
 The decoders are exact but exponential-time by design; they are meant for
-desk-scale horizons (n <= 24 single-stream, n <= 12 for the two-encoder score
-decoder).
+desk-scale horizons (n <= 24 single-stream, n <= 12 for the two-encoder
+decoders, whose score pass costs time quadratic in the bin product).
 """
 
 from __future__ import annotations
@@ -72,16 +77,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .info_core import (
     JointDistribution,
+    _as_int,
     _count_rows,
+    _suffix_table,
     _window_entropy,
-    suffix_entropies,
+    window_entropies,
 )
 # imported only for bench/trace_layers.py, which wraps it here; ROADMAP item 3 removes this
 from .info_core import weighted_suffix_entropy  # noqa: F401
@@ -99,6 +105,7 @@ __all__ = [
     "expected_bin_size",
     "chunk_trials",
     "ml_first_errors",
+    "sw_universal_first_errors",
     "ml_decode",
     "universal_decode",
     "si_decode_ml",
@@ -120,6 +127,12 @@ _PRF_BITS = 256
 # peak RSS, and 2 ** 15 added 9 MB and ran no faster.  A one-trial ML decode
 # takes its bin product in blocks of as many pairs.
 _LANE_BUDGET = 2 ** 12
+# the two-encoder score pass holds the suffix-entropy tables of at most this
+# many pairs, and compares at most this many (pair, rival) entries, at once:
+# on the mc-sw-universal config they add about 1.5 MB of peak RSS, and
+# 4 times the pairs added 6 MB
+_PAIR_BUDGET = _LANE_BUDGET // 16
+_RIVAL_BUDGET = 2 * _LANE_BUDGET
 
 
 class CandidateOverflowError(RuntimeError):
@@ -128,17 +141,6 @@ class CandidateOverflowError(RuntimeError):
     Rates below the source entropy make the bin grow exponentially; the
     simulator records the aborted trial instead of looping forever.
     """
-
-
-def _as_int(value) -> int:
-    """value as an int: an integer (numpy's too) or an integral float such as
-    1e4; a bool, a string or a float that is not integral (16.5, nan) is
-    rejected."""
-    if isinstance(value, bool) or not (
-            isinstance(value, numbers.Integral)
-            or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -427,6 +429,18 @@ def _side_information(y_observed, n: int) -> bytes:
     return y_observed
 
 
+def _first_max(trial, score):
+    """Each trial's first lane of maximal score, in trial order: lane i
+    belongs to trial[i] (ascending)."""
+    if not len(trial):
+        return trial[:0]
+    starts = np.flatnonzero(np.r_[True, trial[1:] != trial[:-1]])
+    best = np.repeat(np.maximum.reduceat(score, starts),
+                     np.diff(np.r_[starts, len(trial)]))
+    top = np.flatnonzero(score == best)
+    return top[np.r_[True, trial[top][1:] != trial[top][:-1]]]
+
+
 def _ml_winners(trial, code, probs):
     """The ML kernel: each trial's first lane of maximal log-likelihood.
 
@@ -435,18 +449,24 @@ def _ml_winners(trial, code, probs):
     symbols in ascending order, with an absent symbol adding an exact 0.0
     (never 0 * -inf), so lanes of the same joint type tie bit-exactly.
     Returns the winning lane of each trial that has lanes, in trial order."""
-    if not len(trial):
-        return trial[:0]
     score = np.zeros(len(trial))
     for s, p in enumerate(probs.ravel().tolist()):
         lp = math.log(p) if p > 0 else -math.inf
         counts = (code == s).sum(axis=1)
         score += np.multiply(counts, lp, out=np.zeros(len(trial)), where=counts > 0)
-    starts = np.flatnonzero(np.r_[True, trial[1:] != trial[:-1]])
-    best = np.repeat(np.maximum.reduceat(score, starts),
-                     np.diff(np.r_[starts, len(trial)]))
-    top = np.flatnonzero(score == best)
-    return top[np.r_[True, trial[top][1:] != trial[top][:-1]]]
+    return _first_max(trial, score)
+
+
+def _first_errors(bins: Bins, winners, seqs):
+    """The 1-based position of the first symbol of each trial's winning lane
+    that differs from the trial's row of seqs, n + 1 when none does and for
+    a trial without a winner."""
+    trial, prefixes = bins.trial, bins.prefixes
+    n = prefixes.shape[1]
+    out = np.full(len(bins.overflow), n + 1)
+    wrong = prefixes[winners] != np.asarray(seqs)[trial[winners]]
+    out[trial[winners]] = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, n + 1)
+    return out
 
 
 def ml_first_errors(bins: Bins, seqs, probs, side):
@@ -456,14 +476,14 @@ def ml_first_errors(bins: Bins, seqs, probs, side):
     differs from the trial's row of seqs, n + 1 when none does (and for an
     overflowed trial).  A trial's lanes are in order, so its first
     maximizer is its lexicographically smallest."""
-    trial, prefixes = bins.trial, bins.prefixes
-    n = prefixes.shape[1]
-    code = prefixes.astype(np.intp) * probs.shape[1] + np.asarray(side)[trial]
-    winners = _ml_winners(trial, code, probs)
-    out = np.full(len(bins.overflow), n + 1)
-    wrong = prefixes[winners] != np.asarray(seqs)[trial[winners]]
-    out[trial[winners]] = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, n + 1)
-    return out
+    code = (bins.prefixes.astype(np.intp) * probs.shape[1]
+            + np.asarray(side)[bins.trial])
+    return _first_errors(bins, _ml_winners(bins.trial, code, probs), seqs)
+
+
+def _lanes(members, n: int):
+    """Byte-string sequences of length n as the rows of a uint8 array."""
+    return np.frombuffer(b"".join(members), np.uint8).reshape(len(members), n)
 
 
 def _ml_pair(xs, ys, probs):
@@ -473,8 +493,8 @@ def _ml_pair(xs, ys, probs):
     (i // |ys|, i % |ys|), so the first maximizer is the smallest."""
     xs, ys = sorted(xs), sorted(ys)
     n = len(xs[0])
-    x = np.frombuffer(b"".join(xs), np.uint8).reshape(len(xs), n).astype(np.intp)
-    y = np.frombuffer(b"".join(ys), np.uint8).reshape(len(ys), n)
+    x = _lanes(xs, n).astype(np.intp)
+    y = _lanes(ys, n)
     best = np.zeros(0, np.intp)
     # the lanes in blocks of the lane budget, which bounds the memory of a
     # large product; each block starts with the winner so far, which
@@ -567,61 +587,142 @@ def _horizon(cands_x: CandidateSet, cands_y: CandidateSet) -> int:
     return n
 
 
-def _scores(xs, ys, n: int, pairs):
-    """The score pass of the module docstring: yield (a, b, i_x, i_y) for
-    each index pair (a, b) of xs x ys in pairs.  A rival that ties still
-    marks its cell (the pessimistic reading); no mark scores n + 1."""
-    div_x = [[_first_divergence(a, b, n) for b in xs] for a in xs]
-    div_y = [[_first_divergence(a, b, n) for b in ys] for a in ys]
-    # rivals in ascending divergence index, so a row stops at the first
-    # cell that can no longer lower a score
-    order_x = [sorted(range(len(xs)), key=row.__getitem__) for row in div_x]
-    order_y = [sorted(range(len(ys)), key=row.__getitem__) for row in div_y]
-    wse = suffix_entropies(xs, ys, n)
-    for a, b in pairs:
-        ls, ks = div_x[a], div_y[b]
-        i_x = i_y = n + 1
-        for i in order_x[a]:
-            l = ls[i]
-            for j in order_y[b]:
-                k = ks[j]
-                if l > i_x and k > i_y:
-                    break
-                if l == k == n + 1:
-                    continue  # the pair itself is not its own rival
-                if wse(i, j, l, k) <= wse(a, b, l, k):
-                    i_x = min(i_x, l - 1)
-                    i_y = min(i_y, k - 1)
-        yield a, b, i_x, i_y
+def _ragged(sizes):
+    """Segments of the given sizes laid end to end: each element's segment
+    and its offset within the segment."""
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    return seg, np.arange(len(seg)) - (np.cumsum(sizes) - sizes)[seg]
+
+
+def _divergence(trial, prefixes, trials: int):
+    """The first-divergence tables of each trial's lanes, flat: for lane i,
+    the 0-based position where it first differs from each lane of its trial
+    in order (n against itself); and the offset of lane i's row."""
+    size = np.bincount(trial, minlength=trials)
+    i, j = _ragged(size[trial])
+    differ = prefixes[i] != prefixes[j + (np.cumsum(size) - size)[trial[i]]]
+    # a column that always differs, at position n, ends every row
+    div = np.c_[differ, np.ones(len(i), bool)].argmax(axis=1)
+    return div, np.cumsum(size[trial]) - size[trial]
+
+
+def _group_scores(trial_x, px, trial_y, py, trials: int):
+    """The score pass over the bin products of a group of trials; see
+    `_sw_scores`, which splits a chunk into such groups."""
+    n = px.shape[1]
+    side = n + 1
+    size_x = np.bincount(trial_x, minlength=trials)
+    size_y = np.bincount(trial_y, minlength=trials)
+    pairs = size_x * size_y
+    trial, own = _ragged(pairs)
+    a, b = own // size_y[trial], own % size_y[trial]
+    pair_x = (np.cumsum(size_x) - size_x)[trial] + a
+    pair_y = (np.cumsum(size_y) - size_y)[trial] + b
+    div_x, row_x = _divergence(trial_x, px, trials)
+    div_y, row_y = _divergence(trial_y, py, trials)
+    row_x, row_y = row_x[pair_x], row_y[pair_y]
+    code = px[pair_x].astype(np.uint16) << 8 | py[pair_y]
+    table = _suffix_table(window_entropies(code), window_entropies(px)[pair_x],
+                          window_entropies(py)[pair_y], n)
+    # the pair itself, at (n + 1, n + 1), is not its own rival: a NaN there
+    # compares false
+    table[:, -1] = np.nan
+    table = table.ravel()
+    rivals = pairs[trial]
+    first = (np.cumsum(pairs) - pairs)[trial]
+    reach = np.cumsum(rivals)
+    i_x = np.empty(len(trial), np.intp)
+    i_y = np.empty(len(trial), np.intp)
+    r0 = 0
+    while r0 < len(trial):
+        # whole rows of pairs, as many as the rival budget holds and at
+        # least one
+        r1 = np.searchsorted(reach, reach[r0] - rivals[r0] + _RIVAL_BUDGET, "right")
+        r1 = max(int(r1), r0 + 1)
+        row, offset = _ragged(rivals[r0:r1])
+        row += r0
+        rival = first[row] + offset
+        l = div_x[row_x[row] + a[rival]]
+        k = div_y[row_y[row] + b[rival]]
+        cell = l * side + k
+        marks = table[rival * side ** 2 + cell] <= table[row * side ** 2 + cell]
+        starts = np.cumsum(rivals[r0:r1]) - rivals[r0:r1]
+        i_x[r0:r1] = np.minimum.reduceat(np.where(marks, l, side), starts)
+        i_y[r0:r1] = np.minimum.reduceat(np.where(marks, k, side), starts)
+        r0 = r1
+    return pair_x, pair_y, i_x, i_y
+
+
+def _sw_scores(trial_x, px, trial_y, py, trials: int):
+    """The score pass of the module docstring over every pair of every
+    trial's bin product.  Lane i of the x (y) bins belongs to trial_x[i]
+    (trial_y[i]), ascending, and reads the symbols px[i] (py[i]).  Returns
+    each pair's x and y lanes, each trial's product in a-major order, and
+    its scores i_x and i_y; a trial without lanes in both bins has no
+    pairs.  The trials go in groups of whole trials, as many as the pair
+    budget holds and at least one, which bounds the memory."""
+    pairs = np.bincount(trial_x, minlength=trials) * np.bincount(trial_y, minlength=trials)
+    ends = np.cumsum(pairs)
+    parts = []
+    t0 = 0
+    while t0 < trials:
+        t1 = np.searchsorted(ends, ends[t0] - pairs[t0] + _PAIR_BUDGET, "right")
+        t1 = max(int(t1), t0 + 1)
+        x0, x1 = np.searchsorted(trial_x, (t0, t1))
+        y0, y1 = np.searchsorted(trial_y, (t0, t1))
+        pair_x, pair_y, i_x, i_y = _group_scores(
+            trial_x[x0:x1] - t0, px[x0:x1], trial_y[y0:y1] - t0, py[y0:y1], t1 - t0)
+        parts.append((pair_x + x0, pair_y + y0, i_x, i_y))
+        t0 = t1
+    return [np.concatenate(c) for c in zip(*parts)]
+
+
+def _sw_winners(trial_x, px, trial_y, py, trials: int):
+    """Each trial's decision: the x (y) lane attaining the maximal i_x (i_y)
+    over its pairs, the first in lane order on ties; for the trials with
+    lanes in both bins, in trial order."""
+    pair_x, pair_y, i_x, i_y = _sw_scores(trial_x, px, trial_y, py, trials)
+    winners = []
+    for trial, pair, score in ((trial_x, pair_x, i_x), (trial_y, pair_y, i_y)):
+        best = np.full(len(trial), -1)
+        np.maximum.at(best, pair, score)
+        live = np.flatnonzero(best >= 0)
+        winners.append(live[_first_max(trial[live], best[live])])
+    return winners
+
+
+def sw_universal_first_errors(bins_x: Bins, bins_y: Bins, x_rows, y_rows):
+    """The two-encoder universal decision of every trial of a chunk, as the
+    1-based positions of its first x and first y symbols that differ from
+    the trial's rows of x_rows and y_rows, n + 1 when none does (and for a
+    trial without lanes in both bins).  A trial's lanes are in order, so
+    each winner is the lexicographically smallest maximizer."""
+    win_x, win_y = _sw_winners(bins_x.trial, bins_x.prefixes, bins_y.trial,
+                               bins_y.prefixes, len(bins_x.overflow))
+    return _first_errors(bins_x, win_x, x_rows), _first_errors(bins_y, win_y, y_rows)
 
 
 def compute_scores(pair, cands_x: CandidateSet, cands_y: CandidateSet):
     """The scores (i_x, i_y) of one pair of the bin product against every
-    rival pair: the one-pair case of the score pass."""
+    rival pair: the one-pair readout of the score pass."""
     n = _horizon(cands_x, cands_y)
     xs, ys = cands_x.prefixes, cands_y.prefixes
-    index = (xs.index(_as_bytes(pair[0])), ys.index(_as_bytes(pair[1])))
-    (_, _, i_x, i_y), = _scores(xs, ys, n, [index])
-    return i_x, i_y
+    lane = xs.index(_as_bytes(pair[0])) * len(ys) + ys.index(_as_bytes(pair[1]))
+    _, _, i_x, i_y = _sw_scores(np.zeros(len(xs), np.intp), _lanes(xs, n),
+                                np.zeros(len(ys), np.intp), _lanes(ys, n), 1)
+    return int(i_x[lane]), int(i_y[lane])
 
 
 def sw_universal_decode(cands_x: CandidateSet, cands_y: CandidateSet, delay: int):
     """Pick the winners: the x (resp. y) candidate attaining the maximal
-    i_x (resp. i_y) over all pairs, lexicographically smallest on ties."""
+    i_x (resp. i_y) over all pairs, lexicographically smallest on ties; the
+    one-trial case of the score pass, on the sorted candidate lists."""
     n = _horizon(cands_x, cands_y)
     _check_delay(delay, n)
-    xs, ys = cands_x.prefixes, cands_y.prefixes
-    best_ix = [-1] * len(xs)
-    best_iy = [-1] * len(ys)
-    pairs = itertools.product(range(len(xs)), range(len(ys)))
-    for a, b, i_x, i_y in _scores(xs, ys, n, pairs):
-        best_ix[a] = max(best_ix[a], i_x)
-        best_iy[b] = max(best_iy[b], i_y)
-    top_x = max(best_ix)
-    top_y = max(best_iy)
-    x_hat = min(c for c, v in zip(xs, best_ix) if v == top_x)
-    y_hat = min(c for c, v in zip(ys, best_iy) if v == top_y)
-    return x_hat[: n - delay], y_hat[: n - delay]
+    xs, ys = sorted(cands_x.prefixes), sorted(cands_y.prefixes)
+    (wx,), (wy,) = _sw_winners(np.zeros(len(xs), np.intp), _lanes(xs, n),
+                               np.zeros(len(ys), np.intp), _lanes(ys, n), 1)
+    return xs[wx][: n - delay], ys[wy][: n - delay]
 
 
 def sw_ml_decode(cands_x: CandidateSet, cands_y: CandidateSet,

@@ -4,17 +4,27 @@ Everything downstream (exponent formulas, decoders, simulations) works on a
 finite joint pmf over X x Y.  A point-to-point source is the degenerate case
 |Y| = 1.  All logarithms are natural; entropies and divergences are in nats.
 
-Every empirical entropy is computed here: the counts of a window are a
-difference of cumulative count rows (`_count_rows`), a joint type counts the
-zipped pairs (a, b), and `weighted_suffix_entropy` is the one-pair case of
-the `suffix_entropies` table.
+Every empirical entropy is computed here, as `entropy_of_counts` adds its
+terms: left to right, in ascending count order.  The counts of a window are
+a difference of cumulative count rows, and a joint type counts the zipped
+pairs (a, b).  The left-to-right decoders take one window at a time from a
+sequence's rows (`_count_rows`).  The lane entropy table
+(`window_entropies`) takes every window of every lane of an array at once:
+one column of cumulative counts per symbol, the window counts sorted by a
+network of minima and maxima, and each term looked up in a table of the
+floats `entropy_of_counts` adds.  `suffix_entropies` weighs those tables
+into the weighted suffix entropy of every cell of every pair lane, and
+`weighted_suffix_entropy` is its one-pair case.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -30,11 +40,23 @@ __all__ = [
     "log_sum_tilted",
     "log_sum_xy_tilted",
     "entropy_of_counts",
+    "window_entropies",
     "suffix_entropies",
     "weighted_suffix_entropy",
 ]
 
 _SUM_TOL = 1e-12
+
+
+def _as_int(value) -> int:
+    """value as an int: an integer (numpy's too) or an integral float such as
+    1e4; a bool, a string or a float that is not integral (16.5, nan) is
+    rejected."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -112,8 +134,8 @@ class JointDistribution:
     def from_json(cls, text: str) -> "JointDistribution":
         obj = json.loads(text)
         return cls(
-            alphabet_x=int(obj["alphabet_x"]),
-            alphabet_y=int(obj["alphabet_y"]),
+            alphabet_x=_as_int(obj["alphabet_x"]),
+            alphabet_y=_as_int(obj["alphabet_y"]),
             probs=np.asarray(obj["probs"], dtype=float),
         )
 
@@ -233,11 +255,15 @@ def xy_tilted(p: JointDistribution, rho: float) -> JointDistribution:
 def entropy_of_counts(counts, total: int) -> float:
     """Entropy of a type given raw counts.
 
-    Counts are sorted before summing so that permuted types produce the
-    bit-identical float, which keeps tie-breaking deterministic.
+    The terms are added left to right in ascending count order, so that
+    permuted types produce the bit-identical float, which keeps
+    tie-breaking deterministic.  The loop fixes that order: from Python
+    3.12, sum() of floats compensates its rounding and can differ.
     """
-    vals = sorted(c for c in counts if c > 0)
-    return float(sum((c / total) * math.log(total / c) for c in vals))
+    h = 0.0
+    for c in sorted(c for c in counts if c > 0):
+        h += (c / total) * math.log(total / c)
+    return float(h)
 
 
 def _count_rows(seq):
@@ -257,44 +283,124 @@ def _window_entropy(rows, lo: int, hi: int) -> float:
     return entropy_of_counts([b - a for a, b in zip(rows[lo], rows[hi])], hi - lo)
 
 
-def suffix_entropies(xs, ys, n: int):
-    """wse(i, j, l, k): the weighted empirical entropy of the disputed
-    suffixes of the pair (xs[i], ys[j]) of length-n sequences, memoized.
+@functools.lru_cache(maxsize=32)
+def _lane_tables(n: int) -> SimpleNamespace:
+    """The index tables of the lane entropy tables of horizon n, built on
+    first use and shared read-only.  lo, hi: the windows [lo, hi) of a
+    length-n lane, every 0 <= lo < hi <= n, then the empty window [n, n);
+    row: (hi - lo) * (n + 1), each window's row of terms; terms: at
+    t * (n + 1) + c, the term (c / t) log(t / c) of a count c among t
+    symbols, 0.0 for c = 0.  Per cell (l, k), row-major: first, the window
+    where one stream is disputed; other, that window of the other stream
+    (x's windows, then y's); second, the joint window after it; w1 and w2,
+    the weights of the two windows."""
+    windows = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
+    windows.append((n, n))
+    index = {w: i for i, w in enumerate(windows)}
+    empty = index[(n, n)]
+    lo, hi = np.array(windows).T
+    terms = np.zeros((n + 1) ** 2)
+    for t in range(1, n + 1):
+        for c in range(1, t + 1):
+            terms[t * (n + 1) + c] = (c / t) * math.log(t / c)
+    cells = []
+    for l in range(1, n + 2):
+        for k in range(1, n + 2):
+            if l == k:  # the joint entropy of the suffix, 0.0 at l = n + 1
+                cells.append((empty, empty, index[(l - 1, n)], 0.0, 1.0))
+                continue
+            # H(disputed | other) over [a, b - 1], joint H after it (the
+            # joint type's entropy is symmetric in the streams)
+            a, b = min(l, k), max(l, k)
+            span = n + 1 - a
+            first = index[(a - 1, b - 1)]
+            other = first + len(windows) if l < k else first
+            cells.append((first, other, index[(b - 1, n)],
+                          (b - a) / span, (n + 1 - b) / span))
+    first, other, second, w1, w2 = (np.array(c) for c in zip(*cells))
+    tables = dict(lo=lo, hi=hi, row=(hi - lo) * (n + 1), terms=terms, first=first,
+                  other=other, second=second, w1=w1, w2=w2)
+    for table in tables.values():
+        table.flags.writeable = False
+    return SimpleNamespace(**tables)
+
+
+def window_entropies(lanes) -> np.ndarray:
+    """The lane entropy table: [i, w] is the empirical entropy of
+    lanes[i, lo:hi] for the w-th window [lo, hi) of a length-n lane, in the
+    order every 0 <= lo < hi <= n (lo-major), then the empty window [n, n).
+    Lanes are rows of integer symbols; each value is the float
+    `entropy_of_counts` gives for the window's counts."""
+    lanes = np.asarray(lanes)
+    count, n = lanes.shape
+    t = _lane_tables(n)
+    # one column of counts per distinct symbol; past n symbols, each
+    # symbol's rank within its own lane, so at most n columns
+    symbols, rank = np.unique(lanes, return_inverse=True)
+    rank = rank.reshape(lanes.shape)
+    if len(symbols) > n:
+        order = np.argsort(rank, axis=1)
+        ordered = np.take_along_axis(rank, order, axis=1)
+        new = np.ones(lanes.shape, bool)
+        new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        np.put_along_axis(rank, order, np.cumsum(new, axis=1) - 1, axis=1)
+    columns = int(rank.max(initial=-1)) + 1
+    rows = np.zeros((columns, count, n + 1), np.min_scalar_type(n))
+    np.cumsum(rank == np.arange(columns)[:, None, None], axis=2,
+              dtype=rows.dtype, out=rows[:, :, 1:])
+    counts = rows[:, :, t.hi] - rows[:, :, t.lo]
+    # ascending counts in every window: an odd-even transposition network
+    for r in range(columns):
+        for c in range(r % 2, columns - 1, 2):
+            low = np.minimum(counts[c], counts[c + 1])
+            np.maximum(counts[c], counts[c + 1], out=counts[c + 1])
+            counts[c] = low
+    # added left to right from 0.0, as entropy_of_counts adds them; a zero
+    # count adds an exact 0.0
+    h = np.zeros((count, len(t.lo)))
+    index = np.empty(h.shape, np.intp)
+    term = np.empty(h.shape)
+    for column in counts:
+        np.take(t.terms, np.add(t.row, column, out=index), out=term)
+        h += term
+    return h
+
+
+def _suffix_table(h_joint, h_x, h_y, n: int) -> np.ndarray:
+    """[p, cell]: the weighted suffix entropy of pair lane p at every cell
+    (l, k), row-major, from the lane entropy tables of the pairs' joint
+    symbols and of their x and y lanes.  These are the operations of the
+    definition, in its order, plus an exact 0.0 added where it has no
+    second window and a 0.0 * (0.0 - 0.0) on the diagonal, which leave
+    every value (up to the sign of a zero) as it is."""
+    t = _lane_tables(n)
+    table = np.take(h_joint, t.first, axis=1)
+    table -= np.take(np.concatenate([h_x, h_y], axis=1), t.other, axis=1)
+    table *= t.w1
+    second = np.take(h_joint, t.second, axis=1)
+    second *= t.w2
+    table += second
+    return table
+
+
+def suffix_entropies(x, y) -> np.ndarray:
+    """The weighted suffix entropies of pair lanes: x and y are (lanes, n)
+    arrays of nonnegative integer symbols paired row by row, and
+    [p, l - 1, k - 1] is the value of the pair (x[p], y[p]) at the cell
+    (l, k), 1 <= l, k <= n + 1.
 
     l and k are the 1-based positions where a rival pair first diverges in x
     and in y; l = n+1 (resp. k = n+1) means no divergence in that stream.
     The value mixes a conditional entropy over the window where only one
     stream is disputed with a joint entropy over the window where both are.
     """
-    rows_x = [_count_rows(x) for x in xs]
-    rows_y = [_count_rows(y) for y in ys]
-    rows_xy = [[_count_rows(tuple(zip(x, y))) for y in ys] for x in xs]
-    memo = {}
-
-    def wse(i, j, l, k):
-        key = (i, j, l, k)
-        value = memo.get(key)
-        if value is None:
-            joint = rows_xy[i][j]
-            if l == k:
-                value = 0.0 if l == n + 1 else _window_entropy(joint, l - 1, n)
-            else:
-                # H(disputed | other) over [min, max - 1], joint H after it
-                # (the joint type's entropy is symmetric in the streams)
-                if l < k:
-                    other = rows_y[j]
-                else:
-                    other = rows_x[i]
-                    l, k = k, l
-                span = n + 1 - l
-                value = ((k - l) / span) * (_window_entropy(joint, l - 1, k - 1)
-                                            - _window_entropy(other, l - 1, k - 1))
-                if k <= n:
-                    value += ((n + 1 - k) / span) * _window_entropy(joint, k - 1, n)
-            memo[key] = value
-        return value
-
-    return wse
+    x = np.asarray(x, np.int64)
+    y = np.asarray(y, np.int64)
+    lanes, n = x.shape
+    joint = x * (int(y.max(initial=0)) + 1) + y
+    table = _suffix_table(window_entropies(joint), window_entropies(x),
+                          window_entropies(y), n)
+    return table.reshape(lanes, n + 1, n + 1)
 
 
 def weighted_suffix_entropy(x: Sequence, y: Sequence, l: int, k: int, n: int) -> float:
@@ -304,4 +410,4 @@ def weighted_suffix_entropy(x: Sequence, y: Sequence, l: int, k: int, n: int) ->
         raise ValueError("sequences must have length n")
     if not (1 <= l <= n + 1 and 1 <= k <= n + 1):
         raise ValueError(f"indices l={l}, k={k} out of [1, {n + 1}]")
-    return suffix_entropies([x], [y], n)(0, 0, l, k)
+    return float(suffix_entropies([list(x)], [list(y)])[0, l - 1, k - 1])

@@ -11,8 +11,10 @@ serially or one chunk per task of a process pool.  A chunk draws each
 trial's seed and source (one `derive_trial_seed` and one `sample_source`
 call per trial), replays all its bins at once with `codec.replay_bins`, and
 decodes them: ML and SI-ML with one vectorized argmax per chunk
-(`codec.ml_first_errors`, point-to-point ML as its |Y| = 1 case), the other
-decoders one trial at a time on the trial's `CandidateSet`.  The chunk size
+(`codec.ml_first_errors`, point-to-point ML as its |Y| = 1 case), the
+two-encoder universal decoder with one score pass per chunk
+(`codec.sw_universal_first_errors`), the other decoders one trial at a time
+on the trial's `CandidateSet`.  The chunk size
 is `codec.chunk_trials`: a fixed lane budget over the closed-form mean bin
 size, not an option; a parallel run caps it so that each worker gets at
 least 8 chunks.  A chunk returns histograms of its completed trials' first
@@ -47,7 +49,7 @@ from .codec import (
     replay_bins,
     si_decode_universal,
     sw_ml_decode,
-    sw_universal_decode,
+    sw_universal_first_errors,
     universal_decode,
 )
 # imported only for bench/trace_layers.py, which wraps them here; ROADMAP item 3 removes this
@@ -56,6 +58,7 @@ from .codec import (  # noqa: F401
     initial_candidates,
     ml_decode,
     si_decode_ml,
+    sw_universal_decode,
     update_candidates,
 )
 from .info_core import JointDistribution
@@ -208,29 +211,27 @@ def _run_chunk(cfg: TrialConfig, start: int, stop: int):
     lost = [("x", int(j)) if j else None for j in bins_x.overflow]
     fx = np.full(len(seeds), n + 1)
     fy = np.full(len(seeds), n + 1)
+    if cfg.decoder in _TWO_ENCODER:
+        bins_y = replay_bins(seeds, y_rows, "y", cfg.schedule_y, cfg.source.alphabet_y,
+                             cfg.candidate_cap, live=bins_x.overflow == 0)
+        for i in np.flatnonzero(bins_y.overflow):
+            lost[i] = ("y", int(bins_y.overflow[i]))
     if cfg.decoder in ("ml", "si_ml"):
         if cfg.decoder == "ml":  # the |Y| = 1 case: y = 0^n, the x-marginal
             probs, y_rows = cfg.source.marginal_x().reshape(-1, 1), np.zeros_like(x_rows)
         else:
             probs = cfg.source.probs
         fx = ml_first_errors(bins_x, x_rows, probs, y_rows)
+    elif cfg.decoder == "sw_universal":
+        fx, fy = sw_universal_first_errors(bins_x, bins_y, x_rows, y_rows)
     else:
-        if cfg.decoder in _TWO_ENCODER:
-            bins_y = replay_bins(seeds, y_rows, "y", cfg.schedule_y,
-                                 cfg.source.alphabet_y, cfg.candidate_cap,
-                                 live=bins_x.overflow == 0)
-            for i in np.flatnonzero(bins_y.overflow):
-                lost[i] = ("y", int(bins_y.overflow[i]))
         for i, x in enumerate(xs):
             if lost[i]:
                 continue
             cx = bins_x.candidate_set(i)
-            if cfg.decoder in _TWO_ENCODER:
-                cy = bins_y.candidate_set(i)
-                if cfg.decoder == "sw_ml":
-                    x_hat, y_hat = sw_ml_decode(cx, cy, cfg.source, delay=0)
-                else:
-                    x_hat, y_hat = sw_universal_decode(cx, cy, delay=0)
+            if cfg.decoder == "sw_ml":
+                x_hat, y_hat = sw_ml_decode(cx, bins_y.candidate_set(i), cfg.source,
+                                            delay=0)
                 fy[i] = _first_divergence(y_hat, ys[i], n)
             elif cfg.decoder == "universal":
                 x_hat = universal_decode(cx, delay=0)

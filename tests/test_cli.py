@@ -155,7 +155,8 @@ class TestExponentsCommand:
     @pytest.mark.parametrize("source", [
         [1, 2],
         {"alphabet_x": None, "alphabet_y": 2, "probs": [[0.5, 0.0], [0.0, 0.5]]},
-    ], ids=["list", "null-alphabet"])
+        {"alphabet_x": 2.7, "alphabet_y": "2", "probs": [[0.45, 0.05], [0.05, 0.45]]},
+    ], ids=["list", "null-alphabet", "fraction-and-string-alphabets"])
     def test_malformed_source_is_config_error(self, tmp_path, source):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(source))

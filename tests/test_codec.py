@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from swstream import codec
 from swstream.codec import (
     _LANE_BUDGET,
     BinningSchedule,
@@ -26,6 +27,7 @@ from swstream.codec import (
     si_decode_universal,
     sw_ml_decode,
     sw_universal_decode,
+    sw_universal_first_errors,
     universal_decode,
     update_candidates,
 )
@@ -304,25 +306,28 @@ class TestReplayBins:
         # a bin that outgrows the budget in the mean still runs one trial
         assert chunk_trials(24, [(2, BinningSchedule((1, 0, 0, 0)))]) == 1
 
-    @pytest.mark.parametrize("joint, pattern, n", [
-        ([[0.45, 0.05], [0.05, 0.45]], (1,), 16),   # the README simulate config
-        ([[0.5], [0.3], [0.2]], (3, 0, 2), 9),      # ternary, with a 0-bit step
-    ])
-    def test_mean_bin_size_matches_closed_form(self, joint, pattern, n):
+    @pytest.mark.parametrize("joint, pattern, n, stream", [
+        ([[0.45, 0.05], [0.05, 0.45]], (1,), 16, "x"),   # the README simulate config
+        ([[0.5], [0.3], [0.2]], (3, 0, 2), 9, "x"),      # ternary, with a 0-bit step
+        ([[0.45, 0.05], [0.05, 0.45]], (1,), 10, "y"),   # mc-sw-universal's y stream
+    ], ids=["joint0-pattern0-16", "joint1-pattern1-9", "y-example1-10"])
+    def test_mean_bin_size_matches_closed_form(self, joint, pattern, n, stream):
         # bins are prefix-consistent, so the step-j bin is the replay of the
         # length-j prefixes; its mean over 2,000 trials lies within 4
         # standard errors of the closed form at every step
         d = JointDistribution.from_matrix(joint)
         schedule = BinningSchedule(pattern)
+        side = "xy".index(stream)
+        alphabet = (d.alphabet_x, d.alphabet_y)[side]
         trials = 2000
         seeds = [derive_trial_seed(11, t) for t in range(trials)]
-        seqs = np.array([np.frombuffer(sample_source(d, n, s)[0], np.uint8)
+        seqs = np.array([np.frombuffer(sample_source(d, n, s)[side], np.uint8)
                          for s in seeds])
         for j in range(1, n + 1):
-            bins = replay_bins(seeds, seqs[:, :j], "x", schedule, d.alphabet_x)
+            bins = replay_bins(seeds, seqs[:, :j], stream, schedule, alphabet)
             sizes = np.bincount(bins.trial, minlength=trials)
             stderr = sizes.std(ddof=1) / math.sqrt(trials)
-            want = expected_bin_size(j, d.alphabet_x, schedule)
+            want = expected_bin_size(j, alphabet, schedule)
             assert abs(sizes.mean() - want) <= 4.0 * stderr, (j, sizes.mean(), want)
 
 
@@ -563,15 +568,109 @@ class TestSuffixEntropies:
 
     @given(pair_bins())
     def test_bit_identical_to_weighted_suffix_entropy(self, case):
+        # every cell of the lane table of the bin product against the
+        # definition, and the one-pair function on a few cells of each pair
         n, _, (xs, ys) = case
-        wse = suffix_entropies(xs, ys, n)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                for l in range(1, n + 2):
-                    for k in range(1, n + 2):
-                        want = _oracle_wse(x, y, l, k, n)
-                        assert wse(i, j, l, k) == want
-                        assert weighted_suffix_entropy(x, y, l, k, n) == want
+        pairs = list(itertools.product(xs, ys))
+        table = suffix_entropies([list(x) for x, _ in pairs], [list(y) for _, y in pairs])
+        assert table.shape == (len(pairs), n + 1, n + 1)
+        for (x, y), cells in zip(pairs, table):
+            for l in range(1, n + 2):
+                for k in range(1, n + 2):
+                    assert cells[l - 1, k - 1] == _oracle_wse(x, y, l, k, n)
+            for l, k in ((1, 1), (1, n + 1), (n + 1, 1), (n // 2 + 1, 1), (1, n // 2 + 1)):
+                assert weighted_suffix_entropy(x, y, l, k, n) == _oracle_wse(x, y, l, k, n)
+
+
+def _first_error(decoded, truth, n):
+    return next((i + 1 for i in range(n) if decoded[i] != truth[i]), n + 1)
+
+
+class TestScoreKernel:
+    """The trial-batched score pass: each trial of a chunk decoded by
+    sw_universal_first_errors against the oracle winners of its bins."""
+
+    EXAMPLE1 = [[0.45, 0.05], [0.05, 0.45]]
+    EXAMPLE2 = [[0.1, 0.05], [0.05, 0.8]]
+    TERNARY = [[0.3, 0.04, 0.02], [0.04, 0.25, 0.03], [0.02, 0.03, 0.27]]
+
+    @staticmethod
+    def _chunk(probs, schedule, n, trials, seed, cap=2 ** 20, live=None):
+        d = JointDistribution.from_matrix(probs)
+        rng = np.random.default_rng(seed)
+        seeds = [int(s) for s in rng.integers(1 << 40, size=trials)]
+        rows = [sample_source(d, n, s) for s in seeds]
+        x_rows = np.array([np.frombuffer(x, np.uint8) for x, _ in rows])
+        y_rows = np.array([np.frombuffer(y, np.uint8) for _, y in rows])
+        bins_x = replay_bins(seeds, x_rows, "x", schedule, d.alphabet_x, cap)
+        if live is None:
+            live = np.ones(trials, bool)
+        bins_y = replay_bins(seeds, y_rows, "y", schedule, d.alphabet_y, cap,
+                             live=live & (bins_x.overflow == 0))
+        return bins_x, bins_y, x_rows, y_rows
+
+    @staticmethod
+    def _check(bins_x, bins_y, x_rows, y_rows):
+        """Returns which trials had lanes in both bins."""
+        n = x_rows.shape[1]
+        fx, fy = sw_universal_first_errors(bins_x, bins_y, x_rows, y_rows)
+        decoded = []
+        for t, (x, y) in enumerate(zip(x_rows, y_rows)):
+            xs = bins_x.candidate_set(t).prefixes
+            ys = bins_y.candidate_set(t).prefixes
+            decoded.append(bool(xs and ys))
+            if not decoded[-1]:
+                assert fx[t] == fy[t] == n + 1
+                continue
+            want_x, want_y = _oracle_winners(xs, ys, n, 0)
+            assert (fx[t], fy[t]) == (_first_error(want_x, x, n), _first_error(want_y, y, n))
+        return decoded
+
+    @pytest.mark.parametrize("budgets", [None, (7, 40)], ids=["default", "small"])
+    @pytest.mark.parametrize("probs, schedule, n, trials", [
+        (EXAMPLE1, ONE_BIT, 8, 12),
+        (EXAMPLE2, ONE_BIT, 9, 12),
+        (TERNARY, TWO_BITS, 6, 10),
+    ], ids=["example1", "example2", "ternary"])
+    def test_chunk_matches_oracle(self, probs, schedule, n, trials, budgets,
+                                  monkeypatch):
+        # small budgets split the chunk into groups of a few pairs and a
+        # trial's rival product over several blocks of pair rows
+        if budgets:
+            monkeypatch.setattr(codec, "_PAIR_BUDGET", budgets[0])
+            monkeypatch.setattr(codec, "_RIVAL_BUDGET", budgets[1])
+        chunk = self._chunk(probs, schedule, n, trials, seed=n)
+        if budgets:
+            bins_x, bins_y = chunk[:2]
+            sizes = [len(bins_x.candidate_set(t).prefixes) * len(bins_y.candidate_set(t).prefixes)
+                     for t in range(trials)]
+            assert max(sizes) ** 2 > 2 * budgets[1]
+        assert all(self._check(*chunk))
+
+    def test_trials_without_lanes_between_live_ones(self):
+        # x bins overflow at a small cap, and y bins are not replayed for
+        # the trials the mask drops: both end with n + 1 and leave the
+        # decisions of the live trials around them as they are
+        live = np.arange(24) % 5 != 2
+        chunk = self._chunk(self.EXAMPLE1, ONE_BIT, 7, 24, seed=3, cap=5, live=live)
+        decoded = self._check(*chunk)
+        assert chunk[0].overflow.any() and not live.all()
+        runs = "".join("1" if d else "0" for d in decoded)
+        assert "101" in runs and "0" in runs.strip("0")
+
+    def test_one_trial_case(self):
+        # sw_universal_decode on unsorted lists is the kernel on the sorted
+        # lists, and compute_scores reads one pair of its score pass
+        d = JointDistribution.from_matrix(self.EXAMPLE2)
+        x, y = sample_source(d, 7, 41)
+        cx = candidate_set_for(5, "x", x, ONE_BIT)
+        cy = candidate_set_for(5, "y", y, ONE_BIT)
+        shuffled = [_hand_built(s, list(reversed(c.prefixes))) for s, c in (("x", cx), ("y", cy))]
+        want = _oracle_winners(cx.prefixes, cy.prefixes, 7, 0)
+        assert sw_universal_decode(*shuffled, 0) == want
+        for pair in itertools.product(cx.prefixes, cy.prefixes):
+            assert compute_scores(pair, *shuffled) == _oracle_scores(
+                pair, cx.prefixes, cy.prefixes, 7)
 
 
 class TestTwoEncoderDecoders:

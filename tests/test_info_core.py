@@ -1,5 +1,9 @@
+import collections
+import functools
+import itertools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from swstream.info_core import (
     log_sum_xy_tilted,
     tilted,
     weighted_suffix_entropy,
+    window_entropies,
     xy_tilted,
 )
 from swstream.verify import random_joint
@@ -74,6 +79,23 @@ class TestJointDistribution:
             back = JointDistribution.from_json(d.to_json())
             assert back.probs.tobytes() == d.probs.tobytes()
             d = back
+
+    @pytest.mark.parametrize("alphabet_x, alphabet_y, probs", [
+        (2.7, 2, [[0.45, 0.05], [0.05, 0.45]]),
+        (2, "2", [[0.45, 0.05], [0.05, 0.45]]),
+        (2, True, [[0.5], [0.5]]),
+    ], ids=["fraction", "string", "bool"])
+    def test_from_json_rejects_non_integral_sizes(self, alphabet_x, alphabet_y, probs):
+        # each of these was read as a size by int(): 2.7 and "2" as 2, True as 1
+        text = json.dumps({"alphabet_x": alphabet_x, "alphabet_y": alphabet_y,
+                           "probs": probs})
+        with pytest.raises(ValueError, match="not an integer"):
+            JointDistribution.from_json(text)
+
+    def test_from_json_reads_integral_float_sizes(self):
+        d = JointDistribution.from_json(
+            '{"alphabet_x": 2.0, "alphabet_y": 1, "probs": [[0.5], [0.5]]}')
+        assert (d.alphabet_x, d.alphabet_y) == (2, 1)
 
     def test_exact_sum_keeps_entries_and_copies(self):
         raw = np.array([[0.1, 0.05], [0.05, 0.8]])
@@ -347,6 +369,37 @@ class TestEmpiricalTypes:
         assert weighted_suffix_entropy(w, w, 1, 1, len(w)) == weighted_suffix_entropy(
             v, v, 1, 1, len(v)
         )
+
+
+def test_entropy_of_counts_adds_left_to_right():
+    # from Python 3.12, sum() of floats compensates its rounding, which
+    # changes the last bit for 784 of these count vectors (2-4 symbols,
+    # totals up to 16); the terms are added left to right in ascending order
+    vectors = [c for m in (2, 3, 4) for c in itertools.product(range(17), repeat=m)
+               if 1 <= sum(c) <= 16]
+    assert len(vectors) == 5964
+    for counts in vectors:
+        total = sum(counts)
+        terms = [(c / total) * math.log(total / c) for c in sorted(counts) if c]
+        assert entropy_of_counts(counts, total) == functools.reduce(operator.add, terms, 0.0)
+
+
+class TestWindowEntropies:
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.sampled_from((0, 1, 2, 16, 300)), min_size=n, max_size=n),
+                 min_size=1, max_size=4))))
+    def test_every_window_is_entropy_of_counts(self, case):
+        # symbols far apart and above a byte: each window's counts, not the
+        # alphabet, set the value
+        n, lanes = case
+        table = window_entropies(np.array(lanes, np.int64).reshape(len(lanes), n))
+        windows = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)] + [(n, n)]
+        assert table.shape == (len(lanes), len(windows))
+        for lane, row in zip(lanes, table):
+            for (lo, hi), h in zip(windows, row):
+                counts = collections.Counter(lane[lo:hi]).values()
+                assert h == (entropy_of_counts(counts, hi - lo) if hi > lo else 0.0)
 
 
 def _type_entropy(*windows):

@@ -255,10 +255,13 @@ class TestRunTrials:
         assert cfg.trials % chunk_trials(n, streams) != 0
         assert run_trials(cfg, threads=1) == run_trials(cfg, threads=2)
 
-    @pytest.mark.parametrize("decoder", ["si_ml", "si_universal", "sw_ml"])
+    @pytest.mark.parametrize("decoder", ["si_ml", "si_universal", "sw_ml", "sw_universal"])
     def test_range_counters_sum_over_any_split(self, decoder):
+        # the score pass is quadratic in the bin product: a smaller cap keeps
+        # sw_universal to a couple of seconds
+        cap = 120 if decoder == "sw_universal" else 200
         cfg = _cfg(decoder=decoder, schedule_y=ONE_BIT, schedule_x=_SPARSE, n=10,
-                   trials=90, base_seed=2, candidate_cap=200)
+                   trials=90, base_seed=2, candidate_cap=cap)
         whole, whole_aborted = _run_chunk(cfg, 0, cfg.trials)
         assert 0 < whole_aborted.total() < cfg.trials
         assert whole.shape == (3, cfg.n + 2)
