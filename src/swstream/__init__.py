@@ -6,7 +6,7 @@ encoders/decoders at desk scale, and a Monte Carlo error-versus-delay
 harness.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .info_core import (  # noqa: F401
     JointDistribution,

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .codec import BinningSchedule
+from .codec import BinningSchedule, expected_bin_size
 from .exponents import CURVE_HEADER, RatePair, curve_row, format_curve_row
 from .info_core import JointDistribution
 from .sim import TrialConfig, fit_exponent, fit_to_json, run_trials, stats_to_csv
@@ -171,6 +171,24 @@ def _abort_report(stats) -> dict:
     }
 
 
+def _bin_report(cfg, stats) -> dict:
+    """Each stream's mean final bin size over the trials whose bin did not
+    overflow, with its standard error, next to the closed-form mean
+    `expected_bin_size(n)`: a check of the PRF that every run carries."""
+    report = {}
+    for stream, (bins, total, squares) in stats.bin_sizes.items():
+        alphabet, schedule = ((cfg.source.alphabet_x, cfg.schedule_x) if stream == "x"
+                              else (cfg.source.alphabet_y, cfg.schedule_y))
+        spread = bins * squares - total * total  # bins^2 times the variance
+        report[stream] = {
+            "bins": bins,
+            "mean": total / bins if bins else None,
+            "stderr": math.sqrt(spread / (bins - 1)) / bins if bins > 1 else None,
+            "expected": expected_bin_size(cfg.n, alphabet, schedule),
+        }
+    return {"final_bin_size": report}
+
+
 def _warn_aborts(stats) -> None:
     """Report aborted trials on stderr, naming the first delay at which
     counting them as errors lifts the x-error rate above the Wilson upper
@@ -212,7 +230,7 @@ def cmd_simulate(args) -> int:
         cfg.base_seed,
         [stats_path, fit_path],
         started,
-        _abort_report(stats),
+        {**_abort_report(stats), **_bin_report(cfg, stats)},
     )
     if stats.aborted:
         _warn_aborts(stats)

@@ -3,10 +3,15 @@
 Parity bits are a keyed hash of (seed, stream id, prefix), which gives the
 causal, prefix-consistent binning of a time-varying random tree code without
 ever materializing a codebook: sequences that agree on their first l symbols
-automatically agree on the parity bits of the first l steps.  One 256-bit
-hash of the length-(j-1) parent covers every possible j-th symbol: symbol a
-reads bits [a*nbits, (a+1)*nbits) of the digest, so advancing a candidate
-set costs a single hash per surviving parent.
+automatically agree on the parity bits of the first l steps.  The hash is a
+keyed splitmix64-style mixer (Steele, Lea & Flood, OOPSLA 2014), `_mix`,
+chained over the prefix: the empty prefix's state is an 8-byte BLAKE2b of
+b"<seed>:<stream id>", and a prefix extended by symbol a has state
+mix(s + (a + 1) * phi).  A parent's 256-bit parity word is the four words
+mix(s ^ C_k), big-endian, and covers every possible j-th symbol: symbol a
+reads bits [a*nbits, (a+1)*nbits) of it, MSB first, so advancing a
+candidate set costs one chain state per surviving parent.  The same `_mix`
+runs on Python ints (the step-wise API) and on uint64 arrays (the lanes).
 
 Sequences and prefixes are byte strings (one byte per symbol); byte strings
 compare lexicographically, which is the tie-break order used everywhere.
@@ -21,7 +26,8 @@ then reads (a, 0), so the counts, and the floats, are those of x alone.  The
 ML rule is one kernel, `_ml_winners`, which reads a pair as one sequence of
 joint symbols a * |Y| + b: every pair is a lane, a row of joint symbols
 tagged with its trial, and each trial's winner is its first lane of maximal
-sum of c * log p over the symbols, in ascending order.  `ml_first_errors`
+sum of c * log p over the symbols, in ascending order (a finite sum within
+1e-12 * (n + |sum|) of the maximum ties with it).  `ml_first_errors`
 runs it over every trial of a chunk; `ml_decode`, `si_decode_ml` and
 `sw_ml_decode` are its one-trial case, on the product of the sorted
 candidate lists, so the first maximizer is the lexicographically smallest.
@@ -52,13 +58,14 @@ The Monte Carlo harness replays the bins of a chunk of trials at once
 trial it belongs to, its prefix as a row of an n-column uint8 array, and
 whether it is the true path.  Each trial's lanes are contiguous and in
 lexicographic order, because children are kept in parent-then-symbol order,
-as `update_candidates` keeps them.  A step hashes every surviving parent
-once, with a copy of its trial's pre-keyed hash, and reads each symbol's
-parity chunk off the unpacked digest bits.  The encoder's parity bits at step
-j are the chunk of symbol x_j in the digest of x_1^(j-1), which is the true
-parent; the true path always survives, so the true lane's digest supplies
-the received bits and the encoder costs no hash of its own.  A trial whose
-bin exceeds the cap at a step is dropped at that step and its step
+as `update_candidates` keeps them.  Each lane also carries its prefix's
+chain state, as a uint64.  A step mixes every surviving parent's state into
+the parity words it needs (ceil(|A| * nbits / 64), at most four) and reads
+each symbol's parity chunk off their unpacked bits.  The encoder's parity
+bits at step j are the chunk of symbol x_j in the word of x_1^(j-1), which
+is the true parent; the true path always survives, so the true lane's word
+supplies the received bits and the encoder costs no hash of its own.  A
+trial whose bin exceeds the cap at a step is dropped at that step and its step
 recorded.  `candidate_set_for` is the one-trial case;
 `initial_candidates`/`encode_step`/`update_candidates` and `enumerate_bin`
 remain the step-wise API and the engine's test oracles.  A chunk's lanes
@@ -121,11 +128,19 @@ DEFAULT_CANDIDATE_CAP = 2 ** 20
 MAX_HORIZON_SINGLE = 24
 MAX_HORIZON_TWO_ENCODER = 12
 _PRF_BITS = 256
+_M64 = (1 << 64) - 1
+# splitmix64's increment, the odd integer nearest 2^64 / golden ratio
+_GOLDEN = 0x9E3779B97F4A7C15
+# C_k, the first 256 fractional bits of pi: word k of a parent's parity word
+# is mix(state ^ C_k)
+_WORD_KEYS = (0x243F6A8885A308D3, 0x13198A2E03707344,
+              0xA4093822299F31D0, 0x082EFA98EC4E6C89)
 # lanes (bin members times symbols) a chunk of trials may hold at one step,
-# in the mean.  It bounds a chunk's memory, most of it per-lane digests and
-# per-trial hashers: on the README simulate config 2 ** 12 adds about 2 MB of
-# peak RSS, and 2 ** 15 added 9 MB and ran no faster.  A one-trial ML decode
-# takes its bin product in blocks of as many pairs.
+# in the mean.  It bounds a chunk's memory, most of it per-lane prefixes and
+# parity chunks: on the README simulate config 2 ** 12 adds about 2 MB of
+# peak RSS.  There 2 ** 14 ran about 45 % more trials per second in process,
+# for 2 MB more, since each step's numpy calls cost the same per chunk.  A
+# one-trial ML decode takes its bin product in blocks of as many pairs.
 _LANE_BUDGET = 2 ** 12
 # the two-encoder score pass holds the suffix-entropy tables of at most this
 # many pairs, and compares at most this many (pair, rival) entries, at once:
@@ -133,6 +148,10 @@ _LANE_BUDGET = 2 ** 12
 # 4 times the pairs added 6 MB
 _PAIR_BUDGET = _LANE_BUDGET // 16
 _RIVAL_BUDGET = 2 * _LANE_BUDGET
+# ML log-likelihoods within _ML_TIE * (n + |score|) of each other tie: a
+# lane's score sums at most |A||Y| rounded terms c log p, each off by about
+# 2^-53 (c + |c log p|)
+_ML_TIE = 1e-12
 
 
 class CandidateOverflowError(RuntimeError):
@@ -182,11 +201,42 @@ def _as_bytes(seq) -> bytes:
     return seq if isinstance(seq, bytes) else bytes(seq)
 
 
-def _prf_word(seed: int, stream_id: str, parent: bytes) -> int:
-    digest = hashlib.blake2b(
-        parent, key=b"%d:%s" % (seed, stream_id.encode()), digest_size=32
-    ).digest()
-    return int.from_bytes(digest, "big")
+def _mix(z):
+    """The splitmix64 finalizer, a bijection of 64-bit words, on a Python int
+    (reduced mod 2^64 first) or elementwise on a uint64 array, whose
+    arithmetic wraps mod 2^64 already.  Never a numpy scalar: its overflow
+    warns."""
+    z = z & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _stream_key(seed: int, stream_id: str) -> int:
+    """The chain state of the empty prefix: an 8-byte BLAKE2b of the key
+    bytes b"<seed>:<stream id>", for any int seed."""
+    digest = hashlib.blake2b(b"%d:%s" % (seed, stream_id.encode()), digest_size=8)
+    return int.from_bytes(digest.digest(), "big")
+
+
+def _chain(state, symbol):
+    """The chain state of a prefix extended by symbol: Python ints, or uint64
+    arrays (uint64 + int64 would give float64)."""
+    return _mix(state + (symbol + 1) * _GOLDEN)
+
+
+def _prf_word(seed: int, stream_id: str, parent: bytes, bits: int = _PRF_BITS) -> int:
+    """The parent's 256-bit parity word, as an int: its four words
+    mix(s ^ C_k), most significant first.  Only the words that hold its
+    first `bits` bits are mixed; the others read 0."""
+    state = _stream_key(seed, stream_id)
+    for a in parent:
+        state = _chain(state, a)
+    keys = _WORD_KEYS[:-(-bits // 64)]
+    word = 0
+    for c in keys:
+        word = (word << 64) | _mix(state ^ c)
+    return word << (_PRF_BITS - 64 * len(keys))
 
 
 def _slice_chunk(word: int, symbol: int, nbits: int) -> int:
@@ -208,7 +258,7 @@ def encode_step(seed: int, stream_id: str, prefix, schedule: BinningSchedule):
     nbits = schedule.bits_at(len(prefix))
     if nbits == 0:
         return ()
-    word = _prf_word(seed, stream_id, prefix[:-1])
+    word = _prf_word(seed, stream_id, prefix[:-1], (prefix[-1] + 1) * nbits)
     chunk = _slice_chunk(word, prefix[-1], nbits)
     return tuple((chunk >> (nbits - 1 - i)) & 1 for i in range(nbits))
 
@@ -256,7 +306,7 @@ def update_candidates(cands: CandidateSet, new_bits,
         seed, sid = cands.seed, cands.stream_id
         survivors = []
         for prefix in cands.prefixes:
-            word = _prf_word(seed, sid, prefix)
+            word = _prf_word(seed, sid, prefix, alphabet * nbits)
             for a in range(alphabet):
                 if _slice_chunk(word, a, nbits) == target:
                     survivors.append(prefix + symbols[a])
@@ -309,21 +359,14 @@ class Bins:
                             step=self.prefixes.shape[1])
 
 
-def _parity_chunks(keyed, trial, parents, alphabet: int, nbits: int):
-    """Bits [a*nbits, (a+1)*nbits) of each lane's digest, MSB first, as a
-    (lanes, alphabet, nbits) array: the parity chunk of every child."""
-    width = parents.shape[1]
-    buf = parents.tobytes()
-    digests = []
-    append = digests.append
-    # one hasher alive at a time: thousands of live copies run slower
-    for t, i in zip(trial.tolist(), itertools.count(0, width)):
-        h = keyed[t].copy()
-        h.update(buf[i:i + width])
-        append(h.digest())
-    words = np.frombuffer(b"".join(digests), np.uint8)
+def _parity_chunks(state, alphabet: int, nbits: int):
+    """Bits [a*nbits, (a+1)*nbits) of each lane's parity word, MSB first, as
+    a (lanes, alphabet, nbits) array: the parity chunk of every child.  Only
+    the words those bits reach are mixed."""
     used = alphabet * nbits
-    bits = np.unpackbits(words.reshape(-1, _PRF_BITS // 8)[:, :-(-used // 8)], axis=1)
+    words = _mix(state[:, None] ^ np.array(_WORD_KEYS[:-(-used // 64)], np.uint64))
+    octets = words.astype(">u8").view(np.uint8)
+    bits = np.unpackbits(octets[:, :-(-used // 8)], axis=1)
     return bits[:, :used].reshape(-1, alphabet, nbits)
 
 
@@ -343,10 +386,8 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
     if alphabet * max((schedule.bits_at(j) for j in range(1, n + 1)), default=0) \
             > _PRF_BITS:
         raise ValueError("alphabet size times step bit count exceeds PRF width")
-    sid = stream_id.encode()
-    keyed = [hashlib.blake2b(key=b"%d:%s" % (seed, sid), digest_size=32)
-             for seed in seeds]
     trial = np.arange(trials) if live is None else np.flatnonzero(live)
+    state = np.array([_stream_key(seed, stream_id) for seed in seeds], np.uint64)[trial]
     prefixes = np.zeros((len(trial), n), np.uint8)
     true = np.ones(len(trial), bool)
     overflow = np.zeros(trials, np.int64)
@@ -355,7 +396,7 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
         if nbits == 0:
             keep = np.ones((len(trial), alphabet), bool)
         else:
-            chunks = _parity_chunks(keyed, trial, prefixes[:, :j - 1], alphabet, nbits)
+            chunks = _parity_chunks(state, alphabet, nbits)
             # the received bits: the true child's chunk of the true parent
             target = np.zeros((trials, nbits), np.uint8)
             truth = np.flatnonzero(true)
@@ -363,6 +404,7 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
             keep = (chunks == target[trial][:, None, :]).all(axis=2)
         parent, symbol = np.nonzero(keep)
         trial = trial[parent]
+        state = _chain(state[parent], symbol.astype(np.uint64))
         prefixes = prefixes[parent]
         prefixes[:, j - 1] = symbol
         true = true[parent] & (symbol == seqs[trial, j - 1])
@@ -370,7 +412,8 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
         if over.any():
             overflow[over] = j
             alive = ~over[trial]
-            trial, prefixes, true = trial[alive], prefixes[alive], true[alive]
+            trial, state, prefixes, true = (trial[alive], state[alive],
+                                            prefixes[alive], true[alive])
     return Bins(seeds=tuple(seeds), stream_id=stream_id, schedule=schedule,
                 alphabet=alphabet, trial=trial, prefixes=prefixes,
                 overflow=overflow)
@@ -429,15 +472,16 @@ def _side_information(y_observed, n: int) -> bytes:
     return y_observed
 
 
-def _first_max(trial, score):
-    """Each trial's first lane of maximal score, in trial order: lane i
-    belongs to trial[i] (ascending)."""
+def _first_max(trial, score, slack=0.0):
+    """Each trial's first lane whose score is at least the trial's maximal
+    score less the lane's slack, in trial order: lane i belongs to trial[i]
+    (ascending)."""
     if not len(trial):
         return trial[:0]
     starts = np.flatnonzero(np.r_[True, trial[1:] != trial[:-1]])
     best = np.repeat(np.maximum.reduceat(score, starts),
                      np.diff(np.r_[starts, len(trial)]))
-    top = np.flatnonzero(score == best)
+    top = np.flatnonzero(score >= best - slack)
     return top[np.r_[True, trial[top][1:] != trial[top][:-1]]]
 
 
@@ -448,13 +492,17 @@ def _ml_winners(trial, code, probs):
     code[i] = a * |Y| + b; its log-likelihood is c * log p summed over the
     symbols in ascending order, with an absent symbol adding an exact 0.0
     (never 0 * -inf), so lanes of the same joint type tie bit-exactly.
+    Likelihoods that are equal in exact arithmetic can still differ in their
+    last bits, as two joint types of an independent source do: a finite
+    score within `_ML_TIE` * (n + |score|) of the maximum ties with it.
     Returns the winning lane of each trial that has lanes, in trial order."""
     score = np.zeros(len(trial))
     for s, p in enumerate(probs.ravel().tolist()):
         lp = math.log(p) if p > 0 else -math.inf
         counts = (code == s).sum(axis=1)
         score += np.multiply(counts, lp, out=np.zeros(len(trial)), where=counts > 0)
-    return _first_max(trial, score)
+    slack = np.where(np.isfinite(score), _ML_TIE * (code.shape[1] + np.abs(score)), 0.0)
+    return _first_max(trial, score, slack)
 
 
 def _first_errors(bins: Bins, winners, seqs):

@@ -8,8 +8,11 @@ reproducible, and may run in any order or process.
 
 Trials run in chunks of consecutive trial indices, the one unit of work,
 serially or one chunk per task of a process pool.  A chunk draws each
-trial's seed and source (one `derive_trial_seed` and one `sample_source`
-call per trial), replays all its bins at once with `codec.replay_bins`, and
+trial's seed (one `derive_trial_seed` call per trial) and then every trial's
+source at once: uniform i of a trial is the 53 high bits of
+mix(k + (i + 1) * phi), with `codec._mix` and k the mixed trial seed, so a
+trial's draws do not depend on its chunk, and `sample_source` is the
+one-trial case.  It replays all its bins at once with `codec.replay_bins`, and
 decodes them: ML and SI-ML with one vectorized argmax per chunk
 (`codec.ml_first_errors`, point-to-point ML as its |Y| = 1 case), the
 two-encoder universal decoder with one score pass per chunk
@@ -21,7 +24,9 @@ least 8 chunks.  A chunk returns histograms of its completed trials' first
 x, y and joint error positions, and the errors at delay D are the
 cumulative count up to symbol n - D.  Every count is a sum over chunks, so
 the counts do not depend on the chunk size or on `--threads`.  An aborted
-trial is counted under the stream and step at which its bin overflowed.
+trial is counted under the stream and step at which its bin overflowed.  A
+chunk also sums each stream's final bin sizes (and their squares) over the
+trials whose bin did not overflow, so the mean final bin size is a sum too.
 """
 
 from __future__ import annotations
@@ -41,9 +46,12 @@ from .codec import (
     BinningSchedule,
     MAX_HORIZON_SINGLE,
     MAX_HORIZON_TWO_ENCODER,
+    _GOLDEN,
+    _M64,
     _PRF_BITS,
     _as_int,
     _first_divergence,
+    _mix,
     chunk_trials,
     ml_first_errors,
     replay_bins,
@@ -79,6 +87,8 @@ __all__ = [
 
 DECODERS = ("ml", "universal", "si_ml", "si_universal", "sw_ml", "sw_universal")
 _TWO_ENCODER = ("sw_ml", "sw_universal")
+# a trial's sampling key is mix(seed ^ _SAMPLE_KEY), apart from every parity key
+_SAMPLE_KEY = 0xB7E151628AED2A6A
 
 
 def _check_byte_alphabets(d: JointDistribution) -> None:
@@ -146,6 +156,9 @@ class DelayErrorStats:
     aborted: int = 0
     # (stream id, step) -> trials whose bin of that stream overflowed there
     aborted_by_step: dict = field(default_factory=dict)
+    # stream id -> (bins, sum of sizes, sum of squared sizes) of the final
+    # bins of the trials whose bin of that stream did not overflow
+    bin_sizes: dict = field(default_factory=dict)
 
     def rate_x(self, delay: int) -> float:
         return self.errors_x[delay] / self.trials
@@ -179,36 +192,45 @@ def derive_trial_seed(base_seed: int, trial_index: int) -> int:
     return int.from_bytes(h, "big")
 
 
-def sample_source(d: JointDistribution, n: int, seed: int):
-    """n iid draws from the joint; returns (x-bytes, y-bytes), one symbol
-    per byte."""
+def _sample_rows(d: JointDistribution, n: int, seeds):
+    """n iid draws from the joint per seed, as (x rows, y rows): two
+    trials x n uint8 arrays.  A seed is taken mod 2^64."""
     _check_byte_alphabets(d)
-    rng = np.random.default_rng(seed)
+    keys = _mix(np.array([s & _M64 for s in seeds], np.uint64) ^ _SAMPLE_KEY)
+    steps = np.array([(i + 1) * _GOLDEN & _M64 for i in range(n)], np.uint64)
+    u = (_mix(keys[:, None] + steps) >> 11) * 2.0 ** -53
     cum = np.cumsum(d.probs.ravel())
     cum[-1] = 1.0
-    flat = np.searchsorted(cum, rng.random(n), side="right")
-    x = bytes((flat // d.alphabet_y).astype(np.uint8))
-    y = bytes((flat % d.alphabet_y).astype(np.uint8))
-    return x, y
+    flat = np.searchsorted(cum, u, side="right")
+    return (flat // d.alphabet_y).astype(np.uint8), (flat % d.alphabet_y).astype(np.uint8)
 
 
-def _run_chunk(cfg: TrialConfig, start: int, stop: int):
+def sample_source(d: JointDistribution, n: int, seed: int):
+    """n iid draws from the joint; returns (x-bytes, y-bytes), one symbol
+    per byte: the one-trial case of a chunk's sampling."""
+    x, y = _sample_rows(d, n, [seed])
+    return x.tobytes(), y.tobytes()
+
+
+def _bin_tally(bins, done):
+    """(bins, sum of sizes, sum of squared sizes) of the final bins of the
+    trials that `done` selects."""
+    sizes = np.bincount(bins.trial, minlength=len(done))[done]
+    return np.array([len(sizes), sizes.sum(), (sizes * sizes).sum()])
+
+
+def _tally_chunk(cfg: TrialConfig, start: int, stop: int):
     """Trials start..stop-1: a 3 x (n + 2) array counting the completed ones
     by the position of their first x, y and joint error (column n + 1: no
-    error), and a Counter of the aborted ones by (stream id, step)."""
+    error), a Counter of the aborted ones by (stream id, step), and a dict
+    of each stream's `_bin_tally`."""
     n = cfg.n
-    seeds, xs, ys = [], [], []
-    for t in range(start, stop):
-        seed = derive_trial_seed(cfg.base_seed, t)
-        x, y = sample_source(cfg.source, n, seed)
-        seeds.append(seed)
-        xs.append(x)
-        ys.append(y)
-    x_rows = np.frombuffer(b"".join(xs), np.uint8).reshape(-1, n)
-    y_rows = np.frombuffer(b"".join(ys), np.uint8).reshape(-1, n)
+    seeds = [derive_trial_seed(cfg.base_seed, t) for t in range(start, stop)]
+    x_rows, y_rows = _sample_rows(cfg.source, n, seeds)
     bins_x = replay_bins(seeds, x_rows, "x", cfg.schedule_x, cfg.source.alphabet_x,
                          cfg.candidate_cap)
     lost = [("x", int(j)) if j else None for j in bins_x.overflow]
+    tally = {"x": _bin_tally(bins_x, bins_x.overflow == 0)}
     fx = np.full(len(seeds), n + 1)
     fy = np.full(len(seeds), n + 1)
     if cfg.decoder in _TWO_ENCODER:
@@ -216,6 +238,7 @@ def _run_chunk(cfg: TrialConfig, start: int, stop: int):
                              cfg.candidate_cap, live=bins_x.overflow == 0)
         for i in np.flatnonzero(bins_y.overflow):
             lost[i] = ("y", int(bins_y.overflow[i]))
+        tally["y"] = _bin_tally(bins_y, (bins_x.overflow == 0) & (bins_y.overflow == 0))
     if cfg.decoder in ("ml", "si_ml"):
         if cfg.decoder == "ml":  # the |Y| = 1 case: y = 0^n, the x-marginal
             probs, y_rows = cfg.source.marginal_x().reshape(-1, 1), np.zeros_like(x_rows)
@@ -225,23 +248,28 @@ def _run_chunk(cfg: TrialConfig, start: int, stop: int):
     elif cfg.decoder == "sw_universal":
         fx, fy = sw_universal_first_errors(bins_x, bins_y, x_rows, y_rows)
     else:
-        for i, x in enumerate(xs):
+        for i, (x, y) in enumerate(zip(map(bytes, x_rows), map(bytes, y_rows))):
             if lost[i]:
                 continue
             cx = bins_x.candidate_set(i)
             if cfg.decoder == "sw_ml":
                 x_hat, y_hat = sw_ml_decode(cx, bins_y.candidate_set(i), cfg.source,
                                             delay=0)
-                fy[i] = _first_divergence(y_hat, ys[i], n)
+                fy[i] = _first_divergence(y_hat, y, n)
             elif cfg.decoder == "universal":
                 x_hat = universal_decode(cx, delay=0)
             else:
-                x_hat = si_decode_universal(cx, ys[i], delay=0)
+                x_hat = si_decode_universal(cx, y, delay=0)
             fx[i] = _first_divergence(x_hat, x, n)
     done = np.array([where is None for where in lost], bool)
     first = np.stack([fx, fy, np.minimum(fx, fy)])[:, done]
     hist = np.stack([np.bincount(row, minlength=n + 2) for row in first])
-    return hist, collections.Counter(filter(None, lost))
+    return hist, collections.Counter(filter(None, lost)), tally
+
+
+def _run_chunk(cfg: TrialConfig, start: int, stop: int):
+    """The error histogram and the aborts of `_tally_chunk`."""
+    return _tally_chunk(cfg, start, stop)[:2]
 
 
 def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
@@ -261,11 +289,13 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
     stops = [min(a + size, cfg.trials) for a in starts]
     if parallel:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_run_chunk, itertools.repeat(cfg), starts, stops))
+            parts = list(pool.map(_tally_chunk, itertools.repeat(cfg), starts, stops))
     else:
-        parts = list(map(_run_chunk, itertools.repeat(cfg), starts, stops))
-    hist = sum(h for h, _ in parts)
-    aborted = sum((a for _, a in parts), collections.Counter())
+        parts = list(map(_tally_chunk, itertools.repeat(cfg), starts, stops))
+    hist = sum(h for h, _, _ in parts)
+    aborted = sum((a for _, a, _ in parts), collections.Counter())
+    bin_sizes = {stream: tuple(int(v) for v in sum(t[stream] for _, _, t in parts))
+                 for stream in parts[0][2]}
     # an error at delay d is a first error in symbols 1..n-d; the nesting of
     # error events across delays is automatic
     ex, ey, ej = ({d: int(row[cfg.n - d]) for d in cfg.delays}
@@ -274,7 +304,8 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
     return DelayErrorStats(delays=cfg.delays, trials=completed,
                            errors_x=ex, errors_y=ey, errors_joint=ej,
                            aborted=cfg.trials - completed,
-                           aborted_by_step=dict(sorted(aborted.items())))
+                           aborted_by_step=dict(sorted(aborted.items())),
+                           bin_sizes=bin_sizes)
 
 
 def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):

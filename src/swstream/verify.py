@@ -159,8 +159,19 @@ def _oracle_ml(members, px, n, delay):
     def ll(seq):
         return sum(seq.count(a) * logp[a] for a in range(len(px)) if seq.count(a))
 
-    best = min(members, key=lambda s: (-ll(s), s))
-    return best[: n - delay]
+    return _first_near_max(members, ll)[: n - delay]
+
+
+def _first_near_max(members, ll):
+    """The smallest member whose log-likelihood ll ties the largest, as the
+    ML kernel ties: a finite ll within codec._ML_TIE * (n + |ll|) of it."""
+    scores = {s: ll(s) for s in members}
+    top = max(scores.values())
+
+    def slack(s, v):
+        return codec._ML_TIE * (len(s) + abs(v)) if math.isfinite(v) else 0.0
+
+    return min(s for s, v in scores.items() if v >= top - slack(s, v))
 
 
 def _oracle_universal(members, n, delay):

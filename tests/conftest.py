@@ -1,5 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# hypothesis imports this module only when it reports a failing example, and
+# the import raises a DeprecationWarning (from mypy_extensions), which the
+# `filterwarnings = error` setting turns into an INTERNALERROR that ends the
+# session.  Imported once here with that warning ignored, it is cached.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from swstream.info_core import JointDistribution
 from swstream.verify import random_joint

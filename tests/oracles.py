@@ -30,6 +30,7 @@ from swstream.info_core import (
     JointDistribution,
     entropy_of_counts,
 )
+from swstream.verify import _first_near_max
 
 
 def e_ml_pointwise(d: JointDistribution, rates: RatePair, gamma: float, rho: float):
@@ -306,8 +307,7 @@ def _oracle_si_ml(members, y, d, n, delay):
             total += counts[a, b] * math.log(p[a, b])
         return total
 
-    best = min(members, key=lambda s: (-ll(s), s))
-    return best[: n - delay]
+    return _first_near_max(members, ll)[: n - delay]
 
 
 def _oracle_si_universal(members, y, n, delay):

@@ -276,6 +276,42 @@ def test_8_simulation_decay_long_run():
     assert time.monotonic() - started < 600.0
 
 
+# the exact per-delay error probabilities of the binning ensemble under an
+# ideal hash (each rival child survives a b-bit step with probability 2^-b,
+# independently), computed by a dynamic program over the rival subtrees, as
+# quoted: the test_8 source (ml on Bern(0.1), n = 24) and the README simulate
+# config (si_ml on example 1, n = 16), each at 1 bit per step
+EXACT_ERROR_CURVES = {
+    "test_8-source": (dict(source=JointDistribution.from_marginal([0.9, 0.1]), n=24,
+                           decoder="ml", base_seed=20250606),
+                      {0: "0.1740", 4: "0.0538", 8: "0.0174", 12: "0.00588",
+                       16: "0.00193"}),
+    "readme-si_ml": (dict(source=JointDistribution.from_matrix([[0.45, 0.05],
+                                                                [0.05, 0.45]]),
+                          n=16, decoder="si_ml", base_seed=11),
+                     {0: "0.17258", 2: "0.09602", 4: "0.05290", 6: "0.02904",
+                      8: "0.01584"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_ERROR_CURVES))
+def test_prf_error_curve_matches_exact_values(name):
+    # an acceptance test of the PRF and the replay: every per-delay error
+    # count of 20,000 trials lies within 4 binomial standard errors, plus
+    # the quoted value's rounding half-unit, of the exact probability
+    kw, exact = EXACT_ERROR_CURVES[name]
+    trials = 20_000
+    cfg = TrialConfig(schedule_x=ONE_BIT, schedule_y=None, delays=tuple(exact),
+                      trials=trials, **kw)
+    stats = run_trials(cfg)
+    assert stats.aborted == 0
+    for delay, quoted in exact.items():
+        p = float(quoted)
+        half_unit = 0.5 * 10.0 ** -len(quoted.split(".")[1])
+        bound = 4.0 * math.sqrt(p * (1 - p) / trials) + half_unit
+        assert abs(stats.errors_x[delay] / trials - p) <= bound, (delay, stats.errors_x)
+
+
 class TestCriterion9Determinism:
     def test_exponents_thread_invariant(self, tmp_path):
         src = tmp_path / "src.json"

@@ -209,18 +209,18 @@ class TestSimulateCommand:
         assert (out / "stats.csv").read_text() == stats_to_csv(stats)
         assert (out / "fit.json").read_text() == fit_to_json(fit_exponent(stats))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["aborted"] == stats.aborted == 155
+        assert manifest["aborted"] == stats.aborted == 162
         assert set(manifest["aborted_by_step"]) == {"x"}
         assert manifest["aborted_by_step"]["x"] == {
             str(step): count for (_, step), count in stats.aborted_by_step.items()}
-        assert sum(manifest["aborted_by_step"]["x"].values()) == 155
+        assert sum(manifest["aborted_by_step"]["x"].values()) == 162
         assert manifest["rate_x_upper"] == {
-            str(d): (stats.errors_x[d] + 155) / 200 for d in (0, 4, 8)}
+            str(d): (stats.errors_x[d] + 162) / 200 for d in (0, 4, 8)}
         # the warning goes to stderr and names the first delay at which the
         # abort-inclusive rate leaves the completed trials' Wilson interval
         captured = capsys.readouterr()
         assert captured.out == f"wrote {out / 'stats.csv'} and {out / 'fit.json'}\n"
-        assert captured.err.startswith("warning: 155 trials aborted at the candidate cap")
+        assert captured.err.startswith("warning: 162 trials aborted at the candidate cap")
         delay = next(d for d in stats.delays
                      if stats.rate_x_upper(d) > stats.interval_x(d)[1])
         assert f"at delay {delay} " in captured.err
@@ -234,6 +234,27 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["aborted"] == 0 and manifest["aborted_by_step"] == {}
         assert set(manifest["rate_x_upper"]) == {"0", "2", "4"}
+
+    def test_manifest_reports_final_bin_sizes(self, tmp_path):
+        # each stream's mean final bin size is a sum over trials: the same
+        # at any --threads, and within 4 standard errors of its closed form
+        path = tmp_path / "sw.json"
+        path.write_text(json.dumps({
+            "source": EXAMPLE_1_JSON, "schedule_x": [1], "schedule_y": [1], "n": 8,
+            "delays": [0, 2], "trials": 150, "base_seed": 4, "decoder": "sw_universal",
+        }))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(["simulate", str(path), "--out", str(out),
+                         "--threads", threads]) == 0
+            reports.append(json.loads((out / "manifest.json").read_text())["final_bin_size"])
+        assert reports[0] == reports[1]
+        assert set(reports[0]) == {"x", "y"}
+        for report in reports[0].values():
+            # 1 bit per step on a binary alphabet: E|C_8| = 1 + 8/2
+            assert report["bins"] == 150 and report["expected"] == 5.0
+            assert abs(report["mean"] - report["expected"]) <= 4 * report["stderr"]
 
     def test_seed_override(self, tmp_path, trial_config_file):
         out1 = tmp_path / "s1"

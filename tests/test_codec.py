@@ -124,6 +124,29 @@ class TestEncodeStep:
         )
         assert abs(ones / 10_000 - 0.5) < 0.02
 
+    @pytest.mark.parametrize("alphabet, nbits", [
+        (22, 3),    # 66 bits: symbol 21's chunk straddles words 0 and 1
+        (256, 1),   # the 256-bit edge: all four words, one bit per symbol
+        (64, 4),
+    ])
+    def test_lane_words_match_stepwise_layout(self, alphabet, nbits):
+        # the lane path (uint64 chain states, mixed into big-endian words and
+        # unpacked) gives every child the chunk encode_step gives it
+        rng = np.random.default_rng(alphabet)
+        schedule = BinningSchedule((nbits,))
+        parents = [bytes(rng.integers(0, alphabet, size=k).tolist()) for k in (0, 1, 3, 5)]
+        for seed in (0, 9, 2 ** 70, -3):
+            state = np.full(len(parents), codec._stream_key(seed, "y"), np.uint64)
+            for j in range(max(map(len, parents))):
+                step = np.array([p[j] if j < len(p) else 0 for p in parents], np.uint64)
+                chained = codec._chain(state, step)
+                state = np.where([j < len(p) for p in parents], chained, state)
+            chunks = codec._parity_chunks(state, alphabet, nbits)
+            for i, parent in enumerate(parents):
+                for a in range(alphabet):
+                    want = encode_step(seed, "y", parent + bytes([a]), schedule)
+                    assert tuple(chunks[i, a].tolist()) == want
+
     def test_wide_alphabet_guard(self):
         # 256 symbols x 2 bits would need 512 bits of PRF output
         with pytest.raises(ValueError):
@@ -387,7 +410,9 @@ class TestBatchedMlArgmax:
     def test_overflowed_trials_are_skipped(self):
         sparse = BinningSchedule((1, 0, 0, 0))
         seeds, seqs = _chunk(2, 12, 20, seed0=3)
-        bins = replay_bins(seeds, seqs, "x", sparse, 2, cap=300)
+        # the cap is near the mean final bin size, E|C_12| = 804, so about
+        # half of the trials overflow whatever the PRF's draws
+        bins = replay_bins(seeds, seqs, "x", sparse, 2, cap=800)
         assert bins.overflow.any() and not bins.overflow.all()
         px = np.array([[0.5], [0.5]])
         first = ml_first_errors(bins, seqs, px, np.zeros_like(seqs))
