@@ -18,22 +18,24 @@ compare lexicographically, which is the tie-break order used everywhere.
 
 There is one maximum-likelihood rule (a joint-likelihood argmax over a
 product of x and y candidate lists) and one universal rule (minimum joint
-empirical suffix entropy, decided left to right).  The two-encoder ML decoder
-runs the first over Cx x Cy, the side-information decoders run both over
-Cx x {y}, and the point-to-point decoders are the |Y| = 1 case: the same
-rules against y = 0^n, with the x-marginal as an |X| x 1 table.  Every pair
-then reads (a, 0), so the counts, and the floats, are those of x alone.  The
-ML rule is one kernel, `_ml_winners`, which reads a pair as one sequence of
-joint symbols a * |Y| + b: every pair is a lane, a row of joint symbols
-tagged with its trial, and each trial's winner is its first lane of maximal
-sum of c * log p over the symbols, in ascending order (a finite sum within
-1e-12 * (n + |sum|) of the maximum ties with it).  `ml_first_errors`
-runs it over every trial of a chunk; `ml_decode`, `si_decode_ml` and
-`sw_ml_decode` are its one-trial case, on the product of the sorted
-candidate lists, so the first maximizer is the lexicographically smallest.
-The universal rule counts the zipped pairs (a, b), or x alone when there is
-no side information (the same counts), and takes every entropy from
-`info_core`, whose count rows give the counts of any window.
+empirical suffix entropy, decided left to right), and each is one kernel
+that decodes every trial of a chunk as numpy lanes.  The two-encoder ML
+decoder runs the first over Cx x Cy, the side-information decoders run both
+over Cx x {y}, and the point-to-point decoders are the |Y| = 1 case: the
+same rules against y = 0^n, with the x-marginal as an |X| x 1 table.  Every
+pair then reads (a, 0), so the counts, and the floats, are those of x alone.
+The ML kernel, `_ml_winners`, reads a pair as one row of joint symbols
+a * |Y| + b, and a trial's winner is its first pair of maximal sum of
+c * log p over the symbols, in ascending order (a finite sum within
+1e-12 * (n + |sum|) of the maximum ties with it).  The universal kernel,
+`_universal_winners`, reads each lane's suffix entropies off
+`info_core.window_entropies` and, position by position, keeps a trial's
+lanes that agree with its first lane of least entropy among those left.
+`ml_first_errors` (known y as a y bin of one lane per trial) and
+`universal_first_errors` run them over a chunk; `ml_decode`, `si_decode_ml`,
+`sw_ml_decode`, `universal_decode` and `si_decode_universal` are their
+one-trial case, on the sorted candidate lists, so the first maximizer is the
+lexicographically smallest.
 
 The two-encoder universal decoder is the score decoder at the end of the
 module.  A pair's scores i_x, i_y are one less than the smallest l and k of
@@ -69,10 +71,9 @@ trial whose bin exceeds the cap at a step is dropped at that step and its step
 recorded.  `candidate_set_for` is the one-trial case;
 `initial_candidates`/`encode_step`/`update_candidates` and `enumerate_bin`
 remain the step-wise API and the engine's test oracles.  A chunk's lanes
-are in order, so `ml_first_errors` and `sw_universal_first_errors` decode
-them as they are.  The harness
-sizes a chunk by the closed-form mean bin size (`expected_bin_size`) against
-a fixed lane budget (`chunk_trials`), which bounds its memory.
+are in order, so every `*_first_errors` decodes them as they are.  The
+harness sizes a chunk by the closed-form mean bin size (`expected_bin_size`)
+against a fixed lane budget (`chunk_trials`), which bounds its memory.
 
 The decoders are exact but exponential-time by design; they are meant for
 desk-scale horizons (n <= 24 single-stream, n <= 12 for the two-encoder
@@ -81,6 +82,7 @@ decoders, whose score pass costs time quadratic in the bin product).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -91,9 +93,7 @@ import numpy as np
 from .info_core import (
     JointDistribution,
     _as_int,
-    _count_rows,
     _suffix_table,
-    _window_entropy,
     window_entropies,
 )
 # imported only for bench/trace_layers.py, which wraps it here; ROADMAP item 3 removes this
@@ -112,6 +112,7 @@ __all__ = [
     "expected_bin_size",
     "chunk_trials",
     "ml_first_errors",
+    "universal_first_errors",
     "sw_universal_first_errors",
     "ml_decode",
     "universal_decode",
@@ -446,9 +447,11 @@ def enumerate_bin(seed: int, stream_id: str, schedule: BinningSchedule,
     stream matches the reference's, found by exhaustive enumeration."""
     reference = _as_bytes(reference)
     n = len(reference)
+    # sequences share prefixes: each prefix's step bits are computed once
+    step_bits = functools.cache(lambda prefix: encode_step(seed, stream_id, prefix, schedule))
 
     def parities(seq):
-        return [encode_step(seed, stream_id, seq[:j], schedule) for j in range(1, n + 1)]
+        return [step_bits(seq[:j]) for j in range(1, n + 1)]
 
     target = parities(reference)
     return [seq for seq in map(bytes, itertools.product(range(alphabet), repeat=n))
@@ -485,24 +488,49 @@ def _first_max(trial, score, slack=0.0):
     return top[np.r_[True, trial[top][1:] != trial[top][:-1]]]
 
 
-def _ml_winners(trial, code, probs):
-    """The ML kernel: each trial's first lane of maximal log-likelihood.
+def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
+    """The ML kernel over every pair of every trial's bin product.  Lane i
+    of the x (y) bins belongs to trial_x[i] (trial_y[i]), ascending, and
+    reads the symbols px[i] (py[i]).  A trial's pair (a, b), a-major, reads
+    the joint symbols a * |Y| + b and scores c * log p summed over the
+    symbols in ascending order, an absent symbol adding an exact 0.0 (never
+    0 * -inf), so pairs of the same joint type tie bit-exactly; a finite
+    score within `_ML_TIE` * (n + |score|) of the maximum ties with it too,
+    since equal likelihoods can differ in their last bits (two joint types
+    of an independent source do).  The pairs go in blocks of the lane
+    budget, which bounds the memory of a large product; a block that starts
+    inside a trial's product is led by that trial's winner so far, which
+    precedes its pairs there, so the first maximizer stays first.  Returns
+    each trial's first maximizer as its x and y lanes, in trial order."""
+    size_x = np.bincount(trial_x, minlength=trials)
+    size_y = np.bincount(trial_y, minlength=trials)
+    pairs = size_x * size_y
+    ends = np.cumsum(pairs)
+    start_x, start_y = np.cumsum(size_x) - size_x, np.cumsum(size_y) - size_y
 
-    Lane i belongs to trial[i] (ascending) and reads the joint symbols
-    code[i] = a * |Y| + b; its log-likelihood is c * log p summed over the
-    symbols in ascending order, with an absent symbol adding an exact 0.0
-    (never 0 * -inf), so lanes of the same joint type tie bit-exactly.
-    Likelihoods that are equal in exact arithmetic can still differ in their
-    last bits, as two joint types of an independent source do: a finite
-    score within `_ML_TIE` * (n + |score|) of the maximum ties with it.
-    Returns the winning lane of each trial that has lanes, in trial order."""
-    score = np.zeros(len(trial))
-    for s, p in enumerate(probs.ravel().tolist()):
-        lp = math.log(p) if p > 0 else -math.inf
-        counts = (code == s).sum(axis=1)
-        score += np.multiply(counts, lp, out=np.zeros(len(trial)), where=counts > 0)
-    slack = np.where(np.isfinite(score), _ML_TIE * (code.shape[1] + np.abs(score)), 0.0)
-    return _first_max(trial, score, slack)
+    def lanes(pair):
+        trial = np.searchsorted(ends, pair, "right")
+        a, b = np.divmod(pair - (ends - pairs)[trial], size_y[trial])
+        return trial, start_x[trial] + a, start_y[trial] + b
+
+    best = np.full(trials, -1)
+    total = int(pairs.sum())
+    for lo in range(0, total, _LANE_BUDGET):
+        pair = np.arange(lo, min(lo + _LANE_BUDGET, total))
+        lead = best[np.searchsorted(ends, lo, "right")]
+        if lead >= 0:
+            pair = np.r_[lead, pair]
+        trial, lane_x, lane_y = lanes(pair)
+        code = px[lane_x].astype(np.intp) * probs.shape[1] + py[lane_y]
+        score = np.zeros(len(pair))
+        for s, p in enumerate(probs.ravel().tolist()):
+            lp = math.log(p) if p > 0 else -math.inf
+            counts = (code == s).sum(axis=1)
+            score += np.multiply(counts, lp, out=np.zeros(len(pair)), where=counts > 0)
+        slack = np.where(np.isfinite(score), _ML_TIE * (code.shape[1] + np.abs(score)), 0.0)
+        win = _first_max(trial, score, slack)
+        best[trial[win]] = pair[win]
+    return lanes(best[best >= 0])[1:]
 
 
 def _first_errors(bins: Bins, winners, seqs):
@@ -517,16 +545,49 @@ def _first_errors(bins: Bins, winners, seqs):
     return out
 
 
-def ml_first_errors(bins: Bins, seqs, probs, side):
-    """The ML decision of every trial of a chunk against its row of side
-    (trials x n observed y; 0^n with the |X| x 1 x-marginal as probs for
-    point-to-point ML), as the 1-based position of its first symbol that
-    differs from the trial's row of seqs, n + 1 when none does (and for an
-    overflowed trial).  A trial's lanes are in order, so its first
-    maximizer is its lexicographically smallest."""
-    code = (bins.prefixes.astype(np.intp) * probs.shape[1]
-            + np.asarray(side)[bins.trial])
-    return _first_errors(bins, _ml_winners(bins.trial, code, probs), seqs)
+def ml_first_errors(bins_x: Bins, bins_y: Bins, x_rows, y_rows, probs):
+    """The ML decision of every trial of a chunk over its bin product, under
+    the joint table probs[a, b], as the 1-based positions of its first x and
+    first y symbols that differ from the trial's rows of x_rows and y_rows,
+    n + 1 when none does (and for a trial without lanes in both bins).  Known
+    y is a y bin of one lane per trial, its row (0^n with the |X| x 1
+    x-marginal as probs for point-to-point ML).  A trial's lanes are in
+    order, so its first maximizer is its lexicographically smallest."""
+    win_x, win_y = _ml_winners(bins_x.trial, bins_x.prefixes, bins_y.trial,
+                               bins_y.prefixes, len(bins_x.overflow), probs)
+    return _first_errors(bins_x, win_x, x_rows), _first_errors(bins_y, win_y, y_rows)
+
+
+def _universal_winners(trial, code):
+    """The minimum-suffix-entropy kernel, decided left to right.  Lane i
+    belongs to trial[i] (ascending) and reads the symbols code[i].  At each
+    position l, the first of a trial's live lanes (those that agree with its
+    decided prefix) whose suffix [l - 1, n) has the least empirical entropy,
+    ties exact, decides symbol l, and the live lanes that differ there
+    leave.  Returns the one lane each trial with lanes keeps, in trial order."""
+    n = code.shape[1]
+    # the suffix windows, in window_entropies' lo-major order, taken a block
+    # of lanes at a time, which bounds the memory of a large bin
+    suffix = np.cumsum(np.arange(n, 0, -1)) - 1
+    h = np.concatenate([window_entropies(code[lo:lo + _LANE_BUDGET])[:, suffix]
+                        for lo in range(0, max(len(code), 1), _LANE_BUDGET)])
+    live = np.arange(len(trial))
+    for l in range(n):
+        win = live[_first_max(trial[live], -h[live, l])]
+        lead = win[np.searchsorted(trial[win], trial[live])]
+        live = live[code[live, l] == code[lead, l]]
+    return live
+
+
+def universal_first_errors(bins: Bins, seqs, side):
+    """The minimum-suffix-entropy decision of every trial of a chunk against
+    its row of side (trials x n observed y; 0^n for point-to-point decoding,
+    whose zipped pairs (a, 0) count as x alone), as the 1-based position of
+    its first symbol that differs from the trial's row of seqs, n + 1 when
+    none does (and for an overflowed trial).  A trial's lanes are in order,
+    so each decision goes to its lexicographically smallest minimizer."""
+    code = bins.prefixes.astype(np.uint16) << 8 | np.asarray(side)[bins.trial]
+    return _first_errors(bins, _universal_winners(bins.trial, code), seqs)
 
 
 def _lanes(members, n: int):
@@ -537,22 +598,12 @@ def _lanes(members, n: int):
 def _ml_pair(xs, ys, probs):
     """The one-trial case of the ML kernel: the pair of xs x ys with the
     largest likelihood under the joint table probs[a, b], lexicographically
-    smallest among ties.  Lane i of the sorted product is the pair
-    (i // |ys|, i % |ys|), so the first maximizer is the smallest."""
+    smallest among ties, on the sorted lists."""
     xs, ys = sorted(xs), sorted(ys)
     n = len(xs[0])
-    x = _lanes(xs, n).astype(np.intp)
-    y = _lanes(ys, n)
-    best = np.zeros(0, np.intp)
-    # the lanes in blocks of the lane budget, which bounds the memory of a
-    # large product; each block starts with the winner so far, which
-    # precedes all of its lanes, so the first maximizer stays first
-    for lo in range(0, len(xs) * len(ys), _LANE_BUDGET):
-        lanes = np.r_[best, lo:min(lo + _LANE_BUDGET, len(xs) * len(ys))]
-        code = x[lanes // len(ys)] * probs.shape[1] + y[lanes % len(ys)]
-        best = lanes[_ml_winners(np.zeros(len(lanes), np.intp), code, probs)]
-    i = int(best[0])
-    return xs[i // len(ys)], ys[i % len(ys)]
+    (a,), (b,) = _ml_winners(np.zeros(len(xs), np.intp), _lanes(xs, n),
+                             np.zeros(len(ys), np.intp), _lanes(ys, n), 1, probs)
+    return xs[a], ys[b]
 
 
 def ml_decode(cands: CandidateSet, source_model: JointDistribution, delay: int):
@@ -570,29 +621,10 @@ def ml_decode(cands: CandidateSet, source_model: JointDistribution, delay: int):
     return best[: n - delay]
 
 
-def _decide_left_to_right(cands: CandidateSet, y, delay: int):
-    """At each position l = 1 .. n - delay keep the candidates that agree with
-    the earlier decisions and commit to the l-th symbol of the one whose
-    suffix has the smallest joint empirical entropy with y_l^n,
-    lexicographically smallest on ties.  y = None (no side information)
-    counts each candidate's own symbols."""
-    n = cands.step
-    _check_delay(delay, n)
-    rows = {c: _count_rows(c if y is None else tuple(zip(c, y))) for c in cands.prefixes}
-    decided = b""
-    pool = list(cands.prefixes)
-    for l in range(1, n - delay + 1):
-        pool = [c for c in pool if c[: l - 1] == decided]
-        if len(pool) == 1:
-            return pool[0][: n - delay]  # the later decisions are its symbols
-        decided = min(pool, key=lambda c: (_window_entropy(rows[c], l - 1, n), c))[:l]
-    return decided
-
-
 def universal_decode(cands: CandidateSet, delay: int):
     """Minimum suffix-entropy decoding, decisions fixed left to right: the
     suffix x_l^n with the smallest empirical entropy decides position l."""
-    return _decide_left_to_right(cands, None, delay)
+    return si_decode_universal(cands, bytes(cands.step), delay)
 
 
 def si_decode_ml(cands: CandidateSet, y_observed, d: JointDistribution, delay: int):
@@ -608,23 +640,23 @@ def si_decode_universal(cands: CandidateSet, y_observed, delay: int):
     """Minimum empirical joint suffix-entropy decoding against known y.
 
     Since y is fixed, minimizing the joint suffix entropy orders candidates
-    exactly as the conditional suffix entropy would.
+    exactly as the conditional suffix entropy would.  The one-trial case of
+    the universal kernel, on the sorted list, truncated to n - delay: the
+    decision at l depends only on the decided prefix, so this is the
+    decision at that delay.
     """
-    y_observed = _side_information(y_observed, cands.step)
-    return _decide_left_to_right(cands, y_observed, delay)
+    n = cands.step
+    y = _side_information(y_observed, n)
+    _check_delay(delay, n)
+    xs = sorted(cands.prefixes)
+    code = _lanes(xs, n).astype(np.uint16) << 8 | np.frombuffer(y, np.uint8)
+    (w,) = _universal_winners(np.zeros(len(xs), np.intp), code)
+    return xs[w][: n - delay]
 
 
 # ---------------------------------------------------------------------------
 # Two-encoder score decoder
 # ---------------------------------------------------------------------------
-
-
-def _first_divergence(a, b, n: int) -> int:
-    """1-based index of the first disagreement; n+1 when identical."""
-    for i in range(n):
-        if a[i] != b[i]:
-            return i + 1
-    return n + 1
 
 
 def _horizon(cands_x: CandidateSet, cands_y: CandidateSet) -> int:

@@ -7,14 +7,13 @@ finite joint pmf over X x Y.  A point-to-point source is the degenerate case
 Every empirical entropy is computed here, as `entropy_of_counts` adds its
 terms: left to right, in ascending count order.  The counts of a window are
 a difference of cumulative count rows, and a joint type counts the zipped
-pairs (a, b).  The left-to-right decoders take one window at a time from a
-sequence's rows (`_count_rows`).  The lane entropy table
-(`window_entropies`) takes every window of every lane of an array at once:
-one column of cumulative counts per symbol, the window counts sorted by a
-network of minima and maxima, and each term looked up in a table of the
-floats `entropy_of_counts` adds.  `suffix_entropies` weighs those tables
-into the weighted suffix entropy of every cell of every pair lane, and
-`weighted_suffix_entropy` is its one-pair case.
+pairs (a, b).  The lane entropy table (`window_entropies`) takes every
+window of every lane of an array at once: one column of cumulative counts
+per symbol, the window counts sorted by a network of minima and maxima, and
+each term looked up in a table of the floats `entropy_of_counts` adds.  The
+universal decoders read its suffix windows; `suffix_entropies` weighs those
+tables into the weighted suffix entropy of every cell of every pair lane,
+and `weighted_suffix_entropy` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -264,23 +263,6 @@ def entropy_of_counts(counts, total: int) -> float:
     for c in sorted(c for c in counts if c > 0):
         h += (c / total) * math.log(total / c)
     return float(h)
-
-
-def _count_rows(seq):
-    """rows[t] counts each distinct symbol of seq over seq[:t], so the counts
-    of a window are a difference of rows."""
-    index = {v: m for m, v in enumerate(set(seq))}
-    row = [0] * len(index)
-    rows = [tuple(row)]
-    for v in seq:
-        row[index[v]] += 1
-        rows.append(tuple(row))
-    return rows
-
-
-def _window_entropy(rows, lo: int, hi: int) -> float:
-    """Empirical entropy of seq[lo:hi] from the count rows of seq."""
-    return entropy_of_counts([b - a for a, b in zip(rows[lo], rows[hi])], hi - lo)
 
 
 @functools.lru_cache(maxsize=32)

@@ -13,11 +13,11 @@ source at once: uniform i of a trial is the 53 high bits of
 mix(k + (i + 1) * phi), with `codec._mix` and k the mixed trial seed, so a
 trial's draws do not depend on its chunk, and `sample_source` is the
 one-trial case.  It replays all its bins at once with `codec.replay_bins`, and
-decodes them: ML and SI-ML with one vectorized argmax per chunk
-(`codec.ml_first_errors`, point-to-point ML as its |Y| = 1 case), the
-two-encoder universal decoder with one score pass per chunk
-(`codec.sw_universal_first_errors`), the other decoders one trial at a time
-on the trial's `CandidateSet`.  The chunk size
+decodes them all with one kernel call: the ML rule's bin-product argmax
+(`codec.ml_first_errors`, known y as a one-lane y bin), the universal rule
+(`codec.universal_first_errors`), or the two-encoder score pass
+(`codec.sw_universal_first_errors`); the point-to-point decoders are the
+|Y| = 1 case, against y = 0^n.  The chunk size
 is `codec.chunk_trials`: a fixed lane budget over the closed-form mean bin
 size, not an option; a parallel run caps it so that each worker gets at
 least 8 chunks.  A chunk returns histograms of its completed trials' first
@@ -49,16 +49,14 @@ from .codec import (
     _GOLDEN,
     _M64,
     _PRF_BITS,
+    Bins,
     _as_int,
-    _first_divergence,
     _mix,
     chunk_trials,
     ml_first_errors,
     replay_bins,
-    si_decode_universal,
-    sw_ml_decode,
     sw_universal_first_errors,
-    universal_decode,
+    universal_first_errors,
 )
 # imported only for bench/trace_layers.py, which wraps them here; ROADMAP item 3 removes this
 from .codec import (  # noqa: F401
@@ -66,7 +64,10 @@ from .codec import (  # noqa: F401
     initial_candidates,
     ml_decode,
     si_decode_ml,
+    si_decode_universal,
+    sw_ml_decode,
     sw_universal_decode,
+    universal_decode,
     update_candidates,
 )
 from .info_core import JointDistribution
@@ -231,45 +232,29 @@ def _tally_chunk(cfg: TrialConfig, start: int, stop: int):
                          cfg.candidate_cap)
     lost = [("x", int(j)) if j else None for j in bins_x.overflow]
     tally = {"x": _bin_tally(bins_x, bins_x.overflow == 0)}
-    fx = np.full(len(seeds), n + 1)
-    fy = np.full(len(seeds), n + 1)
+    probs = cfg.source.probs
+    if cfg.decoder in ("ml", "universal"):  # the |Y| = 1 case: y = 0^n, the x-marginal
+        probs, y_rows = cfg.source.marginal_x().reshape(-1, 1), np.zeros_like(x_rows)
     if cfg.decoder in _TWO_ENCODER:
         bins_y = replay_bins(seeds, y_rows, "y", cfg.schedule_y, cfg.source.alphabet_y,
                              cfg.candidate_cap, live=bins_x.overflow == 0)
         for i in np.flatnonzero(bins_y.overflow):
             lost[i] = ("y", int(bins_y.overflow[i]))
         tally["y"] = _bin_tally(bins_y, (bins_x.overflow == 0) & (bins_y.overflow == 0))
-    if cfg.decoder in ("ml", "si_ml"):
-        if cfg.decoder == "ml":  # the |Y| = 1 case: y = 0^n, the x-marginal
-            probs, y_rows = cfg.source.marginal_x().reshape(-1, 1), np.zeros_like(x_rows)
-        else:
-            probs = cfg.source.probs
-        fx = ml_first_errors(bins_x, x_rows, probs, y_rows)
-    elif cfg.decoder == "sw_universal":
+    else:  # y is known: a y bin of one lane per trial
+        bins_y = Bins(seeds=tuple(seeds), stream_id="y", schedule=None,
+                      alphabet=cfg.source.alphabet_y, trial=np.arange(len(seeds)),
+                      prefixes=y_rows, overflow=np.zeros(len(seeds), np.int64))
+    if cfg.decoder == "sw_universal":
         fx, fy = sw_universal_first_errors(bins_x, bins_y, x_rows, y_rows)
+    elif cfg.decoder in ("universal", "si_universal"):
+        fx, fy = universal_first_errors(bins_x, x_rows, y_rows), np.full(len(seeds), n + 1)
     else:
-        for i, (x, y) in enumerate(zip(map(bytes, x_rows), map(bytes, y_rows))):
-            if lost[i]:
-                continue
-            cx = bins_x.candidate_set(i)
-            if cfg.decoder == "sw_ml":
-                x_hat, y_hat = sw_ml_decode(cx, bins_y.candidate_set(i), cfg.source,
-                                            delay=0)
-                fy[i] = _first_divergence(y_hat, y, n)
-            elif cfg.decoder == "universal":
-                x_hat = universal_decode(cx, delay=0)
-            else:
-                x_hat = si_decode_universal(cx, y, delay=0)
-            fx[i] = _first_divergence(x_hat, x, n)
+        fx, fy = ml_first_errors(bins_x, bins_y, x_rows, y_rows, probs)
     done = np.array([where is None for where in lost], bool)
     first = np.stack([fx, fy, np.minimum(fx, fy)])[:, done]
     hist = np.stack([np.bincount(row, minlength=n + 2) for row in first])
     return hist, collections.Counter(filter(None, lost)), tally
-
-
-def _run_chunk(cfg: TrialConfig, start: int, stop: int):
-    """The error histogram and the aborts of `_tally_chunk`."""
-    return _tally_chunk(cfg, start, stop)[:2]
 
 
 def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:

@@ -11,6 +11,7 @@ from swstream import codec
 from swstream.codec import (
     _LANE_BUDGET,
     BinningSchedule,
+    Bins,
     CandidateOverflowError,
     CandidateSet,
     candidate_set_for,
@@ -29,6 +30,7 @@ from swstream.codec import (
     sw_universal_decode,
     sw_universal_first_errors,
     universal_decode,
+    universal_first_errors,
     update_candidates,
 )
 from swstream.info_core import (
@@ -291,7 +293,9 @@ class TestReplayBins:
     def test_overflow_aborts_exactly_the_scalar_trials(self):
         sparse = BinningSchedule((1, 0, 0, 0))
         seeds, seqs = _chunk(2, 12, 40, seed0=3)
-        cap = 300
+        # the cap is near the mean final bin size, E|C_12| = 804, so some
+        # but not all trials overflow whatever the PRF's draws
+        cap = 800
         bins = replay_bins(seeds, seqs, "x", sparse, 2, cap)
         outcomes = [_stepwise(seed, "x", seqs[t].tobytes(), sparse, 2, cap)
                     for t, seed in enumerate(seeds)]
@@ -354,6 +358,14 @@ class TestReplayBins:
             assert abs(sizes.mean() - want) <= 4.0 * stderr, (j, sizes.mean(), want)
 
 
+def _known(rows):
+    """Known y as a y bin of one lane per trial: its row."""
+    trials = len(rows)
+    return Bins(seeds=tuple(range(trials)), stream_id="y", schedule=None, alphabet=256,
+                trial=np.arange(trials), prefixes=np.asarray(rows, np.uint8),
+                overflow=np.zeros(trials, np.int64))
+
+
 class TestBatchedMlArgmax:
     def _check(self, d, schedule, n, trials, side_information):
         alphabet = d.alphabet_x
@@ -369,7 +381,7 @@ class TestBatchedMlArgmax:
             probs, side = d.marginal_x().reshape(-1, 1), np.zeros_like(xs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            first = ml_first_errors(bins, xs, probs, side)
+            first, _ = ml_first_errors(bins, _known(side), xs, side, probs)
         tied = 0
         for t in range(trials):
             cands = bins.candidate_set(t)
@@ -415,12 +427,74 @@ class TestBatchedMlArgmax:
         bins = replay_bins(seeds, seqs, "x", sparse, 2, cap=800)
         assert bins.overflow.any() and not bins.overflow.all()
         px = np.array([[0.5], [0.5]])
-        first = ml_first_errors(bins, seqs, px, np.zeros_like(seqs))
+        side = np.zeros_like(seqs)
+        first, _ = ml_first_errors(bins, _known(side), seqs, side, px)
         for t in range(len(seeds)):
             if not bins.overflow[t]:
                 best = _oracle_ml(bins.candidate_set(t).prefixes, px.ravel(), 12, 0)
                 wrong = [i for i in range(12) if best[i] != seqs[t, i]]
                 assert first[t] == (wrong[0] + 1 if wrong else 13)
+
+
+class TestBatchedUniversal:
+    """The chunk minimum-suffix-entropy kernel against the left-to-right
+    oracles, trial by trial."""
+
+    def _check(self, d, schedule, n, trials, side_information, cap=2 ** 20):
+        rng = np.random.default_rng(12)
+        pairs = [sample_source(d, n, int(rng.integers(1 << 40))) for _ in range(trials)]
+        xs = np.frombuffer(b"".join(x for x, _ in pairs), np.uint8).reshape(-1, n)
+        ys = np.frombuffer(b"".join(y for _, y in pairs), np.uint8).reshape(-1, n)
+        bins = replay_bins(list(range(700, 700 + trials)), xs, "x", schedule,
+                           d.alphabet_x, cap)
+        first = universal_first_errors(bins, xs, ys if side_information else np.zeros_like(xs))
+        for t in range(trials):
+            if bins.overflow[t]:
+                assert first[t] == n + 1
+                continue
+            members = bins.candidate_set(t).prefixes
+            if side_information:
+                best = _oracle_si_universal(members, pairs[t][1], n, 0)
+            else:
+                best = _oracle_universal(members, n, 0)
+            assert first[t] == _first_error(best, xs[t], n)
+        return bins
+
+    @pytest.mark.parametrize("budget", [None, 7], ids=["default", "small"])
+    @pytest.mark.parametrize("side_information", [False, True], ids=["universal", "si"])
+    def test_binary(self, side_information, budget, monkeypatch):
+        # a small lane budget takes the entropies of a chunk's lanes, and of
+        # a trial's, over several blocks
+        if budget:
+            monkeypatch.setattr(codec, "_LANE_BUDGET", budget)
+        d = JointDistribution.from_matrix([[0.45, 0.05], [0.05, 0.45]]) if side_information \
+            else JointDistribution.from_marginal([0.9, 0.1])
+        bins = self._check(d, ONE_BIT, 12, 80, side_information)
+        assert np.bincount(bins.trial).max() > 7
+
+    @pytest.mark.parametrize("side_information", [False, True], ids=["universal", "si"])
+    def test_ternary(self, side_information):
+        d = JointDistribution.from_matrix([[0.3, 0.05], [0.05, 0.3], [0.1, 0.2]]) \
+            if side_information else JointDistribution.from_marginal([0.6, 0.3, 0.1])
+        self._check(d, TWO_BITS, 8, 80, side_information)
+
+    def test_overflowed_trials_are_skipped(self):
+        d = JointDistribution.from_matrix([[0.45, 0.05], [0.05, 0.45]])
+        bins = self._check(d, BinningSchedule((1, 0, 0, 0)), 12, 20, True, cap=800)
+        assert bins.overflow.any() and not bins.overflow.all()
+
+    def test_ties_break_lexicographically_not_by_position(self):
+        # unsorted hand-built bin: 1110 has the least entropy at l = 1, then
+        # the suffixes 110 and 010 tie, and the smaller, 1010, decides l = 2,
+        # though 1110 comes first in list order
+        xs = [b"\x01\x01\x01\x00", b"\x01\x00\x01\x00", b"\x00\x01\x01\x00",
+              b"\x00\x01\x00\x01"]
+        cands = _hand_built("x", xs)
+        assert universal_decode(cands, 0) == b"\x01\x00\x01\x00" == _oracle_universal(xs, 4, 0)
+        assert universal_decode(cands, 2) == b"\x01\x00"
+        for y in (bytes(4), b"\x01" * 4):  # a constant y counts as x alone
+            assert si_decode_universal(cands, y, 0) == b"\x01\x00\x01\x00"
+            assert si_decode_universal(cands, y, 0) == _oracle_si_universal(xs, y, 4, 0)
 
 
 def _hand_built(stream_id, members, alphabet=2):
@@ -774,6 +848,30 @@ class TestTwoEncoderDecoders:
 
         want = min(itertools.product(members, members), key=lambda pr: (-ll(pr), pr))
         assert sw_ml_decode(*cands, d, 0) == want
+
+    @pytest.mark.parametrize("probs", [
+        [[0.1, 0.05], [0.05, 0.8]],
+        [[0.25, 0.25], [0.25, 0.25]],  # every pair ties: the first one wins
+    ], ids=["example2", "uniform"])
+    def test_chunk_matches_one_trial_decoder_across_lane_blocks(self, probs):
+        # a chunk whose bin products fill several lane blocks, with trials
+        # that straddle block starts: each trial's decision is the one-trial
+        # decoder's, whose products here fit in one block
+        d = JointDistribution.from_matrix(probs)
+        bins_x, bins_y, x_rows, y_rows = TestScoreKernel._chunk(
+            d.probs, ONE_BIT, 10, 400, seed=8)
+        fx, fy = ml_first_errors(bins_x, bins_y, x_rows, y_rows, d.probs)
+        pairs = np.bincount(bins_x.trial, minlength=400) * np.bincount(bins_y.trial, minlength=400)
+        ends = np.cumsum(pairs)
+        assert ends[-1] >= 3 * _LANE_BUDGET and pairs.max() < _LANE_BUDGET
+        straddle = [t for t in range(400)
+                    if (ends[t] - pairs[t]) // _LANE_BUDGET < (ends[t] - 1) // _LANE_BUDGET]
+        assert len(straddle) >= 3
+        for t in range(400):
+            cx, cy = bins_x.candidate_set(t), bins_y.candidate_set(t)
+            x_hat, y_hat = sw_ml_decode(cx, cy, d, 0)
+            assert (fx[t], fy[t]) == (_first_error(x_hat, x_rows[t], 10),
+                                      _first_error(y_hat, y_rows[t], 10))
 
     def test_ml_matches_product_argmax(self):
         d = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])

@@ -14,7 +14,7 @@ from swstream.codec import (
 )
 from swstream.info_core import JointDistribution
 from swstream.sim import (
-    _run_chunk,
+    _tally_chunk,
     DelayErrorStats,
     FitResult,
     TrialConfig,
@@ -244,7 +244,8 @@ class TestRunTrials:
         assert stats.errors_joint == ej
 
     @pytest.mark.parametrize("decoder, n", [
-        ("si_ml", 16), ("ml", 24), ("sw_ml", 10), ("sw_universal", 8),
+        ("si_ml", 16), ("ml", 24), ("universal", 24), ("si_universal", 16),
+        ("sw_ml", 10), ("sw_universal", 8),
     ])
     def test_thread_count_invariant_across_chunks(self, decoder, n):
         source = JointDistribution.from_marginal([0.9, 0.1]) if decoder == "ml" \
@@ -255,25 +256,28 @@ class TestRunTrials:
         assert cfg.trials % chunk_trials(n, streams) != 0
         assert run_trials(cfg, threads=1) == run_trials(cfg, threads=2)
 
-    @pytest.mark.parametrize("decoder", ["si_ml", "si_universal", "sw_ml", "sw_universal"])
+    @pytest.mark.parametrize("decoder", [
+        "universal", "si_ml", "si_universal", "sw_ml", "sw_universal"])
     def test_range_counters_sum_over_any_split(self, decoder):
         # the score pass is quadratic in the bin product: a smaller cap keeps
         # sw_universal to a couple of seconds
         cap = 120 if decoder == "sw_universal" else 200
         cfg = _cfg(decoder=decoder, schedule_y=ONE_BIT, schedule_x=_SPARSE, n=10,
                    trials=90, base_seed=2, candidate_cap=cap)
-        whole, whole_aborted = _run_chunk(cfg, 0, cfg.trials)
+        whole, whole_aborted, whole_bins = _tally_chunk(cfg, 0, cfg.trials)
         assert 0 < whole_aborted.total() < cfg.trials
         assert whole.shape == (3, cfg.n + 2)
         assert (whole.sum(axis=1) == cfg.trials - whole_aborted.total()).all()
         for cuts in ([0, 1, 2, 90], [0, 37, 38, 61, 90], [0, 45, 90]):
-            parts = [_run_chunk(cfg, a, b) for a, b in zip(cuts, cuts[1:])]
-            assert (sum(h for h, _ in parts) == whole).all()
+            parts = [_tally_chunk(cfg, a, b) for a, b in zip(cuts, cuts[1:])]
+            assert (sum(h for h, _, _ in parts) == whole).all()
             aborted = {}
-            for _, p in parts:
+            for _, p, _ in parts:
                 for where, count in p.items():
                     aborted[where] = aborted.get(where, 0) + count
             assert aborted == whole_aborted
+            for stream, tally in whole_bins.items():
+                assert (sum(t[stream] for _, _, t in parts) == tally).all()
 
     def test_aborts_recorded_by_stream_and_step(self):
         # the sparse small-cap config: every trial overflows, at the step
