@@ -17,13 +17,22 @@ Sequences and prefixes are byte strings (one byte per symbol); byte strings
 compare lexicographically, which is the tie-break order used everywhere.
 
 There is one maximum-likelihood rule (a joint-likelihood argmax over a
-product of x and y candidate lists) and one universal rule (minimum joint
-empirical suffix entropy, decided left to right), and each is one kernel
-that decodes every trial of a chunk as numpy lanes.  The two-encoder ML
-decoder runs the first over Cx x Cy, the side-information decoders run both
-over Cx x {y}, and the point-to-point decoders are the |Y| = 1 case: the
-same rules against y = 0^n, with the x-marginal as an |X| x 1 table.  Every
-pair then reads (a, 0), so the counts, and the floats, are those of x alone.
+product of x and y candidate lists), one universal rule (minimum joint
+empirical suffix entropy, decided left to right) and the two-encoder
+universal score decoder, and each is one kernel that decodes every trial of
+a chunk as numpy lanes: it takes the chunk's x and y lanes and returns each
+trial's winning x and y lanes.  Known y is a y bin of one lane per trial.
+One table, keyed by `DECODERS`, maps each of the paper's six decoders to its
+kernel, the joint table it scores and whether y reads as 0^n.  The
+two-encoder decoders run over Cx x Cy, the side-information decoders over
+Cx x {y}, and the point-to-point decoders are the |Y| = 1 case: the same
+rules against y = 0^n, with the x-marginal as an |X| x 1 table.  Every pair
+then reads (a, 0), so the counts, and the floats, are those of x alone.
+`first_errors` runs a decoder over a chunk, and `ml_decode`, `si_decode_ml`,
+`sw_ml_decode`, `universal_decode`, `si_decode_universal` and
+`sw_universal_decode` are its one-trial case, on the sorted candidate lists,
+so the first maximizer is the lexicographically smallest.
+
 The ML kernel, `_ml_winners`, reads a pair as one row of joint symbols
 a * |Y| + b, and a trial's winner is its first pair of maximal sum of
 c * log p over the symbols, in ascending order (a finite sum within
@@ -31,29 +40,20 @@ c * log p over the symbols, in ascending order (a finite sum within
 `_universal_winners`, reads each lane's suffix entropies off
 `info_core.window_entropies` and, position by position, keeps a trial's
 lanes that agree with its first lane of least entropy among those left.
-`ml_first_errors` (known y as a y bin of one lane per trial) and
-`universal_first_errors` run them over a chunk; `ml_decode`, `si_decode_ml`,
-`sw_ml_decode`, `universal_decode` and `si_decode_universal` are their
-one-trial case, on the sorted candidate lists, so the first maximizer is the
-lexicographically smallest.
-
-The two-encoder universal decoder is the score decoder at the end of the
-module.  A pair's scores i_x, i_y are one less than the smallest l and k of
-the cells (l, k) it marks: those where a rival pair first diverging there has
-weighted suffix entropy <= the pair's own (a tie marks; no mark scores
-n + 1).  One kernel, the score pass `_sw_scores`, scores every pair of every
-trial's bin product in a chunk.  Each (pair, rival) entry is an element of
-flat arrays, with l and k read from first-divergence tables of the trial's
-x and y lanes, and both entropies from a table of every cell of every pair
+The score decoder's kernel, `_sw_winners`, takes a pair's scores i_x, i_y
+as one less than the smallest l and k of the cells (l, k) it marks: those
+where a rival pair first diverging there has weighted suffix entropy <= the
+pair's own (a tie marks; no mark scores n + 1).  One score pass,
+`_sw_scores`, scores every pair of every trial's bin product in a chunk.
+Each (pair, rival) entry is an element of flat arrays, with l and k read
+from first-divergence tables of the trial's x and y lanes, and both
+entropies from a table of every cell of every pair
 (`info_core._suffix_table`, built on the lane entropy tables of
 `info_core.window_entropies`).  Fixed budgets on the pairs whose table is
 live and on the entries compared at once bound its memory.  Each trial's
-winners are its first x (y) lane of maximal best i_x (i_y) over its pairs.
-`sw_universal_first_errors` runs the pass over a chunk;
-`sw_universal_decode` is its one-trial case, on the sorted candidate lists,
-so the first maximizer is the lexicographically smallest; and
-`compute_scores` reads one pair of it.  (The O(P^2) definition, scored
-rival by rival, is the test oracle in `tests/oracles.py`.)
+winners are its first x (y) lane of maximal best i_x (i_y) over its pairs,
+and `compute_scores` reads one pair of the pass.  (The O(P^2) definition,
+scored rival by rival, is the test oracle in `tests/oracles.py`.)
 
 The Monte Carlo harness replays the bins of a chunk of trials at once
 (`replay_bins`).  A chunk's bins are flat lanes, one per bin member: the
@@ -71,7 +71,7 @@ trial whose bin exceeds the cap at a step is dropped at that step and its step
 recorded.  `candidate_set_for` is the one-trial case;
 `initial_candidates`/`encode_step`/`update_candidates` and `enumerate_bin`
 remain the step-wise API and the engine's test oracles.  A chunk's lanes
-are in order, so every `*_first_errors` decodes them as they are.  The
+are in order, so `first_errors` decodes them as they are.  The
 harness sizes a chunk by the closed-form mean bin size (`expected_bin_size`)
 against a fixed lane budget (`chunk_trials`), which bounds its memory.
 
@@ -111,9 +111,8 @@ __all__ = [
     "replay_bins",
     "expected_bin_size",
     "chunk_trials",
-    "ml_first_errors",
-    "universal_first_errors",
-    "sw_universal_first_errors",
+    "DECODERS",
+    "first_errors",
     "ml_decode",
     "universal_decode",
     "si_decode_ml",
@@ -333,7 +332,9 @@ def candidate_set_for(seed: int, stream_id: str, sequence, schedule: BinningSche
         raise CandidateOverflowError(
             f"candidate set exceeded cap {cap} at step {bins.overflow[0]}"
         )
-    return bins.candidate_set(0)
+    return CandidateSet(seed=seed, stream_id=stream_id, schedule=schedule,
+                        alphabet=alphabet, prefixes=tuple(map(bytes, bins.prefixes)),
+                        step=len(seq))
 
 
 @dataclass(frozen=True)
@@ -344,20 +345,9 @@ class Bins:
     `overflow[t]` is the step at which trial t's bin exceeded the cap, and 0
     when it did not (an overflowed trial has no lanes)."""
 
-    seeds: tuple
-    stream_id: str
-    schedule: BinningSchedule
-    alphabet: int
     trial: np.ndarray
     prefixes: np.ndarray
     overflow: np.ndarray
-
-    def candidate_set(self, t: int) -> CandidateSet:
-        lo, hi = np.searchsorted(self.trial, (t, t + 1))
-        return CandidateSet(seed=self.seeds[t], stream_id=self.stream_id,
-                            schedule=self.schedule, alphabet=self.alphabet,
-                            prefixes=tuple(map(bytes, self.prefixes[lo:hi])),
-                            step=self.prefixes.shape[1])
 
 
 def _parity_chunks(state, alphabet: int, nbits: int):
@@ -415,9 +405,7 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
             alive = ~over[trial]
             trial, state, prefixes, true = (trial[alive], state[alive],
                                             prefixes[alive], true[alive])
-    return Bins(seeds=tuple(seeds), stream_id=stream_id, schedule=schedule,
-                alphabet=alphabet, trial=trial, prefixes=prefixes,
-                overflow=overflow)
+    return Bins(trial=trial, prefixes=prefixes, overflow=overflow)
 
 
 def expected_bin_size(step: int, alphabet: int, schedule: BinningSchedule) -> float:
@@ -459,20 +447,8 @@ def enumerate_bin(seed: int, stream_id: str, schedule: BinningSchedule,
 
 
 # ---------------------------------------------------------------------------
-# Decoders.  All tie-breaks are lexicographic for reproducibility.
+# Decoder kernels.  All tie-breaks are lexicographic for reproducibility.
 # ---------------------------------------------------------------------------
-
-
-def _check_delay(delay: int, n: int) -> None:
-    if not (0 <= delay <= n):
-        raise ValueError("delay out of range")
-
-
-def _side_information(y_observed, n: int) -> bytes:
-    y_observed = _as_bytes(y_observed)
-    if len(y_observed) != n:
-        raise ValueError("side-information length must equal the horizon")
-    return y_observed
 
 
 def _first_max(trial, score, slack=0.0):
@@ -489,19 +465,21 @@ def _first_max(trial, score, slack=0.0):
 
 
 def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
-    """The ML kernel over every pair of every trial's bin product.  Lane i
-    of the x (y) bins belongs to trial_x[i] (trial_y[i]), ascending, and
-    reads the symbols px[i] (py[i]).  A trial's pair (a, b), a-major, reads
-    the joint symbols a * |Y| + b and scores c * log p summed over the
-    symbols in ascending order, an absent symbol adding an exact 0.0 (never
+    """The ML kernel over every pair of every trial's bin product, under the
+    joint table probs[a, b].  A trial's pair (a, b), a-major, reads the
+    joint symbols a * |Y| + b and scores c * log p summed over the symbols
+    in ascending order, an absent symbol adding an exact 0.0 (never
     0 * -inf), so pairs of the same joint type tie bit-exactly; a finite
     score within `_ML_TIE` * (n + |score|) of the maximum ties with it too,
     since equal likelihoods can differ in their last bits (two joint types
-    of an independent source do).  The pairs go in blocks of the lane
-    budget, which bounds the memory of a large product; a block that starts
-    inside a trial's product is led by that trial's winner so far, which
-    precedes its pairs there, so the first maximizer stays first.  Returns
-    each trial's first maximizer as its x and y lanes, in trial order."""
+    of an independent source do).  A lane symbol outside the table is a
+    ValueError.  The pairs go in blocks of the lane budget, which bounds the
+    memory of a large product; a block that starts inside a trial's product
+    is led by that trial's winner so far, which precedes its pairs there, so
+    the first maximizer stays first."""
+    if px.max(initial=0) >= probs.shape[0] or py.max(initial=0) >= probs.shape[1]:
+        raise ValueError(f"a lane symbol lies outside the {probs.shape[0]} x "
+                         f"{probs.shape[1]} likelihood table")
     size_x = np.bincount(trial_x, minlength=trials)
     size_y = np.bincount(trial_y, minlength=trials)
     pairs = size_x * size_y
@@ -533,138 +511,23 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
     return lanes(best[best >= 0])[1:]
 
 
-def _first_errors(bins: Bins, winners, seqs):
-    """The 1-based position of the first symbol of each trial's winning lane
-    that differs from the trial's row of seqs, n + 1 when none does and for
-    a trial without a winner."""
-    trial, prefixes = bins.trial, bins.prefixes
-    n = prefixes.shape[1]
-    out = np.full(len(bins.overflow), n + 1)
-    wrong = prefixes[winners] != np.asarray(seqs)[trial[winners]]
-    out[trial[winners]] = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, n + 1)
-    return out
-
-
-def ml_first_errors(bins_x: Bins, bins_y: Bins, x_rows, y_rows, probs):
-    """The ML decision of every trial of a chunk over its bin product, under
-    the joint table probs[a, b], as the 1-based positions of its first x and
-    first y symbols that differ from the trial's rows of x_rows and y_rows,
-    n + 1 when none does (and for a trial without lanes in both bins).  Known
-    y is a y bin of one lane per trial, its row (0^n with the |X| x 1
-    x-marginal as probs for point-to-point ML).  A trial's lanes are in
-    order, so its first maximizer is its lexicographically smallest."""
-    win_x, win_y = _ml_winners(bins_x.trial, bins_x.prefixes, bins_y.trial,
-                               bins_y.prefixes, len(bins_x.overflow), probs)
-    return _first_errors(bins_x, win_x, x_rows), _first_errors(bins_y, win_y, y_rows)
-
-
-def _universal_winners(trial, code):
-    """The minimum-suffix-entropy kernel, decided left to right.  Lane i
-    belongs to trial[i] (ascending) and reads the symbols code[i].  At each
-    position l, the first of a trial's live lanes (those that agree with its
-    decided prefix) whose suffix [l - 1, n) has the least empirical entropy,
-    ties exact, decides symbol l, and the live lanes that differ there
-    leave.  Returns the one lane each trial with lanes keeps, in trial order."""
-    n = code.shape[1]
-    # the suffix windows, in window_entropies' lo-major order, taken a block
-    # of lanes at a time, which bounds the memory of a large bin
-    suffix = np.cumsum(np.arange(n, 0, -1)) - 1
-    h = np.concatenate([window_entropies(code[lo:lo + _LANE_BUDGET])[:, suffix]
+def _universal_winners(trial_x, px, trial_y, py, trials: int):
+    """The minimum-suffix-entropy kernel against known y, decided left to
+    right: the y bins hold one lane per trial, so lane i's pairs read
+    (px[i], py[trial_x[i]]).  At each position l, the first of a trial's live
+    lanes (those that agree with its decided prefix) whose joint suffix
+    [l - 1, n) has the least empirical entropy, ties exact, decides symbol
+    l, and the live lanes that differ there leave."""
+    code = px.astype(np.uint16) << 8 | py[trial_x]
+    # taken a block of lanes at a time, which bounds the memory of a large bin
+    h = np.concatenate([window_entropies(code[lo:lo + _LANE_BUDGET], suffix=True)
                         for lo in range(0, max(len(code), 1), _LANE_BUDGET)])
-    live = np.arange(len(trial))
-    for l in range(n):
-        win = live[_first_max(trial[live], -h[live, l])]
-        lead = win[np.searchsorted(trial[win], trial[live])]
+    live = np.arange(len(trial_x))
+    for l in range(code.shape[1]):
+        win = live[_first_max(trial_x[live], -h[live, l])]
+        lead = win[np.searchsorted(trial_x[win], trial_x[live])]
         live = live[code[live, l] == code[lead, l]]
-    return live
-
-
-def universal_first_errors(bins: Bins, seqs, side):
-    """The minimum-suffix-entropy decision of every trial of a chunk against
-    its row of side (trials x n observed y; 0^n for point-to-point decoding,
-    whose zipped pairs (a, 0) count as x alone), as the 1-based position of
-    its first symbol that differs from the trial's row of seqs, n + 1 when
-    none does (and for an overflowed trial).  A trial's lanes are in order,
-    so each decision goes to its lexicographically smallest minimizer."""
-    code = bins.prefixes.astype(np.uint16) << 8 | np.asarray(side)[bins.trial]
-    return _first_errors(bins, _universal_winners(bins.trial, code), seqs)
-
-
-def _lanes(members, n: int):
-    """Byte-string sequences of length n as the rows of a uint8 array."""
-    return np.frombuffer(b"".join(members), np.uint8).reshape(len(members), n)
-
-
-def _ml_pair(xs, ys, probs):
-    """The one-trial case of the ML kernel: the pair of xs x ys with the
-    largest likelihood under the joint table probs[a, b], lexicographically
-    smallest among ties, on the sorted lists."""
-    xs, ys = sorted(xs), sorted(ys)
-    n = len(xs[0])
-    (a,), (b,) = _ml_winners(np.zeros(len(xs), np.intp), _lanes(xs, n),
-                             np.zeros(len(ys), np.intp), _lanes(ys, n), 1, probs)
-    return xs[a], ys[b]
-
-
-def ml_decode(cands: CandidateSet, source_model: JointDistribution, delay: int):
-    """Most likely bin member under the source model's x-marginal, truncated
-    to n - delay.
-
-    The paper-style symbol-by-symbol construction and the global argmax agree
-    (each decision conditions on the already-decided prefix), so the global
-    form is used directly.
-    """
-    n = cands.step
-    _check_delay(delay, n)
-    px = source_model.marginal_x().reshape(-1, 1)
-    best, _ = _ml_pair(cands.prefixes, (bytes(n),), px)
-    return best[: n - delay]
-
-
-def universal_decode(cands: CandidateSet, delay: int):
-    """Minimum suffix-entropy decoding, decisions fixed left to right: the
-    suffix x_l^n with the smallest empirical entropy decides position l."""
-    return si_decode_universal(cands, bytes(cands.step), delay)
-
-
-def si_decode_ml(cands: CandidateSet, y_observed, d: JointDistribution, delay: int):
-    """Maximum conditional likelihood given the observed side information."""
-    n = cands.step
-    y_observed = _side_information(y_observed, n)
-    _check_delay(delay, n)
-    best, _ = _ml_pair(cands.prefixes, (y_observed,), d.probs)
-    return best[: n - delay]
-
-
-def si_decode_universal(cands: CandidateSet, y_observed, delay: int):
-    """Minimum empirical joint suffix-entropy decoding against known y.
-
-    Since y is fixed, minimizing the joint suffix entropy orders candidates
-    exactly as the conditional suffix entropy would.  The one-trial case of
-    the universal kernel, on the sorted list, truncated to n - delay: the
-    decision at l depends only on the decided prefix, so this is the
-    decision at that delay.
-    """
-    n = cands.step
-    y = _side_information(y_observed, n)
-    _check_delay(delay, n)
-    xs = sorted(cands.prefixes)
-    code = _lanes(xs, n).astype(np.uint16) << 8 | np.frombuffer(y, np.uint8)
-    (w,) = _universal_winners(np.zeros(len(xs), np.intp), code)
-    return xs[w][: n - delay]
-
-
-# ---------------------------------------------------------------------------
-# Two-encoder score decoder
-# ---------------------------------------------------------------------------
-
-
-def _horizon(cands_x: CandidateSet, cands_y: CandidateSet) -> int:
-    """The step n both bins of a two-encoder decode are at."""
-    n = cands_x.step
-    if cands_y.step != n:
-        raise ValueError("candidate sets are at different steps")
-    return n
+    return live, trial_x[live]
 
 
 def _ragged(sizes):
@@ -735,12 +598,11 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
 
 def _sw_scores(trial_x, px, trial_y, py, trials: int):
     """The score pass of the module docstring over every pair of every
-    trial's bin product.  Lane i of the x (y) bins belongs to trial_x[i]
-    (trial_y[i]), ascending, and reads the symbols px[i] (py[i]).  Returns
-    each pair's x and y lanes, each trial's product in a-major order, and
-    its scores i_x and i_y; a trial without lanes in both bins has no
-    pairs.  The trials go in groups of whole trials, as many as the pair
-    budget holds and at least one, which bounds the memory."""
+    trial's bin product.  Returns each pair's x and y lanes, each trial's
+    product in a-major order, and its scores i_x and i_y; a trial without
+    lanes in both bins has no pairs.  The trials go in groups of whole
+    trials, as many as the pair budget holds and at least one, which bounds
+    the memory."""
     pairs = np.bincount(trial_x, minlength=trials) * np.bincount(trial_y, minlength=trials)
     ends = np.cumsum(pairs)
     parts = []
@@ -758,9 +620,8 @@ def _sw_scores(trial_x, px, trial_y, py, trials: int):
 
 
 def _sw_winners(trial_x, px, trial_y, py, trials: int):
-    """Each trial's decision: the x (y) lane attaining the maximal i_x (i_y)
-    over its pairs, the first in lane order on ties; for the trials with
-    lanes in both bins, in trial order."""
+    """The two-encoder universal kernel: each trial's x (y) lane attaining
+    the maximal i_x (i_y) over its pairs, the first in lane order on ties."""
     pair_x, pair_y, i_x, i_y = _sw_scores(trial_x, px, trial_y, py, trials)
     winners = []
     for trial, pair, score in ((trial_x, pair_x, i_x), (trial_y, pair_y, i_y)):
@@ -771,44 +632,136 @@ def _sw_winners(trial_x, px, trial_y, py, trials: int):
     return winners
 
 
-def sw_universal_first_errors(bins_x: Bins, bins_y: Bins, x_rows, y_rows):
-    """The two-encoder universal decision of every trial of a chunk, as the
-    1-based positions of its first x and first y symbols that differ from
-    the trial's rows of x_rows and y_rows, n + 1 when none does (and for a
-    trial without lanes in both bins).  A trial's lanes are in order, so
-    each winner is the lexicographically smallest maximizer."""
-    win_x, win_y = _sw_winners(bins_x.trial, bins_x.prefixes, bins_y.trial,
-                               bins_y.prefixes, len(bins_x.overflow))
-    return _first_errors(bins_x, win_x, x_rows), _first_errors(bins_y, win_y, y_rows)
+# ---------------------------------------------------------------------------
+# The decoder table
+# ---------------------------------------------------------------------------
 
 
-def compute_scores(pair, cands_x: CandidateSet, cands_y: CandidateSet):
-    """The scores (i_x, i_y) of one pair of the bin product against every
-    rival pair: the one-pair readout of the score pass."""
-    n = _horizon(cands_x, cands_y)
-    xs, ys = cands_x.prefixes, cands_y.prefixes
-    lane = xs.index(_as_bytes(pair[0])) * len(ys) + ys.index(_as_bytes(pair[1]))
-    _, _, i_x, i_y = _sw_scores(np.zeros(len(xs), np.intp), _lanes(xs, n),
-                                np.zeros(len(ys), np.intp), _lanes(ys, n), 1)
-    return int(i_x[lane]), int(i_y[lane])
+# decoder -> (kernel, the joint table it scores, whether y reads as 0^n)
+_TABLE = {
+    "ml": (_ml_winners, lambda d: d.marginal_x().reshape(-1, 1), True),
+    "universal": (_universal_winners, None, True),
+    "si_ml": (_ml_winners, lambda d: d.probs, False),
+    "si_universal": (_universal_winners, None, False),
+    "sw_ml": (_ml_winners, lambda d: d.probs, False),
+    "sw_universal": (_sw_winners, None, False),
+}
+DECODERS = tuple(_TABLE)
 
 
-def sw_universal_decode(cands_x: CandidateSet, cands_y: CandidateSet, delay: int):
-    """Pick the winners: the x (resp. y) candidate attaining the maximal
-    i_x (resp. i_y) over all pairs, lexicographically smallest on ties; the
-    one-trial case of the score pass, on the sorted candidate lists."""
-    n = _horizon(cands_x, cands_y)
-    _check_delay(delay, n)
-    xs, ys = sorted(cands_x.prefixes), sorted(cands_y.prefixes)
-    (wx,), (wy,) = _sw_winners(np.zeros(len(xs), np.intp), _lanes(xs, n),
-                               np.zeros(len(ys), np.intp), _lanes(ys, n), 1)
+def _kernel(decoder: str, source: JointDistribution):
+    """The decoder's kernel, its table bound in, and whether y reads as 0^n."""
+    if decoder not in _TABLE:
+        raise ValueError(f"unknown decoder {decoder!r}")
+    kernel, table, y_zero = _TABLE[decoder]
+    return (functools.partial(kernel, probs=table(source)) if table else kernel), y_zero
+
+
+def _error_positions(bins: Bins, winners, seqs):
+    """The 1-based position of the first symbol of each trial's winning lane
+    that differs from the trial's row of seqs, n + 1 when none does and for
+    a trial without a winner."""
+    trial, prefixes = bins.trial, bins.prefixes
+    n = prefixes.shape[1]
+    out = np.full(len(bins.overflow), n + 1)
+    wrong = prefixes[winners] != np.asarray(seqs)[trial[winners]]
+    out[trial[winners]] = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, n + 1)
+    return out
+
+
+def first_errors(decoder: str, source: JointDistribution, bins_x: Bins, bins_y,
+                 x_rows, y_rows):
+    """The decision of every trial of a chunk under the named decoder, as
+    the 1-based positions of its first x and first y symbols that differ
+    from the trial's rows of x_rows and y_rows, n + 1 when none does (and
+    for a trial without lanes in both bins).  bins_y None: y is known, a y
+    bin of one lane per trial, the trial's row of y_rows, or 0^n for the
+    decoders that read it so; either way its y decision is right.  A trial's
+    lanes are in order, so its winners are its lexicographically smallest
+    maximizers."""
+    kernel, y_zero = _kernel(decoder, source)
+    trials = len(bins_x.overflow)
+    if bins_y is None:
+        y_rows = np.zeros(np.shape(x_rows), np.uint8) if y_zero \
+            else np.asarray(y_rows, np.uint8)
+        bins_y = Bins(np.arange(trials), y_rows, np.zeros(trials, np.int64))
+    win_x, win_y = kernel(bins_x.trial, bins_x.prefixes, bins_y.trial, bins_y.prefixes,
+                          trials)
+    return _error_positions(bins_x, win_x, x_rows), _error_positions(bins_y, win_y, y_rows)
+
+
+def _lanes(members, n: int):
+    """Byte-string sequences of length n as the rows of a uint8 array."""
+    if any(len(m) != n for m in members):
+        raise ValueError("the x and y candidates are at different steps")
+    return np.frombuffer(b"".join(members), np.uint8).reshape(len(members), n)
+
+
+def _decide(decoder: str, source, xs, ys, delay: int):
+    """The one-trial case of `first_errors`: the decision on the x candidates
+    xs and the y candidates ys (the one observed y for side information;
+    unread by the decoders that read y as 0^n), truncated to n - delay.  It
+    runs on the sorted lists, so the first maximizer is the
+    lexicographically smallest, and a decision at l depends only on the
+    decided prefix, so this is the decision at that delay."""
+    kernel, y_zero = _kernel(decoder, source)
+    xs = sorted(xs)
+    n = len(xs[0])
+    ys = [bytes(n)] if y_zero else sorted(map(_as_bytes, ys))
+    if not (0 <= delay <= n):
+        raise ValueError("delay out of range")
+    (wx,), (wy,) = kernel(np.zeros(len(xs), np.intp), _lanes(xs, n),
+                          np.zeros(len(ys), np.intp), _lanes(ys, n), 1)
     return xs[wx][: n - delay], ys[wy][: n - delay]
+
+
+def ml_decode(cands: CandidateSet, source_model: JointDistribution, delay: int):
+    """Most likely bin member under the source model's x-marginal, truncated
+    to n - delay.
+
+    The paper-style symbol-by-symbol construction and the global argmax agree
+    (each decision conditions on the already-decided prefix), so the global
+    form is used directly.
+    """
+    return _decide("ml", source_model, cands.prefixes, (), delay)[0]
+
+
+def universal_decode(cands: CandidateSet, delay: int):
+    """Minimum suffix-entropy decoding, decisions fixed left to right: the
+    suffix x_l^n with the smallest empirical entropy decides position l."""
+    return _decide("universal", None, cands.prefixes, (), delay)[0]
+
+
+def si_decode_ml(cands: CandidateSet, y_observed, d: JointDistribution, delay: int):
+    """Maximum conditional likelihood given the observed side information."""
+    return _decide("si_ml", d, cands.prefixes, (y_observed,), delay)[0]
+
+
+def si_decode_universal(cands: CandidateSet, y_observed, delay: int):
+    """Minimum empirical joint suffix-entropy decoding against known y.
+    Since y is fixed, minimizing the joint suffix entropy orders candidates
+    exactly as the conditional suffix entropy would."""
+    return _decide("si_universal", None, cands.prefixes, (y_observed,), delay)[0]
 
 
 def sw_ml_decode(cands_x: CandidateSet, cands_y: CandidateSet,
                  d: JointDistribution, delay: int):
     """Joint-likelihood argmax over the bin product."""
-    n = _horizon(cands_x, cands_y)
-    _check_delay(delay, n)
-    x_hat, y_hat = _ml_pair(cands_x.prefixes, cands_y.prefixes, d.probs)
-    return x_hat[: n - delay], y_hat[: n - delay]
+    return _decide("sw_ml", d, cands_x.prefixes, cands_y.prefixes, delay)
+
+
+def sw_universal_decode(cands_x: CandidateSet, cands_y: CandidateSet, delay: int):
+    """Pick the winners: the x (resp. y) candidate attaining the maximal
+    i_x (resp. i_y) over all pairs, lexicographically smallest on ties."""
+    return _decide("sw_universal", None, cands_x.prefixes, cands_y.prefixes, delay)
+
+
+def compute_scores(pair, cands_x: CandidateSet, cands_y: CandidateSet):
+    """The scores (i_x, i_y) of one pair of the bin product against every
+    rival pair: the one-pair readout of the score pass."""
+    xs, ys = cands_x.prefixes, cands_y.prefixes
+    lane = xs.index(_as_bytes(pair[0])) * len(ys) + ys.index(_as_bytes(pair[1]))
+    n = cands_x.step
+    _, _, i_x, i_y = _sw_scores(np.zeros(len(xs), np.intp), _lanes(xs, n),
+                                np.zeros(len(ys), np.intp), _lanes(ys, n), 1)
+    return int(i_x[lane]), int(i_y[lane])

@@ -270,7 +270,8 @@ def _lane_tables(n: int) -> SimpleNamespace:
     """The index tables of the lane entropy tables of horizon n, built on
     first use and shared read-only.  lo, hi: the windows [lo, hi) of a
     length-n lane, every 0 <= lo < hi <= n, then the empty window [n, n);
-    row: (hi - lo) * (n + 1), each window's row of terms; terms: at
+    suffix: the windows [lo, n), lo < n, in order of lo; row:
+    (hi - lo) * (n + 1), each window's row of terms; terms: at
     t * (n + 1) + c, the term (c / t) log(t / c) of a count c among t
     symbols, 0.0 for c = 0.  Per cell (l, k), row-major: first, the window
     where one stream is disputed; other, that window of the other stream
@@ -300,22 +301,25 @@ def _lane_tables(n: int) -> SimpleNamespace:
             cells.append((first, other, index[(b - 1, n)],
                           (b - a) / span, (n + 1 - b) / span))
     first, other, second, w1, w2 = (np.array(c) for c in zip(*cells))
-    tables = dict(lo=lo, hi=hi, row=(hi - lo) * (n + 1), terms=terms, first=first,
-                  other=other, second=second, w1=w1, w2=w2)
+    suffix = np.array([index[(s, n)] for s in range(n)], np.intp)
+    tables = dict(lo=lo, hi=hi, suffix=suffix, row=(hi - lo) * (n + 1), terms=terms,
+                  first=first, other=other, second=second, w1=w1, w2=w2)
     for table in tables.values():
         table.flags.writeable = False
     return SimpleNamespace(**tables)
 
 
-def window_entropies(lanes) -> np.ndarray:
+def window_entropies(lanes, suffix: bool = False) -> np.ndarray:
     """The lane entropy table: [i, w] is the empirical entropy of
     lanes[i, lo:hi] for the w-th window [lo, hi) of a length-n lane, in the
-    order every 0 <= lo < hi <= n (lo-major), then the empty window [n, n).
+    order every 0 <= lo < hi <= n (lo-major), then the empty window [n, n);
+    with `suffix`, only the suffix windows [lo, n), lo < n, in order of lo.
     Lanes are rows of integer symbols; each value is the float
     `entropy_of_counts` gives for the window's counts."""
     lanes = np.asarray(lanes)
     count, n = lanes.shape
     t = _lane_tables(n)
+    window = t.suffix if suffix else slice(None)
     # one column of counts per distinct symbol; past n symbols, each
     # symbol's rank within its own lane, so at most n columns
     symbols, rank = np.unique(lanes, return_inverse=True)
@@ -330,7 +334,7 @@ def window_entropies(lanes) -> np.ndarray:
     rows = np.zeros((columns, count, n + 1), np.min_scalar_type(n))
     np.cumsum(rank == np.arange(columns)[:, None, None], axis=2,
               dtype=rows.dtype, out=rows[:, :, 1:])
-    counts = rows[:, :, t.hi] - rows[:, :, t.lo]
+    counts = rows[:, :, t.hi[window]] - rows[:, :, t.lo[window]]
     # ascending counts in every window: an odd-even transposition network
     for r in range(columns):
         for c in range(r % 2, columns - 1, 2):
@@ -339,11 +343,12 @@ def window_entropies(lanes) -> np.ndarray:
             counts[c] = low
     # added left to right from 0.0, as entropy_of_counts adds them; a zero
     # count adds an exact 0.0
-    h = np.zeros((count, len(t.lo)))
+    row = t.row[window]
+    h = np.zeros((count, len(row)))
     index = np.empty(h.shape, np.intp)
     term = np.empty(h.shape)
     for column in counts:
-        np.take(t.terms, np.add(t.row, column, out=index), out=term)
+        np.take(t.terms, np.add(row, column, out=index), out=term)
         h += term
     return h
 

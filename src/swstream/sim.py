@@ -12,21 +12,19 @@ trial's seed (one `derive_trial_seed` call per trial) and then every trial's
 source at once: uniform i of a trial is the 53 high bits of
 mix(k + (i + 1) * phi), with `codec._mix` and k the mixed trial seed, so a
 trial's draws do not depend on its chunk, and `sample_source` is the
-one-trial case.  It replays all its bins at once with `codec.replay_bins`, and
-decodes them all with one kernel call: the ML rule's bin-product argmax
-(`codec.ml_first_errors`, known y as a one-lane y bin), the universal rule
-(`codec.universal_first_errors`), or the two-encoder score pass
-(`codec.sw_universal_first_errors`); the point-to-point decoders are the
-|Y| = 1 case, against y = 0^n.  The chunk size
-is `codec.chunk_trials`: a fixed lane budget over the closed-form mean bin
-size, not an option; a parallel run caps it so that each worker gets at
-least 8 chunks.  A chunk returns histograms of its completed trials' first
-x, y and joint error positions, and the errors at delay D are the
-cumulative count up to symbol n - D.  Every count is a sum over chunks, so
-the counts do not depend on the chunk size or on `--threads`.  An aborted
-trial is counted under the stream and step at which its bin overflowed.  A
-chunk also sums each stream's final bin sizes (and their squares) over the
-trials whose bin did not overflow, so the mean final bin size is a sum too.
+one-trial case.  It replays all its bins at once with `codec.replay_bins` (y
+too for the two-encoder decoders; the others know y), and decodes them all
+with one `codec.first_errors` call, whose decoder table picks the kernel.
+The chunk size is `codec.chunk_trials`: a fixed lane budget over the
+closed-form mean bin size, not an option; a parallel run caps it so that
+each worker gets at least 8 chunks.  A chunk returns histograms of its
+completed trials' first x, y and joint error positions, and the errors at
+delay D are the cumulative count up to symbol n - D.  Every count is a sum
+over chunks, so the counts do not depend on the chunk size or on
+`--threads`.  An aborted trial is counted under the stream and step at which
+its bin overflowed.  A chunk also sums each stream's final bin sizes (and
+their squares) over the trials whose bin did not overflow, so the mean final
+bin size is a sum too.
 """
 
 from __future__ import annotations
@@ -49,14 +47,12 @@ from .codec import (
     _GOLDEN,
     _M64,
     _PRF_BITS,
-    Bins,
+    DECODERS,
     _as_int,
     _mix,
     chunk_trials,
-    ml_first_errors,
+    first_errors,
     replay_bins,
-    sw_universal_first_errors,
-    universal_first_errors,
 )
 # imported only for bench/trace_layers.py, which wraps them here; ROADMAP item 3 removes this
 from .codec import (  # noqa: F401
@@ -86,7 +82,6 @@ __all__ = [
     "DECODERS",
 ]
 
-DECODERS = ("ml", "universal", "si_ml", "si_universal", "sw_ml", "sw_universal")
 _TWO_ENCODER = ("sw_ml", "sw_universal")
 # a trial's sampling key is mix(seed ^ _SAMPLE_KEY), apart from every parity key
 _SAMPLE_KEY = 0xB7E151628AED2A6A
@@ -232,25 +227,14 @@ def _tally_chunk(cfg: TrialConfig, start: int, stop: int):
                          cfg.candidate_cap)
     lost = [("x", int(j)) if j else None for j in bins_x.overflow]
     tally = {"x": _bin_tally(bins_x, bins_x.overflow == 0)}
-    probs = cfg.source.probs
-    if cfg.decoder in ("ml", "universal"):  # the |Y| = 1 case: y = 0^n, the x-marginal
-        probs, y_rows = cfg.source.marginal_x().reshape(-1, 1), np.zeros_like(x_rows)
+    bins_y = None  # y is known
     if cfg.decoder in _TWO_ENCODER:
         bins_y = replay_bins(seeds, y_rows, "y", cfg.schedule_y, cfg.source.alphabet_y,
                              cfg.candidate_cap, live=bins_x.overflow == 0)
         for i in np.flatnonzero(bins_y.overflow):
             lost[i] = ("y", int(bins_y.overflow[i]))
         tally["y"] = _bin_tally(bins_y, (bins_x.overflow == 0) & (bins_y.overflow == 0))
-    else:  # y is known: a y bin of one lane per trial
-        bins_y = Bins(seeds=tuple(seeds), stream_id="y", schedule=None,
-                      alphabet=cfg.source.alphabet_y, trial=np.arange(len(seeds)),
-                      prefixes=y_rows, overflow=np.zeros(len(seeds), np.int64))
-    if cfg.decoder == "sw_universal":
-        fx, fy = sw_universal_first_errors(bins_x, bins_y, x_rows, y_rows)
-    elif cfg.decoder in ("universal", "si_universal"):
-        fx, fy = universal_first_errors(bins_x, x_rows, y_rows), np.full(len(seeds), n + 1)
-    else:
-        fx, fy = ml_first_errors(bins_x, bins_y, x_rows, y_rows, probs)
+    fx, fy = first_errors(cfg.decoder, cfg.source, bins_x, bins_y, x_rows, y_rows)
     done = np.array([where is None for where in lost], bool)
     first = np.stack([fx, fy, np.minimum(fx, fy)])[:, done]
     hist = np.stack([np.bincount(row, minlength=n + 2) for row in first])

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 from swstream import codec
 from swstream.codec import (
     _LANE_BUDGET,
+    DECODERS,
     BinningSchedule,
-    Bins,
     CandidateOverflowError,
     CandidateSet,
     candidate_set_for,
@@ -20,17 +20,15 @@ from swstream.codec import (
     encode_step,
     enumerate_bin,
     expected_bin_size,
+    first_errors,
     initial_candidates,
     ml_decode,
-    ml_first_errors,
     replay_bins,
     si_decode_ml,
     si_decode_universal,
     sw_ml_decode,
     sw_universal_decode,
-    sw_universal_first_errors,
     universal_decode,
-    universal_first_errors,
     update_candidates,
 )
 from swstream.info_core import (
@@ -246,6 +244,12 @@ def _stepwise(seed, stream_id, seq, schedule, alphabet, cap):
     return cands.prefixes
 
 
+def _members(bins, t):
+    """Trial t's bin members, in lane order."""
+    lo, hi = np.searchsorted(bins.trial, (t, t + 1))
+    return tuple(map(bytes, bins.prefixes[lo:hi]))
+
+
 def _chunk(alphabet, n, trials, seed0=0, rng_seed=0):
     rng = np.random.default_rng(rng_seed)
     seqs = rng.integers(0, alphabet, size=(trials, n)).astype(np.uint8)
@@ -271,13 +275,13 @@ class TestReplayBins:
         bins = replay_bins(seeds, seqs, "x", schedule, alphabet)
         assert not bins.overflow.any()
         for t, seed in enumerate(seeds):
-            got = bins.candidate_set(t)
+            got = _members(bins, t)
             want = _stepwise(seed, "x", seqs[t].tobytes(), schedule, alphabet,
                              2 ** 20)
-            assert got.prefixes == want  # same members, same order
-            assert got.prefixes == candidate_set_for(
-                seed, "x", seqs[t].tobytes(), schedule, alphabet).prefixes
-            assert got.step == n and got.seed == seed and got.alphabet == alphabet
+            assert got == want  # same members, same order
+            cands = candidate_set_for(seed, "x", seqs[t].tobytes(), schedule, alphabet)
+            assert cands.prefixes == got
+            assert (cands.seed, cands.alphabet, cands.step) == (seed, alphabet, n)
 
     @pytest.mark.parametrize("alphabet, pattern, n", [
         (2, (1,), 6), (2, (1, 0, 2), 6), (3, (2,), 5), (4, (2, 1), 4),
@@ -288,7 +292,7 @@ class TestReplayBins:
         bins = replay_bins(seeds, seqs, "y", schedule, alphabet)
         for t, seed in enumerate(seeds):
             members = enumerate_bin(seed, "y", schedule, alphabet, seqs[t].tobytes())
-            assert set(bins.candidate_set(t).prefixes) == set(members)
+            assert set(_members(bins, t)) == set(members)
 
     def test_overflow_aborts_exactly_the_scalar_trials(self):
         sparse = BinningSchedule((1, 0, 0, 0))
@@ -306,7 +310,7 @@ class TestReplayBins:
                 assert t not in bins.trial
             else:
                 assert bins.overflow[t] == 0
-                assert bins.candidate_set(t).prefixes == want
+                assert _members(bins, t) == want
 
     def test_live_mask_replays_only_selected_trials(self):
         seeds, seqs = _chunk(2, 8, 6)
@@ -316,7 +320,7 @@ class TestReplayBins:
         assert not bins.overflow.any()
         full = replay_bins(seeds, seqs, "x", ONE_BIT, 2)
         for t in (0, 2, 3, 5):
-            assert bins.candidate_set(t) == full.candidate_set(t)
+            assert _members(bins, t) == _members(full, t)
 
     def test_rejects_symbols_outside_alphabet_and_wide_words(self):
         with pytest.raises(ValueError):
@@ -358,14 +362,6 @@ class TestReplayBins:
             assert abs(sizes.mean() - want) <= 4.0 * stderr, (j, sizes.mean(), want)
 
 
-def _known(rows):
-    """Known y as a y bin of one lane per trial: its row."""
-    trials = len(rows)
-    return Bins(seeds=tuple(range(trials)), stream_id="y", schedule=None, alphabet=256,
-                trial=np.arange(trials), prefixes=np.asarray(rows, np.uint8),
-                overflow=np.zeros(trials, np.int64))
-
-
 class TestBatchedMlArgmax:
     def _check(self, d, schedule, n, trials, side_information):
         alphabet = d.alphabet_x
@@ -375,22 +371,19 @@ class TestBatchedMlArgmax:
         ys = np.frombuffer(b"".join(y for _, y in pairs), np.uint8).reshape(-1, n)
         seeds = list(range(500, 500 + trials))
         bins = replay_bins(seeds, xs, "x", schedule, alphabet)
-        if side_information:
-            probs, side = d.probs, ys
-        else:
-            probs, side = d.marginal_x().reshape(-1, 1), np.zeros_like(xs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            first, _ = ml_first_errors(bins, _known(side), xs, side, probs)
+            first, _ = first_errors("si_ml" if side_information else "ml", d, bins, None,
+                                    xs, ys)
         tied = 0
         for t in range(trials):
-            cands = bins.candidate_set(t)
+            cands = _hand_built("x", _members(bins, t), alphabet)
             if side_information:
                 y = pairs[t][1]
                 best = _oracle_si_ml(cands.prefixes, y, d, n, 0)
                 assert best == si_decode_ml(cands, y, d, 0)
             else:
-                best = _oracle_ml(cands.prefixes, probs.ravel(), n, 0)
+                best = _oracle_ml(cands.prefixes, d.marginal_x(), n, 0)
                 assert best == ml_decode(cands, d, 0)
             wrong = [i for i in range(n) if best[i] != xs[t, i]]
             assert first[t] == (wrong[0] + 1 if wrong else n + 1)
@@ -426,12 +419,11 @@ class TestBatchedMlArgmax:
         # half of the trials overflow whatever the PRF's draws
         bins = replay_bins(seeds, seqs, "x", sparse, 2, cap=800)
         assert bins.overflow.any() and not bins.overflow.all()
-        px = np.array([[0.5], [0.5]])
-        side = np.zeros_like(seqs)
-        first, _ = ml_first_errors(bins, _known(side), seqs, side, px)
+        uniform = JointDistribution.from_marginal([0.5, 0.5])
+        first, _ = first_errors("ml", uniform, bins, None, seqs, np.zeros_like(seqs))
         for t in range(len(seeds)):
             if not bins.overflow[t]:
-                best = _oracle_ml(bins.candidate_set(t).prefixes, px.ravel(), 12, 0)
+                best = _oracle_ml(_members(bins, t), uniform.marginal_x(), 12, 0)
                 wrong = [i for i in range(12) if best[i] != seqs[t, i]]
                 assert first[t] == (wrong[0] + 1 if wrong else 13)
 
@@ -447,12 +439,13 @@ class TestBatchedUniversal:
         ys = np.frombuffer(b"".join(y for _, y in pairs), np.uint8).reshape(-1, n)
         bins = replay_bins(list(range(700, 700 + trials)), xs, "x", schedule,
                            d.alphabet_x, cap)
-        first = universal_first_errors(bins, xs, ys if side_information else np.zeros_like(xs))
+        first, _ = first_errors("si_universal" if side_information else "universal", d,
+                                bins, None, xs, ys)
         for t in range(trials):
             if bins.overflow[t]:
                 assert first[t] == n + 1
                 continue
-            members = bins.candidate_set(t).prefixes
+            members = _members(bins, t)
             if side_information:
                 best = _oracle_si_universal(members, pairs[t][1], n, 0)
             else:
@@ -687,7 +680,7 @@ def _first_error(decoded, truth, n):
 
 class TestScoreKernel:
     """The trial-batched score pass: each trial of a chunk decoded by
-    sw_universal_first_errors against the oracle winners of its bins."""
+    first_errors("sw_universal", ...) against the oracle winners of its bins."""
 
     EXAMPLE1 = [[0.45, 0.05], [0.05, 0.45]]
     EXAMPLE2 = [[0.1, 0.05], [0.05, 0.8]]
@@ -712,11 +705,10 @@ class TestScoreKernel:
     def _check(bins_x, bins_y, x_rows, y_rows):
         """Returns which trials had lanes in both bins."""
         n = x_rows.shape[1]
-        fx, fy = sw_universal_first_errors(bins_x, bins_y, x_rows, y_rows)
+        fx, fy = first_errors("sw_universal", None, bins_x, bins_y, x_rows, y_rows)
         decoded = []
         for t, (x, y) in enumerate(zip(x_rows, y_rows)):
-            xs = bins_x.candidate_set(t).prefixes
-            ys = bins_y.candidate_set(t).prefixes
+            xs, ys = _members(bins_x, t), _members(bins_y, t)
             decoded.append(bool(xs and ys))
             if not decoded[-1]:
                 assert fx[t] == fy[t] == n + 1
@@ -741,8 +733,7 @@ class TestScoreKernel:
         chunk = self._chunk(probs, schedule, n, trials, seed=n)
         if budgets:
             bins_x, bins_y = chunk[:2]
-            sizes = [len(bins_x.candidate_set(t).prefixes) * len(bins_y.candidate_set(t).prefixes)
-                     for t in range(trials)]
+            sizes = [len(_members(bins_x, t)) * len(_members(bins_y, t)) for t in range(trials)]
             assert max(sizes) ** 2 > 2 * budgets[1]
         assert all(self._check(*chunk))
 
@@ -860,7 +851,7 @@ class TestTwoEncoderDecoders:
         d = JointDistribution.from_matrix(probs)
         bins_x, bins_y, x_rows, y_rows = TestScoreKernel._chunk(
             d.probs, ONE_BIT, 10, 400, seed=8)
-        fx, fy = ml_first_errors(bins_x, bins_y, x_rows, y_rows, d.probs)
+        fx, fy = first_errors("sw_ml", d, bins_x, bins_y, x_rows, y_rows)
         pairs = np.bincount(bins_x.trial, minlength=400) * np.bincount(bins_y.trial, minlength=400)
         ends = np.cumsum(pairs)
         assert ends[-1] >= 3 * _LANE_BUDGET and pairs.max() < _LANE_BUDGET
@@ -868,7 +859,7 @@ class TestTwoEncoderDecoders:
                     if (ends[t] - pairs[t]) // _LANE_BUDGET < (ends[t] - 1) // _LANE_BUDGET]
         assert len(straddle) >= 3
         for t in range(400):
-            cx, cy = bins_x.candidate_set(t), bins_y.candidate_set(t)
+            cx, cy = (_hand_built(s, _members(b, t)) for s, b in (("x", bins_x), ("y", bins_y)))
             x_hat, y_hat = sw_ml_decode(cx, cy, d, 0)
             assert (fx[t], fy[t]) == (_first_error(x_hat, x_rows[t], 10),
                                       _first_error(y_hat, y_rows[t], 10))
@@ -926,3 +917,59 @@ class TestTwoEncoderDecoders:
         cy = candidate_set_for(8, "y", y, ONE_BIT)
         assert sw_universal_decode(cx, cy, self.N) == (b"", b"")
         assert sw_ml_decode(cx, cy, d, self.N) == (b"", b"")
+
+
+class TestDecoderTable:
+    """The one chunk entry point, `first_errors`, and its decoder table."""
+
+    def test_the_six_decoders(self):
+        assert DECODERS == ("ml", "universal", "si_ml", "si_universal", "sw_ml",
+                            "sw_universal")
+
+    def test_unknown_decoder_rejected(self):
+        seeds, seqs = _chunk(2, 6, 3)
+        bins = replay_bins(seeds, seqs, "x", ONE_BIT, 2)
+        with pytest.raises(ValueError, match="unknown decoder"):
+            first_errors("viterbi", JointDistribution.from_marginal([0.5, 0.5]), bins,
+                         None, seqs, seqs)
+
+    @pytest.mark.parametrize("decoder", ["ml", "universal"])
+    def test_point_to_point_decoders_read_y_as_zeros(self, decoder):
+        # whatever y rows they are given, the decisions are those against
+        # y = 0^n, and y is decoded without error
+        d = JointDistribution.from_matrix([[0.45, 0.05], [0.05, 0.45]])
+        n, trials = 12, 60
+        seeds, x_rows = _chunk(2, n, trials, seed0=40, rng_seed=1)
+        y_rows = np.random.default_rng(2).integers(0, 2, size=(trials, n)).astype(np.uint8)
+        assert y_rows.any()
+        bins = replay_bins(seeds, x_rows, "x", ONE_BIT, 2)
+        fx, fy = first_errors(decoder, d, bins, None, x_rows, y_rows)
+        zeros = first_errors(decoder, d, bins, None, x_rows, np.zeros_like(y_rows))
+        assert (fx == zeros[0]).all() and (fx <= n).any()
+        assert (fy == n + 1).all() and (zeros[1] == n + 1).all()
+
+    def test_ml_symbols_outside_the_table_rejected(self):
+        # a ternary bin under a binary model: the ML kernel refuses it
+        # instead of scoring the symbol 2 as probability 1
+        members = [b"\x00\x00\x00\x00", b"\x02\x02\x02\x02"]
+        cands = _hand_built("x", members, alphabet=3)
+        binary = JointDistribution.from_marginal([0.9, 0.1])
+        example1 = JointDistribution.from_matrix([[0.45, 0.05], [0.05, 0.45]])
+        in_range = _hand_built("y", [b"\x00\x01\x00\x01"])
+        with pytest.raises(ValueError, match="outside"):
+            ml_decode(cands, binary, 0)
+        with pytest.raises(ValueError, match="outside"):
+            si_decode_ml(cands, bytes(4), example1, 0)
+        with pytest.raises(ValueError, match="outside"):
+            si_decode_ml(in_range, b"\x00\x02\x00\x00", example1, 0)
+        with pytest.raises(ValueError, match="outside"):
+            sw_ml_decode(cands, in_range, example1, 0)
+        with pytest.raises(ValueError, match="outside"):
+            sw_ml_decode(in_range, cands, example1, 0)
+        seeds, seqs = _chunk(3, 6, 4)
+        bins = replay_bins(seeds, seqs, "x", TWO_BITS, 3)
+        with pytest.raises(ValueError, match="outside"):
+            first_errors("ml", binary, bins, None, seqs, seqs)
+        # in range, the same bins decode
+        assert ml_decode(cands, JointDistribution.from_marginal([0.1, 0.1, 0.8]), 0) \
+            == members[1]

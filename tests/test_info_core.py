@@ -401,6 +401,21 @@ class TestWindowEntropies:
                 counts = collections.Counter(lane[lo:hi]).values()
                 assert h == (entropy_of_counts(counts, hi - lo) if hi > lo else 0.0)
 
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.sampled_from((0, 1, 2, 16, 300)), min_size=n, max_size=n),
+                 min_size=1, max_size=4))))
+    def test_suffix_windows_are_the_full_tables_suffix_columns(self, case):
+        # the suffix call counts only the windows [lo, n), to the same floats
+        n, lanes = case
+        lanes = np.array(lanes, np.int64).reshape(len(lanes), n)
+        full = window_entropies(lanes)
+        suffix = window_entropies(lanes, suffix=True)
+        windows = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
+        assert suffix.shape == (len(lanes), n)
+        for lo in range(n):
+            assert (suffix[:, lo] == full[:, windows.index((lo, n))]).all()
+
 
 def _type_entropy(*windows):
     """Reference empirical entropy: plain counts of the zipped windows."""
