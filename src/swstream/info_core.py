@@ -4,6 +4,12 @@ Everything downstream (exponent formulas, decoders, simulations) works on a
 finite joint pmf over X x Y.  A point-to-point source is the degenerate case
 |Y| = 1.  All logarithms are natural; entropies and divergences are in nats.
 
+The Gallager log-sums are memoized: each is evaluated once per table layout
+and rho, and the memo is cleared when it holds `_MEMO_SIZE` of them.  The key
+holds the table's bytes, shape and strides, because a full numpy reduction
+adds in memory order: the same table stored C- and F-ordered (`swapped()`
+keeps the transpose F-ordered) can differ in the last bit.
+
 Every empirical entropy is computed here, as `entropy_of_counts` adds its
 terms: left to right, in ascending count order.  The counts of a window are
 a difference of cumulative count rows, and a joint type counts the zipped
@@ -181,42 +187,75 @@ def _check_rho(rho: float) -> None:
         raise ValueError(f"rho must be > -1, got {rho}")
 
 
-def _log_powered(p: np.ndarray, rho: float) -> np.ndarray:
-    """log of p^{1/(1+rho)} with zeros mapped to -inf.
-
-    Worked in log space so that rho near -1 (huge exponents) cannot
-    underflow.
-    """
+def _log_p(p: np.ndarray) -> np.ndarray:
+    """log p with zeros mapped to -inf; dividing it by 1 + rho works in log
+    space, so rho near -1 (huge exponents) cannot underflow."""
     with np.errstate(divide="ignore"):
-        return np.log(p) / (1.0 + rho)
+        return np.log(p)
 
 
 def _logsumexp(a: np.ndarray, axis=None):
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
+    """log sum exp(a) over `axis` (all of `a` when None), the maximum shifted
+    out; a maximum that is not finite (an all-zero column) shifts by 0."""
+    m = a.max(axis=axis)
     if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
+        m = m if math.isfinite(m) else 0.0
+    else:
+        m = np.where(np.isfinite(m), m, 0.0)
+    return np.log(np.exp(a - m).sum(axis=axis)) + m
+
+
+_MEMO_SIZE = 1 << 15  # log-sums held before the memo is cleared
+_memo: dict = {}  # (layout, bracket) -> (log p, {rho: log-sum})
+_memo_size = 0
+
+
+def _clear_memo() -> None:
+    global _memo_size
+    _memo.clear()
+    _memo_size = 0
+
+
+def _log_sum(d: JointDistribution, rho: float, column: bool) -> float:
+    """log sum_{x,y} p^{1/(1+rho)}, or with `column` the E_{x|y} log-sum,
+    evaluated once per table layout and rho (module docstring)."""
+    global _memo_size
+    _check_rho(rho)
+    p = d.probs
+    layout = (p.tobytes(), p.shape, p.strides, column)
+    entry = _memo.get(layout)
+    if entry is not None:
+        value = entry[1].get(rho)
+        if value is not None:
+            return value
+    if _memo_size >= _MEMO_SIZE:
+        _clear_memo()
+        entry = None
+    if entry is None:
+        entry = _memo[layout] = (_log_p(p), {})
+    logp, sums = entry
+    a = logp / (1.0 + rho)
+    if column:
+        a = (1.0 + rho) * _logsumexp(a, axis=0)  # log D(y)^{1+rho}
+    value = sums[rho] = float(_logsumexp(a))
+    _memo_size += 1
+    return value
 
 
 def log_sum_tilted(d: JointDistribution, rho: float) -> float:
     """log sum_{x,y} p(x,y)^{1/(1+rho)}."""
-    _check_rho(rho)
-    return float(_logsumexp(_log_powered(d.probs, rho)))
+    return _log_sum(d, rho, False)
 
 
 def log_sum_xy_tilted(d: JointDistribution, rho: float) -> float:
     """log sum_y [ sum_x p(x,y)^{1/(1+rho)} ]^{1+rho}."""
-    _check_rho(rho)
-    log_col = _logsumexp(_log_powered(d.probs, rho), axis=0)  # log D(y)
-    return float(_logsumexp((1.0 + rho) * log_col))
+    return _log_sum(d, rho, True)
 
 
 def tilted(p: JointDistribution, rho: float) -> JointDistribution:
     """Exponentially tilted joint: p(x,y)^{1/(1+rho)}, renormalized."""
     _check_rho(rho)
-    logp = _log_powered(p.probs, rho)
+    logp = _log_p(p.probs) / (1.0 + rho)
     logz = _logsumexp(logp)
     probs = np.exp(logp - logz)
     probs[p.probs == 0] = 0.0
@@ -232,7 +271,7 @@ def xy_tilted(p: JointDistribution, rho: float) -> JointDistribution:
     A(y) = D(y)^{1+rho}, B = sum_y A.
     """
     _check_rho(rho)
-    logc = _log_powered(p.probs, rho)
+    logc = _log_p(p.probs) / (1.0 + rho)
     logd = _logsumexp(logc, axis=0)          # per-column normalizer
     loga = (1.0 + rho) * logd
     logb = _logsumexp(loga)

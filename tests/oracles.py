@@ -1,11 +1,12 @@
 """Brute-force oracles that the test suite checks the production routes against.
 
-Each one computes a quantity straight from its definition: the exponents by
-simplex-grid minimization and by the literal nested gamma x rho search, the
-single-stream and two-encoder decoders by scoring every bin member.  They are
-exponential in alphabet size or quadratic in bin size, so they live with the
-tests and never on a production path.  The ML and universal point-to-point
-decoder oracles stay in `swstream.verify`, whose `oracle` suite uses them.
+Each one computes a quantity straight from its definition: the Gallager
+log-sums without a memo, the exponents by simplex-grid minimization and by
+the literal nested gamma x rho search, the single-stream and two-encoder
+decoders by scoring every bin member.  Most are exponential in alphabet size
+or quadratic in bin size, so they live with the tests and never on a
+production path.  The ML and universal point-to-point decoder oracles stay in
+`swstream.verify`, whose `oracle` suite uses them.
 """
 
 import itertools
@@ -41,6 +42,39 @@ def e_ml_pointwise(d: JointDistribution, rates: RatePair, gamma: float, rho: flo
     ex = gamma * gallager_x_given_y(d, rates.rx, rho) + (1.0 - gamma) * exy
     ey = gamma * gallager_y_given_x(d, rates.ry, rho) + (1.0 - gamma) * exy
     return ex, ey
+
+
+# ---------------------------------------------------------------------------
+# The Gallager log-sums from their definitions: the whole table powered, then
+# a keepdims log-sum-exp, recomputed on every call.  The memoized production
+# log-sums apply the same ufuncs in the same order, so they match bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _log_powered(p: np.ndarray, rho: float) -> np.ndarray:
+    """log of p^{1/(1+rho)} with zeros mapped to -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(p) / (1.0 + rho)
+
+
+def _logsumexp(a: np.ndarray, axis=None):
+    amax = np.max(a, axis=axis, keepdims=True)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
+    if axis is None:
+        return float(out.reshape(()))
+    return np.squeeze(out, axis=axis)
+
+
+def log_sum_tilted_oracle(d: JointDistribution, rho: float) -> float:
+    """log sum_{x,y} p(x,y)^{1/(1+rho)}."""
+    return float(_logsumexp(_log_powered(d.probs, rho)))
+
+
+def log_sum_xy_tilted_oracle(d: JointDistribution, rho: float) -> float:
+    """log sum_y [ sum_x p(x,y)^{1/(1+rho)} ]^{1+rho}."""
+    log_col = _logsumexp(_log_powered(d.probs, rho), axis=0)  # log D(y)
+    return float(_logsumexp((1.0 + rho) * log_col))
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,28 @@ class TestCriterion9Determinism:
             outputs.append((out / "exponents.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("probs", [
+        [[0.1, 0.05], [0.05, 0.8]],
+        [[0.3, 0.0], [0.1, 0.25], [0.05, 0.3]],
+    ], ids=["example2", "3x2"])
+    def test_exponents_thread_invariant_on_a_two_encoder_grid(self, tmp_path, probs):
+        # 15 points over three ry values: the process pool runs, and each
+        # worker fills its own log-sum memo from a different share of them
+        src = tmp_path / "src.json"
+        src.write_text(json.dumps({
+            "alphabet_x": len(probs), "alphabet_y": 2, "probs": probs,
+        }))
+        outputs = []
+        for name, threads in (("t1", "1"), ("t2", "2")):
+            out = tmp_path / name
+            rc = main(["exponents", str(src), "--rx", "0.30:0.90:0.15",
+                       "--ry", "0.35:0.49:0.07", "--units", "bits",
+                       "--out", str(out), "--threads", threads])
+            assert rc == 0
+            outputs.append((out / "exponents.csv").read_bytes())
+        assert outputs[0].count(b"\n") == 16
+        assert outputs[0] == outputs[1]
+
     def test_simulate_thread_invariant(self, tmp_path):
         cfg = tmp_path / "trials.json"
         cfg.write_text(json.dumps({

@@ -28,6 +28,7 @@ from swstream.exponents import (
     gallager_xy,
     gallager_y_given_x,
 )
+from swstream import info_core
 from swstream.info_core import (
     JointDistribution,
     conditional_entropy_x_given_y,
@@ -525,3 +526,20 @@ class TestCurveExport:
         assert float(bits[0]) == pytest.approx(float(nats[0]) / LOG2, rel=1e-9)
         # optimizer columns are never rescaled
         assert bits[3] == nats[3]
+
+    @pytest.mark.parametrize("probs, ry_grid", [
+        ([[0.1, 0.05], [0.05, 0.8]], (0.35, 0.49)),
+        ([[0.3, 0.0], [0.1, 0.25], [0.05, 0.3]], (0.3, 0.6)),
+    ], ids=["example2", "3x2"])
+    def test_rows_do_not_depend_on_the_log_sum_memo(self, probs, ry_grid):
+        d = JointDistribution.from_matrix(probs)
+        points = [RatePair(rx, ry) for ry in ry_grid for rx in (0.3, 0.5, 0.7, 0.9)]
+        cold = []
+        for rates in points:
+            info_core._clear_memo()
+            cold.append(curve_row(d, rates))
+        # a neighbouring grid fills the memo, then the points run in reverse
+        for rates in points:
+            curve_row(d, RatePair(rates.rx + 0.01, rates.ry))
+        warm = [curve_row(d, rates) for rates in reversed(points)][::-1]
+        assert repr(warm) == repr(cold)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from swstream import info_core
 from swstream.info_core import (
     JointDistribution,
     conditional_entropy_x_given_y,
@@ -26,6 +27,7 @@ from swstream.info_core import (
 from swstream.verify import random_joint
 
 from conftest import random_corpus
+from oracles import log_sum_tilted_oracle, log_sum_xy_tilted_oracle
 
 LOG2 = math.log(2.0)
 
@@ -228,6 +230,61 @@ class TestXYTilted:
         a = c.sum(axis=0) ** (1.0 + rho)
         t = xy_tilted(example2, rho)
         assert t.marginal_y() == pytest.approx(a / a.sum(), abs=1e-12)
+
+
+TABLE_3X2 = [[0.3, 0.0], [0.1, 0.25], [0.05, 0.3]]
+
+
+class TestMemoizedLogSums:
+    """The memoized Gallager log-sums against their definitions, bit for bit."""
+
+    @pytest.fixture
+    def sources(self, example1, example2):
+        table = JointDistribution.from_matrix(TABLE_3X2)
+        swapped = table.swapped()
+        return {
+            "example1": example1,
+            "example2": example2,
+            "3x2": table,
+            # the transpose stays F-ordered; its C-ordered reload holds the
+            # same bytes, so only the layout in the key keeps the two apart
+            "3x2 swapped": swapped,
+            "3x2 swapped, C-ordered": JointDistribution.from_json(swapped.to_json()),
+            "marginal": JointDistribution.from_marginal(example2.marginal_x()),
+        }
+
+    def test_swapped_table_is_f_ordered(self, sources):
+        assert sources["3x2 swapped"].probs.flags["F_CONTIGUOUS"]
+        assert not sources["3x2 swapped"].probs.flags["C_CONTIGUOUS"]
+        assert sources["3x2 swapped, C-ordered"].probs.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("fn, oracle", [
+        (log_sum_tilted, log_sum_tilted_oracle),
+        (log_sum_xy_tilted, log_sum_xy_tilted_oracle),
+    ], ids=["xy", "x_given_y"])
+    def test_bit_identical_to_definition(self, sources, fn, oracle):
+        rng = np.random.default_rng(15)
+        rhos = [0.0, 1.0, 2.0 ** 64, *rng.random(1000)]
+        info_core._clear_memo()
+        for _ in range(2):  # every evaluation a miss, then every one a hit
+            for rho in rhos:
+                for name, d in sources.items():
+                    assert fn(d, rho).hex() == oracle(d, rho).hex(), (name, rho)
+
+    def test_memo_is_cleared_when_full(self, monkeypatch, example2):
+        monkeypatch.setattr(info_core, "_MEMO_SIZE", 8)
+        info_core._clear_memo()
+        rhos = np.linspace(0.0, 1.0, 21)
+        for rho in [*rhos, *rhos]:
+            assert log_sum_tilted(example2, rho) == log_sum_tilted_oracle(example2, rho)
+            assert info_core._memo_size <= 8
+        info_core._clear_memo()
+
+    def test_rejects_rho_at_or_below_minus_one(self, example2):
+        with pytest.raises(ValueError):
+            log_sum_xy_tilted(example2, -1.0)
+        with pytest.raises(ValueError):
+            log_sum_tilted(example2, -1.5)
 
 
 RHO_GRID = np.concatenate([np.linspace(-0.9, -0.05, 8), np.linspace(0.0, 10.0, 21)])
