@@ -7,11 +7,11 @@ automatically agree on the parity bits of the first l steps.  The hash is a
 keyed splitmix64-style mixer (Steele, Lea & Flood, OOPSLA 2014), `_mix`,
 chained over the prefix: the empty prefix's state is an 8-byte BLAKE2b of
 b"<seed>:<stream id>", and a prefix extended by symbol a has state
-mix(s + (a + 1) * phi).  A parent's 256-bit parity word is the four words
-mix(s ^ C_k), big-endian, and covers every possible j-th symbol: symbol a
-reads bits [a*nbits, (a+1)*nbits) of it, MSB first, so advancing a
-candidate set costs one chain state per surviving parent.  The same `_mix`
-runs on Python ints (the step-wise API) and on uint64 arrays (the lanes).
+mix(s + (a + 1) * phi).  A prefix's b parity bits at its step are the top b
+bits of its own state, MSB first, so each prefix has one random label, as
+in the paper's sequential random binning, and a step emits at most 64 bits.
+The same `_mix` runs on Python ints (the step-wise API) and on uint64 arrays
+(the lanes).
 
 Sequences and prefixes are byte strings (one byte per symbol); byte strings
 compare lexicographically, which is the tie-break order used everywhere.
@@ -61,18 +61,16 @@ trial it belongs to, its prefix as a row of an n-column uint8 array, and
 whether it is the true path.  Each trial's lanes are contiguous and in
 lexicographic order, because children are kept in parent-then-symbol order,
 as `update_candidates` keeps them.  Each lane also carries its prefix's
-chain state, as a uint64.  A step mixes every surviving parent's state into
-the parity words it needs (ceil(|A| * nbits / 64), at most four) and reads
-each symbol's parity chunk off their unpacked bits.  The encoder's parity
-bits at step j are the chunk of symbol x_j in the word of x_1^(j-1), which
-is the true parent; the true path always survives, so the true lane's word
-supplies the received bits and the encoder costs no hash of its own.  A
-trial whose bin exceeds the cap at a step is dropped at that step and its step
-recorded.  `candidate_set_for` is the one-trial case;
-`initial_candidates`/`encode_step`/`update_candidates` and `enumerate_bin`
-remain the step-wise API and the engine's test oracles.  A chunk's lanes
-are in order, so `first_errors` decodes them as they are.  The
-harness sizes a chunk by the closed-form mean bin size (`expected_bin_size`)
+chain state, as a uint64.  A step chains every surviving parent's state with
+every symbol once, and keeps the children whose top bits equal the true
+child's; the true path always survives, so the true lane supplies the
+received bits and the encoder costs no hash of its own.  The survivors'
+states are read off the same array.  A trial whose bin exceeds the cap at a
+step is dropped at that step and its step recorded.  `candidate_set_for` is
+the one-trial case; `initial_candidates`/`encode_step`/`update_candidates`
+and `enumerate_bin` remain the step-wise API and the engine's test oracles.
+A chunk's lanes are in order, so `first_errors` decodes them as they are.
+The harness sizes a chunk by the closed-form mean bin size (`expected_bin_size`)
 against a fixed lane budget (`chunk_trials`), which bounds its memory.
 
 The decoders are exact but exponential-time by design; they are meant for
@@ -127,17 +125,12 @@ __all__ = [
 DEFAULT_CANDIDATE_CAP = 2 ** 20
 MAX_HORIZON_SINGLE = 24
 MAX_HORIZON_TWO_ENCODER = 12
-_PRF_BITS = 256
 _M64 = (1 << 64) - 1
 # splitmix64's increment, the odd integer nearest 2^64 / golden ratio
 _GOLDEN = 0x9E3779B97F4A7C15
-# C_k, the first 256 fractional bits of pi: word k of a parent's parity word
-# is mix(state ^ C_k)
-_WORD_KEYS = (0x243F6A8885A308D3, 0x13198A2E03707344,
-              0xA4093822299F31D0, 0x082EFA98EC4E6C89)
 # lanes (bin members times symbols) a chunk of trials may hold at one step,
 # in the mean.  It bounds a chunk's memory, most of it per-lane prefixes and
-# parity chunks: on the README simulate config 2 ** 12 adds about 2 MB of
+# child states: on the README simulate config 2 ** 12 adds about 2 MB of
 # peak RSS.  There 2 ** 14 ran about 45 % more trials per second in process,
 # for 2 MB more, since each step's numpy calls cost the same per chunk.  A
 # one-trial ML decode takes its bin product in blocks of as many pairs.
@@ -174,6 +167,9 @@ class BinningSchedule:
             raise ValueError("empty schedule pattern")
         if any(b < 0 for b in pattern):
             raise ValueError("negative bit count in schedule")
+        if any(b > 64 for b in pattern):
+            raise ValueError("at most 64 bits per step: a step's parity bits are "
+                             "the top bits of a 64-bit chain state")
         if sum(pattern) == 0:
             raise ValueError("schedule must emit at least one bit per period")
         object.__setattr__(self, "pattern", pattern)
@@ -225,29 +221,17 @@ def _chain(state, symbol):
     return _mix(state + (symbol + 1) * _GOLDEN)
 
 
-def _prf_word(seed: int, stream_id: str, parent: bytes, bits: int = _PRF_BITS) -> int:
-    """The parent's 256-bit parity word, as an int: its four words
-    mix(s ^ C_k), most significant first.  Only the words that hold its
-    first `bits` bits are mixed; the others read 0."""
+def _prefix_state(seed: int, stream_id: str, prefix: bytes) -> int:
+    """The chain state of a prefix, as a Python int."""
     state = _stream_key(seed, stream_id)
-    for a in parent:
+    for a in prefix:
         state = _chain(state, a)
-    keys = _WORD_KEYS[:-(-bits // 64)]
-    word = 0
-    for c in keys:
-        word = (word << 64) | _mix(state ^ c)
-    return word << (_PRF_BITS - 64 * len(keys))
-
-
-def _slice_chunk(word: int, symbol: int, nbits: int) -> int:
-    hi = (symbol + 1) * nbits
-    if hi > _PRF_BITS:
-        raise ValueError("alphabet size times step bit count exceeds PRF width")
-    return (word >> (_PRF_BITS - hi)) & ((1 << nbits) - 1)
+    return state
 
 
 def encode_step(seed: int, stream_id: str, prefix, schedule: BinningSchedule):
-    """Parity bits for one step, as a tuple of 0/1 ints, MSB first.
+    """Parity bits for one step, as a tuple of 0/1 ints, MSB first: the top
+    bits of the prefix's chain state.
 
     Deterministic in (seed, stream_id, prefix); steps the schedule assigns
     zero bits return the empty tuple.
@@ -256,11 +240,8 @@ def encode_step(seed: int, stream_id: str, prefix, schedule: BinningSchedule):
         raise ValueError("prefix must be nonempty")
     prefix = _as_bytes(prefix)
     nbits = schedule.bits_at(len(prefix))
-    if nbits == 0:
-        return ()
-    word = _prf_word(seed, stream_id, prefix[:-1], (prefix[-1] + 1) * nbits)
-    chunk = _slice_chunk(word, prefix[-1], nbits)
-    return tuple((chunk >> (nbits - 1 - i)) & 1 for i in range(nbits))
+    label = _prefix_state(seed, stream_id, prefix) >> (64 - nbits)
+    return tuple((label >> (nbits - 1 - i)) & 1 for i in range(nbits))
 
 
 @dataclass(frozen=True)
@@ -295,21 +276,16 @@ def update_candidates(cands: CandidateSet, new_bits,
         raise ValueError(
             f"expected {nbits} bits at step {step}, got {len(new_bits)}"
         )
-    alphabet = cands.alphabet
-    symbols = [bytes([a]) for a in range(alphabet)]
-    if nbits == 0:
-        survivors = [p + s for p in cands.prefixes for s in symbols]
-    else:
-        target = 0
-        for b in new_bits:
-            target = (target << 1) | b
-        seed, sid = cands.seed, cands.stream_id
-        survivors = []
-        for prefix in cands.prefixes:
-            word = _prf_word(seed, sid, prefix, alphabet * nbits)
-            for a in range(alphabet):
-                if _slice_chunk(word, a, nbits) == target:
-                    survivors.append(prefix + symbols[a])
+    target = 0
+    for b in new_bits:
+        target = (target << 1) | b
+    # a 0-bit step shifts every label to 0, so every child survives
+    survivors = []
+    for prefix in cands.prefixes:
+        state = _prefix_state(cands.seed, cands.stream_id, prefix)
+        for a in range(cands.alphabet):
+            if _chain(state, a) >> (64 - nbits) == target:
+                survivors.append(prefix + bytes([a]))
     if len(survivors) > cap:
         raise CandidateOverflowError(
             f"candidate set exceeded cap {cap} at step {step} "
@@ -350,17 +326,6 @@ class Bins:
     overflow: np.ndarray
 
 
-def _parity_chunks(state, alphabet: int, nbits: int):
-    """Bits [a*nbits, (a+1)*nbits) of each lane's parity word, MSB first, as
-    a (lanes, alphabet, nbits) array: the parity chunk of every child.  Only
-    the words those bits reach are mixed."""
-    used = alphabet * nbits
-    words = _mix(state[:, None] ^ np.array(_WORD_KEYS[:-(-used // 64)], np.uint64))
-    octets = words.astype(">u8").view(np.uint8)
-    bits = np.unpackbits(octets[:, :-(-used // 8)], axis=1)
-    return bits[:, :used].reshape(-1, alphabet, nbits)
-
-
 def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
                 alphabet: int, cap: int = DEFAULT_CANDIDATE_CAP,
                 live=None) -> Bins:
@@ -374,28 +339,23 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
     trials, n = seqs.shape
     if seqs.size and int(seqs.max()) >= alphabet:
         raise ValueError("sequence symbol outside the alphabet")
-    if alphabet * max((schedule.bits_at(j) for j in range(1, n + 1)), default=0) \
-            > _PRF_BITS:
-        raise ValueError("alphabet size times step bit count exceeds PRF width")
     trial = np.arange(trials) if live is None else np.flatnonzero(live)
     state = np.array([_stream_key(seed, stream_id) for seed in seeds], np.uint64)[trial]
     prefixes = np.zeros((len(trial), n), np.uint8)
     true = np.ones(len(trial), bool)
     overflow = np.zeros(trials, np.int64)
+    symbols = np.arange(alphabet, dtype=np.uint64)
     for j in range(1, n + 1):
-        nbits = schedule.bits_at(j)
-        if nbits == 0:
-            keep = np.ones((len(trial), alphabet), bool)
-        else:
-            chunks = _parity_chunks(state, alphabet, nbits)
-            # the received bits: the true child's chunk of the true parent
-            target = np.zeros((trials, nbits), np.uint8)
-            truth = np.flatnonzero(true)
-            target[trial[truth]] = chunks[truth, seqs[trial[truth], j - 1]]
-            keep = (chunks == target[trial][:, None, :]).all(axis=2)
-        parent, symbol = np.nonzero(keep)
+        child = _chain(state[:, None], symbols)
+        # numpy shifts a uint64 by 64 to 0: a 0-bit step keeps every child
+        label = child >> (64 - schedule.bits_at(j))
+        # the received bits: the true child's label
+        target = np.zeros(trials, np.uint64)
+        truth = np.flatnonzero(true)
+        target[trial[truth]] = label[truth, seqs[trial[truth], j - 1]]
+        parent, symbol = np.nonzero(label == target[trial][:, None])
         trial = trial[parent]
-        state = _chain(state[parent], symbol.astype(np.uint64))
+        state = child[parent, symbol]
         prefixes = prefixes[parent]
         prefixes[:, j - 1] = symbol
         true = true[parent] & (symbol == seqs[trial, j - 1])

@@ -46,7 +46,6 @@ from .codec import (
     MAX_HORIZON_TWO_ENCODER,
     _GOLDEN,
     _M64,
-    _PRF_BITS,
     DECODERS,
     _as_int,
     _mix,
@@ -83,7 +82,7 @@ __all__ = [
 ]
 
 _TWO_ENCODER = ("sw_ml", "sw_universal")
-# a trial's sampling key is mix(seed ^ _SAMPLE_KEY), apart from every parity key
+# a trial's sampling key is mix(seed ^ _SAMPLE_KEY), apart from every stream key
 _SAMPLE_KEY = 0xB7E151628AED2A6A
 
 
@@ -131,11 +130,6 @@ class TrialConfig:
         if self.decoder in _TWO_ENCODER and self.schedule_y is None:
             raise ValueError("two-encoder decoding needs schedule_y")
         _check_byte_alphabets(self.source)
-        for alphabet, schedule in ((self.source.alphabet_x, self.schedule_x),
-                                   (self.source.alphabet_y, self.schedule_y)):
-            if schedule is not None and alphabet * max(schedule.pattern) > _PRF_BITS:
-                raise ValueError("alphabet size times bits per step exceeds "
-                                 f"the {_PRF_BITS}-bit hash word")
         if self.decoder in ("si_ml", "si_universal", "sw_ml", "sw_universal") \
                 and self.source.alphabet_y < 2:
             raise ValueError(f"decoder {self.decoder!r} needs |Y| >= 2")

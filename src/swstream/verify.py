@@ -7,6 +7,7 @@ invariants, runnable from an installed toolkit without the test tree.
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -130,34 +131,47 @@ def _suite_lemmas():
 
 def _suite_oracle():
     rng = np.random.default_rng(42)
-    checks = []
     sched = codec.BinningSchedule((1,))
     px = JointDistribution.from_marginal([0.9, 0.1])
-    ok_ml = ok_un = True
+    ok = dict.fromkeys(("ml", "universal", "si_ml", "si_universal"), True)
     for t in range(25):
         seed = int(rng.integers(0, 2 ** 48))
-        x, _ = sample_source(px, 8, seed)
-        cands = codec.candidate_set_for(seed, "x", x, sched)
-        bin_members = codec.enumerate_bin(seed, "x", sched, 2, x)
-        if sorted(cands.prefixes) != sorted(bin_members):
-            ok_ml = ok_un = False
-            break
-        if codec.ml_decode(cands, px, 0) != _oracle_ml(
-            bin_members, px.probs.ravel(), 8, 0
-        ):
-            ok_ml = False
-        if codec.universal_decode(cands, 0) != _oracle_universal(bin_members, 8, 0):
-            ok_un = False
-    checks.append(("ml decoder vs enumeration", ok_ml, "n=8, 25 trials"))
-    checks.append(("universal decoder vs enumeration", ok_un, "n=8, 25 trials"))
-    return checks
+        # point to point on px (y reads 0^n), then side information on example 1
+        for d, ml, un in ((px, "ml", "universal"), (EXAMPLE_1, "si_ml", "si_universal")):
+            x, y = sample_source(d, 8, seed)
+            cands = codec.candidate_set_for(seed, "x", x, sched)
+            bin_members = codec.enumerate_bin(seed, "x", sched, 2, x)
+            if sorted(cands.prefixes) != sorted(bin_members):
+                ok[ml] = ok[un] = False
+                continue
+            want_ml = _oracle_ml(bin_members, y, d.probs, 8, 0)
+            want_un = _oracle_universal(bin_members, y, 8, 0)
+            if d is px:
+                got_ml, got_un = codec.ml_decode(cands, d, 0), codec.universal_decode(cands, 0)
+            else:
+                got_ml = codec.si_decode_ml(cands, y, d, 0)
+                got_un = codec.si_decode_universal(cands, y, 0)
+            ok[ml] &= got_ml == want_ml
+            ok[un] &= got_un == want_un
+    return [(f"{name} decoder vs enumeration", passed, "n=8, 25 trials")
+            for name, passed in ok.items()]
 
 
-def _oracle_ml(members, px, n, delay):
-    logp = [math.log(v) if v > 0 else -math.inf for v in px]
+def _oracle_ml(members, y, probs, n, delay):
+    """The smallest member of largest joint likelihood with y under the table
+    probs[a, b] (a marginal reads as an |X| x 1 table, against y = 0^n),
+    truncated to n - delay.  Each log-likelihood sums the sorted pair counts,
+    so members of the same joint type tie bit-exactly."""
+    probs = np.reshape(probs, (len(probs), -1))
 
     def ll(seq):
-        return sum(seq.count(a) * logp[a] for a in range(len(px)) if seq.count(a))
+        counts = collections.Counter(zip(seq, y))
+        total = 0.0
+        for a, b in sorted(counts):
+            if probs[a, b] <= 0:
+                return -math.inf
+            total += counts[a, b] * math.log(probs[a, b])
+        return total
 
     return _first_near_max(members, ll)[: n - delay]
 
@@ -174,17 +188,17 @@ def _first_near_max(members, ll):
     return min(s for s, v in scores.items() if v >= top - slack(s, v))
 
 
-def _oracle_universal(members, n, delay):
+def _oracle_universal(members, y, n, delay):
+    """Minimum joint suffix-entropy decoding against y (0^n for point to
+    point), decided left to right, the smallest suffix winning ties."""
     decided = b""
     pool = list(members)
     for l in range(1, n - delay + 1):
         pool = [c for c in pool if c.startswith(decided)]
 
         def h(c):
-            window = c[l - 1 :]
-            return info_core.entropy_of_counts(
-                [window.count(a) for a in set(window)], len(window)
-            )
+            counts = collections.Counter(zip(c[l - 1 :], y[l - 1 :]))
+            return info_core.entropy_of_counts(counts.values(), n - l + 1)
 
         best = min(pool, key=lambda c: (h(c), c))
         decided = best[:l]

@@ -5,8 +5,9 @@ log-sums without a memo, the exponents by simplex-grid minimization and by
 the literal nested gamma x rho search, the single-stream and two-encoder
 decoders by scoring every bin member.  Most are exponential in alphabet size
 or quadratic in bin size, so they live with the tests and never on a
-production path.  The ML and universal point-to-point decoder oracles stay in
-`swstream.verify`, whose `oracle` suite uses them.
+production path.  The ML and universal decoder oracles, point to point and
+with side information, stay in `swstream.verify`, whose `oracle` suite uses
+them.
 """
 
 import itertools
@@ -31,7 +32,6 @@ from swstream.info_core import (
     JointDistribution,
     entropy_of_counts,
 )
-from swstream.verify import _first_near_max
 
 
 def e_ml_pointwise(d: JointDistribution, rates: RatePair, gamma: float, rho: float):
@@ -320,45 +320,10 @@ def _nested_sw_terms(d: JointDistribution, rates: RatePair):
 
 
 # ---------------------------------------------------------------------------
-# Reference decoders built directly from the definitions (the ML and
-# universal ones live in swstream.verify).
+# The two-encoder universal decoder built directly from its definition (the
+# ML and universal oracles, with and without side information, live in
+# swstream.verify).
 # ---------------------------------------------------------------------------
-
-
-def _oracle_si_ml(members, y, d, n, delay):
-    p = d.probs
-
-    def ll(seq):
-        # summed over sorted pair counts so candidates of the same joint
-        # type tie bit-exactly, matching the production convention
-        counts = {}
-        for pair in zip(seq, y):
-            counts[pair] = counts.get(pair, 0) + 1
-        total = 0.0
-        for a, b in sorted(counts):
-            if p[a, b] <= 0:
-                return -math.inf
-            total += counts[a, b] * math.log(p[a, b])
-        return total
-
-    return _first_near_max(members, ll)[: n - delay]
-
-
-def _oracle_si_universal(members, y, n, delay):
-    decided = b""
-    pool = list(members)
-    for l in range(1, n - delay + 1):
-        pool = [c for c in pool if c.startswith(decided)]
-
-        def h(c):
-            counts = {}
-            for pair in zip(c[l - 1 :], y[l - 1 :]):
-                counts[pair] = counts.get(pair, 0) + 1
-            return entropy_of_counts(counts.values(), n - l + 1)
-
-        best = min(pool, key=lambda c: (h(c), c))
-        decided = best[:l]
-    return decided
 
 
 def _type_entropy(*windows):

@@ -56,8 +56,6 @@ from swstream.verify import _oracle_ml, _oracle_universal, run_suite
 from conftest import random_corpus
 from oracles import (
     _oracle_scores,
-    _oracle_si_ml,
-    _oracle_si_universal,
     pp_universal_grid,
     si_universal_grid,
 )
@@ -198,15 +196,15 @@ class TestCriterion7DecoderOracles:
             assert sorted(cands.prefixes) == members
             for delay in (0, 3):
                 assert ml_decode(cands, model, delay) == _oracle_ml(
-                    members, skew, n, delay
+                    members, bytes(n), skew, n, delay
                 )
                 assert universal_decode(cands, delay) == _oracle_universal(
-                    members, n, delay
+                    members, bytes(n), n, delay
                 )
-                assert si_decode_ml(cands, y, joint, delay) == _oracle_si_ml(
-                    members, y, joint, n, delay
+                assert si_decode_ml(cands, y, joint, delay) == _oracle_ml(
+                    members, y, joint.probs, n, delay
                 )
-                assert si_decode_universal(cands, y, delay) == _oracle_si_universal(
+                assert si_decode_universal(cands, y, delay) == _oracle_universal(
                     members, y, n, delay
                 )
 

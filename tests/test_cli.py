@@ -209,18 +209,18 @@ class TestSimulateCommand:
         assert (out / "stats.csv").read_text() == stats_to_csv(stats)
         assert (out / "fit.json").read_text() == fit_to_json(fit_exponent(stats))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["aborted"] == stats.aborted == 162
+        assert manifest["aborted"] == stats.aborted == 168
         assert set(manifest["aborted_by_step"]) == {"x"}
         assert manifest["aborted_by_step"]["x"] == {
             str(step): count for (_, step), count in stats.aborted_by_step.items()}
-        assert sum(manifest["aborted_by_step"]["x"].values()) == 162
+        assert sum(manifest["aborted_by_step"]["x"].values()) == 168
         assert manifest["rate_x_upper"] == {
-            str(d): (stats.errors_x[d] + 162) / 200 for d in (0, 4, 8)}
+            str(d): (stats.errors_x[d] + 168) / 200 for d in (0, 4, 8)}
         # the warning goes to stderr and names the first delay at which the
         # abort-inclusive rate leaves the completed trials' Wilson interval
         captured = capsys.readouterr()
         assert captured.out == f"wrote {out / 'stats.csv'} and {out / 'fit.json'}\n"
-        assert captured.err.startswith("warning: 162 trials aborted at the candidate cap")
+        assert captured.err.startswith("warning: 168 trials aborted at the candidate cap")
         delay = next(d for d in stats.delays
                      if stats.rate_x_upper(d) > stats.interval_x(d)[1])
         assert f"at delay {delay} " in captured.err
@@ -275,7 +275,8 @@ class TestSimulateCommand:
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
 
     def test_schedule_wider_than_hash_word_is_config_error(self, tmp_path):
-        # 2 symbols x 200 bits per step need 400 bits of one 256-bit hash word
+        # 200 bits per step: a step's bits are the top bits of one 64-bit
+        # chain state, so a step holds at most 64
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({
             "source": EXAMPLE_1_JSON, "schedule_x": [200], "n": 8,

@@ -40,8 +40,6 @@ from swstream.sim import derive_trial_seed, sample_source
 from swstream.verify import _oracle_ml, _oracle_universal
 from oracles import (
     _oracle_scores,
-    _oracle_si_ml,
-    _oracle_si_universal,
     _oracle_winners,
     _oracle_wse,
 )
@@ -75,8 +73,26 @@ class TestBinningSchedule:
         for n in range(0, 10):
             assert s.total_bits(n) == sum(s.bits_at(j) for j in range(1, n + 1))
 
+    def test_at_most_64_bits_per_step(self):
+        # a step's parity bits are the top bits of a 64-bit chain state
+        with pytest.raises(ValueError):
+            BinningSchedule((1, 65))
+        assert BinningSchedule((64, 0)).bits_at(1) == 64
+
 
 class TestEncodeStep:
+    def test_known_answers(self):
+        # literal outputs of the hash: a change of its layout fails here
+        assert codec._stream_key(0, "x") == 0x9CA69359BF36EBFF
+        seq = bytes([0, 1, 1, 0, 1, 0, 0, 1])
+        assert [encode_step(0, "x", seq[:j], ONE_BIT) for j in range(1, 9)] == \
+            [(1,), (0,), (1,), (0,), (1,), (0,), (1,), (1,)]
+        ternary = bytes([2, 0, 1, 1])
+        assert [encode_step(5, "y", ternary[:j], BinningSchedule((3,)))
+                for j in range(1, 5)] == [(0, 0, 0), (1, 1, 1), (1, 1, 0), (1, 0, 1)]
+        full = encode_step(7, "x", bytes([1, 0]), BinningSchedule((64,)))
+        assert int("".join(map(str, full)), 2) == 0xD599949A63589AA7
+
     def test_deterministic(self):
         a = encode_step(7, "x", b"\x01\x00\x01", ONE_BIT)
         b = encode_step(7, "x", b"\x01\x00\x01", ONE_BIT)
@@ -125,13 +141,15 @@ class TestEncodeStep:
         assert abs(ones / 10_000 - 0.5) < 0.02
 
     @pytest.mark.parametrize("alphabet, nbits", [
-        (22, 3),    # 66 bits: symbol 21's chunk straddles words 0 and 1
-        (256, 1),   # the 256-bit edge: all four words, one bit per symbol
+        (22, 3),
+        (256, 1),
         (64, 4),
+        (256, 2),   # 512 bits over one parent's children
     ])
     def test_lane_words_match_stepwise_layout(self, alphabet, nbits):
-        # the lane path (uint64 chain states, mixed into big-endian words and
-        # unpacked) gives every child the chunk encode_step gives it
+        # the lane path (uint64 chain states, every child chained at once and
+        # shifted to its top bits) gives every child the bits encode_step
+        # gives it
         rng = np.random.default_rng(alphabet)
         schedule = BinningSchedule((nbits,))
         parents = [bytes(rng.integers(0, alphabet, size=k).tolist()) for k in (0, 1, 3, 5)]
@@ -141,18 +159,12 @@ class TestEncodeStep:
                 step = np.array([p[j] if j < len(p) else 0 for p in parents], np.uint64)
                 chained = codec._chain(state, step)
                 state = np.where([j < len(p) for p in parents], chained, state)
-            chunks = codec._parity_chunks(state, alphabet, nbits)
+            child = codec._chain(state[:, None], np.arange(alphabet, dtype=np.uint64))
+            labels = child >> (64 - nbits)
             for i, parent in enumerate(parents):
                 for a in range(alphabet):
-                    want = encode_step(seed, "y", parent + bytes([a]), schedule)
-                    assert tuple(chunks[i, a].tolist()) == want
-
-    def test_wide_alphabet_guard(self):
-        # 256 symbols x 2 bits would need 512 bits of PRF output
-        with pytest.raises(ValueError):
-            encode_step(1, "x", bytes([255]), TWO_BITS)
-        # 1 bit per symbol at alphabet 256 exactly fits
-        assert encode_step(1, "x", bytes([255]), ONE_BIT) in ((0,), (1,))
+                    bits = encode_step(seed, "y", parent + bytes([a]), schedule)
+                    assert int(labels[i, a]) == int("".join(map(str, bits)), 2)
 
 
 class TestCandidateSets:
@@ -266,8 +278,9 @@ class TestReplayBins:
         (3, (0, 3), 6),
         (4, (2, 1), 6),
         (4, (3,), 6),
-        (22, (3,), 4),             # chunks cross 64-bit word boundaries
-        (32, (8,), 4),             # the full 256-bit word
+        (22, (3,), 4),
+        (32, (8,), 4),
+        (3, (64, 0), 5),           # a whole chain state, then a 0-bit step
     ])
     def test_matches_stepwise_replay_in_order(self, alphabet, pattern, n):
         schedule = BinningSchedule(pattern)
@@ -322,11 +335,9 @@ class TestReplayBins:
         for t in (0, 2, 3, 5):
             assert _members(bins, t) == _members(full, t)
 
-    def test_rejects_symbols_outside_alphabet_and_wide_words(self):
+    def test_rejects_symbols_outside_alphabet(self):
         with pytest.raises(ValueError):
             replay_bins([1], np.array([[0, 2]], np.uint8), "x", ONE_BIT, 2)
-        with pytest.raises(ValueError):
-            replay_bins([1], np.array([[0, 1]], np.uint8), "x", TWO_BITS, 129)
 
     def test_chunk_size_from_mean_bin_size(self):
         # 1 bit/step at |A| = 2: E|C_j| = 1 + j/2, so the widest step of a
@@ -380,10 +391,10 @@ class TestBatchedMlArgmax:
             cands = _hand_built("x", _members(bins, t), alphabet)
             if side_information:
                 y = pairs[t][1]
-                best = _oracle_si_ml(cands.prefixes, y, d, n, 0)
+                best = _oracle_ml(cands.prefixes, y, d.probs, n, 0)
                 assert best == si_decode_ml(cands, y, d, 0)
             else:
-                best = _oracle_ml(cands.prefixes, d.marginal_x(), n, 0)
+                best = _oracle_ml(cands.prefixes, bytes(n), d.marginal_x(), n, 0)
                 assert best == ml_decode(cands, d, 0)
             wrong = [i for i in range(n) if best[i] != xs[t, i]]
             assert first[t] == (wrong[0] + 1 if wrong else n + 1)
@@ -423,7 +434,7 @@ class TestBatchedMlArgmax:
         first, _ = first_errors("ml", uniform, bins, None, seqs, np.zeros_like(seqs))
         for t in range(len(seeds)):
             if not bins.overflow[t]:
-                best = _oracle_ml(_members(bins, t), uniform.marginal_x(), 12, 0)
+                best = _oracle_ml(_members(bins, t), bytes(12), uniform.marginal_x(), 12, 0)
                 wrong = [i for i in range(12) if best[i] != seqs[t, i]]
                 assert first[t] == (wrong[0] + 1 if wrong else 13)
 
@@ -447,9 +458,9 @@ class TestBatchedUniversal:
                 continue
             members = _members(bins, t)
             if side_information:
-                best = _oracle_si_universal(members, pairs[t][1], n, 0)
+                best = _oracle_universal(members, pairs[t][1], n, 0)
             else:
-                best = _oracle_universal(members, n, 0)
+                best = _oracle_universal(members, bytes(n), n, 0)
             assert first[t] == _first_error(best, xs[t], n)
         return bins
 
@@ -483,11 +494,11 @@ class TestBatchedUniversal:
         xs = [b"\x01\x01\x01\x00", b"\x01\x00\x01\x00", b"\x00\x01\x01\x00",
               b"\x00\x01\x00\x01"]
         cands = _hand_built("x", xs)
-        assert universal_decode(cands, 0) == b"\x01\x00\x01\x00" == _oracle_universal(xs, 4, 0)
+        assert universal_decode(cands, 0) == b"\x01\x00\x01\x00" == _oracle_universal(xs, bytes(4), 4, 0)
         assert universal_decode(cands, 2) == b"\x01\x00"
         for y in (bytes(4), b"\x01" * 4):  # a constant y counts as x alone
             assert si_decode_universal(cands, y, 0) == b"\x01\x00\x01\x00"
-            assert si_decode_universal(cands, y, 0) == _oracle_si_universal(xs, y, 4, 0)
+            assert si_decode_universal(cands, y, 0) == _oracle_universal(xs, y, 4, 0)
 
 
 def _hand_built(stream_id, members, alphabet=2):
@@ -514,14 +525,14 @@ class TestSingleStreamDecoders:
         for seq, cands in self._bins(200):
             for delay in (0, 2):
                 got = ml_decode(cands, model, delay)
-                want = _oracle_ml(list(cands.prefixes), px, self.N, delay)
+                want = _oracle_ml(list(cands.prefixes), bytes(self.N), px, self.N, delay)
                 assert got == want
 
     def test_universal_matches_oracle(self):
         for seq, cands in self._bins(200, seed0=1000):
             for delay in (0, 3):
                 got = universal_decode(cands, delay)
-                want = _oracle_universal(list(cands.prefixes), self.N, delay)
+                want = _oracle_universal(list(cands.prefixes), bytes(self.N), self.N, delay)
                 assert got == want
 
     def test_si_ml_matches_oracle(self):
@@ -531,7 +542,7 @@ class TestSingleStreamDecoders:
             x, y = sample_source(d, self.N, int(rng.integers(1 << 30)))
             cands = candidate_set_for(t, "x", x, ONE_BIT)
             got = si_decode_ml(cands, y, d, 0)
-            want = _oracle_si_ml(list(cands.prefixes), y, d, self.N, 0)
+            want = _oracle_ml(list(cands.prefixes), y, d.probs, self.N, 0)
             assert got == want
 
     def test_si_universal_matches_oracle(self):
@@ -542,7 +553,7 @@ class TestSingleStreamDecoders:
             cands = candidate_set_for(t, "x", x, ONE_BIT)
             for delay in (0, 2):
                 got = si_decode_universal(cands, y, delay)
-                want = _oracle_si_universal(list(cands.prefixes), y, self.N, delay)
+                want = _oracle_universal(list(cands.prefixes), y, self.N, delay)
                 assert got == want
 
     def test_ternary_bins_match_oracles(self):
@@ -555,10 +566,10 @@ class TestSingleStreamDecoders:
             members = list(cands.prefixes)
             for delay in (0, 2):
                 assert ml_decode(cands, model, delay) == _oracle_ml(
-                    members, px, self.N, delay
+                    members, bytes(self.N), px, self.N, delay
                 )
                 assert universal_decode(cands, delay) == _oracle_universal(
-                    members, self.N, delay
+                    members, bytes(self.N), self.N, delay
                 )
 
     def test_ml_on_joint_model_uses_x_marginal(self):
@@ -566,7 +577,8 @@ class TestSingleStreamDecoders:
         for seq, cands in self._bins(100, seed0=3000):
             for delay in (0, 2):
                 got = ml_decode(cands, d, delay)
-                want = _oracle_ml(list(cands.prefixes), d.marginal_x(), self.N, delay)
+                want = _oracle_ml(list(cands.prefixes), bytes(self.N), d.marginal_x(), self.N,
+                                  delay)
                 assert got == want
 
     def test_full_delay_returns_empty(self):

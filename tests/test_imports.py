@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,10 @@ def test_every_export_resolves():
             for alias in node.names:
                 assert hasattr(module, alias.name), f"swstream.{node.module}.{alias.name}"
                 assert hasattr(swstream, alias.asname or alias.name)
+
+
+def test_version_matches_pyproject():
+    # read with a regex: tomllib arrived in Python 3.11
+    text = (SRC.parent / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+    assert swstream.__version__ == version

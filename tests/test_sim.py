@@ -49,40 +49,40 @@ PINNED = {
     "si_ml-bench": (
         dict(decoder="si_ml", n=16, delays=(0, 2, 4, 6, 8), trials=2000,
              base_seed=11),
-        0, {0: 344, 2: 194, 4: 106, 6: 56, 8: 27}, _zeros((0, 2, 4, 6, 8)),
-        {0: 344, 2: 194, 4: 106, 6: 56, 8: 27}),
+        0, {0: 365, 2: 207, 4: 121, 6: 61, 8: 27}, _zeros((0, 2, 4, 6, 8)),
+        {0: 365, 2: 207, 4: 121, 6: 61, 8: 27}),
     # the source, horizon, delays and seed of test_8 at 2,000 trials
     "ml-n24": (
         dict(source=JointDistribution.from_marginal([0.9, 0.1]), n=24,
              delays=tuple(range(4, 13)), trials=2000, base_seed=20250606),
-        0, {4: 114, 5: 79, 6: 58, 7: 47, 8: 39, 9: 30, 10: 22, 11: 19, 12: 14},
+        0, {4: 109, 5: 83, 6: 62, 7: 47, 8: 40, 9: 33, 10: 28, 11: 20, 12: 14},
         _zeros(range(4, 13)),
-        {4: 114, 5: 79, 6: 58, 7: 47, 8: 39, 9: 30, 10: 22, 11: 19, 12: 14}),
+        {4: 109, 5: 83, 6: 62, 7: 47, 8: 40, 9: 33, 10: 28, 11: 20, 12: 14}),
     "universal": (
         dict(source=_EXAMPLE2, decoder="universal", n=10, delays=tuple(range(7)),
              trials=300, base_seed=5),
-        0, {0: 209, 1: 153, 2: 114, 3: 85, 4: 63, 5: 54, 6: 38}, _zeros(range(7)),
-        {0: 209, 1: 153, 2: 114, 3: 85, 4: 63, 5: 54, 6: 38}),
+        0, {0: 210, 1: 154, 2: 110, 3: 82, 4: 66, 5: 43, 6: 28}, _zeros(range(7)),
+        {0: 210, 1: 154, 2: 110, 3: 82, 4: 66, 5: 43, 6: 28}),
     "si_universal-ternary-2bits": (
         dict(source=_TERNARY, decoder="si_universal", schedule_x=TWO_BITS, n=8,
              delays=tuple(range(5)), trials=300, base_seed=6),
-        0, {0: 145, 1: 89, 2: 57, 3: 33, 4: 20}, _zeros(range(5)),
-        {0: 145, 1: 89, 2: 57, 3: 33, 4: 20}),
+        0, {0: 129, 1: 83, 2: 50, 3: 30, 4: 19}, _zeros(range(5)),
+        {0: 129, 1: 83, 2: 50, 3: 30, 4: 19}),
     "sw_ml": (
         dict(source=_EXAMPLE2, decoder="sw_ml", schedule_y=ONE_BIT, n=10,
              delays=tuple(range(7)), trials=300, base_seed=7),
-        0, {0: 45, 1: 30, 2: 17, 3: 11, 4: 6, 5: 4, 6: 2},
-        {0: 44, 1: 29, 2: 21, 3: 13, 4: 7, 5: 5, 6: 4},
-        {0: 69, 1: 51, 2: 35, 3: 22, 4: 13, 5: 9, 6: 6}),
+        0, {0: 42, 1: 30, 2: 22, 3: 14, 4: 9, 5: 3, 6: 3},
+        {0: 51, 1: 38, 2: 23, 3: 16, 4: 12, 5: 5, 6: 3},
+        {0: 68, 1: 53, 2: 37, 3: 25, 4: 18, 5: 8, 6: 6}),
     # schedules with 0-bit steps at a cap that aborts some trials but not all
     "ml-aborts": (
         dict(schedule_x=_SPARSE, n=12, delays=(0, 4, 8), trials=200, base_seed=3,
              candidate_cap=500),
-        162, {0: 38, 4: 37, 8: 29}, _zeros((0, 4, 8)), {0: 38, 4: 37, 8: 29}),
+        168, {0: 32, 4: 32, 8: 28}, _zeros((0, 4, 8)), {0: 32, 4: 32, 8: 28}),
     "sw_ml-aborts": (
         dict(decoder="sw_ml", schedule_x=_SPARSE, schedule_y=BinningSchedule((1, 0, 0)),
-             n=12, delays=(0, 4, 8), trials=80, base_seed=3, candidate_cap=400),
-        77, {0: 3, 4: 3, 8: 2}, {0: 3, 4: 3, 8: 3}, {0: 3, 4: 3, 8: 3}),
+             n=12, delays=(0, 4, 8), trials=80, base_seed=3, candidate_cap=450),
+        77, {0: 3, 4: 3, 8: 3}, {0: 3, 4: 3, 8: 3}, {0: 3, 4: 3, 8: 3}),
 }
 
 
@@ -226,10 +226,10 @@ class TestRunTrials:
                    base_seed=11, decoder="sw_universal")
         stats = run_trials(cfg)
         assert stats.aborted == 0
-        assert stats.errors_x == {0: 88, 1: 71, 2: 61, 3: 49, 4: 38, 5: 30, 6: 20}
-        assert stats.errors_y == {0: 97, 1: 80, 2: 61, 3: 43, 4: 28, 5: 20, 6: 16}
+        assert stats.errors_x == {0: 94, 1: 79, 2: 61, 3: 50, 4: 43, 5: 30, 6: 17}
+        assert stats.errors_y == {0: 94, 1: 84, 2: 63, 3: 44, 4: 36, 5: 28, 6: 23}
         assert stats.errors_joint == {
-            0: 121, 1: 110, 2: 98, 3: 77, 4: 59, 5: 47, 6: 36,
+            0: 118, 1: 106, 2: 87, 3: 70, 4: 61, 5: 48, 6: 36,
         }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
