@@ -71,7 +71,8 @@ the one-trial case; `initial_candidates`/`encode_step`/`update_candidates`
 and `enumerate_bin` remain the step-wise API and the engine's test oracles.
 A chunk's lanes are in order, so `first_errors` decodes them as they are.
 The harness sizes a chunk by the closed-form mean bin size (`expected_bin_size`)
-against a fixed lane budget (`chunk_trials`), which bounds its memory.
+against a lane budget of its own (`chunk_trials`), which bounds its memory;
+the decoders' blocks have a smaller one.
 
 The decoders are exact but exponential-time by design; they are meant for
 desk-scale horizons (n <= 24 single-stream, n <= 12 for the two-encoder
@@ -130,10 +131,14 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # lanes (bin members times symbols) a chunk of trials may hold at one step,
 # in the mean.  It bounds a chunk's memory, most of it per-lane prefixes and
-# child states: on the README simulate config 2 ** 12 adds about 2 MB of
-# peak RSS.  There 2 ** 14 ran about 45 % more trials per second in process,
-# for 2 MB more, since each step's numpy calls cost the same per chunk.  A
-# one-trial ML decode takes its bin product in blocks of as many pairs.
+# child states, and each step's numpy calls cost the same per chunk, so a
+# larger chunk spends less per trial: on the README simulate config 2 ** 14
+# adds about 2 MB of peak RSS over 2 ** 12
+_CHUNK_LANES = 2 ** 14
+# the decoders' blocks: the ML kernel scores a bin product this many pairs at
+# a time (fewer when the joint table has more than 16 symbols, so that a
+# block holds at most 16 times as many symbol counts), and the universal
+# kernel reads the entropies of this many lanes at a time
 _LANE_BUDGET = 2 ** 12
 # the two-encoder score pass holds the suffix-entropy tables of at most this
 # many pairs, and compares at most this many (pair, rival) entries, at once:
@@ -353,14 +358,16 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
         target = np.zeros(trials, np.uint64)
         truth = np.flatnonzero(true)
         target[trial[truth]] = label[truth, seqs[trial[truth], j - 1]]
-        parent, symbol = np.nonzero(label == target[trial][:, None])
+        keep = np.flatnonzero(label == target[trial][:, None])
+        parent, symbol = np.divmod(keep, alphabet)
         trial = trial[parent]
-        state = child[parent, symbol]
+        state = child.ravel()[keep]
         prefixes = prefixes[parent]
         prefixes[:, j - 1] = symbol
         true = true[parent] & (symbol == seqs[trial, j - 1])
-        over = np.bincount(trial, minlength=trials) > cap
-        if over.any():
+        # no trial can hold more lanes than the whole chunk
+        if len(trial) > cap:
+            over = np.bincount(trial, minlength=trials) > cap
             overflow[over] = j
             alive = ~over[trial]
             trial, state, prefixes, true = (trial[alive], state[alive],
@@ -381,12 +388,12 @@ def expected_bin_size(step: int, alphabet: int, schedule: BinningSchedule) -> fl
 
 
 def chunk_trials(n: int, streams) -> int:
-    """Trials per `replay_bins` chunk: the lane budget over the largest mean
-    number of children a trial's bin has at one step, over the
+    """Trials per `replay_bins` chunk: the chunk lane budget over the largest
+    mean number of children a trial's bin has at one step, over the
     (alphabet, schedule) pairs of its streams."""
     widest = max(alphabet * expected_bin_size(j, alphabet, schedule)
                  for alphabet, schedule in streams for j in range(n))
-    return max(1, int(_LANE_BUDGET // widest))
+    return max(1, int(_CHUNK_LANES // widest))
 
 
 def enumerate_bin(seed: int, stream_id: str, schedule: BinningSchedule,
@@ -433,10 +440,11 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
     score within `_ML_TIE` * (n + |score|) of the maximum ties with it too,
     since equal likelihoods can differ in their last bits (two joint types
     of an independent source do).  A lane symbol outside the table is a
-    ValueError.  The pairs go in blocks of the lane budget, which bounds the
-    memory of a large product; a block that starts inside a trial's product
-    is led by that trial's winner so far, which precedes its pairs there, so
-    the first maximizer stays first."""
+    ValueError.  One bincount counts a block's joint symbols, pair by pair.
+    The pairs go in blocks of `_LANE_BUDGET`, which bounds the memory of a
+    large product; a block that starts inside a trial's product is led by
+    that trial's winner so far, which precedes its pairs there, so the first
+    maximizer stays first."""
     if px.max(initial=0) >= probs.shape[0] or py.max(initial=0) >= probs.shape[1]:
         raise ValueError(f"a lane symbol lies outside the {probs.shape[0]} x "
                          f"{probs.shape[1]} likelihood table")
@@ -451,21 +459,24 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
         a, b = np.divmod(pair - (ends - pairs)[trial], size_y[trial])
         return trial, start_x[trial] + a, start_y[trial] + b
 
+    logs = np.array([math.log(p) if p > 0 else -math.inf for p in probs.ravel().tolist()])
+    symbols = len(logs)
+    block = _LANE_BUDGET * 16 // max(16, symbols)
     best = np.full(trials, -1)
     total = int(pairs.sum())
-    for lo in range(0, total, _LANE_BUDGET):
-        pair = np.arange(lo, min(lo + _LANE_BUDGET, total))
+    for lo in range(0, total, block):
+        pair = np.arange(lo, min(lo + block, total))
         lead = best[np.searchsorted(ends, lo, "right")]
         if lead >= 0:
             pair = np.r_[lead, pair]
         trial, lane_x, lane_y = lanes(pair)
         code = px[lane_x].astype(np.intp) * probs.shape[1] + py[lane_y]
-        score = np.zeros(len(pair))
-        for s, p in enumerate(probs.ravel().tolist()):
-            lp = math.log(p) if p > 0 else -math.inf
-            counts = (code == s).sum(axis=1)
-            score += np.multiply(counts, lp, out=np.zeros(len(pair)), where=counts > 0)
-        slack = np.where(np.isfinite(score), _ML_TIE * (code.shape[1] + np.abs(score)), 0.0)
+        code += np.arange(len(pair))[:, None] * symbols
+        counts = np.bincount(code.ravel(), minlength=len(pair) * symbols).reshape(-1, symbols)
+        # cumsum adds in ascending symbol order, one term at a time
+        score = np.multiply(counts, logs, out=np.zeros(counts.shape),
+                            where=counts > 0).cumsum(axis=1)[:, -1]
+        slack = np.where(np.isfinite(score), _ML_TIE * (px.shape[1] + np.abs(score)), 0.0)
         win = _first_max(trial, score, slack)
         best[trial[win]] = pair[win]
     return lanes(best[best >= 0])[1:]

@@ -15,7 +15,7 @@ trial's draws do not depend on its chunk, and `sample_source` is the
 one-trial case.  It replays all its bins at once with `codec.replay_bins` (y
 too for the two-encoder decoders; the others know y), and decodes them all
 with one `codec.first_errors` call, whose decoder table picks the kernel.
-The chunk size is `codec.chunk_trials`: a fixed lane budget over the
+The chunk size is `codec.chunk_trials`: the chunk lane budget over the
 closed-form mean bin size, not an option; a parallel run caps it so that
 each worker gets at least 8 chunks.  A chunk returns histograms of its
 completed trials' first x, y and joint error positions, and the errors at
@@ -217,22 +217,25 @@ def _tally_chunk(cfg: TrialConfig, start: int, stop: int):
     n = cfg.n
     seeds = [derive_trial_seed(cfg.base_seed, t) for t in range(start, stop)]
     x_rows, y_rows = _sample_rows(cfg.source, n, seeds)
-    bins_x = replay_bins(seeds, x_rows, "x", cfg.schedule_x, cfg.source.alphabet_x,
-                         cfg.candidate_cap)
-    lost = [("x", int(j)) if j else None for j in bins_x.overflow]
-    tally = {"x": _bin_tally(bins_x, bins_x.overflow == 0)}
-    bins_y = None  # y is known
-    if cfg.decoder in _TWO_ENCODER:
-        bins_y = replay_bins(seeds, y_rows, "y", cfg.schedule_y, cfg.source.alphabet_y,
-                             cfg.candidate_cap, live=bins_x.overflow == 0)
-        for i in np.flatnonzero(bins_y.overflow):
-            lost[i] = ("y", int(bins_y.overflow[i]))
-        tally["y"] = _bin_tally(bins_y, (bins_x.overflow == 0) & (bins_y.overflow == 0))
-    fx, fy = first_errors(cfg.decoder, cfg.source, bins_x, bins_y, x_rows, y_rows)
-    done = np.array([where is None for where in lost], bool)
+    bins = {"x": replay_bins(seeds, x_rows, "x", cfg.schedule_x, cfg.source.alphabet_x,
+                             cfg.candidate_cap)}
+    if cfg.decoder in _TWO_ENCODER:  # else y is known
+        bins["y"] = replay_bins(seeds, y_rows, "y", cfg.schedule_y, cfg.source.alphabet_y,
+                                cfg.candidate_cap, live=bins["x"].overflow == 0)
+    # a y bin is replayed only where the x bin did not overflow, so each
+    # aborted trial is counted once
+    done = np.ones(stop - start, bool)
+    aborted = collections.Counter()
+    tally = {}
+    for stream, b in bins.items():
+        steps, counts = np.unique(b.overflow[b.overflow > 0], return_counts=True)
+        aborted.update({(stream, j): c for j, c in zip(steps.tolist(), counts.tolist())})
+        done &= b.overflow == 0
+        tally[stream] = _bin_tally(b, done)
+    fx, fy = first_errors(cfg.decoder, cfg.source, bins["x"], bins.get("y"), x_rows, y_rows)
     first = np.stack([fx, fy, np.minimum(fx, fy)])[:, done]
     hist = np.stack([np.bincount(row, minlength=n + 2) for row in first])
-    return hist, collections.Counter(filter(None, lost)), tally
+    return hist, aborted, tally
 
 
 def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from swstream import codec
 from swstream.codec import (
+    _CHUNK_LANES,
     _LANE_BUDGET,
     DECODERS,
     BinningSchedule,
@@ -343,8 +344,8 @@ class TestReplayBins:
         # 1 bit/step at |A| = 2: E|C_j| = 1 + j/2, so the widest step of a
         # 16-step trial has 2 * 8.5 children in the mean
         assert expected_bin_size(16, 2, ONE_BIT) == pytest.approx(9.0)
-        assert chunk_trials(16, [(2, ONE_BIT)]) == _LANE_BUDGET // 17
-        assert chunk_trials(24, [(2, ONE_BIT), (2, TWO_BITS)]) == _LANE_BUDGET // 25
+        assert chunk_trials(16, [(2, ONE_BIT)]) == _CHUNK_LANES // 17
+        assert chunk_trials(24, [(2, ONE_BIT), (2, TWO_BITS)]) == _CHUNK_LANES // 25
         # a bin that outgrows the budget in the mean still runs one trial
         assert chunk_trials(24, [(2, BinningSchedule((1, 0, 0, 0)))]) == 1
 
