@@ -6,7 +6,7 @@ encoders/decoders at desk scale, and a Monte Carlo error-versus-delay
 harness.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .info_core import (  # noqa: F401
     JointDistribution,

@@ -5,13 +5,14 @@ causal, prefix-consistent binning of a time-varying random tree code without
 ever materializing a codebook: sequences that agree on their first l symbols
 automatically agree on the parity bits of the first l steps.  The hash is a
 keyed splitmix64-style mixer (Steele, Lea & Flood, OOPSLA 2014), `_mix`,
-chained over the prefix: the empty prefix's state is an 8-byte BLAKE2b of
-b"<seed>:<stream id>", and a prefix extended by symbol a has state
-mix(s + (a + 1) * phi).  A prefix's b parity bits at its step are the top b
-bits of its own state, MSB first, so each prefix has one random label, as
-in the paper's sequential random binning, and a step emits at most 64 bits.
-The same `_mix` runs on Python ints (the step-wise API) and on uint64 arrays
-(the lanes).
+chained over the prefix: the empty prefix's state is mix(seed ^ K), with
+the seed taken mod 2^64 and K the stream's key word, an 8-byte BLAKE2b of
+the stream id computed once per stream, and a prefix extended by symbol a
+has state mix(s + (a + 1) * phi).  A prefix's b parity bits at its step are
+the top b bits of its own state, MSB first, so each prefix has one random
+label, as in the paper's sequential random binning, and a step emits at
+most 64 bits.  The same `_mix` runs on Python ints (the step-wise API) and
+on uint64 arrays (the lanes, which key a whole chunk of trials at once).
 
 Sequences and prefixes are byte strings (one byte per symbol); byte strings
 compare lexicographically, which is the tie-break order used everywhere.
@@ -213,11 +214,25 @@ def _mix(z):
     return z ^ (z >> 31)
 
 
-def _stream_key(seed: int, stream_id: str) -> int:
-    """The chain state of the empty prefix: an 8-byte BLAKE2b of the key
-    bytes b"<seed>:<stream id>", for any int seed."""
-    digest = hashlib.blake2b(b"%d:%s" % (seed, stream_id.encode()), digest_size=8)
-    return int.from_bytes(digest.digest(), "big")
+@functools.cache
+def _stream_word(stream_id: str) -> int:
+    """The stream's key word: an 8-byte BLAKE2b of the stream id."""
+    return int.from_bytes(hashlib.blake2b(stream_id.encode(), digest_size=8).digest(), "big")
+
+
+def _stream_key(seed, stream_id: str):
+    """The chain state of the empty prefix, mix(seed ^ the stream's key
+    word): on a Python int seed, taken mod 2^64, or elementwise on a uint64
+    array of seeds."""
+    return _mix(seed ^ _stream_word(stream_id))
+
+
+def _seed_words(seeds):
+    """Seeds as a uint64 array, each taken mod 2^64 (a uint64 array as it
+    is)."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    return np.array([int(s) & _M64 for s in seeds], np.uint64)
 
 
 def _chain(state, symbol):
@@ -227,8 +242,9 @@ def _chain(state, symbol):
 
 
 def _prefix_state(seed: int, stream_id: str, prefix: bytes) -> int:
-    """The chain state of a prefix, as a Python int."""
-    state = _stream_key(seed, stream_id)
+    """The chain state of a prefix, as a Python int (of a numpy int seed
+    too)."""
+    state = _stream_key(int(seed), stream_id)
     for a in prefix:
         state = _chain(state, a)
     return state
@@ -335,9 +351,10 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
                 alphabet: int, cap: int = DEFAULT_CANDIDATE_CAP,
                 live=None) -> Bins:
     """Encode each row of seqs (trials x n symbols) under its trial's seed
-    and replay the decoder-side bins of all of them at once (see the module
-    docstring).  Only the trials the boolean mask `live` selects are
-    replayed; the others end with no lanes and overflow 0."""
+    (see `_seed_words`) and replay the decoder-side bins of all of them at
+    once (see the module docstring).  Only the trials the boolean mask
+    `live` selects are replayed; the others end with no lanes and overflow
+    0."""
     if not (2 <= alphabet <= 256):
         raise ValueError("alphabet must be in [2, 256]")
     seqs = np.asarray(seqs, dtype=np.uint8)
@@ -345,7 +362,7 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
     if seqs.size and int(seqs.max()) >= alphabet:
         raise ValueError("sequence symbol outside the alphabet")
     trial = np.arange(trials) if live is None else np.flatnonzero(live)
-    state = np.array([_stream_key(seed, stream_id) for seed in seeds], np.uint64)[trial]
+    state = _stream_key(_seed_words(seeds), stream_id)[trial]
     prefixes = np.zeros((len(trial), n), np.uint8)
     true = np.ones(len(trial), bool)
     overflow = np.zeros(trials, np.int64)

@@ -2,19 +2,22 @@
 
 Each trial draws an iid source realization, encodes it causally, replays the
 decoder-side candidate sets, decodes once at full horizon, and scores an
-error at delay D whenever any of the first n - D symbols is wrong.  Per-trial
-seeds are derived from the base seed by hashing, so trials are independent,
-reproducible, and may run in any order or process.
+error at delay D whenever any of the first n - D symbols is wrong.  Trial
+t's seed is mix(k + (t + 1) * phi), with `codec._mix` and k an 8-byte
+BLAKE2b of the base seed: a counter-based generator (Salmon et al., SC
+2011), so a seed is a function of (base seed, t) alone, and trials are
+independent, reproducible, and may run in any order or process.
 
 Trials run in chunks of consecutive trial indices, the one unit of work,
-serially or one chunk per task of a process pool.  A chunk draws each
-trial's seed (one `derive_trial_seed` call per trial) and then every trial's
-source at once: uniform i of a trial is the 53 high bits of
-mix(k + (i + 1) * phi), with `codec._mix` and k the mixed trial seed, so a
-trial's draws do not depend on its chunk, and `sample_source` is the
-one-trial case.  It replays all its bins at once with `codec.replay_bins` (y
-too for the two-encoder decoders; the others know y), and decodes them all
-with one `codec.first_errors` call, whose decoder table picks the kernel.
+serially or one chunk per task of a process pool.  A chunk derives all its
+trials' seeds in one uint64 pass (`derive_trial_seed` is the one-trial
+case) and then draws every trial's source at once: uniform i of a trial is
+the 53 high bits of mix(k' + (i + 1) * phi), with k' = mix(seed ^ a
+sampling constant), so a trial's draws do not depend on its chunk, and
+`sample_source` is the one-trial case.  It replays all its bins at once
+with `codec.replay_bins` (y too for the two-encoder decoders; the others
+know y), and decodes them all with one `codec.first_errors` call, whose
+decoder table picks the kernel; it runs no Python loop over its trials.
 The chunk size is `codec.chunk_trials`: the chunk lane budget over the
 closed-form mean bin size, not an option; a parallel run caps it so that
 each worker gets at least 8 chunks.  A chunk returns histograms of its
@@ -45,10 +48,10 @@ from .codec import (
     MAX_HORIZON_SINGLE,
     MAX_HORIZON_TWO_ENCODER,
     _GOLDEN,
-    _M64,
     DECODERS,
     _as_int,
     _mix,
+    _seed_words,
     chunk_trials,
     first_errors,
     replay_bins,
@@ -174,20 +177,26 @@ class FitResult:
         return self.points_used >= 3 and math.isfinite(self.slope)
 
 
+def _trial_seeds(base_seed: int, index):
+    """The seeds of trials `index`, a Python int or elementwise a uint64
+    array: mix(k + (index + 1) * phi), k an 8-byte BLAKE2b of the base
+    seed."""
+    k = hashlib.blake2b(b"trial:%d" % base_seed, digest_size=8).digest()
+    return _mix(int.from_bytes(k, "big") + (index + 1) * _GOLDEN)
+
+
 def derive_trial_seed(base_seed: int, trial_index: int) -> int:
-    """Stable per-trial seed: hash of (base seed, trial index)."""
-    h = hashlib.blake2b(
-        b"trial:%d:%d" % (base_seed, trial_index), digest_size=8
-    ).digest()
-    return int.from_bytes(h, "big")
+    """Stable per-trial seed, a function of (base seed, trial index) alone:
+    the one-trial case of a chunk's seeds."""
+    return _trial_seeds(base_seed, int(trial_index))
 
 
 def _sample_rows(d: JointDistribution, n: int, seeds):
     """n iid draws from the joint per seed, as (x rows, y rows): two
     trials x n uint8 arrays.  A seed is taken mod 2^64."""
     _check_byte_alphabets(d)
-    keys = _mix(np.array([s & _M64 for s in seeds], np.uint64) ^ _SAMPLE_KEY)
-    steps = np.array([(i + 1) * _GOLDEN & _M64 for i in range(n)], np.uint64)
+    keys = _mix(_seed_words(seeds) ^ _SAMPLE_KEY)
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
     u = (_mix(keys[:, None] + steps) >> 11) * 2.0 ** -53
     cum = np.cumsum(d.probs.ravel())
     cum[-1] = 1.0
@@ -215,7 +224,7 @@ def _tally_chunk(cfg: TrialConfig, start: int, stop: int):
     error), a Counter of the aborted ones by (stream id, step), and a dict
     of each stream's `_bin_tally`."""
     n = cfg.n
-    seeds = [derive_trial_seed(cfg.base_seed, t) for t in range(start, stop)]
+    seeds = _trial_seeds(cfg.base_seed, np.arange(start, stop, dtype=np.uint64))
     x_rows, y_rows = _sample_rows(cfg.source, n, seeds)
     bins = {"x": replay_bins(seeds, x_rows, "x", cfg.schedule_x, cfg.source.alphabet_x,
                              cfg.candidate_cap)}

@@ -8,6 +8,7 @@ invariants, runnable from an installed toolkit without the test tree.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -157,35 +158,47 @@ def _suite_oracle():
             for name, passed in ok.items()]
 
 
+def _log_likelihood(x, y, probs):
+    """The log-likelihood of the pair of sequences (x, y) under the table
+    probs[a, b], summed over its sorted pair counts, so pairs of the same
+    joint type tie bit-exactly."""
+    counts = collections.Counter(zip(x, y))
+    total = 0.0
+    for a, b in sorted(counts):
+        if probs[a, b] <= 0:
+            return -math.inf
+        total += counts[a, b] * math.log(probs[a, b])
+    return total
+
+
 def _oracle_ml(members, y, probs, n, delay):
     """The smallest member of largest joint likelihood with y under the table
     probs[a, b] (a marginal reads as an |X| x 1 table, against y = 0^n),
-    truncated to n - delay.  Each log-likelihood sums the sorted pair counts,
-    so members of the same joint type tie bit-exactly."""
+    truncated to n - delay."""
     probs = np.reshape(probs, (len(probs), -1))
-
-    def ll(seq):
-        counts = collections.Counter(zip(seq, y))
-        total = 0.0
-        for a, b in sorted(counts):
-            if probs[a, b] <= 0:
-                return -math.inf
-            total += counts[a, b] * math.log(probs[a, b])
-        return total
-
-    return _first_near_max(members, ll)[: n - delay]
+    return _first_near_max(members, lambda s: _log_likelihood(s, y, probs), n)[: n - delay]
 
 
-def _first_near_max(members, ll):
+def _oracle_sw_ml(xs, ys, probs, n, delay):
+    """The two-encoder ML decision: the smallest pair (x, y) of the bin
+    product xs x ys of largest joint likelihood under probs[a, b], each
+    truncated to n - delay."""
+    pairs = itertools.product(xs, ys)
+    x, y = _first_near_max(pairs, lambda pair: _log_likelihood(*pair, probs), n)
+    return x[: n - delay], y[: n - delay]
+
+
+def _first_near_max(members, ll, n):
     """The smallest member whose log-likelihood ll ties the largest, as the
-    ML kernel ties: a finite ll within codec._ML_TIE * (n + |ll|) of it."""
+    ML kernel ties at horizon n: a finite ll within codec._ML_TIE * (n + |ll|)
+    of it."""
     scores = {s: ll(s) for s in members}
     top = max(scores.values())
 
-    def slack(s, v):
-        return codec._ML_TIE * (len(s) + abs(v)) if math.isfinite(v) else 0.0
+    def slack(v):
+        return codec._ML_TIE * (n + abs(v)) if math.isfinite(v) else 0.0
 
-    return min(s for s, v in scores.items() if v >= top - slack(s, v))
+    return min(s for s, v in scores.items() if v >= top - slack(v))
 
 
 def _oracle_universal(members, y, n, delay):

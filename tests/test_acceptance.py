@@ -52,7 +52,7 @@ from swstream.sim import (
     sample_source,
     wilson_interval,
 )
-from swstream.verify import _oracle_ml, _oracle_universal, run_suite
+from swstream.verify import _oracle_ml, _oracle_sw_ml, _oracle_universal, run_suite
 from conftest import random_corpus
 from oracles import (
     _oracle_scores,
@@ -211,7 +211,6 @@ class TestCriterion7DecoderOracles:
     def test_two_encoder_n6(self):
         joint = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])
         n = 6
-        p = joint.probs
         rng = np.random.default_rng(20250605)
         for trial in range(50):
             x, y = sample_source(joint, n, int(rng.integers(1 << 30)))
@@ -231,20 +230,8 @@ class TestCriterion7DecoderOracles:
             want_y = min(c for c, v in best_iy.items() if v == max(best_iy.values()))
             assert got_u == (want_x, want_y)
 
-            got_m = sw_ml_decode(cx, cy, joint, 0)
-            import itertools
-
-            def ll(pair):
-                counts = {}
-                for ab in zip(pair[0], pair[1]):
-                    counts[ab] = counts.get(ab, 0) + 1
-                return sum(counts[ab] * math.log(p[ab]) for ab in sorted(counts))
-
-            want_m = min(
-                itertools.product(cx.prefixes, cy.prefixes),
-                key=lambda pr: (-ll(pr), pr),
-            )
-            assert got_m == want_m
+            assert sw_ml_decode(cx, cy, joint, 0) == _oracle_sw_ml(
+                cx.prefixes, cy.prefixes, joint.probs, n, 0)
 
 
 def test_8_simulation_decay_long_run():

@@ -1,4 +1,3 @@
-import collections
 import itertools
 import math
 import warnings
@@ -38,7 +37,7 @@ from swstream.info_core import (
     weighted_suffix_entropy,
 )
 from swstream.sim import derive_trial_seed, sample_source
-from swstream.verify import _oracle_ml, _oracle_universal
+from swstream.verify import _oracle_ml, _oracle_sw_ml, _oracle_universal
 from oracles import (
     _oracle_scores,
     _oracle_winners,
@@ -84,15 +83,31 @@ class TestBinningSchedule:
 class TestEncodeStep:
     def test_known_answers(self):
         # literal outputs of the hash: a change of its layout fails here
-        assert codec._stream_key(0, "x") == 0x9CA69359BF36EBFF
+        assert codec._stream_key(0, "x") == 0xEA5B49438730D7B7
         seq = bytes([0, 1, 1, 0, 1, 0, 0, 1])
         assert [encode_step(0, "x", seq[:j], ONE_BIT) for j in range(1, 9)] == \
-            [(1,), (0,), (1,), (0,), (1,), (0,), (1,), (1,)]
+            [(0,), (0,), (0,), (0,), (0,), (1,), (0,), (0,)]
         ternary = bytes([2, 0, 1, 1])
         assert [encode_step(5, "y", ternary[:j], BinningSchedule((3,)))
-                for j in range(1, 5)] == [(0, 0, 0), (1, 1, 1), (1, 1, 0), (1, 0, 1)]
+                for j in range(1, 5)] == [(1, 0, 0), (0, 1, 1), (1, 1, 1), (1, 1, 0)]
         full = encode_step(7, "x", bytes([1, 0]), BinningSchedule((64,)))
-        assert int("".join(map(str, full)), 2) == 0xD599949A63589AA7
+        assert int("".join(map(str, full)), 2) == 0x606B13EA8DC81C6C
+
+    def test_stream_key_on_ints_and_lanes(self):
+        # the one-trial Python-int key and the lanes' uint64 keys agree, the
+        # int taken mod 2^64
+        seeds = [0, 5, 2 ** 64 + 5, -1, -3, 2 ** 70, 2 ** 64 - 1]
+        for stream_id in ("x", "y"):
+            lanes = codec._stream_key(codec._seed_words(seeds), stream_id)
+            assert lanes.dtype == np.uint64
+            assert lanes.tolist() == [codec._stream_key(s, stream_id) for s in seeds]
+            assert lanes.tolist() == [codec._stream_key(s % 2 ** 64, stream_id)
+                                      for s in seeds]
+        assert codec._stream_key(2 ** 64 + 5, "x") == codec._stream_key(5, "x")
+        assert codec._stream_key(0, "x") != codec._stream_key(0, "y")
+        # the step-wise API takes a numpy int seed as the Python int
+        assert encode_step(np.int64(5), "x", b"\x01\x00", TWO_BITS) == \
+            encode_step(5, "x", b"\x01\x00", TWO_BITS)
 
     def test_deterministic(self):
         a = encode_step(7, "x", b"\x01\x00\x01", ONE_BIT)
@@ -753,8 +768,13 @@ class TestScoreKernel:
     def test_trials_without_lanes_between_live_ones(self):
         # x bins overflow at a small cap, and y bins are not replayed for
         # the trials the mask drops: both end with n + 1 and leave the
-        # decisions of the live trials around them as they are
+        # decisions of the live trials around them as they are.  The mask
+        # also drops the middle one of three trials that decode without it,
+        # which puts a trial without lanes between two live ones
         live = np.arange(24) % 5 != 2
+        decoded = self._check(*self._chunk(self.EXAMPLE1, ONE_BIT, 7, 24, seed=3, cap=5,
+                                           live=live))
+        live[1 + "".join("1" if d else "0" for d in decoded).index("111")] = False
         chunk = self._chunk(self.EXAMPLE1, ONE_BIT, 7, 24, seed=3, cap=5, live=live)
         decoded = self._check(*chunk)
         assert chunk[0].overflow.any() and not live.all()
@@ -845,13 +865,7 @@ class TestTwoEncoderDecoders:
         uniform = JointDistribution.from_matrix([[0.25, 0.25], [0.25, 0.25]])
         assert sw_ml_decode(*cands, uniform, 0) == (members[0], members[0])
         d = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])
-
-        def ll(pair):
-            counts = sorted(collections.Counter(zip(*pair)).items())
-            return sum(c * math.log(d.probs[a, b]) for (a, b), c in counts)
-
-        want = min(itertools.product(members, members), key=lambda pr: (-ll(pr), pr))
-        assert sw_ml_decode(*cands, d, 0) == want
+        assert sw_ml_decode(*cands, d, 0) == _oracle_sw_ml(members, members, d.probs, 7, 0)
 
     @pytest.mark.parametrize("probs", [
         [[0.1, 0.05], [0.05, 0.8]],
@@ -880,23 +894,12 @@ class TestTwoEncoderDecoders:
     def test_ml_matches_product_argmax(self):
         d = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])
         rng = np.random.default_rng(321)
-        p = d.probs
         for t in range(50):
             x, y = sample_source(d, self.N, int(rng.integers(1 << 30)))
             cx = candidate_set_for(t, "x", x, ONE_BIT)
             cy = candidate_set_for(t, "y", y, ONE_BIT)
-            got = sw_ml_decode(cx, cy, d, 0)
-
-            def ll(pair):
-                return sum(
-                    math.log(p[a, b]) for a, b in zip(pair[0], pair[1])
-                )
-
-            want = min(
-                itertools.product(cx.prefixes, cy.prefixes),
-                key=lambda pr: (-ll(pr), pr),
-            )
-            assert got == want
+            assert sw_ml_decode(cx, cy, d, 0) == _oracle_sw_ml(
+                cx.prefixes, cy.prefixes, d.probs, self.N, 0)
 
     def test_ml_independent_source_factorizes(self):
         # independent x, y: the joint argmax is the pair of marginal argmaxes

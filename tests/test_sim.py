@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from swstream import codec
 from swstream.codec import (
     BinningSchedule,
     CandidateOverflowError,
@@ -15,6 +16,7 @@ from swstream.codec import (
 from swstream.info_core import JointDistribution
 from swstream.sim import (
     _tally_chunk,
+    _trial_seeds,
     DelayErrorStats,
     FitResult,
     TrialConfig,
@@ -49,40 +51,40 @@ PINNED = {
     "si_ml-bench": (
         dict(decoder="si_ml", n=16, delays=(0, 2, 4, 6, 8), trials=2000,
              base_seed=11),
-        0, {0: 365, 2: 207, 4: 121, 6: 61, 8: 27}, _zeros((0, 2, 4, 6, 8)),
-        {0: 365, 2: 207, 4: 121, 6: 61, 8: 27}),
+        0, {0: 330, 2: 188, 4: 96, 6: 49, 8: 35}, _zeros((0, 2, 4, 6, 8)),
+        {0: 330, 2: 188, 4: 96, 6: 49, 8: 35}),
     # the source, horizon, delays and seed of test_8 at 2,000 trials
     "ml-n24": (
         dict(source=JointDistribution.from_marginal([0.9, 0.1]), n=24,
              delays=tuple(range(4, 13)), trials=2000, base_seed=20250606),
-        0, {4: 109, 5: 83, 6: 62, 7: 47, 8: 40, 9: 33, 10: 28, 11: 20, 12: 14},
+        0, {4: 119, 5: 88, 6: 65, 7: 41, 8: 27, 9: 18, 10: 14, 11: 9, 12: 8},
         _zeros(range(4, 13)),
-        {4: 109, 5: 83, 6: 62, 7: 47, 8: 40, 9: 33, 10: 28, 11: 20, 12: 14}),
+        {4: 119, 5: 88, 6: 65, 7: 41, 8: 27, 9: 18, 10: 14, 11: 9, 12: 8}),
     "universal": (
         dict(source=_EXAMPLE2, decoder="universal", n=10, delays=tuple(range(7)),
              trials=300, base_seed=5),
-        0, {0: 210, 1: 154, 2: 110, 3: 82, 4: 66, 5: 43, 6: 28}, _zeros(range(7)),
-        {0: 210, 1: 154, 2: 110, 3: 82, 4: 66, 5: 43, 6: 28}),
+        0, {0: 233, 1: 189, 2: 142, 3: 106, 4: 74, 5: 61, 6: 42}, _zeros(range(7)),
+        {0: 233, 1: 189, 2: 142, 3: 106, 4: 74, 5: 61, 6: 42}),
     "si_universal-ternary-2bits": (
         dict(source=_TERNARY, decoder="si_universal", schedule_x=TWO_BITS, n=8,
              delays=tuple(range(5)), trials=300, base_seed=6),
-        0, {0: 129, 1: 83, 2: 50, 3: 30, 4: 19}, _zeros(range(5)),
-        {0: 129, 1: 83, 2: 50, 3: 30, 4: 19}),
+        0, {0: 139, 1: 94, 2: 58, 3: 40, 4: 25}, _zeros(range(5)),
+        {0: 139, 1: 94, 2: 58, 3: 40, 4: 25}),
     "sw_ml": (
         dict(source=_EXAMPLE2, decoder="sw_ml", schedule_y=ONE_BIT, n=10,
              delays=tuple(range(7)), trials=300, base_seed=7),
-        0, {0: 42, 1: 30, 2: 22, 3: 14, 4: 9, 5: 3, 6: 3},
-        {0: 51, 1: 38, 2: 23, 3: 16, 4: 12, 5: 5, 6: 3},
-        {0: 68, 1: 53, 2: 37, 3: 25, 4: 18, 5: 8, 6: 6}),
+        0, {0: 51, 1: 34, 2: 23, 3: 19, 4: 8, 5: 5, 6: 3},
+        {0: 50, 1: 38, 2: 26, 3: 18, 4: 12, 5: 9, 6: 7},
+        {0: 74, 1: 54, 2: 42, 3: 31, 4: 18, 5: 13, 6: 9}),
     # schedules with 0-bit steps at a cap that aborts some trials but not all
     "ml-aborts": (
         dict(schedule_x=_SPARSE, n=12, delays=(0, 4, 8), trials=200, base_seed=3,
              candidate_cap=500),
-        168, {0: 32, 4: 32, 8: 28}, _zeros((0, 4, 8)), {0: 32, 4: 32, 8: 28}),
+        168, {0: 32, 4: 32, 8: 27}, _zeros((0, 4, 8)), {0: 32, 4: 32, 8: 27}),
     "sw_ml-aborts": (
         dict(decoder="sw_ml", schedule_x=_SPARSE, schedule_y=BinningSchedule((1, 0, 0)),
              n=12, delays=(0, 4, 8), trials=80, base_seed=3, candidate_cap=450),
-        77, {0: 3, 4: 3, 8: 3}, {0: 3, 4: 3, 8: 3}, {0: 3, 4: 3, 8: 3}),
+        76, {0: 4, 4: 4, 8: 3}, {0: 4, 4: 4, 8: 3}, {0: 4, 4: 4, 8: 3}),
 }
 
 
@@ -168,6 +170,23 @@ class TestSampling:
         assert len(seeds) == 1000
         assert derive_trial_seed(3, 0) != derive_trial_seed(4, 0)
 
+    @pytest.mark.parametrize("base_seed", [0, -1, 2 ** 70])
+    def test_chunk_seeds_are_the_one_trial_seeds(self, base_seed):
+        # a chunk derives its trials' seeds in one uint64 pass; each is the
+        # one-trial Python-int seed, wherever the chunk starts
+        for start, stop in ((0, 5), (37, 60), (2 ** 40, 2 ** 40 + 3)):
+            seeds = _trial_seeds(base_seed, np.arange(start, stop, dtype=np.uint64))
+            assert seeds.dtype == np.uint64
+            assert seeds.tolist() == [derive_trial_seed(base_seed, t)
+                                      for t in range(start, stop)]
+
+    def test_trial_seed_known_answers(self):
+        # literal values of mix(k + (t + 1) * phi), k the 8-byte BLAKE2b of
+        # b"trial:<base seed>": a change of the seed layout fails here
+        assert derive_trial_seed(0, 0) == 0xD61782DF014572AC
+        assert derive_trial_seed(11, 5) == 0x8C79E1B9CD281F48
+        assert derive_trial_seed(np.int64(11), np.int64(5)) == 0x8C79E1B9CD281F48
+
     def test_point_mass(self):
         d = JointDistribution.from_matrix([[0.0, 0.0], [0.0, 1.0]])
         x, y = sample_source(d, 50, 1)
@@ -226,10 +245,10 @@ class TestRunTrials:
                    base_seed=11, decoder="sw_universal")
         stats = run_trials(cfg)
         assert stats.aborted == 0
-        assert stats.errors_x == {0: 94, 1: 79, 2: 61, 3: 50, 4: 43, 5: 30, 6: 17}
-        assert stats.errors_y == {0: 94, 1: 84, 2: 63, 3: 44, 4: 36, 5: 28, 6: 23}
+        assert stats.errors_x == {0: 92, 1: 74, 2: 58, 3: 37, 4: 29, 5: 24, 6: 16}
+        assert stats.errors_y == {0: 93, 1: 76, 2: 59, 3: 48, 4: 38, 5: 31, 6: 20}
         assert stats.errors_joint == {
-            0: 118, 1: 106, 2: 87, 3: 70, 4: 61, 5: 48, 6: 36,
+            0: 114, 1: 101, 2: 86, 3: 67, 4: 55, 5: 47, 6: 31,
         }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -255,6 +274,24 @@ class TestRunTrials:
                    delays=(0, 2, 4), trials=1001, base_seed=5)
         assert cfg.trials % chunk_trials(n, streams) != 0
         assert run_trials(cfg, threads=1) == run_trials(cfg, threads=2)
+
+    @pytest.mark.parametrize("kw", [
+        # the README simulate config at 1,000 trials
+        dict(decoder="si_ml", n=16, delays=(0, 2, 4, 6, 8), trials=1000, base_seed=11),
+        PINNED["sw_ml-aborts"][0],
+    ], ids=["readme", "sw_ml-aborts"])
+    def test_results_independent_of_chunk_budget(self, kw, monkeypatch):
+        # one trial per chunk, the default chunks and chunks 4 times as large
+        cfg = _cfg(**kw)
+        streams = [(2, cfg.schedule_x)] + ([(2, cfg.schedule_y)] if cfg.schedule_y else [])
+        sizes, results = [], []
+        for lanes in (7, codec._CHUNK_LANES, 2 ** 16):
+            monkeypatch.setattr(codec, "_CHUNK_LANES", lanes)
+            sizes.append(chunk_trials(cfg.n, streams))
+            results.append(run_trials(cfg))
+        assert sizes[0] == 1 < sizes[1] < sizes[2]
+        assert results[0] == results[1] == results[2]
+        assert (results[0].aborted > 0) == (cfg.decoder == "sw_ml")
 
     @pytest.mark.parametrize("decoder", [
         "universal", "si_ml", "si_universal", "sw_ml", "sw_universal"])
@@ -304,10 +341,10 @@ class TestRunTrials:
     def test_y_stream_aborts_counted_under_y(self):
         kw = PINNED["sw_ml-aborts"][0]
         stats = run_trials(_cfg(**kw))
-        assert sum(stats.aborted_by_step.values()) == stats.aborted == 77
+        assert sum(stats.aborted_by_step.values()) == stats.aborted == 76
         assert {s for s, _ in stats.aborted_by_step} == {"x", "y"}
         for d in stats.delays:
-            assert stats.rate_x_upper(d) == (stats.errors_x[d] + 77) / 80
+            assert stats.rate_x_upper(d) == (stats.errors_x[d] + 76) / 80
 
     def test_overflow_counted_as_aborted(self):
         sparse = BinningSchedule((1, 0, 0, 0))
