@@ -103,7 +103,6 @@ class TestEncodeStep:
             assert lanes.tolist() == [codec._stream_key(s, stream_id) for s in seeds]
             assert lanes.tolist() == [codec._stream_key(s % 2 ** 64, stream_id)
                                       for s in seeds]
-        assert codec._stream_key(2 ** 64 + 5, "x") == codec._stream_key(5, "x")
         assert codec._stream_key(0, "x") != codec._stream_key(0, "y")
         # the step-wise API takes a numpy int seed as the Python int
         assert encode_step(np.int64(5), "x", b"\x01\x00", TWO_BITS) == \
@@ -438,6 +437,13 @@ class TestBatchedMlArgmax:
                     False)
         d = JointDistribution.from_matrix([[0.3, 0.05], [0.05, 0.3], [0.1, 0.2]])
         self._check(d, TWO_BITS, 8, 80, True)
+
+    def test_wide_table_in_small_blocks(self, monkeypatch):
+        # a 5 x 5 table has more than 16 joint symbols, so a block holds
+        # fewer pairs than the lane budget: 10 at a budget of 16
+        monkeypatch.setattr(codec, "_LANE_BUDGET", 16)
+        probs = np.random.default_rng(5).dirichlet(np.ones(25)).reshape(5, 5)
+        self._check(JointDistribution.from_matrix(probs), BinningSchedule((3,)), 6, 60, True)
 
     def test_overflowed_trials_are_skipped(self):
         sparse = BinningSchedule((1, 0, 0, 0))
