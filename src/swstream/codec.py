@@ -46,14 +46,22 @@ as one less than the smallest l and k of the cells (l, k) it marks: those
 where a rival pair first diverging there has weighted suffix entropy <= the
 pair's own (a tie marks; no mark scores n + 1).  One score pass,
 `_sw_scores`, scores every pair of every trial's bin product in a chunk.
-Each (pair, rival) entry is an element of flat arrays, with l and k read
-from first-divergence tables of the trial's x and y lanes, and both
-entropies from a table of every cell of every pair
-(`info_core._suffix_table`, built on the lane entropy tables of
-`info_core.window_entropies`).  Fixed budgets on the pairs whose table is
-live and on the entries compared at once bound its memory.  Each trial's
-winners are its first x (y) lane of maximal best i_x (i_y) over its pairs,
-and `compute_scores` reads one pair of the pass.  (The O(P^2) definition,
+A trial's x lanes form a prefix tree, and so do its y lanes; the rivals of
+a pair at (l, k) are the pairs under the siblings of its x lane's depth-l
+node and of its y lane's depth-k node (at n + 1, the lane itself).  So only
+a cell where both lanes have siblings can mark, and it marks when the least
+value over the pairs under some sibling node pair is at most the pair's
+own.  The pass reads node tables off each lane's first divergence from its
+predecessor (`_nodes`), computes weighted suffix entropies at those live
+cells only, with the entropy engine of `info_core`, takes the least value
+under each (x node, y node) of a cell with one `np.minimum.at`, and reads
+each pair's rival minimum off its sibling node pairs.  Its work is the
+pairs' live cells, at most P (n + 1)^2 for P pairs, and its memory is
+bounded by a pair budget: whole trials go in groups of at most that many
+pairs (or one trial), and a group's depths l in blocks of at most the
+budget times n + 1 cells (or one depth).  Each trial's winners are its
+first x (y) lane of maximal best i_x (i_y) over its pairs, and
+`compute_scores` reads one pair of the pass.  (The O(P^2) definition,
 scored rival by rival, is the test oracle in `tests/oracles.py`.)
 
 The Monte Carlo harness replays the bins of a chunk of trials at once
@@ -77,7 +85,8 @@ the decoders' blocks have a smaller one.
 
 The decoders are exact but exponential-time by design; they are meant for
 desk-scale horizons (n <= 24 single-stream, n <= 12 for the two-encoder
-decoders, whose score pass costs time quadratic in the bin product).
+decoders, whose bin products grow exponentially in n at rates near the
+joint entropy).
 """
 
 from __future__ import annotations
@@ -93,7 +102,8 @@ import numpy as np
 from .info_core import (
     JointDistribution,
     _as_int,
-    _suffix_table,
+    _window_counts,
+    _weighted_entropies,
     window_entropies,
 )
 # imported only for bench/trace_layers.py, which wraps it here; ROADMAP item 3 removes this
@@ -141,12 +151,13 @@ _CHUNK_LANES = 2 ** 14
 # block holds at most 16 times as many symbol counts), and the universal
 # kernel reads the entropies of this many lanes at a time
 _LANE_BUDGET = 2 ** 12
-# the two-encoder score pass holds the suffix-entropy tables of at most this
-# many pairs, and compares at most this many (pair, rival) entries, at once:
-# on the mc-sw-universal config they add about 1.5 MB of peak RSS, and
-# 4 times the pairs added 6 MB
-_PAIR_BUDGET = _LANE_BUDGET // 16
-_RIVAL_BUDGET = 2 * _LANE_BUDGET
+# the two-encoder score pass takes whole trials' bin products in groups of
+# at most this many pairs (or one trial), and a group's cells in blocks of at
+# most this many times n + 1.  On the mc-sw-universal config (seeds 0 and 1)
+# the job's peak RSS (VmHWM) read 36.8-36.9 MB at 2 ** 9, against 36.7-36.9 MB
+# for the O(P^2) pass this replaced, 36.6-36.7 MB at 2 ** 8, whose smaller
+# groups cost more time, and 37.5-38.1 MB at 2 ** 10
+_PAIR_BUDGET = 2 ** 9
 # ML log-likelihoods within _ML_TIE * (n + |score|) of each other tie: a
 # lane's score sums at most |A||Y| rounded terms c log p, each off by about
 # 2^-53 (c + |c log p|)
@@ -525,16 +536,48 @@ def _ragged(sizes):
     return seg, np.arange(len(seg)) - (np.cumsum(sizes) - sizes)[seg]
 
 
-def _divergence(trial, prefixes, trials: int):
-    """The first-divergence tables of each trial's lanes, flat: for lane i,
-    the 0-based position where it first differs from each lane of its trial
-    in order (n against itself); and the offset of lane i's row."""
-    size = np.bincount(trial, minlength=trials)
-    i, j = _ragged(size[trial])
-    differ = prefixes[i] != prefixes[j + (np.cumsum(size) - size)[trial[i]]]
-    # a column that always differs, at position n, ends every row
-    div = np.c_[differ, np.ones(len(i), bool)].argmax(axis=1)
-    return div, np.cumsum(size[trial]) - size[trial]
+def _nodes(trial, prefixes):
+    """The node tables of a group's lanes, each trial's in order, with one
+    column per depth l = 1, ..., n + 1 of a cell.  A lane's depth-l node
+    is its trial's lanes that share its first l symbols, and its lane
+    alone at n + 1.  live: whether the lane has a sibling at depth l, a
+    lane of its trial that shares its first l - 1 symbols and not its l-th
+    (always, at n + 1, where the rival is the lane itself); kid: the first
+    lane of its depth-l node; sibs: one row per slot, the first lanes of
+    the other depth-l nodes under its depth-(l - 1) node, in order and -1
+    past the last (the lane itself, at n + 1)."""
+    count, n = prefixes.shape
+    lane = np.arange(count)
+    # the position where each lane first differs from its predecessor, and
+    # -1 at a trial's first lane
+    differ = np.c_[prefixes[1:] != prefixes[:-1], np.ones(max(count - 1, 0), bool)]
+    d = np.r_[-1, np.where(trial[1:] == trial[:-1], differ.argmax(axis=1), -1)][:count]
+    # whether a lane starts a node of prefix length j = 0, ..., n, the first
+    # lane of its node and the lane after the node's last (count past the end)
+    new = d[:, None] < np.arange(n + 1)
+    first = np.maximum.accumulate(np.where(new, lane[:, None], 0), axis=0)
+    after = np.full((count + 1, n + 1), count)
+    after[:-1] = np.where(np.r_[new[1:], np.ones((1, n + 1), bool)], lane[:, None] + 1, count)
+    after[:-1] = np.minimum.accumulate(after[-2::-1], axis=0)[::-1]
+    kid, parent_end = first[:, 1:], after[:-1, :-1]
+    live = np.c_[(first[:, :-1] != kid) | (parent_end != after[:-1, 1:]), np.ones(count, bool)]
+    # the depth-l nodes under a depth-(l - 1) node, in order: the node of
+    # its first lane, then the node of the lane after each one's last
+    depth = np.arange(1, n + 1)
+    child = first[:, :-1]
+    sibs = []
+    while True:
+        following = after[child, depth]
+        sib = np.where(child < kid, child, following)
+        if not (sib < parent_end).any():
+            break
+        sibs.append(np.where(sib < parent_end, sib, -1))
+        child = following
+    slots = np.full((max(len(sibs), 1), count, n + 1), -1)
+    if sibs:
+        slots[:len(sibs), :, :n] = sibs
+    slots[0, :, n] = lane
+    return live, np.c_[kid, lane], slots
 
 
 def _group_scores(trial_x, px, trial_y, py, trials: int):
@@ -546,41 +589,75 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
     size_y = np.bincount(trial_y, minlength=trials)
     pairs = size_x * size_y
     trial, own = _ragged(pairs)
-    a, b = own // size_y[trial], own % size_y[trial]
-    pair_x = (np.cumsum(size_x) - size_x)[trial] + a
-    pair_y = (np.cumsum(size_y) - size_y)[trial] + b
-    div_x, row_x = _divergence(trial_x, px, trials)
-    div_y, row_y = _divergence(trial_y, py, trials)
-    row_x, row_y = row_x[pair_x], row_y[pair_y]
-    code = px[pair_x].astype(np.uint16) << 8 | py[pair_y]
-    table = _suffix_table(window_entropies(code), window_entropies(px)[pair_x],
-                          window_entropies(py)[pair_y], n)
-    # the pair itself, at (n + 1, n + 1), is not its own rival: a NaN there
-    # compares false
-    table[:, -1] = np.nan
-    table = table.ravel()
-    rivals = pairs[trial]
-    first = (np.cumsum(pairs) - pairs)[trial]
-    reach = np.cumsum(rivals)
-    i_x = np.empty(len(trial), np.intp)
-    i_y = np.empty(len(trial), np.intp)
-    r0 = 0
-    while r0 < len(trial):
-        # whole rows of pairs, as many as the rival budget holds and at
-        # least one
-        r1 = np.searchsorted(reach, reach[r0] - rivals[r0] + _RIVAL_BUDGET, "right")
-        r1 = max(int(r1), r0 + 1)
-        row, offset = _ragged(rivals[r0:r1])
-        row += r0
-        rival = first[row] + offset
-        l = div_x[row_x[row] + a[rival]]
-        k = div_y[row_y[row] + b[rival]]
-        cell = l * side + k
-        marks = table[rival * side ** 2 + cell] <= table[row * side ** 2 + cell]
-        starts = np.cumsum(rivals[r0:r1]) - rivals[r0:r1]
-        i_x[r0:r1] = np.minimum.reduceat(np.where(marks, l, side), starts)
-        i_y[r0:r1] = np.minimum.reduceat(np.where(marks, k, side), starts)
-        r0 = r1
+    start_x, start_y = np.cumsum(size_x) - size_x, np.cumsum(size_y) - size_y
+    pair_x = start_x[trial] + own // size_y[trial]
+    pair_y = start_y[trial] + own % size_y[trial]
+    live_x, kid_x, sibs_x = _nodes(trial_x, px)
+    live_y, kid_y, sibs_y = _nodes(trial_y, py)
+    joint = _window_counts(px[pair_x].astype(np.uint16) << 8 | py[pair_y])
+    streams = _window_counts(np.r_[px, py])
+    # the cells in order of l, pair and k: count[l - 1, pair] at depth l,
+    # one per live depth k of the pair's y lane (n + 1 last), but not
+    # (n + 1, n + 1), which is the pair itself
+    depth_y = np.nonzero(live_y)[1] + 1
+    cells = live_y.sum(axis=1)
+    first_y = np.cumsum(cells) - cells
+    count = live_x[pair_x].T * cells[pair_y]
+    count[-1] -= 1
+    # an x lane's pairs are consecutive: at depth l, the cells of its pair
+    # with y lane j start at row[l - 1, x lane] + before[j], less ahead[j]
+    # at n + 1, with before[j] and ahead[j] the cells and the y lanes of
+    # j's trial before j
+    ahead = np.arange(len(trial_y)) - start_y[trial_y]
+    before = first_y - first_y[start_y[trial_y]]
+    width = live_x.T * np.bincount(trial_y, cells, trials).astype(np.intp)[trial_x]
+    width[-1] -= size_y[trial_x]
+    row = (np.cumsum(width) - width.ravel()).reshape(side, -1)
+    totals = width.sum(axis=1)
+    reach = np.cumsum(totals)
+    i_x = np.full(len(trial), side)
+    i_y = np.full(len(trial), side)
+    l0 = 0
+    while l0 < side and len(trial):
+        done = reach[l0] - totals[l0]
+        l1 = max(int(np.searchsorted(reach, done + _PAIR_BUDGET * side, "right")), l0 + 1)
+        # the block's (l, pair) with cells, where the cells of the pairs of
+        # its x lane's node and of its sibling nodes' start (-1 past the
+        # last sibling), then the cells themselves
+        at = np.flatnonzero(count[l0:l1])
+        l, pair = np.divmod(at, len(trial))
+        l += l0 + 1
+        x = pair_x[pair]
+        kid = row[l - 1, kid_x[x, l - 1]] - done
+        sibs = [np.where(sib >= 0, row[l - 1, sib] - done, -1) for sib in sibs_x[:, x, l - 1]]
+        segment, offset = _ragged(count[l0:l1].ravel()[at])
+        l0 = l1
+        l, pair, x, kid = l[segment], pair[segment], x[segment], kid[segment]
+        y = pair_y[pair]
+        k = depth_y[first_y[y] + offset]
+        last = l == side
+
+        def cell(start, lane_y):
+            """The cell (l, k) of the pair whose x node's cells start at
+            start, with y lane lane_y: k has the same rank among its live
+            depths as among y's."""
+            return start + before[lane_y] - last * ahead[lane_y] + offset
+
+        value = _weighted_entropies(joint, streams, n, pair, np.where(l < k, len(px) + y, x),
+                                    l, k)
+        least = np.full(len(pair), np.inf)
+        np.minimum.at(least, cell(kid, kid_y[y, k - 1]), value)
+        rival = np.full(len(pair), np.inf)
+        for sib in sibs:
+            sib = sib[segment]
+            for sib_y in sibs_y[:, y, k - 1]:
+                # an empty slot reads the pair's own cell, and is not taken
+                valid = (sib >= 0) & (sib_y >= 0)
+                there = least[np.where(valid, cell(sib, sib_y), np.arange(len(pair)))]
+                np.minimum(rival, there, out=rival, where=valid)
+        mark = rival <= value
+        np.minimum.at(i_x, pair[mark], l[mark] - 1)
+        np.minimum.at(i_y, pair[mark], k[mark] - 1)
     return pair_x, pair_y, i_x, i_y
 
 
@@ -589,22 +666,22 @@ def _sw_scores(trial_x, px, trial_y, py, trials: int):
     trial's bin product.  Returns each pair's x and y lanes, each trial's
     product in a-major order, and its scores i_x and i_y; a trial without
     lanes in both bins has no pairs.  The trials go in groups of whole
-    trials, as many as the pair budget holds and at least one, which bounds
-    the memory."""
+    trials, as many as the pair budget holds and at least one."""
     pairs = np.bincount(trial_x, minlength=trials) * np.bincount(trial_y, minlength=trials)
     ends = np.cumsum(pairs)
-    parts = []
+    scores = [np.empty(ends[-1] if trials else 0, np.intp) for _ in range(4)]
     t0 = 0
     while t0 < trials:
         t1 = np.searchsorted(ends, ends[t0] - pairs[t0] + _PAIR_BUDGET, "right")
         t1 = max(int(t1), t0 + 1)
         x0, x1 = np.searchsorted(trial_x, (t0, t1))
         y0, y1 = np.searchsorted(trial_y, (t0, t1))
-        pair_x, pair_y, i_x, i_y = _group_scores(
-            trial_x[x0:x1] - t0, px[x0:x1], trial_y[y0:y1] - t0, py[y0:y1], t1 - t0)
-        parts.append((pair_x + x0, pair_y + y0, i_x, i_y))
+        group = _group_scores(trial_x[x0:x1] - t0, px[x0:x1], trial_y[y0:y1] - t0,
+                              py[y0:y1], t1 - t0)
+        for whole, part, lane in zip(scores, group, (x0, y0, 0, 0)):
+            whole[ends[t0] - pairs[t0]:ends[t1 - 1]] = part + lane
         t0 = t1
-    return [np.concatenate(c) for c in zip(*parts)]
+    return scores
 
 
 def _sw_winners(trial_x, px, trial_y, py, trials: int):

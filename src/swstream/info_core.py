@@ -10,16 +10,24 @@ holds the table's bytes, shape and strides, because a full numpy reduction
 adds in memory order: the same table stored C- and F-ordered (`swapped()`
 keeps the transpose F-ordered) can differ in the last bit.
 
-Every empirical entropy is computed here, as `entropy_of_counts` adds its
-terms: left to right, in ascending count order.  The counts of a window are
-a difference of cumulative count rows, and a joint type counts the zipped
-pairs (a, b).  The lane entropy table (`window_entropies`) takes every
-window of every lane of an array at once: one column of cumulative counts
-per symbol, the window counts sorted by a network of minima and maxima, and
-each term looked up in a table of the floats `entropy_of_counts` adds.  The
-universal decoders read its suffix windows; `suffix_entropies` weighs those
-tables into the weighted suffix entropy of every cell of every pair lane,
-and `weighted_suffix_entropy` is its one-pair case.
+Every empirical entropy is computed here, by one engine, as
+`entropy_of_counts` adds its terms: left to right, in ascending count
+order.  The counts of a window are a difference of cumulative count rows,
+one column per symbol, and a joint type counts the zipped pairs (a, b).
+The engine (`_entropies_of`) sorts a batch of window counts by a network of
+minima and maxima and looks each term up in a table of the floats
+`entropy_of_counts` adds.  Its count step (`_window_counts`) takes an array
+of lanes once and returns the entropies of any windows (lane, lo, hi) at
+once; where every count vector of a window fits a small table, the rows are
+cumulative keys whose digits are the counts, and the engine's values are
+read off its table of every count vector (`_keyed_entropies`).  The lane
+entropy table (`window_entropies`), every window or every suffix window of
+every lane, is its grid case, and the universal decoders read its suffix
+windows.  The weighted suffix entropy of a pair lane at a cell
+(`_weighted_entropies`) combines three of its windows; the two-encoder
+score pass takes it at the cells where a pair has rivals,
+`suffix_entropies` at every cell of every pair lane, and
+`weighted_suffix_entropy` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -51,6 +59,10 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-12
+# count vectors whose entropies the engine tabulates once, rather than
+# sorting each window's counts (see `_window_counts`): (n + 1) ** columns of
+# them, 8 bytes each, so the joint counts of binary pairs up to n = 21
+_KEYED = 2 ** 18
 
 
 def _as_int(value) -> int:
@@ -306,74 +318,42 @@ def entropy_of_counts(counts, total: int) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _lane_tables(n: int) -> SimpleNamespace:
-    """The index tables of the lane entropy tables of horizon n, built on
-    first use and shared read-only.  lo, hi: the windows [lo, hi) of a
-    length-n lane, every 0 <= lo < hi <= n, then the empty window [n, n);
-    suffix: the windows [lo, n), lo < n, in order of lo; row:
-    (hi - lo) * (n + 1), each window's row of terms; terms: at
-    t * (n + 1) + c, the term (c / t) log(t / c) of a count c among t
-    symbols, 0.0 for c = 0.  Per cell (l, k), row-major: first, the window
-    where one stream is disputed; other, that window of the other stream
-    (x's windows, then y's); second, the joint window after it; w1 and w2,
-    the weights of the two windows."""
+    """The index tables of the lane entropies of horizon n, built on first
+    use and shared read-only.  lo, hi: the windows [lo, hi) of a length-n
+    lane, every 0 <= lo < hi <= n, then the empty window [n, n); suffix:
+    the windows [lo, n), lo < n, in order of lo; terms: at t * (n + 1) + c,
+    the term (c / t) log(t / c) of a count c among t symbols, 0.0 for
+    c = 0; w1 and w2: per cell (l, k), row-major, the weights of its two
+    windows (see `_weighted_entropies`)."""
     windows = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
     windows.append((n, n))
-    index = {w: i for i, w in enumerate(windows)}
-    empty = index[(n, n)]
     lo, hi = np.array(windows).T
     terms = np.zeros((n + 1) ** 2)
     for t in range(1, n + 1):
         for c in range(1, t + 1):
             terms[t * (n + 1) + c] = (c / t) * math.log(t / c)
-    cells = []
+    weights = []
     for l in range(1, n + 2):
         for k in range(1, n + 2):
-            if l == k:  # the joint entropy of the suffix, 0.0 at l = n + 1
-                cells.append((empty, empty, index[(l - 1, n)], 0.0, 1.0))
-                continue
-            # H(disputed | other) over [a, b - 1], joint H after it (the
-            # joint type's entropy is symmetric in the streams)
             a, b = min(l, k), max(l, k)
             span = n + 1 - a
-            first = index[(a - 1, b - 1)]
-            other = first + len(windows) if l < k else first
-            cells.append((first, other, index[(b - 1, n)],
-                          (b - a) / span, (n + 1 - b) / span))
-    first, other, second, w1, w2 = (np.array(c) for c in zip(*cells))
-    suffix = np.array([index[(s, n)] for s in range(n)], np.intp)
-    tables = dict(lo=lo, hi=hi, suffix=suffix, row=(hi - lo) * (n + 1), terms=terms,
-                  first=first, other=other, second=second, w1=w1, w2=w2)
+            # the diagonal, (n + 1, n + 1) too, is the joint suffix alone
+            weights.append((0.0, 1.0) if l == k else ((b - a) / span, (n + 1 - b) / span))
+    w1, w2 = np.array(weights).T
+    suffix = np.flatnonzero(hi == n)[:n]
+    tables = dict(lo=lo, hi=hi, suffix=suffix, terms=terms, w1=w1, w2=w2)
     for table in tables.values():
         table.flags.writeable = False
     return SimpleNamespace(**tables)
 
 
-def window_entropies(lanes, suffix: bool = False) -> np.ndarray:
-    """The lane entropy table: [i, w] is the empirical entropy of
-    lanes[i, lo:hi] for the w-th window [lo, hi) of a length-n lane, in the
-    order every 0 <= lo < hi <= n (lo-major), then the empty window [n, n);
-    with `suffix`, only the suffix windows [lo, n), lo < n, in order of lo.
-    Lanes are rows of integer symbols; each value is the float
-    `entropy_of_counts` gives for the window's counts."""
-    lanes = np.asarray(lanes)
-    count, n = lanes.shape
-    t = _lane_tables(n)
-    window = t.suffix if suffix else slice(None)
-    # one column of counts per distinct symbol; past n symbols, each
-    # symbol's rank within its own lane, so at most n columns
-    symbols, rank = np.unique(lanes, return_inverse=True)
-    rank = rank.reshape(lanes.shape)
-    if len(symbols) > n:
-        order = np.argsort(rank, axis=1)
-        ordered = np.take_along_axis(rank, order, axis=1)
-        new = np.ones(lanes.shape, bool)
-        new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-        np.put_along_axis(rank, order, np.cumsum(new, axis=1) - 1, axis=1)
-    columns = int(rank.max(initial=-1)) + 1
-    rows = np.zeros((columns, count, n + 1), np.min_scalar_type(n))
-    np.cumsum(rank == np.arange(columns)[:, None, None], axis=2,
-              dtype=rows.dtype, out=rows[:, :, 1:])
-    counts = rows[:, :, t.hi[window]] - rows[:, :, t.lo[window]]
+def _entropies_of(counts, total, n: int) -> np.ndarray:
+    """The entropy engine: the empirical entropy of each window of a
+    length-n lane whose counts, one row per column, are counts[:, ...],
+    among total symbols (broadcast).  Each value is the float
+    `entropy_of_counts` gives, 0.0 for no symbols.  It sorts counts in
+    place."""
+    columns = len(counts)
     # ascending counts in every window: an odd-even transposition network
     for r in range(columns):
         for c in range(r % 2, columns - 1, 2):
@@ -382,31 +362,106 @@ def window_entropies(lanes, suffix: bool = False) -> np.ndarray:
             counts[c] = low
     # added left to right from 0.0, as entropy_of_counts adds them; a zero
     # count adds an exact 0.0
-    row = t.row[window]
-    h = np.zeros((count, len(row)))
+    terms = _lane_tables(n).terms
+    row = np.asarray(total) * (n + 1)
+    h = np.zeros(counts.shape[1:])
     index = np.empty(h.shape, np.intp)
     term = np.empty(h.shape)
     for column in counts:
-        np.take(t.terms, np.add(row, column, out=index), out=term)
+        np.take(terms, np.add(row, column, out=index), out=term)
         h += term
     return h
 
 
-def _suffix_table(h_joint, h_x, h_y, n: int) -> np.ndarray:
-    """[p, cell]: the weighted suffix entropy of pair lane p at every cell
-    (l, k), row-major, from the lane entropy tables of the pairs' joint
-    symbols and of their x and y lanes.  These are the operations of the
-    definition, in its order, plus an exact 0.0 added where it has no
-    second window and a 0.0 * (0.0 - 0.0) on the diagonal, which leave
-    every value (up to the sign of a zero) as it is."""
-    t = _lane_tables(n)
-    table = np.take(h_joint, t.first, axis=1)
-    table -= np.take(np.concatenate([h_x, h_y], axis=1), t.other, axis=1)
-    table *= t.w1
-    second = np.take(h_joint, t.second, axis=1)
-    second *= t.w2
-    table += second
+@functools.lru_cache(maxsize=32)
+def _keyed_entropies(n: int, columns: int) -> np.ndarray:
+    """[key]: the entropy engine's value for the window counts that are the
+    base-(n + 1) digits of key, column c's the c-th, for every key below
+    (n + 1) ** columns (those whose digits add up to more than n are never
+    read)."""
+    side = n + 1
+    digits = np.indices((side,) * columns, np.min_scalar_type(n))[::-1]
+    digits = digits.reshape(columns, side ** columns)
+    table = _entropies_of(digits, np.minimum(digits.sum(axis=0, dtype=np.intp), n), n)
+    table.flags.writeable = False
     return table
+
+
+def _window_counts(lanes):
+    """The count step of the entropy engine on lanes, rows of nonnegative
+    integer symbols.  Returns entropies_at(lane, lo, hi): the entropy
+    engine's values for the windows [lo, hi) of the lanes, at the broadcast
+    of the index arrays.  A window's counts are differences of cumulative
+    count rows, with one column per distinct symbol, in ascending order;
+    past n symbols, a column per rank of a symbol within its own lane, so
+    at most n columns.  When the count vectors fit `_KEYED` keys, the rows
+    are one cumulative key per lane and position, whose base-(n + 1)
+    digits are the counts, and a window's entropy is read off the engine's
+    table of every count vector (`_keyed_entropies`)."""
+    lanes = np.asarray(lanes)
+    count, n = lanes.shape
+    side = n + 1
+    present = np.bincount(lanes.ravel(), minlength=1) > 0
+    rank = (np.cumsum(present) - 1)[lanes]
+    if present.sum() > n:
+        order = np.argsort(rank, axis=1)
+        ordered = np.take_along_axis(rank, order, axis=1)
+        new = np.ones(lanes.shape, bool)
+        new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        np.put_along_axis(rank, order, np.cumsum(new, axis=1) - 1, axis=1)
+    columns = int(rank.max(initial=-1)) + 1
+    if side ** columns <= _KEYED:
+        key = np.zeros((count, side), np.int64)
+        np.cumsum((side ** np.arange(columns))[rank], axis=1, out=key[:, 1:])
+        key = key.ravel()
+        table = _keyed_entropies(n, columns)
+        return lambda lane, lo, hi: table[key[np.multiply(lane, side) + hi]
+                                          - key[np.multiply(lane, side) + lo]]
+    rows = np.zeros((columns, count, side), np.min_scalar_type(n))
+    np.cumsum(rank == np.arange(columns)[:, None, None], axis=2,
+              dtype=rows.dtype, out=rows[:, :, 1:])
+    rows = rows.reshape(columns, count * side)
+    return lambda lane, lo, hi: _entropies_of(
+        rows[:, np.multiply(lane, side) + hi] - rows[:, np.multiply(lane, side) + lo],
+        np.subtract(hi, lo), n)
+
+
+def window_entropies(lanes, suffix: bool = False) -> np.ndarray:
+    """The lane entropy table: [i, w] is the empirical entropy of
+    lanes[i, lo:hi] for the w-th window [lo, hi) of a length-n lane, in the
+    order every 0 <= lo < hi <= n (lo-major), then the empty window [n, n);
+    with `suffix`, only the suffix windows [lo, n), lo < n, in order of lo.
+    Lanes are rows of nonnegative integer symbols; this is the grid case of
+    `_window_counts`."""
+    lanes = np.asarray(lanes)
+    count, n = lanes.shape
+    t = _lane_tables(n)
+    window = t.suffix if suffix else slice(None)
+    return _window_counts(lanes)(np.arange(count)[:, None], t.lo[window], t.hi[window])
+
+
+def _weighted_entropies(joint, streams, n: int, lane, other, l, k) -> np.ndarray:
+    """The weighted suffix entropies of pair lanes of horizon n at cells
+    (l, k), at the broadcast of the index arrays: joint reads the entropies
+    of the pairs' joint symbols (`_window_counts`), lane the pair's lane
+    there; streams those of their x and y lanes, other the lane there of
+    the stream that is not disputed on the first window (the y lane when
+    l < k, else the x lane; either on the diagonal).  With a = min(l, k)
+    and b = max(l, k) these are the operations of the definition, in its
+    order: the joint entropy of [a - 1, b - 1) less other's, times w1, plus
+    the joint entropy of [b - 1, n) times w2.  The first window is empty on
+    the diagonal and the second past the end, which adds an exact 0.0 times
+    its weight."""
+    t = _lane_tables(n)
+    a, b = np.minimum(l, k) - 1, np.maximum(l, k) - 1
+    cell = (np.asarray(l) - 1) * (n + 1) + k - 1
+    h = joint(lane, a, b)
+    h -= streams(other, a, b)
+    h *= t.w1[cell]
+    second = joint(lane, b, n)
+    second *= t.w2[cell]
+    h += second
+    return h
 
 
 def suffix_entropies(x, y) -> np.ndarray:
@@ -424,8 +479,10 @@ def suffix_entropies(x, y) -> np.ndarray:
     y = np.asarray(y, np.int64)
     lanes, n = x.shape
     joint = x * (int(y.max(initial=0)) + 1) + y
-    table = _suffix_table(window_entropies(joint), window_entropies(x),
-                          window_entropies(y), n)
+    lane = np.arange(lanes)[:, None]
+    l, k = (c.ravel() for c in np.indices((n + 1, n + 1)) + 1)
+    table = _weighted_entropies(_window_counts(joint), _window_counts(np.r_[x, y]), n, lane,
+                                np.where(l < k, lanes + lane, lane), l, k)
     return table.reshape(lanes, n + 1, n + 1)
 
 

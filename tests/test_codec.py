@@ -751,24 +751,23 @@ class TestScoreKernel:
             assert (fx[t], fy[t]) == (_first_error(want_x, x, n), _first_error(want_y, y, n))
         return decoded
 
-    @pytest.mark.parametrize("budgets", [None, (7, 40)], ids=["default", "small"])
+    @pytest.mark.parametrize("budget", [None, 7], ids=["default", "small"])
     @pytest.mark.parametrize("probs, schedule, n, trials", [
         (EXAMPLE1, ONE_BIT, 8, 12),
         (EXAMPLE2, ONE_BIT, 9, 12),
         (TERNARY, TWO_BITS, 6, 10),
     ], ids=["example1", "example2", "ternary"])
-    def test_chunk_matches_oracle(self, probs, schedule, n, trials, budgets,
+    def test_chunk_matches_oracle(self, probs, schedule, n, trials, budget,
                                   monkeypatch):
-        # small budgets split the chunk into groups of a few pairs and a
-        # trial's rival product over several blocks of pair rows
-        if budgets:
-            monkeypatch.setattr(codec, "_PAIR_BUDGET", budgets[0])
-            monkeypatch.setattr(codec, "_RIVAL_BUDGET", budgets[1])
+        # a small pair budget splits the chunk into groups of a few pairs,
+        # and a trial whose product exceeds it into a group of its own
+        if budget:
+            monkeypatch.setattr(codec, "_PAIR_BUDGET", budget)
         chunk = self._chunk(probs, schedule, n, trials, seed=n)
-        if budgets:
+        if budget:
             bins_x, bins_y = chunk[:2]
             sizes = [len(_members(bins_x, t)) * len(_members(bins_y, t)) for t in range(trials)]
-            assert max(sizes) ** 2 > 2 * budgets[1]
+            assert max(sizes) > budget
         assert all(self._check(*chunk))
 
     def test_trials_without_lanes_between_live_ones(self):
@@ -800,6 +799,63 @@ class TestScoreKernel:
         for pair in itertools.product(cx.prefixes, cy.prefixes):
             assert compute_scores(pair, *shuffled) == _oracle_scores(
                 pair, cx.prefixes, cy.prefixes, 7)
+
+
+class TestScorePass:
+    """The score pass on hand-built chunks, pair by pair against the O(P^2)
+    oracle."""
+
+    @staticmethod
+    def _check(products, n):
+        """products: each trial's sorted x and y members."""
+        lanes = []
+        for stream in (0, 1):
+            members = [m for product in products for m in product[stream]]
+            trial = np.repeat(np.arange(len(products)), [len(p[stream]) for p in products])
+            lanes += [trial, np.array([list(m) for m in members], np.uint8).reshape(-1, n)]
+        pair_x, pair_y, i_x, i_y = codec._sw_scores(*lanes, len(products))
+        want, start_x, start_y = [], 0, 0
+        for xs, ys in products:
+            for a, x_bar in enumerate(xs):
+                for b, y_bar in enumerate(ys):
+                    want.append((start_x + a, start_y + b)
+                                + _oracle_scores((x_bar, y_bar), xs, ys, n))
+            start_x, start_y = start_x + len(xs), start_y + len(ys)
+        assert list(zip(pair_x.tolist(), pair_y.tolist(), i_x.tolist(), i_y.tolist())) == want
+
+    @staticmethod
+    def _products(rng, alphabets, n, trials, most=5):
+        return [tuple(tuple(sorted({bytes(rng.integers(0, a, n).astype(np.uint8).tolist())
+                                    for _ in range(rng.integers(0, most + 1))}))
+                      for a in alphabets)
+                for _ in range(trials)]
+
+    @pytest.mark.parametrize("alphabets", [(2, 2), (3, 3), (3, 2)],
+                             ids=["binary", "ternary", "mixed"])
+    def test_matches_oracle_on_random_products(self, alphabets):
+        # random members, not bins: some trials have no lanes in a stream
+        rng = np.random.default_rng(sum(alphabets))
+        for n in (2, 3, 4, 6):
+            self._check(self._products(rng, alphabets, n, 16, most=6), n)
+
+    def test_node_with_three_children(self):
+        # both roots have three children, so a pair has two sibling x and
+        # two sibling y nodes at (1, 1), and the x node 1 has three too
+        xs = (b"\x00\x01\x02", b"\x01\x00\x00", b"\x01\x01\x02", b"\x01\x02\x01",
+              b"\x02\x02\x02")
+        ys = (b"\x00\x00\x01", b"\x01\x01\x00", b"\x02\x00\x02", b"\x02\x01\x01")
+        assert {x[0] for x in xs} == {y[0] for y in ys} == {0, 1, 2}
+        assert {x[1] for x in xs if x[0] == 1} == {0, 1, 2}
+        self._check([(xs, ys)], 3)
+
+    def test_trial_over_the_pair_budget(self, monkeypatch):
+        # a trial of more pairs than the budget is a group of its own, and
+        # its depths go in several blocks
+        monkeypatch.setattr(codec, "_PAIR_BUDGET", 4)
+        rng = np.random.default_rng(5)
+        products = self._products(rng, (2, 2), 5, 6)
+        assert max(len(xs) * len(ys) for xs, ys in products) > 4
+        self._check(products, 5)
 
 
 class TestTwoEncoderDecoders:

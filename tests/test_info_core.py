@@ -473,6 +473,16 @@ class TestWindowEntropies:
         for lo in range(n):
             assert (suffix[:, lo] == full[:, windows.index((lo, n))]).all()
 
+    @pytest.mark.parametrize("n, symbols", [(1, 2), (6, 2), (10, 4), (8, 5), (5, 40)])
+    def test_tabulated_counts_equal_sorted_counts(self, n, symbols, monkeypatch):
+        # the same floats whether a window's entropy is read off the table of
+        # every count vector or its counts are sorted, as past `_KEYED`
+        assert (n + 1) ** min(n, symbols) <= info_core._KEYED
+        lanes = np.random.default_rng(n).integers(0, symbols, (50, n))
+        table = window_entropies(lanes)
+        monkeypatch.setattr(info_core, "_KEYED", 0)
+        assert np.array_equal(window_entropies(lanes), table)
+
 
 def _type_entropy(*windows):
     """Reference empirical entropy: plain counts of the zipped windows."""

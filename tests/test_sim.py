@@ -11,10 +11,12 @@ from swstream.codec import (
     chunk_trials,
     encode_step,
     initial_candidates,
+    replay_bins,
     update_candidates,
 )
 from swstream.info_core import JointDistribution
 from swstream.sim import (
+    _sample_rows,
     _tally_chunk,
     _trial_seeds,
     DelayErrorStats,
@@ -293,11 +295,36 @@ class TestRunTrials:
         assert results[0] == results[1] == results[2]
         assert (results[0].aborted > 0) == (cfg.decoder == "sw_ml")
 
+    @pytest.mark.parametrize("kw", [
+        # the benchmark's mc-sw-universal config at 300 trials
+        dict(decoder="sw_universal", schedule_y=ONE_BIT, n=10, trials=300, base_seed=11),
+        dict(source=_TERNARY, decoder="sw_universal", schedule_x=TWO_BITS,
+             schedule_y=ONE_BIT, n=7, trials=150, base_seed=6),
+    ], ids=["mc-sw-universal", "ternary"])
+    def test_scores_independent_of_pair_budget(self, kw, monkeypatch):
+        # one trial per group, with a block per depth, small groups, the
+        # default groups and the whole chunk in one group
+        cfg = _cfg(**kw)
+        seeds = _trial_seeds(cfg.base_seed, np.arange(cfg.trials, dtype=np.uint64))
+        x_rows, y_rows = _sample_rows(cfg.source, cfg.n, seeds)
+        bins_x = replay_bins(seeds, x_rows, "x", cfg.schedule_x, cfg.source.alphabet_x)
+        bins_y = replay_bins(seeds, y_rows, "y", cfg.schedule_y, cfg.source.alphabet_y)
+        results, default = [], codec._PAIR_BUDGET
+        for budget in (1, 7, default, 2 ** 16):
+            monkeypatch.setattr(codec, "_PAIR_BUDGET", budget)
+            results.append(codec._sw_scores(bins_x.trial, bins_x.prefixes, bins_y.trial,
+                                            bins_y.prefixes, cfg.trials))
+        pairs = len(results[0][0])
+        assert default < pairs < 2 ** 16
+        for result in results[1:]:
+            for want, got in zip(results[0], result):
+                assert np.array_equal(want, got)
+
     @pytest.mark.parametrize("decoder", [
         "universal", "si_ml", "si_universal", "sw_ml", "sw_universal"])
     def test_range_counters_sum_over_any_split(self, decoder):
-        # the score pass is quadratic in the bin product: a smaller cap keeps
-        # sw_universal to a couple of seconds
+        # a smaller cap keeps the sw_universal bin products, and the run,
+        # small
         cap = 120 if decoder == "sw_universal" else 200
         cfg = _cfg(decoder=decoder, schedule_y=ONE_BIT, schedule_x=_SPARSE, n=10,
                    trials=90, base_seed=2, candidate_cap=cap)
