@@ -65,6 +65,16 @@ def _load_source(path: str) -> JointDistribution:
         raise ConfigError(f"bad source config {path}: {e}") from e
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory, made with its parents if missing."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory: {e}") from e
+    return out_dir
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, seed,
                     outputs, started: float, extra=None) -> Path:
     manifest = {
@@ -106,8 +116,7 @@ def cmd_exponents(args) -> int:
     d = _load_source(args.source)
     rx_grid = _parse_grid(args.rx)
     ry_grid = _parse_grid(args.ry) if args.ry is not None else [0.0]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     rows = _compute_curve(d, rx_grid, ry_grid, args.threads)
     csv_path = out_dir / "exponents.csv"
     _write_curve(csv_path, rows, args.units)
@@ -209,8 +218,7 @@ def _warn_aborts(stats) -> None:
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     cfg = _load_trial_config(args.config, args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     stats = run_trials(cfg, threads=args.threads)
     fit = fit_exponent(stats)
     stats_path = out_dir / "stats.csv"
@@ -258,8 +266,7 @@ def cmd_verify(args) -> int:
 
 def _reproduce(args, d: JointDistribution, ry_values, label: str) -> int:
     started = time.monotonic()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     rx_grid = _parse_grid("0.30:1.05:0.01")
     outputs = []
     for ry in ry_values:

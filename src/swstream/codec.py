@@ -24,64 +24,23 @@ universal score decoder, and each is one kernel that decodes every trial of
 a chunk as numpy lanes: it takes the chunk's x and y lanes and returns each
 trial's winning x and y lanes.  Known y is a y bin of one lane per trial.
 One table, keyed by `DECODERS`, maps each of the paper's six decoders to its
-kernel, the joint table it scores and whether y reads as 0^n.  The
-two-encoder decoders run over Cx x Cy, the side-information decoders over
-Cx x {y}, and the point-to-point decoders are the |Y| = 1 case: the same
-rules against y = 0^n, with the x-marginal as an |X| x 1 table.  Every pair
-then reads (a, 0), so the counts, and the floats, are those of x alone.
+kernel, the joint table it scores and how it gets y.  The two-encoder
+decoders run over Cx x Cy, the side-information decoders over Cx x {y}, and
+the point-to-point decoders are the |Y| = 1 case: the same rules against
+y = 0^n, with the x-marginal as an |X| x 1 table.  Every pair then reads
+(a, 0), so the counts, and the floats, are those of x alone.
 `first_errors` runs a decoder over a chunk, and `ml_decode`, `si_decode_ml`,
 `sw_ml_decode`, `universal_decode`, `si_decode_universal` and
 `sw_universal_decode` are its one-trial case, on the sorted candidate lists,
 so the first maximizer is the lexicographically smallest.
 
-The ML kernel, `_ml_winners`, reads a pair as one row of joint symbols
-a * |Y| + b, and a trial's winner is its first pair of maximal sum of
-c * log p over the symbols, in ascending order (a finite sum within
-1e-12 * (n + |sum|) of the maximum ties with it).  The universal kernel,
-`_universal_winners`, reads each lane's suffix entropies off
-`info_core.window_entropies` and, position by position, keeps a trial's
-lanes that agree with its first lane of least entropy among those left.
-The score decoder's kernel, `_sw_winners`, takes a pair's scores i_x, i_y
-as one less than the smallest l and k of the cells (l, k) it marks: those
-where a rival pair first diverging there has weighted suffix entropy <= the
-pair's own (a tie marks; no mark scores n + 1).  One score pass,
-`_sw_scores`, scores every pair of every trial's bin product in a chunk.
-A trial's x lanes form a prefix tree, and so do its y lanes; the rivals of
-a pair at (l, k) are the pairs under the siblings of its x lane's depth-l
-node and of its y lane's depth-k node (at n + 1, the lane itself).  So only
-a cell where both lanes have siblings can mark, and it marks when the least
-value over the pairs under some sibling node pair is at most the pair's
-own.  The pass reads node tables off each lane's first divergence from its
-predecessor (`_nodes`), computes weighted suffix entropies at those live
-cells only, with the entropy engine of `info_core`, takes the least value
-under each (x node, y node) of a cell with one `np.minimum.at`, and reads
-each pair's rival minimum off its sibling node pairs.  Its work is the
-pairs' live cells, at most P (n + 1)^2 for P pairs, and its memory is
-bounded by a pair budget: whole trials go in groups of at most that many
-pairs (or one trial), and a group's depths l in blocks of at most the
-budget times n + 1 cells (or one depth).  Each trial's winners are its
-first x (y) lane of maximal best i_x (i_y) over its pairs, and
-`compute_scores` reads one pair of the pass.  (The O(P^2) definition,
-scored rival by rival, is the test oracle in `tests/oracles.py`.)
-
 The Monte Carlo harness replays the bins of a chunk of trials at once
-(`replay_bins`).  A chunk's bins are flat lanes, one per bin member: the
-trial it belongs to, its prefix as a row of an n-column uint8 array, and
-whether it is the true path.  Each trial's lanes are contiguous and in
-lexicographic order, because children are kept in parent-then-symbol order,
-as `update_candidates` keeps them.  Each lane also carries its prefix's
-chain state, as a uint64.  A step chains every surviving parent's state with
-every symbol once, and keeps the children whose top bits equal the true
-child's; the true path always survives, so the true lane supplies the
-received bits and the encoder costs no hash of its own.  The survivors'
-states are read off the same array.  A trial whose bin exceeds the cap at a
-step is dropped at that step and its step recorded.  `candidate_set_for` is
-the one-trial case; `initial_candidates`/`encode_step`/`update_candidates`
-and `enumerate_bin` remain the step-wise API and the engine's test oracles.
-A chunk's lanes are in order, so `first_errors` decodes them as they are.
-The harness sizes a chunk by the closed-form mean bin size (`expected_bin_size`)
-against a lane budget of its own (`chunk_trials`), which bounds its memory;
-the decoders' blocks have a smaller one.
+(`replay_bins`), whose lanes are in order, so `first_errors` decodes them
+as they are.  `candidate_set_for` is the one-trial case of `replay_bins`,
+and `initial_candidates`/`encode_step`/`update_candidates` remain the
+step-wise API.  The harness sizes a chunk by the closed-form mean bin size
+(`expected_bin_size`) against a lane budget of its own (`chunk_trials`),
+which bounds its memory; the decoders' blocks have a smaller one.
 
 The decoders are exact but exponential-time by design; they are meant for
 desk-scale horizons (n <= 24 single-stream, n <= 12 for the two-encoder
@@ -91,9 +50,9 @@ joint entropy).
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -104,7 +63,6 @@ from .info_core import (
     _as_int,
     _window_counts,
     _weighted_entropies,
-    window_entropies,
 )
 # imported only for bench/trace_layers.py, which wraps it here; ROADMAP item 3 removes this
 from .info_core import weighted_suffix_entropy  # noqa: F401
@@ -130,7 +88,6 @@ __all__ = [
     "compute_scores",
     "sw_universal_decode",
     "sw_ml_decode",
-    "enumerate_bin",
     "DEFAULT_CANDIDATE_CAP",
 ]
 
@@ -204,10 +161,6 @@ class BinningSchedule:
     def total_bits(self, steps: int) -> int:
         full, rem = divmod(steps, self.period)
         return full * sum(self.pattern) + sum(self.pattern[:rem])
-
-    @property
-    def average_rate_bits(self) -> float:
-        return sum(self.pattern) / self.period
 
 
 def _as_bytes(seq) -> bytes:
@@ -363,9 +316,16 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
                 live=None) -> Bins:
     """Encode each row of seqs (trials x n symbols) under its trial's seed
     (see `_seed_words`) and replay the decoder-side bins of all of them at
-    once (see the module docstring).  Only the trials the boolean mask
-    `live` selects are replayed; the others end with no lanes and overflow
-    0."""
+    once, as flat lanes, one per bin member, each carrying its prefix's
+    chain state.  A step chains every surviving parent's state with every
+    symbol once and keeps the children whose top bits equal the true
+    child's; the true path always survives, so the true lane supplies the
+    received bits and the encoder costs no hash of its own.  Children are
+    kept in parent-then-symbol order, so each trial's lanes are contiguous
+    and in lexicographic order.  A trial whose bin exceeds the cap at a step
+    is dropped there and the step recorded.  Only the trials the boolean
+    mask `live` selects are replayed; the others end with no lanes and
+    overflow 0."""
     if not (2 <= alphabet <= 256):
         raise ValueError("alphabet must be in [2, 256]")
     seqs = np.asarray(seqs, dtype=np.uint8)
@@ -422,23 +382,6 @@ def chunk_trials(n: int, streams) -> int:
     widest = max(alphabet * expected_bin_size(j, alphabet, schedule)
                  for alphabet, schedule in streams for j in range(n))
     return max(1, int(_CHUNK_LANES // widest))
-
-
-def enumerate_bin(seed: int, stream_id: str, schedule: BinningSchedule,
-                  alphabet: int, reference) -> list:
-    """Oracle-side bin: every sequence of len(reference) whose full parity
-    stream matches the reference's, found by exhaustive enumeration."""
-    reference = _as_bytes(reference)
-    n = len(reference)
-    # sequences share prefixes: each prefix's step bits are computed once
-    step_bits = functools.cache(lambda prefix: encode_step(seed, stream_id, prefix, schedule))
-
-    def parities(seq):
-        return [step_bits(seq[:j]) for j in range(1, n + 1)]
-
-    target = parities(reference)
-    return [seq for seq in map(bytes, itertools.product(range(alphabet), repeat=n))
-            if parities(seq) == target]
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +461,14 @@ def _universal_winners(trial_x, px, trial_y, py, trials: int):
     [l - 1, n) has the least empirical entropy, ties exact, decides symbol
     l, and the live lanes that differ there leave."""
     code = px.astype(np.uint16) << 8 | py[trial_x]
-    # taken a block of lanes at a time, which bounds the memory of a large bin
-    h = np.concatenate([window_entropies(code[lo:lo + _LANE_BUDGET], suffix=True)
-                        for lo in range(0, max(len(code), 1), _LANE_BUDGET)])
+    n = code.shape[1]
+    # each lane's suffix windows [l, n), taken a block of lanes at a time,
+    # which bounds the memory of a large bin
+    blocks = (code[lo:lo + _LANE_BUDGET] for lo in range(0, max(len(code), 1), _LANE_BUDGET))
+    h = np.concatenate([_window_counts(block)(np.arange(len(block))[:, None], np.arange(n), n)
+                        for block in blocks])
     live = np.arange(len(trial_x))
-    for l in range(code.shape[1]):
+    for l in range(n):
         win = live[_first_max(trial_x[live], -h[live, l])]
         lead = win[np.searchsorted(trial_x[win], trial_x[live])]
         live = live[code[live, l] == code[lead, l]]
@@ -582,7 +528,12 @@ def _nodes(trial, prefixes):
 
 def _group_scores(trial_x, px, trial_y, py, trials: int):
     """The score pass over the bin products of a group of trials; see
-    `_sw_scores`, which splits a chunk into such groups."""
+    `_sw_scores`, which splits a chunk into such groups.  It computes
+    weighted suffix entropies only at the live cells, where both lanes have
+    siblings, takes the least value under each (x node, y node) of a cell
+    with one `np.minimum.at`, and reads each pair's rival minimum off its
+    sibling node pairs.  The depths l go in blocks of at most `_PAIR_BUDGET`
+    times n + 1 cells (or one depth)."""
     n = px.shape[1]
     side = n + 1
     size_x = np.bincount(trial_x, minlength=trials)
@@ -662,11 +613,18 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
 
 
 def _sw_scores(trial_x, px, trial_y, py, trials: int):
-    """The score pass of the module docstring over every pair of every
-    trial's bin product.  Returns each pair's x and y lanes, each trial's
-    product in a-major order, and its scores i_x and i_y; a trial without
-    lanes in both bins has no pairs.  The trials go in groups of whole
-    trials, as many as the pair budget holds and at least one."""
+    """The score pass over every pair of every trial's bin product.  A
+    pair's scores i_x, i_y are one less than the smallest l and k of the
+    cells (l, k) it marks: those where a rival pair first diverging there
+    has weighted suffix entropy <= the pair's own (a tie marks; no mark
+    scores n + 1).  The rivals at (l, k) are the pairs under the siblings of
+    the x lane's depth-l node and of the y lane's depth-k node in the
+    trial's prefix trees (`_nodes`), so a cell marks when the least value
+    under some sibling node pair is at most the pair's own.  Returns each
+    pair's x and y lanes, each trial's product in a-major order, and its
+    scores i_x and i_y; a trial without lanes in both bins has no pairs.
+    The trials go in groups of whole trials, as many as the pair budget
+    holds and at least one."""
     pairs = np.bincount(trial_x, minlength=trials) * np.bincount(trial_y, minlength=trials)
     ends = np.cumsum(pairs)
     scores = [np.empty(ends[-1] if trials else 0, np.intp) for _ in range(4)]
@@ -702,14 +660,16 @@ def _sw_winners(trial_x, px, trial_y, py, trials: int):
 # ---------------------------------------------------------------------------
 
 
-# decoder -> (kernel, the joint table it scores, whether y reads as 0^n)
+# decoder -> its kernel, the joint table it scores, and how it gets y: read
+# as 0^n ("zero"), known ("known"), or decoded from a bin of its own ("binned")
+_Decoder = collections.namedtuple("_Decoder", "kernel table y")
 _TABLE = {
-    "ml": (_ml_winners, lambda d: d.marginal_x().reshape(-1, 1), True),
-    "universal": (_universal_winners, None, True),
-    "si_ml": (_ml_winners, lambda d: d.probs, False),
-    "si_universal": (_universal_winners, None, False),
-    "sw_ml": (_ml_winners, lambda d: d.probs, False),
-    "sw_universal": (_sw_winners, None, False),
+    "ml": _Decoder(_ml_winners, lambda d: d.marginal_x().reshape(-1, 1), "zero"),
+    "universal": _Decoder(_universal_winners, None, "zero"),
+    "si_ml": _Decoder(_ml_winners, lambda d: d.probs, "known"),
+    "si_universal": _Decoder(_universal_winners, None, "known"),
+    "sw_ml": _Decoder(_ml_winners, lambda d: d.probs, "binned"),
+    "sw_universal": _Decoder(_sw_winners, None, "binned"),
 }
 DECODERS = tuple(_TABLE)
 
@@ -718,8 +678,8 @@ def _kernel(decoder: str, source: JointDistribution):
     """The decoder's kernel, its table bound in, and whether y reads as 0^n."""
     if decoder not in _TABLE:
         raise ValueError(f"unknown decoder {decoder!r}")
-    kernel, table, y_zero = _TABLE[decoder]
-    return (functools.partial(kernel, probs=table(source)) if table else kernel), y_zero
+    kernel, table, y = _TABLE[decoder]
+    return (functools.partial(kernel, probs=table(source)) if table else kernel), y == "zero"
 
 
 def _error_positions(bins: Bins, winners, seqs):

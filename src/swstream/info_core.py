@@ -20,14 +20,11 @@ minima and maxima and looks each term up in a table of the floats
 of lanes once and returns the entropies of any windows (lane, lo, hi) at
 once; where every count vector of a window fits a small table, the rows are
 cumulative keys whose digits are the counts, and the engine's values are
-read off its table of every count vector (`_keyed_entropies`).  The lane
-entropy table (`window_entropies`), every window or every suffix window of
-every lane, is its grid case, and the universal decoders read its suffix
-windows.  The weighted suffix entropy of a pair lane at a cell
-(`_weighted_entropies`) combines three of its windows; the two-encoder
-score pass takes it at the cells where a pair has rivals,
-`suffix_entropies` at every cell of every pair lane, and
-`weighted_suffix_entropy` is its one-pair case.
+read off its table of every count vector (`_keyed_entropies`).  The
+universal decoders read each lane's suffix windows.  The weighted suffix
+entropy of a pair lane at a cell (`_weighted_entropies`) combines three of
+its windows; the two-encoder score pass takes it at the cells where a pair
+has rivals, and `weighted_suffix_entropy` at one cell of one pair.
 """
 
 from __future__ import annotations
@@ -53,8 +50,6 @@ __all__ = [
     "log_sum_tilted",
     "log_sum_xy_tilted",
     "entropy_of_counts",
-    "window_entropies",
-    "suffix_entropies",
     "weighted_suffix_entropy",
 ]
 
@@ -318,16 +313,10 @@ def entropy_of_counts(counts, total: int) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _lane_tables(n: int) -> SimpleNamespace:
-    """The index tables of the lane entropies of horizon n, built on first
-    use and shared read-only.  lo, hi: the windows [lo, hi) of a length-n
-    lane, every 0 <= lo < hi <= n, then the empty window [n, n); suffix:
-    the windows [lo, n), lo < n, in order of lo; terms: at t * (n + 1) + c,
-    the term (c / t) log(t / c) of a count c among t symbols, 0.0 for
-    c = 0; w1 and w2: per cell (l, k), row-major, the weights of its two
-    windows (see `_weighted_entropies`)."""
-    windows = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
-    windows.append((n, n))
-    lo, hi = np.array(windows).T
+    """The tables of the lane entropies of horizon n, built on first use and
+    shared read-only.  terms: at t * (n + 1) + c, the term (c / t) log(t / c)
+    of a count c among t symbols, 0.0 for c = 0; w1 and w2: per cell (l, k),
+    row-major, the weights of its two windows (see `_weighted_entropies`)."""
     terms = np.zeros((n + 1) ** 2)
     for t in range(1, n + 1):
         for c in range(1, t + 1):
@@ -340,8 +329,7 @@ def _lane_tables(n: int) -> SimpleNamespace:
             # the diagonal, (n + 1, n + 1) too, is the joint suffix alone
             weights.append((0.0, 1.0) if l == k else ((b - a) / span, (n + 1 - b) / span))
     w1, w2 = np.array(weights).T
-    suffix = np.flatnonzero(hi == n)[:n]
-    tables = dict(lo=lo, hi=hi, suffix=suffix, terms=terms, w1=w1, w2=w2)
+    tables = dict(terms=terms, w1=w1, w2=w2)
     for table in tables.values():
         table.flags.writeable = False
     return SimpleNamespace(**tables)
@@ -426,20 +414,6 @@ def _window_counts(lanes):
         np.subtract(hi, lo), n)
 
 
-def window_entropies(lanes, suffix: bool = False) -> np.ndarray:
-    """The lane entropy table: [i, w] is the empirical entropy of
-    lanes[i, lo:hi] for the w-th window [lo, hi) of a length-n lane, in the
-    order every 0 <= lo < hi <= n (lo-major), then the empty window [n, n);
-    with `suffix`, only the suffix windows [lo, n), lo < n, in order of lo.
-    Lanes are rows of nonnegative integer symbols; this is the grid case of
-    `_window_counts`."""
-    lanes = np.asarray(lanes)
-    count, n = lanes.shape
-    t = _lane_tables(n)
-    window = t.suffix if suffix else slice(None)
-    return _window_counts(lanes)(np.arange(count)[:, None], t.lo[window], t.hi[window])
-
-
 def _weighted_entropies(joint, streams, n: int, lane, other, l, k) -> np.ndarray:
     """The weighted suffix entropies of pair lanes of horizon n at cells
     (l, k), at the broadcast of the index arrays: joint reads the entropies
@@ -464,33 +438,26 @@ def _weighted_entropies(joint, streams, n: int, lane, other, l, k) -> np.ndarray
     return h
 
 
-def suffix_entropies(x, y) -> np.ndarray:
-    """The weighted suffix entropies of pair lanes: x and y are (lanes, n)
-    arrays of nonnegative integer symbols paired row by row, and
-    [p, l - 1, k - 1] is the value of the pair (x[p], y[p]) at the cell
-    (l, k), 1 <= l, k <= n + 1.
+def weighted_suffix_entropy(x: Sequence, y: Sequence, l: int, k: int, n: int) -> float:
+    """The weighted suffix entropy of the pair (x, y), sequences of n
+    nonnegative integer symbols, at the cell (l, k), 1 <= l, k <= n + 1: the
+    one-cell case of `_weighted_entropies`.
 
     l and k are the 1-based positions where a rival pair first diverges in x
     and in y; l = n+1 (resp. k = n+1) means no divergence in that stream.
     The value mixes a conditional entropy over the window where only one
     stream is disputed with a joint entropy over the window where both are.
     """
-    x = np.asarray(x, np.int64)
-    y = np.asarray(y, np.int64)
-    lanes, n = x.shape
-    joint = x * (int(y.max(initial=0)) + 1) + y
-    lane = np.arange(lanes)[:, None]
-    l, k = (c.ravel() for c in np.indices((n + 1, n + 1)) + 1)
-    table = _weighted_entropies(_window_counts(joint), _window_counts(np.r_[x, y]), n, lane,
-                                np.where(l < k, lanes + lane, lane), l, k)
-    return table.reshape(lanes, n + 1, n + 1)
-
-
-def weighted_suffix_entropy(x: Sequence, y: Sequence, l: int, k: int, n: int) -> float:
-    """The weighted suffix entropy of one pair at the cell (l, k): the
-    one-pair case of `suffix_entropies`."""
     if len(x) != n or len(y) != n:
         raise ValueError("sequences must have length n")
     if not (1 <= l <= n + 1 and 1 <= k <= n + 1):
         raise ValueError(f"indices l={l}, k={k} out of [1, {n + 1}]")
-    return float(suffix_entropies([list(x)], [list(y)])[0, l - 1, k - 1])
+    x = np.array(list(x), np.int64).reshape(1, n)
+    y = np.array(list(y), np.int64).reshape(1, n)
+    joint = x * (int(y.max(initial=0)) + 1) + y
+    # one-element index arrays, as the engine's count step takes them: lane 0
+    # of the joint lanes, and lane 1 (y) or 0 (x) of the stream lanes
+    lane, other, l, k = (np.array([i]) for i in (0, int(l < k), l, k))
+    h = _weighted_entropies(_window_counts(joint), _window_counts(np.r_[x, y]), n, lane,
+                            other, l, k)
+    return float(h[0])

@@ -48,6 +48,7 @@ from .codec import (
     MAX_HORIZON_SINGLE,
     MAX_HORIZON_TWO_ENCODER,
     _GOLDEN,
+    _TABLE,
     DECODERS,
     _as_int,
     _mix,
@@ -84,7 +85,6 @@ __all__ = [
     "DECODERS",
 ]
 
-_TWO_ENCODER = ("sw_ml", "sw_universal")
 # a trial's sampling key is mix(seed ^ _SAMPLE_KEY), apart from every stream key
 _SAMPLE_KEY = 0xB7E151628AED2A6A
 
@@ -123,18 +123,17 @@ class TrialConfig:
             raise ValueError("delays must lie in [0, n]")
         if len(set(self.delays)) < len(self.delays):
             raise ValueError("delays must not repeat")
-        cap = MAX_HORIZON_TWO_ENCODER if self.decoder in _TWO_ENCODER \
-            else MAX_HORIZON_SINGLE
+        y = _TABLE[self.decoder].y
+        cap = MAX_HORIZON_TWO_ENCODER if y == "binned" else MAX_HORIZON_SINGLE
         if self.n > cap:
             raise ValueError(
                 f"horizon {self.n} exceeds the exact-decoder bound {cap} "
                 f"for decoder {self.decoder!r}"
             )
-        if self.decoder in _TWO_ENCODER and self.schedule_y is None:
+        if y == "binned" and self.schedule_y is None:
             raise ValueError("two-encoder decoding needs schedule_y")
         _check_byte_alphabets(self.source)
-        if self.decoder in ("si_ml", "si_universal", "sw_ml", "sw_universal") \
-                and self.source.alphabet_y < 2:
+        if y != "zero" and self.source.alphabet_y < 2:
             raise ValueError(f"decoder {self.decoder!r} needs |Y| >= 2")
         object.__setattr__(self, "delays", tuple(sorted(self.delays)))
 
@@ -228,7 +227,7 @@ def _tally_chunk(cfg: TrialConfig, start: int, stop: int):
     x_rows, y_rows = _sample_rows(cfg.source, n, seeds)
     bins = {"x": replay_bins(seeds, x_rows, "x", cfg.schedule_x, cfg.source.alphabet_x,
                              cfg.candidate_cap)}
-    if cfg.decoder in _TWO_ENCODER:  # else y is known
+    if _TABLE[cfg.decoder].y == "binned":  # else y is known or 0^n
         bins["y"] = replay_bins(seeds, y_rows, "y", cfg.schedule_y, cfg.source.alphabet_y,
                                 cfg.candidate_cap, live=bins["x"].overflow == 0)
     # a y bin is replayed only where the x bin did not overflow, so each
@@ -254,7 +253,7 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
     thread count and chunking.
     """
     streams = [(cfg.source.alphabet_x, cfg.schedule_x)]
-    if cfg.decoder in _TWO_ENCODER:
+    if _TABLE[cfg.decoder].y == "binned":
         streams.append((cfg.source.alphabet_y, cfg.schedule_y))
     size = chunk_trials(cfg.n, streams)
     parallel = threads > 1 and cfg.trials >= 64

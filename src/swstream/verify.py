@@ -2,12 +2,15 @@
 
 Each suite returns a list of (name, passed, detail) triples.  They are
 deliberately lighter than the pytest suite -- quick smoke checks of the same
-invariants, runnable from an installed toolkit without the test tree.
+invariants, runnable from an installed toolkit without the test tree.  The
+brute-force references that a suite runs live here: the exhaustive bin
+(`enumerate_bin`) and the single-stream ML and universal decoders.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 
@@ -17,7 +20,7 @@ from . import codec, exponents, info_core
 from .info_core import JointDistribution
 from .sim import sample_source
 
-__all__ = ["run_suite", "SUITES"]
+__all__ = ["run_suite", "SUITES", "enumerate_bin"]
 
 EXAMPLE_1 = JointDistribution.from_matrix([[0.45, 0.05], [0.05, 0.45]])
 EXAMPLE_2 = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])
@@ -130,6 +133,24 @@ def _suite_lemmas():
     return checks
 
 
+def enumerate_bin(seed: int, stream_id: str, schedule: codec.BinningSchedule,
+                  alphabet: int, reference) -> list:
+    """Oracle-side bin: every sequence of len(reference) whose full parity
+    stream matches the reference's, found by exhaustive enumeration."""
+    reference = bytes(reference)
+    n = len(reference)
+    # sequences share prefixes: each prefix's step bits are computed once
+    step_bits = functools.cache(
+        lambda prefix: codec.encode_step(seed, stream_id, prefix, schedule))
+
+    def parities(seq):
+        return [step_bits(seq[:j]) for j in range(1, n + 1)]
+
+    target = parities(reference)
+    return [seq for seq in map(bytes, itertools.product(range(alphabet), repeat=n))
+            if parities(seq) == target]
+
+
 def _suite_oracle():
     rng = np.random.default_rng(42)
     sched = codec.BinningSchedule((1,))
@@ -141,7 +162,7 @@ def _suite_oracle():
         for d, ml, un in ((px, "ml", "universal"), (EXAMPLE_1, "si_ml", "si_universal")):
             x, y = sample_source(d, 8, seed)
             cands = codec.candidate_set_for(seed, "x", x, sched)
-            bin_members = codec.enumerate_bin(seed, "x", sched, 2, x)
+            bin_members = enumerate_bin(seed, "x", sched, 2, x)
             if sorted(cands.prefixes) != sorted(bin_members):
                 ok[ml] = ok[un] = False
                 continue
@@ -177,15 +198,6 @@ def _oracle_ml(members, y, probs, n, delay):
     truncated to n - delay."""
     probs = np.reshape(probs, (len(probs), -1))
     return _first_near_max(members, lambda s: _log_likelihood(s, y, probs), n)[: n - delay]
-
-
-def _oracle_sw_ml(xs, ys, probs, n, delay):
-    """The two-encoder ML decision: the smallest pair (x, y) of the bin
-    product xs x ys of largest joint likelihood under probs[a, b], each
-    truncated to n - delay."""
-    pairs = itertools.product(xs, ys)
-    x, y = _first_near_max(pairs, lambda pair: _log_likelihood(*pair, probs), n)
-    return x[: n - delay], y[: n - delay]
 
 
 def _first_near_max(members, ll, n):

@@ -2,12 +2,12 @@
 
 Each one computes a quantity straight from its definition: the Gallager
 log-sums without a memo, the exponents by simplex-grid minimization and by
-the literal nested gamma x rho search, the single-stream and two-encoder
-decoders by scoring every bin member.  Most are exponential in alphabet size
-or quadratic in bin size, so they live with the tests and never on a
-production path.  The ML and universal decoder oracles, point to point and
-with side information, stay in `swstream.verify`, whose `oracle` suite uses
-them.
+the literal nested gamma x rho search, the two-encoder decoders by scoring
+every pair of the bin product.  Most are exponential in alphabet size or
+quadratic in bin size, so they live with the tests and never on a
+production path.  The single-stream ML and universal decoder oracles, point
+to point and with side information, and the exhaustive bin, stay in
+`swstream.verify`, whose `oracle` suite runs them.
 """
 
 import itertools
@@ -32,6 +32,7 @@ from swstream.info_core import (
     JointDistribution,
     entropy_of_counts,
 )
+from swstream.verify import _first_near_max, _log_likelihood
 
 
 def e_ml_pointwise(d: JointDistribution, rates: RatePair, gamma: float, rho: float):
@@ -320,10 +321,19 @@ def _nested_sw_terms(d: JointDistribution, rates: RatePair):
 
 
 # ---------------------------------------------------------------------------
-# The two-encoder universal decoder built directly from its definition (the
-# ML and universal oracles, with and without side information, live in
-# swstream.verify).
+# The two-encoder decoders built directly from their definitions (the
+# single-stream ML and universal oracles, with and without side information,
+# live in swstream.verify).
 # ---------------------------------------------------------------------------
+
+
+def _oracle_sw_ml(xs, ys, probs, n, delay):
+    """The two-encoder ML decision: the smallest pair (x, y) of the bin
+    product xs x ys of largest joint likelihood under probs[a, b], each
+    truncated to n - delay."""
+    pairs = itertools.product(xs, ys)
+    x, y = _first_near_max(pairs, lambda pair: _log_likelihood(*pair, probs), n)
+    return x[: n - delay], y[: n - delay]
 
 
 def _type_entropy(*windows):

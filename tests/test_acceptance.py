@@ -16,7 +16,6 @@ from swstream.cli import main
 from swstream.codec import (
     BinningSchedule,
     candidate_set_for,
-    enumerate_bin,
     ml_decode,
     si_decode_ml,
     si_decode_universal,
@@ -52,10 +51,11 @@ from swstream.sim import (
     sample_source,
     wilson_interval,
 )
-from swstream.verify import _oracle_ml, _oracle_sw_ml, _oracle_universal, run_suite
+from swstream.verify import _oracle_ml, _oracle_universal, enumerate_bin, run_suite
 from conftest import random_corpus
 from oracles import (
     _oracle_scores,
+    _oracle_sw_ml,
     pp_universal_grid,
     si_universal_grid,
 )

@@ -386,3 +386,26 @@ class TestReproduceCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "example1"
         assert len(manifest["outputs"]) == 2
+
+
+class TestOutPath:
+    @pytest.fixture(params=["exponents", "simulate", "reproduce-example1"])
+    def command(self, request, source_file, trial_config_file):
+        return {
+            "exponents": ["exponents", source_file, "--rx", "0.5"],
+            "simulate": ["simulate", trial_config_file],
+            "reproduce-example1": ["reproduce-example1"],
+        }[request.param]
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_at_a_file_is_config_error(self, tmp_path, command, under, capsys):
+        # --out naming an existing file, or a path under one, is one error
+        # line and exit 2, and leaves the file as it was
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / "out" if under else blocker
+        assert main([*command, "--out", str(out), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "keep\n"

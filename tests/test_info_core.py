@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from swstream import info_core
 from swstream.info_core import (
     JointDistribution,
+    _window_counts,
     conditional_entropy_x_given_y,
     conditional_entropy_y_given_x,
     entropy,
@@ -21,7 +22,6 @@ from swstream.info_core import (
     log_sum_xy_tilted,
     tilted,
     weighted_suffix_entropy,
-    window_entropies,
     xy_tilted,
 )
 from swstream.verify import random_joint
@@ -441,6 +441,15 @@ def test_entropy_of_counts_adds_left_to_right():
         assert entropy_of_counts(counts, total) == functools.reduce(operator.add, terms, 0.0)
 
 
+def _every_window(lanes):
+    """lo, hi: every window [lo, hi), 0 <= lo <= hi <= n, of a length-n lane;
+    and [lane, w]: the entropy engine's value for window w of the lane,
+    through its count step."""
+    count, n = lanes.shape
+    lo, hi = np.triu_indices(n + 1)
+    return lo, hi, _window_counts(lanes)(np.arange(count)[:, None], lo, hi)
+
+
 class TestWindowEntropies:
     @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
         st.just(n),
@@ -450,28 +459,12 @@ class TestWindowEntropies:
         # symbols far apart and above a byte: each window's counts, not the
         # alphabet, set the value
         n, lanes = case
-        table = window_entropies(np.array(lanes, np.int64).reshape(len(lanes), n))
-        windows = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)] + [(n, n)]
-        assert table.shape == (len(lanes), len(windows))
+        lows, highs, table = _every_window(np.array(lanes, np.int64).reshape(len(lanes), n))
+        assert table.shape == (len(lanes), (n + 1) * (n + 2) // 2)
         for lane, row in zip(lanes, table):
-            for (lo, hi), h in zip(windows, row):
+            for lo, hi, h in zip(lows, highs, row):
                 counts = collections.Counter(lane[lo:hi]).values()
                 assert h == (entropy_of_counts(counts, hi - lo) if hi > lo else 0.0)
-
-    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
-        st.just(n),
-        st.lists(st.lists(st.sampled_from((0, 1, 2, 16, 300)), min_size=n, max_size=n),
-                 min_size=1, max_size=4))))
-    def test_suffix_windows_are_the_full_tables_suffix_columns(self, case):
-        # the suffix call counts only the windows [lo, n), to the same floats
-        n, lanes = case
-        lanes = np.array(lanes, np.int64).reshape(len(lanes), n)
-        full = window_entropies(lanes)
-        suffix = window_entropies(lanes, suffix=True)
-        windows = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1)]
-        assert suffix.shape == (len(lanes), n)
-        for lo in range(n):
-            assert (suffix[:, lo] == full[:, windows.index((lo, n))]).all()
 
     @pytest.mark.parametrize("n, symbols", [(1, 2), (6, 2), (10, 4), (8, 5), (5, 40)])
     def test_tabulated_counts_equal_sorted_counts(self, n, symbols, monkeypatch):
@@ -479,9 +472,9 @@ class TestWindowEntropies:
         # every count vector or its counts are sorted, as past `_KEYED`
         assert (n + 1) ** min(n, symbols) <= info_core._KEYED
         lanes = np.random.default_rng(n).integers(0, symbols, (50, n))
-        table = window_entropies(lanes)
+        table = _every_window(lanes)[2]
         monkeypatch.setattr(info_core, "_KEYED", 0)
-        assert np.array_equal(window_entropies(lanes), table)
+        assert np.array_equal(_every_window(lanes)[2], table)
 
 
 def _type_entropy(*windows):

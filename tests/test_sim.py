@@ -142,14 +142,16 @@ class TestTrialConfig:
         assert (cfg.n, cfg.trials, cfg.base_seed, cfg.delays) == (8, 50, 7, (0, 4))
         assert all(type(v) is int for v in (cfg.n, cfg.trials, cfg.base_seed, *cfg.delays))
 
-    def test_two_encoder_needs_schedule_y(self):
-        with pytest.raises(ValueError):
-            _cfg(decoder="sw_ml")
+    @pytest.mark.parametrize("decoder", ["sw_ml", "sw_universal"])
+    def test_two_encoder_needs_schedule_y(self, decoder):
+        with pytest.raises(ValueError, match="schedule_y"):
+            _cfg(decoder=decoder)
 
-    def test_side_info_needs_y(self):
+    @pytest.mark.parametrize("decoder", ["si_ml", "si_universal", "sw_ml", "sw_universal"])
+    def test_side_info_needs_y(self, decoder):
         pp = JointDistribution.from_marginal([0.5, 0.5])
-        with pytest.raises(ValueError):
-            _cfg(source=pp, decoder="si_ml")
+        with pytest.raises(ValueError, match=r"needs \|Y\| >= 2"):
+            _cfg(source=pp, decoder=decoder, schedule_y=ONE_BIT)
 
 
 class TestSampling:
