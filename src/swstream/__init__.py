@@ -4,7 +4,12 @@ Exact error-exponent formulas for sequential (delay-constrained) lossless
 source coding with and without side information, executable random-binning
 encoders/decoders at desk scale, and a Monte Carlo error-versus-delay
 harness.
+
+The exponents run on the standard library alone.  The encoders, decoders
+and simulations run on numpy, so their names are imported on first use.
 """
+
+import importlib
 
 __version__ = "0.4.0"
 
@@ -15,7 +20,6 @@ from .info_core import (  # noqa: F401
     entropy,
     kl_divergence,
     tilted,
-    weighted_suffix_entropy,
     xy_tilted,
 )
 from .exponents import (  # noqa: F401
@@ -35,14 +39,23 @@ from .exponents import (  # noqa: F401
     e_x_gamma,
     e_y_gamma,
 )
-from .codec import (  # noqa: F401
-    BinningSchedule,
-    CandidateSet,
-)
-from .sim import (  # noqa: F401
-    DelayErrorStats,
-    TrialConfig,
-    fit_exponent,
-    run_trials,
-    sample_source,
-)
+
+# name -> the numpy module that defines it
+_LAZY = {
+    "BinningSchedule": "codec",
+    "CandidateSet": "codec",
+    "weighted_suffix_entropy": "codec",
+    "DelayErrorStats": "sim",
+    "TrialConfig": "sim",
+    "fit_exponent": "sim",
+    "run_trials": "sim",
+    "sample_source": "sim",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -2,12 +2,16 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 All numbers are computed in nats; `--units bits` rescales at format time.
+
+The exponent commands run on the standard library alone: `sim`, `codec`
+and `verify`, which load numpy, are imported by the commands that use them.
+`simulate` imports them while it loads its trial config, before any trial
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -16,13 +20,18 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .codec import BinningSchedule, expected_bin_size
 from .exponents import CURVE_HEADER, RatePair, curve_row, format_curve_row
-from .info_core import JointDistribution
-from .sim import TrialConfig, fit_exponent, fit_to_json, run_trials, stats_to_csv
-from .verify import EXAMPLE_1, EXAMPLE_2, SUITES, run_suite
+from .info_core import EXAMPLE_1, EXAMPLE_2, JointDistribution
 
 LN2 = math.log(2.0)
+# a curve of at most this many points runs in this process: starting a pool
+# costs more than it saves below it.  `exponents` on example 2 (rx
+# 0.30:1.05:0.01, 2-core VM, medians of 7 alternating runs) took 0.194 s at
+# --threads 1 and 0.239 s at --threads 2 on 76 points, 0.676 and 0.668 s on
+# 608, and 0.923 and 0.634 s on 684
+_POOL_POINTS = 600
+# the names of the `verify` suites, `verify.SUITES`, for the help text
+_SUITE_NAMES = ("equivalence", "examples", "lemmas", "oracle")
 
 
 class ConfigError(Exception):
@@ -65,13 +74,17 @@ def _load_source(path: str) -> JointDistribution:
         raise ConfigError(f"bad source config {path}: {e}") from e
 
 
-def _out_dir(path: str) -> Path:
-    """The output directory, made with its parents if missing."""
+def _out_dir(path: str, names) -> Path:
+    """The output directory, made with its parents if missing, before any
+    work: neither the files `names` nor the manifest may be a directory."""
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create output directory: {e}") from e
+    for name in (*names, "manifest.json"):
+        if (out_dir / name).is_dir():
+            raise ConfigError(f"output file {out_dir / name} is a directory")
     return out_dir
 
 
@@ -99,7 +112,9 @@ def _curve_worker(args):
 def _compute_curve(d: JointDistribution, rx_grid, ry_grid, threads: int):
     # the source itself, not its JSON: reloading would renormalize it again
     points = [(d, rx, ry) for ry in ry_grid for rx in rx_grid]
-    if threads > 1 and len(points) > 8:
+    if threads > 1 and len(points) > _POOL_POINTS:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_curve_worker, points, chunksize=4))
     return [_curve_worker(p) for p in points]
@@ -116,7 +131,7 @@ def cmd_exponents(args) -> int:
     d = _load_source(args.source)
     rx_grid = _parse_grid(args.rx)
     ry_grid = _parse_grid(args.ry) if args.ry is not None else [0.0]
-    out_dir = _out_dir(args.out)
+    out_dir = _out_dir(args.out, ["exponents.csv"])
     rows = _compute_curve(d, rx_grid, ry_grid, args.threads)
     csv_path = out_dir / "exponents.csv"
     _write_curve(csv_path, rows, args.units)
@@ -138,7 +153,11 @@ def cmd_exponents(args) -> int:
     return 0
 
 
-def _load_trial_config(path: str, seed_override) -> TrialConfig:
+def _load_trial_config(path: str, seed_override):
+    """The trial config at path, as a `sim.TrialConfig`."""
+    from .codec import BinningSchedule
+    from .sim import TrialConfig
+
     try:
         obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
@@ -184,6 +203,8 @@ def _bin_report(cfg, stats) -> dict:
     """Each stream's mean final bin size over the trials whose bin did not
     overflow, with its standard error, next to the closed-form mean
     `expected_bin_size(n)`: a check of the PRF that every run carries."""
+    from .codec import expected_bin_size
+
     report = {}
     for stream, (bins, total, squares) in stats.bin_sizes.items():
         alphabet, schedule = ((cfg.source.alphabet_x, cfg.schedule_x) if stream == "x"
@@ -215,10 +236,31 @@ def _warn_aborts(stats) -> None:
     print(msg, file=sys.stderr)
 
 
+# the Monte Carlo steps of `simulate`, called through this module's names
+def run_trials(cfg, threads: int = 1):
+    from . import sim
+    return sim.run_trials(cfg, threads=threads)
+
+
+def fit_exponent(stats):
+    from . import sim
+    return sim.fit_exponent(stats)
+
+
+def stats_to_csv(stats) -> str:
+    from . import sim
+    return sim.stats_to_csv(stats)
+
+
+def fit_to_json(fit) -> str:
+    from . import sim
+    return sim.fit_to_json(fit)
+
+
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     cfg = _load_trial_config(args.config, args.seed)
-    out_dir = _out_dir(args.out)
+    out_dir = _out_dir(args.out, ["stats.csv", "fit.json"])
     stats = run_trials(cfg, threads=args.threads)
     fit = fit_exponent(stats)
     stats_path = out_dir / "stats.csv"
@@ -247,6 +289,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suite
+
     if args.suite not in SUITES:
         print(
             f"unknown suite {args.suite!r}; choose from: {', '.join(sorted(SUITES))}",
@@ -266,11 +310,12 @@ def cmd_verify(args) -> int:
 
 def _reproduce(args, d: JointDistribution, ry_values, label: str) -> int:
     started = time.monotonic()
-    out_dir = _out_dir(args.out)
+    names = {ry: f"{label}_ry{ry:g}.csv" for ry in ry_values}
+    out_dir = _out_dir(args.out, names.values())
     rx_grid = _parse_grid("0.30:1.05:0.01")
     outputs = []
-    for ry in ry_values:
-        path = out_dir / f"{label}_ry{ry:g}.csv"
+    for ry, name in names.items():
+        path = out_dir / name
         _write_curve(path, _compute_curve(d, rx_grid, [ry], args.threads), args.units)
         outputs.append(path)
         print(f"wrote {path}")
@@ -337,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run a self-check suite")
-    p.add_argument("suite", help="one of: " + ", ".join(sorted(SUITES)))
+    p.add_argument("suite", help="one of: " + ", ".join(_SUITE_NAMES))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce-example1", help="canned curves for the symmetric source")

@@ -42,6 +42,21 @@ step-wise API.  The harness sizes a chunk by the closed-form mean bin size
 (`expected_bin_size`) against a lane budget of its own (`chunk_trials`),
 which bounds its memory; the decoders' blocks have a smaller one.
 
+Every empirical entropy the decoders read comes from one lane entropy
+engine, which adds its terms as `info_core.entropy_of_counts` does: left to
+right, in ascending count order.  The counts of a window are a difference of
+cumulative count rows, one column per symbol, and a joint type counts the
+zipped pairs (a, b).  The engine (`_entropies_of`) sorts a batch of window
+counts by a network of minima and maxima and looks each term up in a table
+of the floats `entropy_of_counts` adds.  Its count step (`_window_counts`)
+takes an array of lanes once and returns the entropies of any windows
+(lane, lo, hi) at once; where every count vector of a window fits a small
+table, the rows are cumulative keys whose digits are the counts, and the
+engine's values are read off its table of every count vector
+(`_keyed_entropies`).  The weighted suffix entropy of a pair lane at a cell
+(`_weighted_entropies`) combines three of its windows;
+`weighted_suffix_entropy` takes it at one cell of one pair.
+
 The decoders are exact but exponential-time by design; they are meant for
 desk-scale horizons (n <= 24 single-stream, n <= 12 for the two-encoder
 decoders, whose bin products grow exponentially in n at rates near the
@@ -55,17 +70,12 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
-from .info_core import (
-    JointDistribution,
-    _as_int,
-    _window_counts,
-    _weighted_entropies,
-)
-# imported only for bench/trace_layers.py, which wraps it here; ROADMAP item 3 removes this
-from .info_core import weighted_suffix_entropy  # noqa: F401
+from .info_core import JointDistribution, _as_int
 
 __all__ = [
     "BinningSchedule",
@@ -86,6 +96,7 @@ __all__ = [
     "si_decode_ml",
     "si_decode_universal",
     "compute_scores",
+    "weighted_suffix_entropy",
     "sw_universal_decode",
     "sw_ml_decode",
     "DEFAULT_CANDIDATE_CAP",
@@ -119,6 +130,10 @@ _PAIR_BUDGET = 2 ** 9
 # lane's score sums at most |A||Y| rounded terms c log p, each off by about
 # 2^-53 (c + |c log p|)
 _ML_TIE = 1e-12
+# count vectors whose entropies the engine tabulates once, rather than
+# sorting each window's counts (see `_window_counts`): (n + 1) ** columns of
+# them, 8 bytes each, so the joint counts of binary pairs up to n = 21
+_KEYED = 2 ** 18
 
 
 class CandidateOverflowError(RuntimeError):
@@ -382,6 +397,163 @@ def chunk_trials(n: int, streams) -> int:
     widest = max(alphabet * expected_bin_size(j, alphabet, schedule)
                  for alphabet, schedule in streams for j in range(n))
     return max(1, int(_CHUNK_LANES // widest))
+
+
+# ---------------------------------------------------------------------------
+# The lane entropy engine
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=32)
+def _lane_tables(n: int) -> SimpleNamespace:
+    """The tables of the lane entropies of horizon n, built on first use and
+    shared read-only.  terms: at t * (n + 1) + c, the term (c / t) log(t / c)
+    of a count c among t symbols, 0.0 for c = 0; w1 and w2: per cell (l, k),
+    row-major, the weights of its two windows (see `_weighted_entropies`)."""
+    terms = np.zeros((n + 1) ** 2)
+    for t in range(1, n + 1):
+        for c in range(1, t + 1):
+            terms[t * (n + 1) + c] = (c / t) * math.log(t / c)
+    weights = []
+    for l in range(1, n + 2):
+        for k in range(1, n + 2):
+            a, b = min(l, k), max(l, k)
+            span = n + 1 - a
+            # the diagonal, (n + 1, n + 1) too, is the joint suffix alone
+            weights.append((0.0, 1.0) if l == k else ((b - a) / span, (n + 1 - b) / span))
+    w1, w2 = np.array(weights).T
+    tables = dict(terms=terms, w1=w1, w2=w2)
+    for table in tables.values():
+        table.flags.writeable = False
+    return SimpleNamespace(**tables)
+
+
+def _entropies_of(counts, total, n: int) -> np.ndarray:
+    """The entropy engine: the empirical entropy of each window of a
+    length-n lane whose counts, one row per column, are counts[:, ...],
+    among total symbols (broadcast).  Each value is the float
+    `entropy_of_counts` gives, 0.0 for no symbols.  It sorts counts in
+    place."""
+    columns = len(counts)
+    # ascending counts in every window: an odd-even transposition network
+    for r in range(columns):
+        for c in range(r % 2, columns - 1, 2):
+            low = np.minimum(counts[c], counts[c + 1])
+            np.maximum(counts[c], counts[c + 1], out=counts[c + 1])
+            counts[c] = low
+    # added left to right from 0.0, as entropy_of_counts adds them; a zero
+    # count adds an exact 0.0
+    terms = _lane_tables(n).terms
+    row = np.asarray(total) * (n + 1)
+    h = np.zeros(counts.shape[1:])
+    index = np.empty(h.shape, np.intp)
+    term = np.empty(h.shape)
+    for column in counts:
+        np.take(terms, np.add(row, column, out=index), out=term)
+        h += term
+    return h
+
+
+@functools.lru_cache(maxsize=32)
+def _keyed_entropies(n: int, columns: int) -> np.ndarray:
+    """[key]: the entropy engine's value for the window counts that are the
+    base-(n + 1) digits of key, column c's the c-th, for every key below
+    (n + 1) ** columns (those whose digits add up to more than n are never
+    read)."""
+    side = n + 1
+    digits = np.indices((side,) * columns, np.min_scalar_type(n))[::-1]
+    digits = digits.reshape(columns, side ** columns)
+    table = _entropies_of(digits, np.minimum(digits.sum(axis=0, dtype=np.intp), n), n)
+    table.flags.writeable = False
+    return table
+
+
+def _window_counts(lanes):
+    """The count step of the entropy engine on lanes, rows of nonnegative
+    integer symbols.  Returns entropies_at(lane, lo, hi): the entropy
+    engine's values for the windows [lo, hi) of the lanes, at the broadcast
+    of the index arrays.  A window's counts are differences of cumulative
+    count rows, with one column per distinct symbol, in ascending order;
+    past n symbols, a column per rank of a symbol within its own lane, so
+    at most n columns.  When the count vectors fit `_KEYED` keys, the rows
+    are one cumulative key per lane and position, whose base-(n + 1)
+    digits are the counts, and a window's entropy is read off the engine's
+    table of every count vector (`_keyed_entropies`)."""
+    lanes = np.asarray(lanes)
+    count, n = lanes.shape
+    side = n + 1
+    present = np.bincount(lanes.ravel(), minlength=1) > 0
+    rank = (np.cumsum(present) - 1)[lanes]
+    if present.sum() > n:
+        order = np.argsort(rank, axis=1)
+        ordered = np.take_along_axis(rank, order, axis=1)
+        new = np.ones(lanes.shape, bool)
+        new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        np.put_along_axis(rank, order, np.cumsum(new, axis=1) - 1, axis=1)
+    columns = int(rank.max(initial=-1)) + 1
+    if side ** columns <= _KEYED:
+        key = np.zeros((count, side), np.int64)
+        np.cumsum((side ** np.arange(columns))[rank], axis=1, out=key[:, 1:])
+        key = key.ravel()
+        table = _keyed_entropies(n, columns)
+        return lambda lane, lo, hi: table[key[np.multiply(lane, side) + hi]
+                                          - key[np.multiply(lane, side) + lo]]
+    rows = np.zeros((columns, count, side), np.min_scalar_type(n))
+    np.cumsum(rank == np.arange(columns)[:, None, None], axis=2,
+              dtype=rows.dtype, out=rows[:, :, 1:])
+    rows = rows.reshape(columns, count * side)
+    return lambda lane, lo, hi: _entropies_of(
+        rows[:, np.multiply(lane, side) + hi] - rows[:, np.multiply(lane, side) + lo],
+        np.subtract(hi, lo), n)
+
+
+def _weighted_entropies(joint, streams, n: int, lane, other, l, k) -> np.ndarray:
+    """The weighted suffix entropies of pair lanes of horizon n at cells
+    (l, k), at the broadcast of the index arrays: joint reads the entropies
+    of the pairs' joint symbols (`_window_counts`), lane the pair's lane
+    there; streams those of their x and y lanes, other the lane there of
+    the stream that is not disputed on the first window (the y lane when
+    l < k, else the x lane; either on the diagonal).  With a = min(l, k)
+    and b = max(l, k) these are the operations of the definition, in its
+    order: the joint entropy of [a - 1, b - 1) less other's, times w1, plus
+    the joint entropy of [b - 1, n) times w2.  The first window is empty on
+    the diagonal and the second past the end, which adds an exact 0.0 times
+    its weight."""
+    t = _lane_tables(n)
+    a, b = np.minimum(l, k) - 1, np.maximum(l, k) - 1
+    cell = (np.asarray(l) - 1) * (n + 1) + k - 1
+    h = joint(lane, a, b)
+    h -= streams(other, a, b)
+    h *= t.w1[cell]
+    second = joint(lane, b, n)
+    second *= t.w2[cell]
+    h += second
+    return h
+
+
+def weighted_suffix_entropy(x: Sequence, y: Sequence, l: int, k: int, n: int) -> float:
+    """The weighted suffix entropy of the pair (x, y), sequences of n
+    nonnegative integer symbols, at the cell (l, k), 1 <= l, k <= n + 1: the
+    one-cell case of `_weighted_entropies`.
+
+    l and k are the 1-based positions where a rival pair first diverges in x
+    and in y; l = n+1 (resp. k = n+1) means no divergence in that stream.
+    The value mixes a conditional entropy over the window where only one
+    stream is disputed with a joint entropy over the window where both are.
+    """
+    if len(x) != n or len(y) != n:
+        raise ValueError("sequences must have length n")
+    if not (1 <= l <= n + 1 and 1 <= k <= n + 1):
+        raise ValueError(f"indices l={l}, k={k} out of [1, {n + 1}]")
+    x = np.array(list(x), np.int64).reshape(1, n)
+    y = np.array(list(y), np.int64).reshape(1, n)
+    joint = x * (int(y.max(initial=0)) + 1) + y
+    # one-element index arrays, as the engine's count step takes them: lane 0
+    # of the joint lanes, and lane 1 (y) or 0 (x) of the stream lanes
+    lane, other, l, k = (np.array([i]) for i in (0, int(l < k), l, k))
+    h = _weighted_entropies(_window_counts(joint), _window_counts(np.r_[x, y]), n, lane,
+                            other, l, k)
+    return float(h[0])
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +836,11 @@ def _sw_winners(trial_x, px, trial_y, py, trials: int):
 # as 0^n ("zero"), known ("known"), or decoded from a bin of its own ("binned")
 _Decoder = collections.namedtuple("_Decoder", "kernel table y")
 _TABLE = {
-    "ml": _Decoder(_ml_winners, lambda d: d.marginal_x().reshape(-1, 1), "zero"),
+    "ml": _Decoder(_ml_winners, lambda d: np.array(d.probs).sum(axis=1).reshape(-1, 1), "zero"),
     "universal": _Decoder(_universal_winners, None, "zero"),
-    "si_ml": _Decoder(_ml_winners, lambda d: d.probs, "known"),
+    "si_ml": _Decoder(_ml_winners, lambda d: np.array(d.probs), "known"),
     "si_universal": _Decoder(_universal_winners, None, "known"),
-    "sw_ml": _Decoder(_ml_winners, lambda d: d.probs, "binned"),
+    "sw_ml": _Decoder(_ml_winners, lambda d: np.array(d.probs), "binned"),
     "sw_universal": _Decoder(_sw_winners, None, "binned"),
 }
 DECODERS = tuple(_TABLE)

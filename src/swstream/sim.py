@@ -197,7 +197,7 @@ def _sample_rows(d: JointDistribution, n: int, seeds):
     keys = _mix(_seed_words(seeds) ^ _SAMPLE_KEY)
     steps = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
     u = (_mix(keys[:, None] + steps) >> 11) * 2.0 ** -53
-    cum = np.cumsum(d.probs.ravel())
+    cum = np.cumsum(np.array(d.probs).ravel())
     cum[-1] = 1.0
     flat = np.searchsorted(cum, u, side="right")
     return (flat // d.alphabet_y).astype(np.uint8), (flat % d.alphabet_y).astype(np.uint8)

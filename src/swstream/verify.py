@@ -17,13 +17,10 @@ import math
 import numpy as np
 
 from . import codec, exponents, info_core
-from .info_core import JointDistribution
+from .info_core import EXAMPLE_1, EXAMPLE_2, JointDistribution
 from .sim import sample_source
 
-__all__ = ["run_suite", "SUITES", "enumerate_bin"]
-
-EXAMPLE_1 = JointDistribution.from_matrix([[0.45, 0.05], [0.05, 0.45]])
-EXAMPLE_2 = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])
+__all__ = ["run_suite", "SUITES", "enumerate_bin", "EXAMPLE_1", "EXAMPLE_2"]
 
 
 def random_joint(rng, ax: int, ay: int, floor: float = 0.04) -> JointDistribution:
@@ -83,7 +80,7 @@ def _suite_equivalence():
                 )
             )
         # the block lower bound against its three error events, universal route
-        joint = JointDistribution.from_marginal(d.probs.ravel())
+        joint = JointDistribution.from_marginal(np.ravel(d.probs))
         block = exponents.e_block_lower(d, rates)
         events = min(
             exponents.e_un_si(d, rates.rx).value,

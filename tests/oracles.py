@@ -46,36 +46,38 @@ def e_ml_pointwise(d: JointDistribution, rates: RatePair, gamma: float, rho: flo
 
 
 # ---------------------------------------------------------------------------
-# The Gallager log-sums from their definitions: the whole table powered, then
-# a keepdims log-sum-exp, recomputed on every call.  The memoized production
-# log-sums apply the same ufuncs in the same order, so they match bit for bit.
+# The Gallager log-sums from their definitions, with `math`, recomputed on
+# every call: log p^{1/(1+rho)} row by row, then a log-sum-exp adding its
+# terms left to right.  The memoized production log-sums do the same
+# operations in the same order, so they match bit for bit.
 # ---------------------------------------------------------------------------
 
 
-def _log_powered(p: np.ndarray, rho: float) -> np.ndarray:
-    """log of p^{1/(1+rho)} with zeros mapped to -inf."""
-    with np.errstate(divide="ignore"):
-        return np.log(p) / (1.0 + rho)
+def _log_powered(d: JointDistribution, rho: float) -> list:
+    """The rows of log p^{1/(1+rho)}, with zeros mapped to -inf."""
+    return [[(math.log(v) if v > 0 else -math.inf) / (1.0 + rho) for v in row]
+            for row in d.probs]
 
 
-def _logsumexp(a: np.ndarray, axis=None):
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
+def _logsumexp(values) -> float:
+    top = max(values)
+    top = top if math.isfinite(top) else 0.0
+    total = 0.0
+    for v in values:
+        total += math.exp(v - top)
+    return math.log(total) + top if total > 0 else -math.inf
 
 
 def log_sum_tilted_oracle(d: JointDistribution, rho: float) -> float:
     """log sum_{x,y} p(x,y)^{1/(1+rho)}."""
-    return float(_logsumexp(_log_powered(d.probs, rho)))
+    return _logsumexp([v for row in _log_powered(d, float(rho)) for v in row])
 
 
 def log_sum_xy_tilted_oracle(d: JointDistribution, rho: float) -> float:
     """log sum_y [ sum_x p(x,y)^{1/(1+rho)} ]^{1+rho}."""
-    log_col = _logsumexp(_log_powered(d.probs, rho), axis=0)  # log D(y)
-    return float(_logsumexp((1.0 + rho) * log_col))
+    rho = float(rho)
+    log_col = [_logsumexp(col) for col in zip(*_log_powered(d, rho))]  # log D(y)
+    return _logsumexp([(1.0 + rho) * v for v in log_col])
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +93,7 @@ def _simplex_objective_terms(q_flat: np.ndarray, d: JointDistribution):
     if s <= 0:
         return math.inf, 0.0
     q = q / s
-    p = d.probs
+    p = np.array(d.probs)
     mask = q > 0
     if np.any(p[mask] == 0):
         return math.inf, 0.0
@@ -170,7 +172,7 @@ def _grid_tables(d: JointDistribution, step: float):
     """(Q, D(q||p), H, H(x|y), H(y|x)) arrays over the grid for source d."""
     parts = round(1.0 / step)
     q, h, hy, hx = _grid_entropies(d.alphabet_x, d.alphabet_y, parts)
-    p = d.probs.ravel()
+    p = np.ravel(d.probs)
     logp = np.log(p, out=np.full_like(p, -1e30), where=p > 0)
     cross = q @ logp
     div = np.where(cross < -1e20, np.inf, -h - cross)

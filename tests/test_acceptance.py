@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from swstream import cli
 from swstream.cli import main
 from swstream.codec import (
     BinningSchedule,
@@ -231,7 +232,7 @@ class TestCriterion7DecoderOracles:
             assert got_u == (want_x, want_y)
 
             assert sw_ml_decode(cx, cy, joint, 0) == _oracle_sw_ml(
-                cx.prefixes, cy.prefixes, joint.probs, n, 0)
+                cx.prefixes, cy.prefixes, np.array(joint.probs), n, 0)
 
 
 def test_8_simulation_decay_long_run():
@@ -317,9 +318,12 @@ class TestCriterion9Determinism:
         [[0.1, 0.05], [0.05, 0.8]],
         [[0.3, 0.0], [0.1, 0.25], [0.05, 0.3]],
     ], ids=["example2", "3x2"])
-    def test_exponents_thread_invariant_on_a_two_encoder_grid(self, tmp_path, probs):
-        # 15 points over three ry values: the process pool runs, and each
-        # worker fills its own log-sum memo from a different share of them
+    def test_exponents_thread_invariant_on_a_two_encoder_grid(self, tmp_path, probs,
+                                                              monkeypatch):
+        # 15 points over three ry values: the process pool runs (a curve this
+        # short runs serially unless the cutoff is lowered), and each worker
+        # fills its own log-sum memo from a different share of them
+        monkeypatch.setattr(cli, "_POOL_POINTS", 8)
         src = tmp_path / "src.json"
         src.write_text(json.dumps({
             "alphabet_x": len(probs), "alphabet_y": 2, "probs": probs,

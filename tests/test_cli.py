@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from swstream import cli
+from swstream import cli, verify
 from swstream.cli import _parse_grid, main
 from swstream.exponents import CURVE_HEADER
 from swstream.sim import fit_exponent, fit_to_json, run_trials, stats_to_csv
@@ -361,6 +361,10 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert "PASS" in out
 
+    def test_help_names_every_suite(self):
+        # the help text names the suites without importing verify (numpy)
+        assert cli._SUITE_NAMES == tuple(sorted(verify.SUITES))
+
     def test_unknown_suite(self, capsys):
         rc = main(["verify", "nonesuch"])
         assert rc == 2
@@ -409,3 +413,25 @@ class TestOutPath:
         assert err.startswith("error: cannot create output directory")
         assert err.count("\n") == 1
         assert blocker.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("name", ["exponents.csv", "fit.json", "example1_ry0.67.csv",
+                                      "manifest.json"],
+                             ids=["exponents", "simulate", "reproduce-example1",
+                                  "reproduce-example2"])
+    def test_output_file_at_a_directory_is_config_error(self, tmp_path, source_file,
+                                                        trial_config_file, name, capsys):
+        # an output file that is an existing directory is one error line and
+        # exit 2, found before any work: no output is written
+        command = {
+            "exponents.csv": ["exponents", source_file, "--rx", "0.5"],
+            "fit.json": ["simulate", trial_config_file],
+            "example1_ry0.67.csv": ["reproduce-example1"],
+            "manifest.json": ["reproduce-example2"],
+        }[name]
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert main([*command, "--out", str(out), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: output file {out / name} is a directory\n"
+        assert [p.name for p in out.iterdir()] == [name]
+        assert not any((out / name).iterdir())

@@ -10,6 +10,8 @@ from swstream import codec
 from swstream.codec import (
     _CHUNK_LANES,
     _LANE_BUDGET,
+    _weighted_entropies,
+    _window_counts,
     DECODERS,
     BinningSchedule,
     CandidateOverflowError,
@@ -29,13 +31,9 @@ from swstream.codec import (
     sw_universal_decode,
     universal_decode,
     update_candidates,
-)
-from swstream.info_core import (
-    JointDistribution,
-    _weighted_entropies,
-    _window_counts,
     weighted_suffix_entropy,
 )
+from swstream.info_core import JointDistribution
 from swstream.sim import derive_trial_seed, sample_source
 from swstream.verify import _oracle_ml, _oracle_universal, enumerate_bin
 from oracles import (
@@ -933,7 +931,7 @@ class TestTwoEncoderDecoders:
         uniform = JointDistribution.from_matrix([[0.25, 0.25], [0.25, 0.25]])
         assert sw_ml_decode(*cands, uniform, 0) == (members[0], members[0])
         d = JointDistribution.from_matrix([[0.1, 0.05], [0.05, 0.8]])
-        assert sw_ml_decode(*cands, d, 0) == _oracle_sw_ml(members, members, d.probs, 7, 0)
+        assert sw_ml_decode(*cands, d, 0) == _oracle_sw_ml(members, members, np.array(d.probs), 7, 0)
 
     @pytest.mark.parametrize("probs", [
         [[0.1, 0.05], [0.05, 0.8]],
@@ -967,7 +965,7 @@ class TestTwoEncoderDecoders:
             cx = candidate_set_for(t, "x", x, ONE_BIT)
             cy = candidate_set_for(t, "y", y, ONE_BIT)
             assert sw_ml_decode(cx, cy, d, 0) == _oracle_sw_ml(
-                cx.prefixes, cy.prefixes, d.probs, self.N, 0)
+                cx.prefixes, cy.prefixes, np.array(d.probs), self.N, 0)
 
     def test_ml_independent_source_factorizes(self):
         # independent x, y: the joint argmax is the pair of marginal argmaxes

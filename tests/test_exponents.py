@@ -466,7 +466,7 @@ class TestBlockBounds:
                 )))
         assert len(cases) >= 40
         for d, rates in cases:
-            joint = JointDistribution.from_marginal(d.probs.ravel())
+            joint = JointDistribution.from_marginal(np.ravel(d.probs))
             events = min(
                 e_un_si(d, rates.rx).value,
                 e_un_si(d.swapped(), rates.ry).value,

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from swstream import info_core
+from swstream import codec, info_core
+from swstream.codec import _window_counts, weighted_suffix_entropy
 from swstream.info_core import (
     JointDistribution,
-    _window_counts,
     conditional_entropy_x_given_y,
     conditional_entropy_y_given_x,
     entropy,
@@ -21,7 +21,6 @@ from swstream.info_core import (
     log_sum_tilted,
     log_sum_xy_tilted,
     tilted,
-    weighted_suffix_entropy,
     xy_tilted,
 )
 from swstream.verify import random_joint
@@ -57,7 +56,7 @@ class TestJointDistribution:
     def test_normalization_exact(self):
         # within-tolerance drift is renormalized away
         d = JointDistribution.from_matrix([[0.5, 0.25], [0.25, 1e-13]])
-        assert d.probs.sum() == pytest.approx(1.0, abs=0)
+        assert np.array(d.probs).sum() == pytest.approx(1.0, abs=0)
 
     def test_marginals(self, example2):
         assert example2.marginal_x() == pytest.approx([0.15, 0.85])
@@ -79,7 +78,7 @@ class TestJointDistribution:
         d = JointDistribution.from_marginal([0.6, 0.3, 0.1])
         for _ in range(3):
             back = JointDistribution.from_json(d.to_json())
-            assert back.probs.tobytes() == d.probs.tobytes()
+            assert np.array(back.probs).tobytes() == np.array(d.probs).tobytes()
             d = back
 
     @pytest.mark.parametrize("alphabet_x, alphabet_y, probs", [
@@ -102,13 +101,13 @@ class TestJointDistribution:
     def test_exact_sum_keeps_entries_and_copies(self):
         raw = np.array([[0.1, 0.05], [0.05, 0.8]])
         d = JointDistribution.from_matrix(raw)
-        assert d.probs.tobytes() == raw.tobytes()
+        assert np.array(d.probs).tobytes() == raw.tobytes()
         raw[0, 0] = 0.5
-        assert d.probs[0, 0] == 0.1
+        assert d.probs[0][0] == 0.1
 
     def test_probs_immutable(self, example1):
-        with pytest.raises(ValueError):
-            example1.probs[0, 0] = 0.5
+        with pytest.raises(TypeError):
+            example1.probs[0][0] = 0.5
 
 
 class TestEntropies:
@@ -179,7 +178,7 @@ class TestTilted:
         # sqrt(0.1)/(sqrt(0.1)+sqrt(0.9)) = 0.25 exactly
         p = JointDistribution.from_marginal([0.1, 0.9])
         t = tilted(p, 1.0)
-        assert t.probs.ravel() == pytest.approx([0.25, 0.75], abs=1e-12)
+        assert np.ravel(t.probs) == pytest.approx([0.25, 0.75], abs=1e-12)
 
     def test_large_rho_limit_uniform(self, example2):
         t = tilted(example2, 1e4)
@@ -192,7 +191,7 @@ class TestTilted:
     def test_zero_cells_stay_zero(self):
         d = JointDistribution.from_matrix([[0.6, 0.0], [0.1, 0.3]])
         t = tilted(d, 0.7)
-        assert t.probs[0, 1] == 0.0
+        assert t.probs[0][1] == 0.0
 
     def test_skewed_source_log_space(self):
         # rho near -1 raises probabilities to huge powers; log-space keeps
@@ -200,7 +199,7 @@ class TestTilted:
         d = JointDistribution.from_marginal([1e-9, 1.0 - 1e-9])
         t = tilted(d, -0.999)
         assert np.isfinite(t.probs).all()
-        assert t.probs.ravel()[1] > 0.999
+        assert np.ravel(t.probs)[1] > 0.999
 
 
 class TestXYTilted:
@@ -218,15 +217,15 @@ class TestXYTilted:
         d = JointDistribution.from_matrix(np.outer(px, py))
         rho = 0.8
         t = xy_tilted(d, rho)
-        cond = t.probs / t.marginal_y()[None, :]
+        cond = np.array(t.probs) / np.array(t.marginal_y())[None, :]
         tx = tilted(JointDistribution.from_marginal(px), rho)
         for col in range(2):
-            assert cond[:, col] == pytest.approx(tx.probs.ravel(), abs=1e-12)
+            assert cond[:, col] == pytest.approx(np.ravel(tx.probs), abs=1e-12)
 
     def test_marginal_matches_construction(self, example2):
         # y-marginal of the result is A(y)/B
         rho = 0.6
-        c = example2.probs ** (1.0 / (1.0 + rho))
+        c = np.array(example2.probs) ** (1.0 / (1.0 + rho))
         a = c.sum(axis=0) ** (1.0 + rho)
         t = xy_tilted(example2, rho)
         assert t.marginal_y() == pytest.approx(a / a.sum(), abs=1e-12)
@@ -241,22 +240,13 @@ class TestMemoizedLogSums:
     @pytest.fixture
     def sources(self, example1, example2):
         table = JointDistribution.from_matrix(TABLE_3X2)
-        swapped = table.swapped()
         return {
             "example1": example1,
             "example2": example2,
             "3x2": table,
-            # the transpose stays F-ordered; its C-ordered reload holds the
-            # same bytes, so only the layout in the key keeps the two apart
-            "3x2 swapped": swapped,
-            "3x2 swapped, C-ordered": JointDistribution.from_json(swapped.to_json()),
+            "3x2 swapped": table.swapped(),
             "marginal": JointDistribution.from_marginal(example2.marginal_x()),
         }
-
-    def test_swapped_table_is_f_ordered(self, sources):
-        assert sources["3x2 swapped"].probs.flags["F_CONTIGUOUS"]
-        assert not sources["3x2 swapped"].probs.flags["C_CONTIGUOUS"]
-        assert sources["3x2 swapped, C-ordered"].probs.flags["C_CONTIGUOUS"]
 
     @pytest.mark.parametrize("fn, oracle", [
         (log_sum_tilted, log_sum_tilted_oracle),
@@ -270,6 +260,22 @@ class TestMemoizedLogSums:
             for rho in rhos:
                 for name, d in sources.items():
                     assert fn(d, rho).hex() == oracle(d, rho).hex(), (name, rho)
+
+    @pytest.mark.parametrize("fn", [log_sum_tilted, log_sum_xy_tilted],
+                             ids=["xy", "x_given_y"])
+    def test_a_transpose_and_its_reload_agree(self, fn):
+        # the same rows give the same log-sums however the table was built:
+        # adding a transpose's terms in another order than its reload's
+        # changes the last bit of log_sum_tilted at hundreds of these rho
+        swapped = JointDistribution.from_matrix(TABLE_3X2).swapped()
+        reloaded = JointDistribution.from_json(swapped.to_json())
+        rhos = np.random.default_rng(0).random(5000)
+        values = []
+        for d in (swapped, reloaded):
+            info_core._clear_memo()
+            values.append([fn(d, rho).hex() for rho in rhos])
+        info_core._clear_memo()
+        assert values[0] == values[1]
 
     def test_memo_is_cleared_when_full(self, monkeypatch, example2):
         monkeypatch.setattr(info_core, "_MEMO_SIZE", 8)
@@ -470,10 +476,10 @@ class TestWindowEntropies:
     def test_tabulated_counts_equal_sorted_counts(self, n, symbols, monkeypatch):
         # the same floats whether a window's entropy is read off the table of
         # every count vector or its counts are sorted, as past `_KEYED`
-        assert (n + 1) ** min(n, symbols) <= info_core._KEYED
+        assert (n + 1) ** min(n, symbols) <= codec._KEYED
         lanes = np.random.default_rng(n).integers(0, symbols, (50, n))
         table = _every_window(lanes)[2]
-        monkeypatch.setattr(info_core, "_KEYED", 0)
+        monkeypatch.setattr(codec, "_KEYED", 0)
         assert np.array_equal(_every_window(lanes)[2], table)
 
 
