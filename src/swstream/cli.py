@@ -26,9 +26,9 @@ from .info_core import EXAMPLE_1, EXAMPLE_2, JointDistribution
 LN2 = math.log(2.0)
 # a curve of at most this many points runs in this process: starting a pool
 # costs more than it saves below it.  `exponents` on example 2 (rx
-# 0.30:1.05:0.01, 2-core VM, medians of 7 alternating runs) took 0.194 s at
-# --threads 1 and 0.239 s at --threads 2 on 76 points, 0.676 and 0.668 s on
-# 608, and 0.923 and 0.634 s on 684
+# 0.30:1.05:0.01, ry from 0.30 by 0.05, 2-core VM, medians of 15-21 alternating
+# pairs) took 0.085 s at --threads 1 and 0.122 s at --threads 2 on 76 points,
+# 0.250 and 0.278 s on 532, 0.232 and 0.230 s on 608, 0.316 and 0.281 s on 684
 _POOL_POINTS = 600
 # the names of the `verify` suites, `verify.SUITES`, for the help text
 _SUITE_NAMES = ("equivalence", "examples", "lemmas", "oracle")

@@ -6,17 +6,21 @@ tilt parameter rho, and universal (divergence-minimization) forms through the
 tilted-family parametrization of their KKT conditions.
 
 The streaming Slepian-Wolf exponents are gamma-infima of rho-suprema of
-gamma*A + (1-gamma)*B, with A = E_{x|y} and B = E_xy.  The bracket is concave
-in rho and affine in gamma, so by Sion's minimax theorem each is one 1-D search:
+gamma*A + (1-gamma)*B, with A = E_{x|y} and B = E_xy, each concave in rho
+with a closed-form slope, A' = Rx - H(bar p^rho_{x|y}), B' = Rx + Ry - H(p^rho)
+(`info_core._log_sum`): a maximizer on [0, 1] is an end or the slope's root
+(`_argmax`).  The bracket is also affine in gamma, so by Sion's minimax theorem
 
     inf_gamma sup_rho [gamma*A + (1-gamma)*B]           = sup_rho min(A, B)
     inf_gamma sup_rho [gamma*A + (1-gamma)*B]/(1-gamma) = max of B on [0, rho0]
 
-with rho0 the positive root of A, or 1 if A(1) >= 0.  gamma* follows from the
-slopes A' = Rx - H(bar p^rho_{x|y}) and B' = Rx + Ry - H(p^rho) at rho*.
-Unscaled, it is 1 if A < B there, 0 if B < A, and B'/(B' - A') at a crossing.
-Scaled, it is 0 unless B still rises at rho* = rho0; then t = B'/(-A') and
-gamma* = t/(1+t).  The y terms swap x and y, so A becomes E_{y|x}.
+with rho0 the positive root of A, or 1 if A(1) >= 0.  With the maxima A* at
+rho_A and B* at rho_B, unscaled gamma* is 1 if A* <= B(rho_A), 0 if
+B* <= A(rho_B), else B'/(B' - A') at the root of A - B between rho_A and
+rho_B: the block exponent min(A*, B*) unless the maxima cross.  Scaled, the
+maximum is B* unless B rises at rho0, where t = B'/(-A') and gamma* = t/(1+t).
+The y terms swap x and y (A becomes E_{y|x}).  `_sw_exponents` computes each
+maximum once per rate point for the streaming and block exponents, uncached.
 
 The single-event exponents are the gamma endpoints of the compound ones at
 Ry = 0, on both routes: gamma = 0 gives the point-to-point exponent
@@ -40,6 +44,8 @@ from dataclasses import dataclass, replace
 
 from .info_core import (
     JointDistribution,
+    _log_sum,
+    _total,
     conditional_entropy_x_given_y,
     conditional_entropy_y_given_x,
     entropy,
@@ -75,9 +81,7 @@ __all__ = [
     "CURVE_HEADER",
 ]
 
-_RHO_TOL = 1e-9
 _ROOT_TOL = 1e-13
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # a tilt at which every tilted family has reached its rho -> inf limit in floats
 _RHO_INF = 2.0 ** 64
 
@@ -118,29 +122,6 @@ class ExponentResult:
     in_region: bool = True
 
 
-def _golden_max(f, a: float, b: float, tol: float = _RHO_TOL):
-    """Maximize a unimodal f on [a, b]; returns (x*, f(x*)).
-
-    Endpoints are evaluated too, guarding flat or boundary-attained cases.
-    """
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    candidates = [(f(xm), xm), (f(a), a), (f(b), b)]
-    best = max(candidates, key=lambda t: t[0])
-    return best[1], best[0]
-
-
 def _root(f, lo: float, hi: float) -> float:
     """A root of f in [lo, hi] (0 <= lo < hi, f(lo) and f(hi) of opposite
     signs), to within _ROOT_TOL + 4*eps*hi.
@@ -167,6 +148,16 @@ def _root(f, lo: float, hi: float) -> float:
             flo *= 0.5 if side == -1 else 1.0
             side = -1
     return x
+
+
+def _argmax(slope, lo: float, hi: float) -> float:
+    """The maximizer on [lo, hi] of a concave function with derivative
+    `slope`: an end where the slope points outward, else its root."""
+    if slope(lo) <= 0.0:
+        return lo
+    if slope(hi) >= 0.0:
+        return hi
+    return _root(slope, lo, hi)
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -200,19 +191,27 @@ def gallager_y_given_x(d: JointDistribution, ry: float, rho: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _slope(d: JointDistribution, rates: RatePair, gamma: float, rho: float) -> float:
+    """The rho-derivative of gamma*E_{x|y} + (1-gamma)*E_xy (module
+    docstring); a bracket of weight 0 is not evaluated."""
+    s = 0.0
+    if gamma > 0.0:
+        s = gamma * (rates.rx - _log_sum(d, rho, True)[1])
+    if gamma < 1.0:
+        s += (1.0 - gamma) * (rates.rx + rates.ry - _log_sum(d, rho, False)[1])
+    return s
+
+
 def e_x_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> ExponentResult:
-    """sup_rho of gamma*E_{x|y} + (1-gamma)*E_xy; concave in rho."""
+    """sup_rho of gamma*E_{x|y} + (1-gamma)*E_xy, at the root of its slope
+    or an end of [0, 1]."""
     _check_unit("gamma", gamma)
-
-    def obj(rho):
-        if gamma == 0.0:
-            return gallager_xy(d, rates, rho)
-        if gamma == 1.0:
-            return gallager_x_given_y(d, rates.rx, rho)
-        exy = gallager_xy(d, rates, rho)
-        return gamma * gallager_x_given_y(d, rates.rx, rho) + (1.0 - gamma) * exy
-
-    rho, val = _golden_max(obj, 0.0, 1.0)
+    rho = _argmax(lambda r: _slope(d, rates, gamma, r), 0.0, 1.0)
+    val = 0.0
+    if gamma > 0.0:
+        val = gamma * gallager_x_given_y(d, rates.rx, rho)
+    if gamma < 1.0:
+        val += (1.0 - gamma) * gallager_xy(d, rates, rho)
     return ExponentResult(value=max(val, 0.0), rho_star=rho, gamma_star=gamma)
 
 
@@ -226,19 +225,19 @@ def e_y_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> ExponentRe
 
 
 def _mixed_tilt_stats(d: JointDistribution, rho: float, gamma: float):
-    """(gamma*H(bar q_{x|y}) + (1-gamma)*H(q), the same mix of D(.||d)) for
-    the x-y tilt bar q and the plain tilt q of d at rho.  A tilt of weight 0
-    is not built."""
-    h = dv = 0.0
+    """(gamma*H(bar q_{x|y}) + (1-gamma)*H(q), [(gamma, bar q), (1-gamma, q)])
+    for the x-y tilt bar q and the plain tilt q of d at rho.  A tilt of
+    weight 0 is not built."""
+    h, tilts = 0.0, []
     if gamma > 0.0:
         bar = xy_tilted(d, rho)
         h = gamma * conditional_entropy_x_given_y(bar)
-        dv = gamma * kl_divergence(bar, d)
+        tilts.append((gamma, bar))
     if gamma < 1.0:
         plain = tilted(d, rho)
         h += (1.0 - gamma) * entropy(plain)
-        dv += (1.0 - gamma) * kl_divergence(plain, d)
-    return h, dv
+        tilts.append((1.0 - gamma, plain))
+    return h, tilts
 
 
 def e_un_x_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> ExponentResult:
@@ -255,11 +254,14 @@ def e_un_x_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> Exponen
     if rg <= h0:
         # on or outside the boundary for this error event
         return ExponentResult(0.0, 0.0, gamma_star=gamma, in_region=(rg >= h0))
-    h1, dv1 = _mixed_tilt_stats(d, 1.0, gamma)
+    divergence = lambda tilts: _total(w * kl_divergence(q, d) for w, q in tilts)
+    h1, tilts1 = _mixed_tilt_stats(d, 1.0, gamma)
     if rg >= h1:
-        return ExponentResult(dv1 + (rg - h1), 1.0, gamma_star=gamma)
+        return ExponentResult(divergence(tilts1) + (rg - h1), 1.0, gamma_star=gamma)
+    # the root reads the entropies only; the divergence is taken once, at it
     rho = _root(lambda r: _mixed_tilt_stats(d, r, gamma)[0] - rg, 0.0, 1.0)
-    return ExponentResult(_mixed_tilt_stats(d, rho, gamma)[1], rho, gamma_star=gamma)
+    return ExponentResult(divergence(_mixed_tilt_stats(d, rho, gamma)[1]), rho,
+                          gamma_star=gamma)
 
 
 def e_un_y_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> ExponentResult:
@@ -271,64 +273,49 @@ def e_un_y_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> Exponen
 # ---------------------------------------------------------------------------
 
 
-def _slopes(d: JointDistribution, rates: RatePair, rho: float):
-    """(E_{x|y}'(rho), E_xy'(rho)) in closed form from the tilted families."""
-    hbar = conditional_entropy_x_given_y(xy_tilted(d, rho))
-    h = entropy(tilted(d, rho))
-    return rates.rx - hbar, rates.rx + rates.ry - h
+def _maxima(d: JointDistribution, rates: RatePair):
+    """E_{x|y}, E_{y|x} and E_xy maximized on [0, 1]: the gamma = 1 and 0 ends."""
+    return e_x_gamma(d, rates, 1.0), e_y_gamma(d, rates, 1.0), e_x_gamma(d, rates, 0.0)
 
 
-def _inf_unscaled(d: JointDistribution, rates: RatePair):
-    """(gamma*, value, rho*) of sup_rho min(E_{x|y}, E_xy)."""
+def _inf_unscaled(d: JointDistribution, rates: RatePair, a, b):
+    """(gamma*, value, rho*) of sup_rho min(E_{x|y}, E_xy), from the maxima
+    a of E_{x|y} and b of E_xy, by the cases of the module docstring."""
+    ea = lambda r: gallager_x_given_y(d, rates.rx, r)
+    eb = lambda r: gallager_xy(d, rates, r)
+    if a.value <= eb(a.rho_star):
+        return 1.0, a.value, a.rho_star
+    if b.value <= ea(b.rho_star):
+        return 0.0, b.value, b.rho_star
+    rho = _root(lambda r: ea(r) - eb(r), *sorted((a.rho_star, b.rho_star)))
+    da, db = _slope(d, rates, 1.0, rho), _slope(d, rates, 0.0, rho)
+    return min(max(db / (db - da), 0.0), 1.0), min(ea(rho), eb(rho)), rho
 
-    def brackets(rho):
-        return gallager_x_given_y(d, rates.rx, rho), gallager_xy(d, rates, rho)
 
-    rho, value = _golden_max(lambda r: min(brackets(r)), 0.0, 1.0)
-    a, b = brackets(rho)
-    da, db = _slopes(d, rates, rho)
-    # a crossing within the search tolerance, or one bracket below the other
-    if abs(a - b) < 2.0 * _RHO_TOL * abs(db - da):
-        return min(max(db / (db - da), 0.0), 1.0), value, rho
-    return (1.0 if a < b else 0.0), value, rho
-
-
-def _inf_scaled(d: JointDistribution, rates: RatePair):
-    """(gamma*, value, rho*) of max E_xy on [0, rho0], rho0 the root of E_{x|y}."""
-    rho0 = 1.0
-    if gallager_x_given_y(d, rates.rx, 1.0) < 0.0:
-        # E_{x|y}(rho)/rho falls from E_{x|y}'(0) = Rx - H(x|y) > 0 to its root
-        slope0 = rates.rx - conditional_entropy_x_given_y(d)
-        rho0 = _root(
-            lambda r: gallager_x_given_y(d, rates.rx, r) / r if r > 0.0 else slope0,
-            0.0, 1.0,
-        )
-        da, db = _slopes(d, rates, rho0)
+def _inf_scaled(d: JointDistribution, rates: RatePair, a, b):
+    """(gamma*, value, rho*) of max E_xy on [0, rho0], rho0 the positive root
+    of E_{x|y}, from the maxima a of E_{x|y} and b of E_xy."""
+    ea = lambda r: gallager_x_given_y(d, rates.rx, r)
+    if ea(1.0) < 0.0:
+        # E_{x|y} is concave and 0 at 0: its positive root lies above rho_A
+        rho0 = _root(ea, a.rho_star, 1.0)
+        db = _slope(d, rates, 0.0, rho0)
         if db > 0.0:  # the constraint binds; its multiplier is gamma*/(1-gamma*)
-            t = db / -da
+            t = db / -_slope(d, rates, 1.0, rho0)
             return t / (1.0 + t), gallager_xy(d, rates, rho0), rho0
-    rho, value = _golden_max(lambda r: gallager_xy(d, rates, r), 0.0, rho0)
-    return 0.0, value, rho
+    return 0.0, b.value, b.rho_star
 
 
-def _sw_terms(d: JointDistribution, rates: RatePair):
-    """The four gamma-infima behind e_sw_x / e_sw_y / e_sw_xy, as
-    (gamma*, value, rho*) triples, each one 1-D search (module docstring):
-
-        inf_ex        = sup_rho min(E_{x|y}, E_xy)
-        inf_ex_scaled = max of E_xy on [0, rho0], rho0 the root of E_{x|y}
-
-    gamma* is 1 or 0 where E_{x|y} or E_xy alone is the minimum at rho*,
-    E_xy'/(E_xy' - E_{x|y}') at their crossing, and t/(1+t) with
-    t = E_xy'/(-E_{x|y}') when a scaled maximum sits at rho0.  The y terms
-    are the same on the swapped source: E_{x|y} becomes E_{y|x}.
-    """
+def _sw_terms(d: JointDistribution, rates: RatePair, maxima=None):
+    """The four gamma-infima behind e_sw_*, as (gamma*, value, rho*) triples
+    (module docstring), from `_maxima(d, rates)`, computed if not given."""
+    ax, ay, b = maxima or _maxima(d, rates)
     ds, rs = d.swapped(), RatePair(rates.ry, rates.rx)
     return {
-        "inf_ex": _inf_unscaled(d, rates),
-        "inf_ey": _inf_unscaled(ds, rs),
-        "inf_ey_scaled": _inf_scaled(ds, rs),
-        "inf_ex_scaled": _inf_scaled(d, rates),
+        "inf_ex": _inf_unscaled(d, rates, ax, b),
+        "inf_ey": _inf_unscaled(ds, rs, ay, b),
+        "inf_ey_scaled": _inf_scaled(ds, rs, ay, b),
+        "inf_ex_scaled": _inf_scaled(d, rates, ax, b),
     }
 
 
@@ -345,16 +332,25 @@ def _pick_min(a, b, name_a: str, name_b: str) -> ExponentResult:
     return ExponentResult(max(vb, 0.0), rb, gamma_star=gb, branch=name_b)
 
 
+def _block(a, b) -> ExponentResult:
+    """One stream's block exponent min(B*, A*) from its bracket maxima."""
+    return _pick_min((0.0, b.value, b.rho_star), (1.0, a.value, a.rho_star),
+                     "gamma0", "gamma1")
+
+
 def _sw_exponents(d: JointDistribution, rates: RatePair):
-    """(e_sw_x, e_sw_y, e_sw_xy) from one set of gamma-infima."""
+    """(e_sw_x, e_sw_y, e_sw_xy, e_block_sw_x, e_block_sw_y), one set of maxima."""
     out = _outside(rates, d)
     if out is not None:
-        return out, out, out
-    t = _sw_terms(d, rates)
+        return (out,) * 5
+    ax, ay, b = maxima = _maxima(d, rates)
+    t = _sw_terms(d, rates, maxima)
     return (
         _pick_min(t["inf_ex"], t["inf_ey_scaled"], "x", "y_scaled"),
         _pick_min(t["inf_ey"], t["inf_ex_scaled"], "y", "x_scaled"),
         _pick_min(t["inf_ex"], t["inf_ey"], "x", "y"),
+        _block(ax, b),
+        _block(ay, b),
     )
 
 
@@ -374,18 +370,11 @@ def e_sw_xy(d: JointDistribution, rates: RatePair) -> ExponentResult:
 
 def e_block_sw_x(d: JointDistribution, rates: RatePair) -> ExponentResult:
     """Block-coding baseline: min of the gamma = 0 and gamma = 1 endpoints."""
-    out = _outside(rates, d)
-    if out is not None:
-        return out
-    r0 = e_x_gamma(d, rates, 0.0)
-    r1 = e_x_gamma(d, rates, 1.0)
-    return _pick_min(
-        (0.0, r0.value, r0.rho_star), (1.0, r1.value, r1.rho_star), "gamma0", "gamma1"
-    )
+    return _outside(rates, d) or _block(e_x_gamma(d, rates, 1.0), e_x_gamma(d, rates, 0.0))
 
 
 def e_block_sw_y(d: JointDistribution, rates: RatePair) -> ExponentResult:
-    return e_block_sw_x(d.swapped(), RatePair(rates.ry, rates.rx))
+    return _outside(rates, d) or _block(e_y_gamma(d, rates, 1.0), e_x_gamma(d, rates, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +468,7 @@ def curve_row(d: JointDistribution, rates: RatePair) -> dict:
         pp = e_ml_pp(d, rates.rx)
         row.update(rho_star=pp.rho_star, e_pp_x=pp.value)
         return row
-    swx, swy, swxy = _sw_exponents(d, rates)
+    swx, swy, swxy, blx, bly = _sw_exponents(d, rates)
     px = JointDistribution.from_marginal(d.marginal_x())
     row.update(
         gamma_star=swx.gamma_star,
@@ -487,8 +476,8 @@ def curve_row(d: JointDistribution, rates: RatePair) -> dict:
         e_sw_x=swx.value,
         e_sw_y=swy.value,
         e_sw_xy=swxy.value,
-        e_block_x=e_block_sw_x(d, rates).value,
-        e_block_y=e_block_sw_y(d, rates).value,
+        e_block_x=blx.value,
+        e_block_y=bly.value,
         e_pp_x=e_ml_pp(px, rates.rx).value,
     )
     return row

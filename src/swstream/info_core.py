@@ -11,10 +11,10 @@ row by row, left to right, one term at a time (`_total`; from Python 3.12
 `sum()` of floats compensates its rounding), so equal rows give equal floats
 however the table was built: a transpose and its JSON reload agree.
 
-log p is computed once per distribution (`_log_probs`).  The Gallager
-log-sums are memoized: each is evaluated once per table and rho, under the
-key (rows, column flag), and the memo is cleared when it holds `_MEMO_SIZE`
-of them.
+log p is computed once per distribution (`_log_probs`).  In one pass over
+a = log p/(1+rho), `_log_sum` returns a Gallager log-sum L = logsumexp(a) and
+its tilt's entropy H(p^rho) = L - sum q*a, q = e^(a-L) (per column, weighted
+by the tilted y-marginal, for H(bar p^rho_{x|y})), with no memo.
 
 `entropy_of_counts` defines every empirical entropy: its terms added left
 to right in ascending count order.  The decoders' lane entropy engine
@@ -203,14 +203,22 @@ def _check_rho(rho) -> float:
     return float(rho)
 
 
-def _logsumexp(values) -> float:
-    """log sum exp(values), the maximum shifted out; a maximum that is not
-    finite (an all-zero column) shifts by 0, and a zero sum gives -inf."""
+def _tilt(values) -> tuple:
+    """(log sum exp(values), entropy of the pmf proportional to exp(values))
+    in one pass, the maximum shifted out; a maximum that is not finite (an
+    all-zero column) shifts by 0, and a zero sum gives (-inf, 0.0)."""
     m = max(values)
     if not math.isfinite(m):
         m = 0.0
-    s = _total(math.exp(v - m) for v in values)
-    return math.log(s) + m if s > 0 else -math.inf
+    s = u = 0.0
+    for v in values:
+        e = math.exp(v - m)
+        s += e
+        if e > 0.0:
+            u += e * (v - m)
+    if s <= 0.0:
+        return -math.inf, 0.0
+    return math.log(s) + m, math.log(s) - u / s
 
 
 def _powered(d: JointDistribution, rho: float) -> list:
@@ -218,52 +226,28 @@ def _powered(d: JointDistribution, rho: float) -> list:
     return [[v / (1.0 + rho) for v in row] for row in d._log_probs]
 
 
-_MEMO_SIZE = 1 << 15  # log-sums held before the memo is cleared
-_memo: dict = {}  # (rows, column) -> {rho: log-sum}
-_memo_size = 0
-
-
-def _clear_memo() -> None:
-    global _memo_size
-    _memo.clear()
-    _memo_size = 0
-
-
-def _log_sum(d: JointDistribution, rho: float, column: bool) -> float:
-    """log sum_{x,y} p^{1/(1+rho)}, or with `column` the E_{x|y} log-sum,
-    evaluated once per table and rho (module docstring)."""
-    global _memo_size
+def _log_sum(d: JointDistribution, rho: float, column: bool) -> tuple:
+    """(log sum_{x,y} p^{1/(1+rho)}, H(p^rho)), or with `column` the E_{x|y}
+    log-sum log sum_y D(y)^{1+rho} and H(bar p^rho_{x|y}): the entropies of
+    the columns of the tilt, weighted by e^((1+rho) log D(y) - log B)."""
     rho = _check_rho(rho)
-    key = (d.probs, column)
-    sums = _memo.get(key)
-    if sums is not None:
-        value = sums.get(rho)
-        if value is not None:
-            return value
-    if _memo_size >= _MEMO_SIZE:
-        _clear_memo()
-        sums = None
-    if sums is None:
-        sums = _memo[key] = {}
     a = _powered(d, rho)
-    if column:
-        # log D(y)^{1+rho} per column
-        value = _logsumexp([(1.0 + rho) * _logsumexp(col) for col in zip(*a)])
-    else:
-        value = _logsumexp(list(_flat(a)))
-    sums[rho] = value
-    _memo_size += 1
-    return value
+    if not column:
+        return _tilt(list(_flat(a)))
+    cols = [_tilt(col) for col in zip(*a)]  # (log D(y), H of column y)
+    la = [(1.0 + rho) * ld for ld, _ in cols]
+    lb = _tilt(la)[0]
+    return lb, _total(math.exp(v - lb) * h for v, (_, h) in zip(la, cols))
 
 
 def log_sum_tilted(d: JointDistribution, rho: float) -> float:
     """log sum_{x,y} p(x,y)^{1/(1+rho)}."""
-    return _log_sum(d, rho, False)
+    return _log_sum(d, rho, False)[0]
 
 
 def log_sum_xy_tilted(d: JointDistribution, rho: float) -> float:
     """log sum_y [ sum_x p(x,y)^{1/(1+rho)} ]^{1+rho}."""
-    return _log_sum(d, rho, True)
+    return _log_sum(d, rho, True)[0]
 
 
 def _normalized(d: JointDistribution, rows) -> JointDistribution:
@@ -276,7 +260,7 @@ def _normalized(d: JointDistribution, rows) -> JointDistribution:
 def tilted(p: JointDistribution, rho: float) -> JointDistribution:
     """Exponentially tilted joint: p(x,y)^{1/(1+rho)}, renormalized."""
     logp = _powered(p, _check_rho(rho))
-    logz = _logsumexp(list(_flat(logp)))
+    logz = _tilt(list(_flat(logp)))[0]
     return _normalized(p, [[math.exp(v - logz) for v in row] for row in logp])
 
 
@@ -290,9 +274,9 @@ def xy_tilted(p: JointDistribution, rho: float) -> JointDistribution:
     """
     rho = _check_rho(rho)
     logc = _powered(p, rho)
-    logd = [_logsumexp(col) for col in zip(*logc)]  # per-column normalizer
+    logd = [_tilt(col)[0] for col in zip(*logc)]  # per-column normalizer
     loga = [(1.0 + rho) * v for v in logd]
-    logb = _logsumexp(loga)
+    logb = _tilt(loga)[0]
     return _normalized(p, [
         [math.exp((la - logb) + (lc - ld)) if pv > 0 else 0.0
          for pv, lc, la, ld in zip(prow, crow, loga, logd)]

@@ -1,13 +1,13 @@
 """Brute-force oracles that the test suite checks the production routes against.
 
 Each one computes a quantity straight from its definition: the Gallager
-log-sums without a memo, the exponents by simplex-grid minimization and by
-the literal nested gamma x rho search, the two-encoder decoders by scoring
-every pair of the bin product.  Most are exponential in alphabet size or
-quadratic in bin size, so they live with the tests and never on a
-production path.  The single-stream ML and universal decoder oracles, point
-to point and with side information, and the exhaustive bin, stay in
-`swstream.verify`, whose `oracle` suite runs them.
+log-sums, the exponents by simplex-grid minimization, by golden-section
+search over rho and by the literal nested gamma x rho search, the
+two-encoder decoders by scoring every pair of the bin product.  Most are
+exponential in alphabet size or quadratic in bin size, so they live with the
+tests and never on a production path.  The single-stream ML and universal
+decoder oracles, point to point and with side information, and the
+exhaustive bin, stay in `swstream.verify`, whose `oracle` suite runs them.
 """
 
 import itertools
@@ -21,7 +21,6 @@ from swstream.exponents import (
     ExponentResult,
     RatePair,
     _check_unit,
-    _golden_max,
     e_x_gamma,
     e_y_gamma,
     gallager_x_given_y,
@@ -35,6 +34,32 @@ from swstream.info_core import (
 from swstream.verify import _first_near_max, _log_likelihood
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, a: float, b: float, tol: float = 1e-9):
+    """Maximize a unimodal f on [a, b]; returns (x*, f(x*)).
+
+    Endpoints are evaluated too, guarding flat or boundary-attained cases.
+    """
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    xm = 0.5 * (a + b)
+    candidates = [(f(xm), xm), (f(a), a), (f(b), b)]
+    best = max(candidates, key=lambda t: t[0])
+    return best[1], best[0]
+
+
 def e_ml_pointwise(d: JointDistribution, rates: RatePair, gamma: float, rho: float):
     """The compound bracket at fixed (gamma, rho), for both stream roles."""
     _check_unit("gamma", gamma)
@@ -45,11 +70,17 @@ def e_ml_pointwise(d: JointDistribution, rates: RatePair, gamma: float, rho: flo
     return ex, ey
 
 
+def e_x_gamma_golden(d: JointDistribution, rates: RatePair, gamma: float):
+    """(rho*, value) of sup over rho in [0, 1] of the compound x bracket, by
+    golden-section search on its values."""
+    return _golden_max(lambda rho: e_ml_pointwise(d, rates, gamma, rho)[0], 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # The Gallager log-sums from their definitions, with `math`, recomputed on
 # every call: log p^{1/(1+rho)} row by row, then a log-sum-exp adding its
-# terms left to right.  The memoized production log-sums do the same
-# operations in the same order, so they match bit for bit.
+# terms left to right.  The production log-sums do the same operations in
+# the same order, so they match bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -264,8 +295,9 @@ def block_lower_grid(d: JointDistribution, rates: RatePair, step: float = 0.01) 
 
 # ---------------------------------------------------------------------------
 # The gamma-infima computed literally, as nested searches: a 1/64 gamma grid
-# with golden refinement, and a full golden rho search at every gamma.  This
-# is the independent slow route that the minimax form of _sw_terms is tested
+# with golden refinement, and the full rho maximization of e_x_gamma at every
+# gamma (checked against a golden rho search on its own).  This is the
+# independent slow route that the minimax form of _sw_terms is tested
 # against.  The scaled searches stop at gamma = 1 - 1e-6, so within about
 # 1e-6 of the region boundary this route is the inexact one.
 # ---------------------------------------------------------------------------

@@ -322,7 +322,7 @@ class TestCriterion9Determinism:
                                                               monkeypatch):
         # 15 points over three ry values: the process pool runs (a curve this
         # short runs serially unless the cutoff is lowered), and each worker
-        # fills its own log-sum memo from a different share of them
+        # computes a different share of them
         monkeypatch.setattr(cli, "_POOL_POINTS", 8)
         src = tmp_path / "src.json"
         src.write_text(json.dumps({

@@ -28,7 +28,6 @@ from swstream.exponents import (
     gallager_xy,
     gallager_y_given_x,
 )
-from swstream import info_core
 from swstream.info_core import (
     JointDistribution,
     conditional_entropy_x_given_y,
@@ -41,6 +40,7 @@ from oracles import (
     _nested_sw_terms,
     block_lower_grid,
     e_ml_pointwise,
+    e_x_gamma_golden,
     gamma_universal_grid,
     pp_universal_grid,
     si_universal_grid,
@@ -313,6 +313,30 @@ def _region_margin(d, rates):
     )
 
 
+class TestClosedFormMaximizers:
+    """Each rho-maximizer is an end of [0, 1] or the root of the bracket's
+    closed-form slope."""
+
+    def test_e_x_gamma_matches_golden_search(self, example1, example2):
+        sources = [example1, example2, *random_corpus(2101, 4)]
+        rates = [RatePair(rx, ry) for rx in (0.3, 0.5, 0.8) for ry in (0.2, 0.6)]
+        for d in sources:
+            for r in rates:
+                for gamma in (0.0, 0.3, 0.7, 1.0):
+                    res = e_x_gamma(d, r, gamma)
+                    rho, value = e_x_gamma_golden(d, r, gamma)
+                    assert abs(res.value - max(value, 0.0)) <= 1e-12, (r, gamma)
+                    assert abs(res.rho_star - rho) <= 1e-7, (r, gamma)
+
+    def test_gamma_star_is_one_where_the_si_maximum_lies_under_e_xy(self, example2):
+        rates = RatePair(0.35, 0.7)
+        side = e_x_gamma(example2, rates, 1.0)
+        assert side.value < gallager_xy(example2, rates, side.rho_star)
+        gamma, value, rho = _sw_terms(example2, rates)["inf_ex"]
+        assert gamma == 1.0
+        assert (value, rho) == (side.value, side.rho_star)
+
+
 class TestMinimaxAgainstNestedSearch:
     def test_sw_terms_match_nested_search(self, example1, example2):
         cases = [
@@ -526,20 +550,3 @@ class TestCurveExport:
         assert float(bits[0]) == pytest.approx(float(nats[0]) / LOG2, rel=1e-9)
         # optimizer columns are never rescaled
         assert bits[3] == nats[3]
-
-    @pytest.mark.parametrize("probs, ry_grid", [
-        ([[0.1, 0.05], [0.05, 0.8]], (0.35, 0.49)),
-        ([[0.3, 0.0], [0.1, 0.25], [0.05, 0.3]], (0.3, 0.6)),
-    ], ids=["example2", "3x2"])
-    def test_rows_do_not_depend_on_the_log_sum_memo(self, probs, ry_grid):
-        d = JointDistribution.from_matrix(probs)
-        points = [RatePair(rx, ry) for ry in ry_grid for rx in (0.3, 0.5, 0.7, 0.9)]
-        cold = []
-        for rates in points:
-            info_core._clear_memo()
-            cold.append(curve_row(d, rates))
-        # a neighbouring grid fills the memo, then the points run in reverse
-        for rates in points:
-            curve_row(d, RatePair(rates.rx + 0.01, rates.ry))
-        warm = [curve_row(d, rates) for rates in reversed(points)][::-1]
-        assert repr(warm) == repr(cold)

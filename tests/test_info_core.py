@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from swstream import codec, info_core
+from swstream import codec
 from swstream.codec import _window_counts, weighted_suffix_entropy
 from swstream.info_core import (
     JointDistribution,
+    _log_sum,
     conditional_entropy_x_given_y,
     conditional_entropy_y_given_x,
     entropy,
@@ -235,7 +236,7 @@ TABLE_3X2 = [[0.3, 0.0], [0.1, 0.25], [0.05, 0.3]]
 
 
 class TestMemoizedLogSums:
-    """The memoized Gallager log-sums against their definitions, bit for bit."""
+    """The Gallager log-sums against their definitions, bit for bit."""
 
     @pytest.fixture
     def sources(self, example1, example2):
@@ -255,8 +256,7 @@ class TestMemoizedLogSums:
     def test_bit_identical_to_definition(self, sources, fn, oracle):
         rng = np.random.default_rng(15)
         rhos = [0.0, 1.0, 2.0 ** 64, *rng.random(1000)]
-        info_core._clear_memo()
-        for _ in range(2):  # every evaluation a miss, then every one a hit
+        for _ in range(2):  # a second evaluation gives the same floats
             for rho in rhos:
                 for name, d in sources.items():
                     assert fn(d, rho).hex() == oracle(d, rho).hex(), (name, rho)
@@ -272,25 +272,39 @@ class TestMemoizedLogSums:
         rhos = np.random.default_rng(0).random(5000)
         values = []
         for d in (swapped, reloaded):
-            info_core._clear_memo()
             values.append([fn(d, rho).hex() for rho in rhos])
-        info_core._clear_memo()
         assert values[0] == values[1]
-
-    def test_memo_is_cleared_when_full(self, monkeypatch, example2):
-        monkeypatch.setattr(info_core, "_MEMO_SIZE", 8)
-        info_core._clear_memo()
-        rhos = np.linspace(0.0, 1.0, 21)
-        for rho in [*rhos, *rhos]:
-            assert log_sum_tilted(example2, rho) == log_sum_tilted_oracle(example2, rho)
-            assert info_core._memo_size <= 8
-        info_core._clear_memo()
 
     def test_rejects_rho_at_or_below_minus_one(self, example2):
         with pytest.raises(ValueError):
             log_sum_xy_tilted(example2, -1.0)
         with pytest.raises(ValueError):
             log_sum_tilted(example2, -1.5)
+
+
+class TestOnePassEntropies:
+    """The tilted entropies that `_log_sum` returns with each log-sum against
+    the entropies of the tilted families it stands for."""
+
+    @pytest.fixture(params=range(8))
+    def source(self, request):
+        # zero entries, and an all-zero column in every other table
+        rng = np.random.default_rng(2100 + request.param)
+        ax, ay = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        p = rng.random((ax, ay)) * (rng.random((ax, ay)) < 0.7)
+        p[-1, -1] += 0.1
+        if request.param % 2:
+            p[:, 0] = 0.0
+        return JointDistribution.from_matrix((p / p.sum()).tolist())
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0, 5.0])
+    def test_equal_the_entropies_of_the_tilts(self, source, rho):
+        value, h = _log_sum(source, rho, False)
+        assert value == log_sum_tilted(source, rho)
+        assert abs(h - entropy(tilted(source, rho))) <= 1e-12
+        value, h = _log_sum(source, rho, True)
+        assert value == log_sum_xy_tilted(source, rho)
+        assert abs(h - conditional_entropy_x_given_y(xy_tilted(source, rho))) <= 1e-12
 
 
 RHO_GRID = np.concatenate([np.linspace(-0.9, -0.05, 8), np.linspace(0.0, 10.0, 21)])
