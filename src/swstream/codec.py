@@ -70,7 +70,6 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -122,9 +121,9 @@ _LANE_BUDGET = 2 ** 12
 # the two-encoder score pass takes whole trials' bin products in groups of
 # at most this many pairs (or one trial), and a group's cells in blocks of at
 # most this many times n + 1.  On the mc-sw-universal config (seeds 0 and 1)
-# the job's peak RSS (VmHWM) read 36.8-36.9 MB at 2 ** 9, against 36.7-36.9 MB
-# for the O(P^2) pass this replaced, 36.6-36.7 MB at 2 ** 8, whose smaller
-# groups cost more time, and 37.5-38.1 MB at 2 ** 10
+# the job's peak RSS (VmHWM) read 36.7-36.9 MB at 2 ** 9, against 36.6-36.9 MB
+# for the sibling-slot pass this replaced, 36.1-36.3 MB at 2 ** 8, whose
+# smaller groups cost more time, and 37.7-38.1 MB at 2 ** 10
 _PAIR_BUDGET = 2 ** 9
 # ML log-likelihoods within _ML_TIE * (n + |score|) of each other tie: a
 # lane's score sums at most |A||Y| rounded terms c log p, each off by about
@@ -405,27 +404,16 @@ def chunk_trials(n: int, streams) -> int:
 
 
 @functools.lru_cache(maxsize=32)
-def _lane_tables(n: int) -> SimpleNamespace:
-    """The tables of the lane entropies of horizon n, built on first use and
-    shared read-only.  terms: at t * (n + 1) + c, the term (c / t) log(t / c)
-    of a count c among t symbols, 0.0 for c = 0; w1 and w2: per cell (l, k),
-    row-major, the weights of its two windows (see `_weighted_entropies`)."""
+def _terms(n: int) -> np.ndarray:
+    """The term table of the lane entropies of horizon n, built on first use
+    and shared read-only: at t * (n + 1) + c, the term (c / t) log(t / c) of
+    a count c among t symbols, 0.0 for c = 0."""
     terms = np.zeros((n + 1) ** 2)
     for t in range(1, n + 1):
         for c in range(1, t + 1):
             terms[t * (n + 1) + c] = (c / t) * math.log(t / c)
-    weights = []
-    for l in range(1, n + 2):
-        for k in range(1, n + 2):
-            a, b = min(l, k), max(l, k)
-            span = n + 1 - a
-            # the diagonal, (n + 1, n + 1) too, is the joint suffix alone
-            weights.append((0.0, 1.0) if l == k else ((b - a) / span, (n + 1 - b) / span))
-    w1, w2 = np.array(weights).T
-    tables = dict(terms=terms, w1=w1, w2=w2)
-    for table in tables.values():
-        table.flags.writeable = False
-    return SimpleNamespace(**tables)
+    terms.flags.writeable = False
+    return terms
 
 
 def _entropies_of(counts, total, n: int) -> np.ndarray:
@@ -443,7 +431,7 @@ def _entropies_of(counts, total, n: int) -> np.ndarray:
             counts[c] = low
     # added left to right from 0.0, as entropy_of_counts adds them; a zero
     # count adds an exact 0.0
-    terms = _lane_tables(n).terms
+    terms = _terms(n)
     row = np.asarray(total) * (n + 1)
     h = np.zeros(counts.shape[1:])
     index = np.empty(h.shape, np.intp)
@@ -513,20 +501,19 @@ def _weighted_entropies(joint, streams, n: int, lane, other, l, k) -> np.ndarray
     of the pairs' joint symbols (`_window_counts`), lane the pair's lane
     there; streams those of their x and y lanes, other the lane there of
     the stream that is not disputed on the first window (the y lane when
-    l < k, else the x lane; either on the diagonal).  With a = min(l, k)
-    and b = max(l, k) these are the operations of the definition, in its
-    order: the joint entropy of [a - 1, b - 1) less other's, times w1, plus
-    the joint entropy of [b - 1, n) times w2.  The first window is empty on
-    the diagonal and the second past the end, which adds an exact 0.0 times
-    its weight."""
-    t = _lane_tables(n)
+    l < k, else the x lane; either on the diagonal).  With a = min(l, k) - 1
+    and b = max(l, k) - 1 these are the operations of the definition, in
+    its order: the joint entropy of [a, b) less other's, times (b - a) /
+    (n - a), plus the joint entropy of [b, n) times (n - b) / (n - a).  An
+    empty window (the first on the diagonal, both at (n + 1, n + 1), where
+    the span n - a is taken as 1) adds an exact 0.0 times its weight."""
     a, b = np.minimum(l, k) - 1, np.maximum(l, k) - 1
-    cell = (np.asarray(l) - 1) * (n + 1) + k - 1
+    span = np.maximum(n - a, 1)
     h = joint(lane, a, b)
     h -= streams(other, a, b)
-    h *= t.w1[cell]
+    h *= (b - a) / span
     second = joint(lane, b, n)
-    second *= t.w2[cell]
+    second *= (n - b) / span
     h += second
     return h
 
@@ -655,56 +642,54 @@ def _ragged(sizes):
 
 
 def _nodes(trial, prefixes):
-    """The node tables of a group's lanes, each trial's in order, with one
-    column per depth l = 1, ..., n + 1 of a cell.  A lane's depth-l node
-    is its trial's lanes that share its first l symbols, and its lane
-    alone at n + 1.  live: whether the lane has a sibling at depth l, a
-    lane of its trial that shares its first l - 1 symbols and not its l-th
-    (always, at n + 1, where the rival is the lane itself); kid: the first
-    lane of its depth-l node; sibs: one row per slot, the first lanes of
-    the other depth-l nodes under its depth-(l - 1) node, in order and -1
-    past the last (the lane itself, at n + 1)."""
+    """The prefix trees of a group's lanes, each trial's in order.  A lane's
+    depth-j node is its trial's lanes that share its first j symbols, the
+    lane alone at j = n.  first[lane, j], j = 0, ..., n: the first lane of
+    the lane's depth-j node; live[lane, l - 1], l = 1, ..., n + 1: whether
+    its depth-l node is smaller than its depth-(l - 1) node, that is
+    whether a lane of its trial shares its first l - 1 symbols and not its
+    l-th (always, at n + 1, where the rival is the lane itself)."""
     count, n = prefixes.shape
     lane = np.arange(count)
     # the position where each lane first differs from its predecessor, and
     # -1 at a trial's first lane
     differ = np.c_[prefixes[1:] != prefixes[:-1], np.ones(max(count - 1, 0), bool)]
     d = np.r_[-1, np.where(trial[1:] == trial[:-1], differ.argmax(axis=1), -1)][:count]
-    # whether a lane starts a node of prefix length j = 0, ..., n, the first
-    # lane of its node and the lane after the node's last (count past the end)
-    new = d[:, None] < np.arange(n + 1)
-    first = np.maximum.accumulate(np.where(new, lane[:, None], 0), axis=0)
-    after = np.full((count + 1, n + 1), count)
-    after[:-1] = np.where(np.r_[new[1:], np.ones((1, n + 1), bool)], lane[:, None] + 1, count)
-    after[:-1] = np.minimum.accumulate(after[-2::-1], axis=0)[::-1]
-    kid, parent_end = first[:, 1:], after[:-1, :-1]
-    live = np.c_[(first[:, :-1] != kid) | (parent_end != after[:-1, 1:]), np.ones(count, bool)]
-    # the depth-l nodes under a depth-(l - 1) node, in order: the node of
-    # its first lane, then the node of the lane after each one's last
-    depth = np.arange(1, n + 1)
-    child = first[:, :-1]
-    sibs = []
-    while True:
-        following = after[child, depth]
-        sib = np.where(child < kid, child, following)
-        if not (sib < parent_end).any():
-            break
-        sibs.append(np.where(sib < parent_end, sib, -1))
-        child = following
-    slots = np.full((max(len(sibs), 1), count, n + 1), -1)
-    if sibs:
-        slots[:len(sibs), :, :n] = sibs
-    slots[0, :, n] = lane
-    return live, np.c_[kid, lane], slots
+    # a lane starts a node of prefix length j when it differs from its
+    # predecessor before position j
+    first = np.maximum.accumulate(np.where(d[:, None] < np.arange(n + 1), lane[:, None], 0),
+                                  axis=0)
+    # the size of each lane's node at each depth, nodes keyed by depth and
+    # first lane
+    node = first + count * np.arange(n + 1)
+    size = np.bincount(node.ravel(), minlength=node.size)[node]
+    return first, np.c_[size[:, 1:] < size[:, :-1], np.ones(count, bool)]
+
+
+def _child_ranks(first):
+    """Per lane and cell depth l = 1, ..., n + 1, lane-major, from `_nodes`'
+    first: the lane's distance past the first lane of its parent, its
+    depth-(l - 1) node, and in row d of slots rows (r + d) % slots, with r
+    the rank of its depth-l node among the parent's children (0 at n + 1,
+    where every row reads r) and slots the most children of a node, at
+    least two."""
+    lane = np.arange(len(first))[:, None]
+    starts = np.cumsum(first == lane, axis=0)[:, 1:]
+    rank = np.c_[starts - np.take_along_axis(starts, first[:, :-1], axis=0),
+                 np.zeros(len(first), np.intp)]
+    slots = max(int(rank.max(initial=0)) + 1, 2)
+    shift = np.arange(slots)[:, None, None] * (np.arange(rank.shape[1]) < rank.shape[1] - 1)
+    return (lane - first).ravel(), ((rank + shift) % slots).reshape(slots, -1)
 
 
 def _group_scores(trial_x, px, trial_y, py, trials: int):
     """The score pass over the bin products of a group of trials; see
     `_sw_scores`, which splits a chunk into such groups.  It computes
     weighted suffix entropies only at the live cells, where both lanes have
-    siblings, takes the least value under each (x node, y node) of a cell
-    with one `np.minimum.at`, and reads each pair's rival minimum off its
-    sibling node pairs.  The depths l go in blocks of at most `_PAIR_BUDGET`
+    rivals.  One `np.minimum.at` takes the least value under each pair of
+    children of each parent node pair of a cell, into one slot per pair of
+    child ranks, and each pair reads its rival minimum off the slots of the
+    other children.  The depths l go in blocks of at most `_PAIR_BUDGET`
     times n + 1 cells (or one depth)."""
     n = px.shape[1]
     side = n + 1
@@ -715,28 +700,22 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
     start_x, start_y = np.cumsum(size_x) - size_x, np.cumsum(size_y) - size_y
     pair_x = start_x[trial] + own // size_y[trial]
     pair_y = start_y[trial] + own % size_y[trial]
-    live_x, kid_x, sibs_x = _nodes(trial_x, px)
-    live_y, kid_y, sibs_y = _nodes(trial_y, py)
+    first_x, live_x = _nodes(trial_x, px)
+    first_y, live_y = _nodes(trial_y, py)
     joint = _window_counts(px[pair_x].astype(np.uint16) << 8 | py[pair_y])
     streams = _window_counts(np.r_[px, py])
+    past_x, rank_x = _child_ranks(first_x)
+    past_y, rank_y = _child_ranks(first_y)
+    slots_x, slots_y = len(rank_x), len(rank_y)
     # the cells in order of l, pair and k: count[l - 1, pair] at depth l,
     # one per live depth k of the pair's y lane (n + 1 last), but not
     # (n + 1, n + 1), which is the pair itself
     depth_y = np.nonzero(live_y)[1] + 1
     cells = live_y.sum(axis=1)
-    first_y = np.cumsum(cells) - cells
+    first_k = np.cumsum(cells) - cells
     count = live_x[pair_x].T * cells[pair_y]
     count[-1] -= 1
-    # an x lane's pairs are consecutive: at depth l, the cells of its pair
-    # with y lane j start at row[l - 1, x lane] + before[j], less ahead[j]
-    # at n + 1, with before[j] and ahead[j] the cells and the y lanes of
-    # j's trial before j
-    ahead = np.arange(len(trial_y)) - start_y[trial_y]
-    before = first_y - first_y[start_y[trial_y]]
-    width = live_x.T * np.bincount(trial_y, cells, trials).astype(np.intp)[trial_x]
-    width[-1] -= size_y[trial_x]
-    row = (np.cumsum(width) - width.ravel()).reshape(side, -1)
-    totals = width.sum(axis=1)
+    totals = count.sum(axis=1)
     reach = np.cumsum(totals)
     i_x = np.full(len(trial), side)
     i_y = np.full(len(trial), side)
@@ -744,41 +723,33 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
     while l0 < side and len(trial):
         done = reach[l0] - totals[l0]
         l1 = max(int(np.searchsorted(reach, done + _PAIR_BUDGET * side, "right")), l0 + 1)
-        # the block's (l, pair) with cells, where the cells of the pairs of
-        # its x lane's node and of its sibling nodes' start (-1 past the
-        # last sibling), then the cells themselves
-        at = np.flatnonzero(count[l0:l1])
+        # the block's (l, pair) with cells, whose cells start at begin; the
+        # (l, pair) of the first lane of the x lane's parent node with the
+        # same y lane, and the x lane's child ranks, its own in row 0
+        block = count[l0:l1].ravel()
+        begin = np.cumsum(block) - block
+        at = np.flatnonzero(block)
         l, pair = np.divmod(at, len(trial))
         l += l0 + 1
-        x = pair_x[pair]
-        kid = row[l - 1, kid_x[x, l - 1]] - done
-        sibs = [np.where(sib >= 0, row[l - 1, sib] - done, -1) for sib in sibs_x[:, x, l - 1]]
-        segment, offset = _ragged(count[l0:l1].ravel()[at])
+        at_x = pair_x[pair] * side + l - 1
+        parent = at - past_x[at_x] * size_y[trial[pair]]
+        a = np.take(rank_x, at_x, axis=1)
+        # then the cells themselves, the rank-th of their (l, pair).  Their
+        # slots sit at the cell (l, k) of the pair of the two parent nodes'
+        # first lanes, which is live there too, with k of the same rank
+        segment, rank = _ragged(block[at])
         l0 = l1
-        l, pair, x, kid = l[segment], pair[segment], x[segment], kid[segment]
+        l, pair, parent, a = (np.take(v, segment, axis=-1) for v in (l, pair, parent, a))
         y = pair_y[pair]
-        k = depth_y[first_y[y] + offset]
-        last = l == side
-
-        def cell(start, lane_y):
-            """The cell (l, k) of the pair whose x node's cells start at
-            start, with y lane lane_y: k has the same rank among its live
-            depths as among y's."""
-            return start + before[lane_y] - last * ahead[lane_y] + offset
-
-        value = _weighted_entropies(joint, streams, n, pair, np.where(l < k, len(px) + y, x),
-                                    l, k)
-        least = np.full(len(pair), np.inf)
-        np.minimum.at(least, cell(kid, kid_y[y, k - 1]), value)
-        rival = np.full(len(pair), np.inf)
-        for sib in sibs:
-            sib = sib[segment]
-            for sib_y in sibs_y[:, y, k - 1]:
-                # an empty slot reads the pair's own cell, and is not taken
-                valid = (sib >= 0) & (sib_y >= 0)
-                there = least[np.where(valid, cell(sib, sib_y), np.arange(len(pair)))]
-                np.minimum(rival, there, out=rival, where=valid)
-        mark = rival <= value
+        k = depth_y[first_k[y] + rank]
+        at_y = y * side + k - 1
+        cell = (begin[parent - past_y[at_y]] + rank) * (slots_x * slots_y)
+        value = _weighted_entropies(joint, streams, n, pair,
+                                    np.where(l < k, len(px) + y, pair_x[pair]), l, k)
+        b = np.take(rank_y, at_y, axis=1)
+        least = np.full(len(pair) * slots_x * slots_y, np.inf)
+        np.minimum.at(least, cell + a[0] * slots_y + b[0], value)
+        mark = least[cell + a[1:, None] * slots_y + b[1:]].min(axis=(0, 1)) <= value
         np.minimum.at(i_x, pair[mark], l[mark] - 1)
         np.minimum.at(i_y, pair[mark], k[mark] - 1)
     return pair_x, pair_y, i_x, i_y
@@ -789,10 +760,10 @@ def _sw_scores(trial_x, px, trial_y, py, trials: int):
     pair's scores i_x, i_y are one less than the smallest l and k of the
     cells (l, k) it marks: those where a rival pair first diverging there
     has weighted suffix entropy <= the pair's own (a tie marks; no mark
-    scores n + 1).  The rivals at (l, k) are the pairs under the siblings of
-    the x lane's depth-l node and of the y lane's depth-k node in the
-    trial's prefix trees (`_nodes`), so a cell marks when the least value
-    under some sibling node pair is at most the pair's own.  Returns each
+    scores n + 1).  The rivals at (l, k) are the pairs under the x lane's
+    depth-(l - 1) node and the y lane's depth-(k - 1) node in the trial's
+    prefix trees (`_nodes`) with another l-th x and k-th y symbol (the
+    pair's own x lane at l = n + 1, y lane at k = n + 1).  Returns each
     pair's x and y lanes, each trial's product in a-major order, and its
     scores i_x and i_y; a trial without lanes in both bins has no pairs.
     The trials go in groups of whole trials, as many as the pair budget

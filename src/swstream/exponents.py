@@ -122,15 +122,14 @@ class ExponentResult:
     in_region: bool = True
 
 
-def _root(f, lo: float, hi: float) -> float:
-    """A root of f in [lo, hi] (0 <= lo < hi, f(lo) and f(hi) of opposite
-    signs), to within _ROOT_TOL + 4*eps*hi.
+def _root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """A root of f in [lo, hi] (0 <= lo < hi, flo = f(lo) and fhi = f(hi)
+    of opposite signs), to within _ROOT_TOL + 4*eps*hi.
 
     Regula falsi with the Illinois step: an end kept twice in a row has its f
     halved, so both ends close in.  A secant point that rounding puts outside
     the open bracket is replaced by the midpoint.
     """
-    flo, fhi = f(lo), f(hi)
     if fhi == 0.0:
         return hi
     x, fx, side = lo, flo, 0
@@ -153,11 +152,13 @@ def _root(f, lo: float, hi: float) -> float:
 def _argmax(slope, lo: float, hi: float) -> float:
     """The maximizer on [lo, hi] of a concave function with derivative
     `slope`: an end where the slope points outward, else its root."""
-    if slope(lo) <= 0.0:
+    flo = slope(lo)
+    if flo <= 0.0:
         return lo
-    if slope(hi) >= 0.0:
+    fhi = slope(hi)
+    if fhi >= 0.0:
         return hi
-    return _root(slope, lo, hi)
+    return _root(slope, lo, hi, flo, fhi)
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -259,7 +260,8 @@ def e_un_x_gamma(d: JointDistribution, rates: RatePair, gamma: float) -> Exponen
     if rg >= h1:
         return ExponentResult(divergence(tilts1) + (rg - h1), 1.0, gamma_star=gamma)
     # the root reads the entropies only; the divergence is taken once, at it
-    rho = _root(lambda r: _mixed_tilt_stats(d, r, gamma)[0] - rg, 0.0, 1.0)
+    f = lambda r: _mixed_tilt_stats(d, r, gamma)[0] - rg
+    rho = _root(f, 0.0, 1.0, f(0.0), h1 - rg)
     return ExponentResult(divergence(_mixed_tilt_stats(d, rho, gamma)[1]), rho,
                           gamma_star=gamma)
 
@@ -287,7 +289,9 @@ def _inf_unscaled(d: JointDistribution, rates: RatePair, a, b):
         return 1.0, a.value, a.rho_star
     if b.value <= ea(b.rho_star):
         return 0.0, b.value, b.rho_star
-    rho = _root(lambda r: ea(r) - eb(r), *sorted((a.rho_star, b.rho_star)))
+    lo, hi = sorted((a.rho_star, b.rho_star))
+    f = lambda r: ea(r) - eb(r)
+    rho = _root(f, lo, hi, f(lo), f(hi))
     da, db = _slope(d, rates, 1.0, rho), _slope(d, rates, 0.0, rho)
     return min(max(db / (db - da), 0.0), 1.0), min(ea(rho), eb(rho)), rho
 
@@ -296,9 +300,10 @@ def _inf_scaled(d: JointDistribution, rates: RatePair, a, b):
     """(gamma*, value, rho*) of max E_xy on [0, rho0], rho0 the positive root
     of E_{x|y}, from the maxima a of E_{x|y} and b of E_xy."""
     ea = lambda r: gallager_x_given_y(d, rates.rx, r)
-    if ea(1.0) < 0.0:
+    e1 = ea(1.0)
+    if e1 < 0.0:
         # E_{x|y} is concave and 0 at 0: its positive root lies above rho_A
-        rho0 = _root(ea, a.rho_star, 1.0)
+        rho0 = _root(ea, a.rho_star, 1.0, ea(a.rho_star), e1)
         db = _slope(d, rates, 0.0, rho0)
         if db > 0.0:  # the constraint binds; its multiplier is gamma*/(1-gamma*)
             t = db / -_slope(d, rates, 1.0, rho0)
@@ -435,10 +440,11 @@ def _min_div_above(d: JointDistribution, family, stat, rate: float) -> float:
     if rate >= stat(family(d, _RHO_INF)):
         return math.inf
     gap = lambda r: stat(family(d, r)) - rate
-    hi = 1.0
-    while gap(hi) < 0.0:
+    hi, ghi = 1.0, gap(1.0)
+    while ghi < 0.0:
         hi *= 2.0
-    rho = _root(gap, 0.0, hi)
+        ghi = gap(hi)
+    rho = _root(gap, 0.0, hi, gap(0.0), ghi)
     return kl_divergence(family(d, rho), d)
 
 

@@ -852,6 +852,26 @@ class TestScorePass:
         assert {x[1] for x in xs if x[0] == 1} == {0, 1, 2}
         self._check([(xs, ys)], 3)
 
+    @pytest.mark.parametrize("xs, ys, scores", [
+        ((b"\x00\x00\x00\x00",), (b"\x00\x00\x00\x00", b"\x00\x00\x01\x01"), [(4, 2), (4, 2)]),
+        ((b"\x00\x00\x00\x00", b"\x00\x01\x00\x00"), (b"\x00\x00\x00\x00",), [(5, 5), (1, 4)]),
+    ], ids=["x-one-symbol", "y-one-symbol"])
+    def test_bin_of_one_symbol(self, xs, ys, scores):
+        # every lane of one bin holds the symbol 0 only, so no node of that
+        # bin has two children; at n + 1 a pair's rivals in that stream are
+        # under its own lane, whose slot it still reads
+        assert [_oracle_scores(pair, xs, ys, 4) for pair in itertools.product(xs, ys)] == scores
+        self._check([(xs, ys)], 4)
+
+    def test_slots_follow_children_not_symbol_values(self):
+        # bins over the symbols 0 and 255: no node has more than two
+        # children, so a cell has 2 x 2 slots, not 256 x 256
+        xs = (b"\x00\x00\xff", b"\x00\xff\x00", b"\xff\x00\x00")
+        ys = (b"\x00\xff\xff", b"\xff\xff\x00")
+        first, _ = codec._nodes(np.zeros(len(xs), np.intp), np.array([list(x) for x in xs]))
+        assert len(codec._child_ranks(first)[1]) == 2
+        self._check([(xs, ys)], 3)
+
     def test_trial_over_the_pair_budget(self, monkeypatch):
         # a trial of more pairs than the budget is a group of its own, and
         # its depths go in several blocks

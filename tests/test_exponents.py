@@ -81,7 +81,7 @@ class TestRoot:
         (lambda r: r, 1.0, 0.0),
     ])
     def test_finds_a_bracketed_root(self, f, hi, root):
-        assert _root(f, 0.0, hi) == pytest.approx(root, rel=1e-14, abs=1e-13)
+        assert _root(f, 0.0, hi, f(0.0), f(hi)) == pytest.approx(root, rel=1e-14, abs=1e-13)
 
 
 class TestGallagerBrackets:
