@@ -11,8 +11,8 @@ the stream id computed once per stream, and a prefix extended by symbol a
 has state mix(s + (a + 1) * phi).  A prefix's b parity bits at its step are
 the top b bits of its own state, MSB first, so each prefix has one random
 label, as in the paper's sequential random binning, and a step emits at
-most 64 bits.  The same `_mix` runs on Python ints (the step-wise API) and
-on uint64 arrays (the lanes, which key a whole chunk of trials at once).
+most 64 bits.  `_mix` runs on Python ints (the step-wise API, and the
+oracle of `_mix_lanes`, which mixes the lanes' uint64 arrays in place).
 
 Sequences and prefixes are byte strings (one byte per symbol); byte strings
 compare lexicographically, which is the tie-break order used everywhere.
@@ -35,12 +35,15 @@ y = 0^n, with the x-marginal as an |X| x 1 table.  Every pair then reads
 so the first maximizer is the lexicographically smallest.
 
 The Monte Carlo harness replays the bins of a chunk of trials at once
-(`replay_bins`), whose lanes are in order, so `first_errors` decodes them
-as they are.  `candidate_set_for` is the one-trial case of `replay_bins`,
-and `initial_candidates`/`encode_step`/`update_candidates` remain the
-step-wise API.  The harness sizes a chunk by the closed-form mean bin size
-(`expected_bin_size`) against a lane budget of its own (`chunk_trials`),
-which bounds its memory; the decoders' blocks have a smaller one.
+(`replay_bins`: its encoder hashes each trial's own prefix, and its lanes
+keep back-pointers, from which their prefixes are built once), whose lanes
+are in order, so `first_errors` decodes them as they are; lane rows are
+gathered with `np.take(..., axis=0)`.  `candidate_set_for` is the one-trial
+case of `replay_bins`, and `initial_candidates`/`encode_step`/
+`update_candidates` remain the step-wise API.  The harness sizes a chunk by
+the closed-form mean bin size (`expected_bin_size`) against a lane budget
+of its own (`chunk_trials`), which bounds its memory; the decoders' blocks
+have a smaller one.
 
 Every empirical entropy the decoders read comes from one lane entropy
 engine, which adds its terms as `info_core.entropy_of_counts` does: left to
@@ -192,6 +195,16 @@ def _mix(z):
     return z ^ (z >> 31)
 
 
+def _mix_lanes(z):
+    """`_mix` on a uint64 array, in place and unmasked: the array's
+    arithmetic wraps mod 2^64.  Returns z."""
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= factor
+    z ^= z >> 31
+    return z
+
+
 @functools.cache
 def _stream_word(stream_id: str) -> int:
     """The stream's key word: an 8-byte BLAKE2b of the stream id."""
@@ -328,18 +341,18 @@ class Bins:
 def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
                 alphabet: int, cap: int = DEFAULT_CANDIDATE_CAP,
                 live=None) -> Bins:
-    """Encode each row of seqs (trials x n symbols) under its trial's seed
-    (see `_seed_words`) and replay the decoder-side bins of all of them at
-    once, as flat lanes, one per bin member, each carrying its prefix's
-    chain state.  A step chains every surviving parent's state with every
-    symbol once and keeps the children whose top bits equal the true
-    child's; the true path always survives, so the true lane supplies the
-    received bits and the encoder costs no hash of its own.  Children are
-    kept in parent-then-symbol order, so each trial's lanes are contiguous
-    and in lexicographic order.  A trial whose bin exceeds the cap at a step
-    is dropped there and the step recorded.  Only the trials the boolean
-    mask `live` selects are replayed; the others end with no lanes and
-    overflow 0."""
+    """Encode each row of seqs (trials x n symbols) under its trial's seed (see
+    `_seed_words`) and replay the decoder-side bins of all of them at once, as
+    flat lanes, one per bin member, each carrying its prefix's chain state.  At
+    each step the encoder chains each trial's true prefix and sends its top
+    bits, and each lane's children, built a symbol column at a time and mixed
+    in place (`_mix_lanes`), stay where their top bits equal the sent ones,
+    keeping their parent lane and symbol.  Children are kept in
+    parent-then-symbol order, so each trial's lanes are contiguous and in
+    lexicographic order; the prefixes are built once, back from the final
+    lanes.  A trial whose bin exceeds the cap at a step leaves the lanes and
+    the encoder there, its step recorded.  Only the trials the boolean mask
+    `live` selects are replayed; the others end with no lanes and overflow 0."""
     if not (2 <= alphabet <= 256):
         raise ValueError("alphabet must be in [2, 256]")
     seqs = np.asarray(seqs, dtype=np.uint8)
@@ -348,32 +361,40 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
         raise ValueError("sequence symbol outside the alphabet")
     trial = np.arange(trials) if live is None else np.flatnonzero(live)
     state = _stream_key(_seed_words(seeds), stream_id)[trial]
-    prefixes = np.zeros((len(trial), n), np.uint8)
-    true = np.ones(len(trial), bool)
-    overflow = np.zeros(trials, np.int64)
-    symbols = np.arange(alphabet, dtype=np.uint64)
+    steps = np.arange(1, alphabet + 1, dtype=np.uint64) * _GOLDEN
+    # the encoder: its trials, their true prefixes' states, their symbols' increments
+    sent, encoder = trial, state.copy()
+    increment = np.take(steps, np.take(seqs, trial, axis=0).T)
+    target, overflow, links = np.zeros(trials, np.uint64), np.zeros(trials, np.int64), []
     for j in range(1, n + 1):
-        child = _chain(state[:, None], symbols)
         # numpy shifts a uint64 by 64 to 0: a 0-bit step keeps every child
-        label = child >> (64 - schedule.bits_at(j))
-        # the received bits: the true child's label
-        target = np.zeros(trials, np.uint64)
-        truth = np.flatnonzero(true)
-        target[trial[truth]] = label[truth, seqs[trial[truth], j - 1]]
-        keep = np.flatnonzero(label == target[trial][:, None])
-        parent, symbol = np.divmod(keep, alphabet)
-        trial = trial[parent]
-        state = child.ravel()[keep]
-        prefixes = prefixes[parent]
-        prefixes[:, j - 1] = symbol
-        true = true[parent] & (symbol == seqs[trial, j - 1])
+        shift = 64 - schedule.bits_at(j)
+        encoder += increment[j - 1]
+        target[sent] = _mix_lanes(encoder) >> shift
+        want = np.take(target, trial)
+        child = np.empty((alphabet, len(trial)), np.uint64)
+        match = np.empty((len(trial), alphabet), bool)
+        for a in range(alphabet):
+            _mix_lanes(np.add(state, steps[a], out=child[a]))
+            np.equal(child[a] >> shift, want, out=match[:, a])
+        keep = np.flatnonzero(match)
+        parent = keep // alphabet
+        symbol = keep - parent * alphabet
+        state = np.take(child, symbol * len(trial) + parent)
+        trial = np.take(trial, parent)
         # no trial can hold more lanes than the whole chunk
         if len(trial) > cap:
             over = np.bincount(trial, minlength=trials) > cap
             overflow[over] = j
-            alive = ~over[trial]
-            trial, state, prefixes, true = (trial[alive], state[alive],
-                                            prefixes[alive], true[alive])
+            alive, sending = ~over[trial], ~over[sent]
+            trial, state, parent, symbol = (v[alive] for v in (trial, state, parent, symbol))
+            sent, encoder, increment = sent[sending], encoder[sending], increment[:, sending]
+        links.append((parent, symbol))
+    prefixes = np.empty((len(trial), n), np.uint8)
+    lane = np.arange(len(trial))
+    for j, (parent, symbol) in reversed(list(enumerate(links))):
+        prefixes[:, j] = np.take(symbol, lane)
+        lane = np.take(parent, lane)
     return Bins(trial=trial, prefixes=prefixes, overflow=overflow)
 
 
@@ -570,7 +591,7 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
     score within `_ML_TIE` * (n + |score|) of the maximum ties with it too,
     since equal likelihoods can differ in their last bits (two joint types
     of an independent source do).  A lane symbol outside the table is a
-    ValueError.  One bincount counts a block's joint symbols, pair by pair.
+    ValueError.  One bincount counts a block's symbols, a column per symbol.
     The pairs go in blocks of `_LANE_BUDGET`, which bounds the memory of a
     large product; a block that starts inside a trial's product is led by
     that trial's winner so far, which precedes its pairs there, so the first
@@ -589,7 +610,7 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
         a, b = np.divmod(pair - (ends - pairs)[trial], size_y[trial])
         return trial, start_x[trial] + a, start_y[trial] + b
 
-    logs = np.array([math.log(p) if p > 0 else -math.inf for p in probs.ravel().tolist()])
+    logs = [math.log(p) if p > 0 else -math.inf for p in probs.ravel().tolist()]
     symbols = len(logs)
     block = _LANE_BUDGET * 16 // max(16, symbols)
     best = np.full(trials, -1)
@@ -600,12 +621,15 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
         if lead >= 0:
             pair = np.r_[lead, pair]
         trial, lane_x, lane_y = lanes(pair)
-        code = px[lane_x].astype(np.intp) * probs.shape[1] + py[lane_y]
-        code += np.arange(len(pair))[:, None] * symbols
-        counts = np.bincount(code.ravel(), minlength=len(pair) * symbols).reshape(-1, symbols)
-        # cumsum adds in ascending symbol order, one term at a time
-        score = np.multiply(counts, logs, out=np.zeros(counts.shape),
-                            where=counts > 0).cumsum(axis=1)[:, -1]
+        code = np.take(px, lane_x, axis=0).astype(np.intp) * probs.shape[1]
+        code += np.take(py, lane_y, axis=0)
+        code *= len(pair)
+        code += np.arange(len(pair))[:, None]
+        counts = np.bincount(code.ravel(), minlength=symbols * len(pair)).reshape(symbols, -1)
+        # added a column at a time; a zero count adds an exact -0.0 or 0.0
+        score = np.zeros(len(pair))
+        for count, log in zip(counts, logs):
+            score += count * log if log > -math.inf else np.where(count > 0, log, 0.0)
         slack = np.where(np.isfinite(score), _ML_TIE * (px.shape[1] + np.abs(score)), 0.0)
         win = _first_max(trial, score, slack)
         best[trial[win]] = pair[win]
@@ -619,7 +643,7 @@ def _universal_winners(trial_x, px, trial_y, py, trials: int):
     lanes (those that agree with its decided prefix) whose joint suffix
     [l - 1, n) has the least empirical entropy, ties exact, decides symbol
     l, and the live lanes that differ there leave."""
-    code = px.astype(np.uint16) << 8 | py[trial_x]
+    code = px.astype(np.uint16) << 8 | np.take(py, trial_x, axis=0)
     n = code.shape[1]
     # each lane's suffix windows [l, n), taken a block of lanes at a time,
     # which bounds the memory of a large bin
@@ -702,7 +726,8 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
     pair_y = start_y[trial] + own % size_y[trial]
     first_x, live_x = _nodes(trial_x, px)
     first_y, live_y = _nodes(trial_y, py)
-    joint = _window_counts(px[pair_x].astype(np.uint16) << 8 | py[pair_y])
+    joint = _window_counts(np.take(px, pair_x, axis=0).astype(np.uint16) << 8
+                           | np.take(py, pair_y, axis=0))
     streams = _window_counts(np.r_[px, py])
     past_x, rank_x = _child_ranks(first_x)
     past_y, rank_y = _child_ranks(first_y)
@@ -713,7 +738,7 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
     depth_y = np.nonzero(live_y)[1] + 1
     cells = live_y.sum(axis=1)
     first_k = np.cumsum(cells) - cells
-    count = live_x[pair_x].T * cells[pair_y]
+    count = np.take(live_x, pair_x, axis=0).T * cells[pair_y]
     count[-1] -= 1
     totals = count.sum(axis=1)
     reach = np.cumsum(totals)
@@ -829,11 +854,10 @@ def _error_positions(bins: Bins, winners, seqs):
     """The 1-based position of the first symbol of each trial's winning lane
     that differs from the trial's row of seqs, n + 1 when none does and for
     a trial without a winner."""
-    trial, prefixes = bins.trial, bins.prefixes
-    n = prefixes.shape[1]
-    out = np.full(len(bins.overflow), n + 1)
-    wrong = prefixes[winners] != np.asarray(seqs)[trial[winners]]
-    out[trial[winners]] = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, n + 1)
+    trial = bins.trial[winners]
+    out = np.full(len(bins.overflow), bins.prefixes.shape[1] + 1)
+    wrong = np.take(bins.prefixes, winners, axis=0) != np.take(seqs, trial, axis=0)
+    out[trial] = np.where(wrong.any(axis=1), wrong.argmax(axis=1) + 1, out[trial])
     return out
 
 

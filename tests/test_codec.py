@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from swstream import codec
+from swstream import codec, sim
 from swstream.codec import (
     _CHUNK_LANES,
     _LANE_BUDGET,
@@ -180,6 +181,30 @@ class TestEncodeStep:
                     assert int(labels[i, a]) == int("".join(map(str, bits)), 2)
 
 
+class TestLaneFinalizer:
+    def test_equals_the_python_int_mixer(self):
+        # the unmasked in-place uint64 finalizer against the masked Python-int
+        # one, its oracle, on random words and the edges of the 64-bit range
+        words = np.random.default_rng(23).integers(0, 2 ** 64, 10_000, np.uint64).tolist()
+        words += [0, 2 ** 64 - 1] + [k * codec._GOLDEN % 2 ** 64 for k in range(1, 65)]
+        lanes = np.array(words, np.uint64)
+        mixed = codec._mix_lanes(lanes)
+        assert mixed is lanes
+        assert mixed.tolist() == [codec._mix(w) for w in words]
+
+    def test_callers_seed_arrays_are_left_unchanged(self):
+        # _seed_words passes a uint64 array through as it is, so an in-place
+        # mix of it would change the caller's seeds
+        seeds = np.array([0, 1, 2 ** 64 - 1, codec._GOLDEN, 12345], np.uint64)
+        before = seeds.copy()
+        seqs = np.array([[0, 1, 1, 0]] * len(seeds), np.uint8)
+        replay_bins(seeds, seqs, "x", ONE_BIT, 2)
+        replay_bins(seeds, seqs, "y", TWO_BITS, 2, live=np.array([1, 0, 1, 1, 0], bool))
+        sim._sample_rows(JointDistribution.from_marginal([0.5, 0.5]), 4, seeds)
+        sim._trial_seeds(11, seeds)
+        assert seeds.dtype == np.uint64 and seeds.tolist() == before.tolist()
+
+
 class TestCandidateSets:
     def test_initial_state(self):
         c = initial_candidates(1, "x", ONE_BIT, 2)
@@ -348,6 +373,30 @@ class TestReplayBins:
         for t in (0, 2, 3, 5):
             assert _members(bins, t) == _members(full, t)
 
+    def test_live_mask_with_overflow_matches_stepwise(self):
+        # a ternary alphabet with a 0-bit step, a live mask, and a cap near
+        # the mean final bin size, E|C_8| = 70: some live trials overflow
+        # before the last step, the others' bins stay the scalar ones
+        schedule = BinningSchedule((2, 0))
+        seeds, seqs = _chunk(3, 8, 12, seed0=41)
+        live = np.array([1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1], bool)
+        cap = 50
+        bins = replay_bins(seeds, seqs, "x", schedule, 3, cap, live=live)
+        steps = []
+        for t, seed in enumerate(seeds):
+            if not live[t]:
+                assert bins.overflow[t] == 0 and t not in bins.trial
+                continue
+            want = _stepwise(seed, "x", seqs[t].tobytes(), schedule, 3, cap)
+            if isinstance(want, int):
+                steps.append(want)
+                assert bins.overflow[t] == want
+                assert t not in bins.trial
+            else:
+                assert bins.overflow[t] == 0
+                assert _members(bins, t) == want
+        assert 0 < len(steps) < live.sum() and min(steps) < 8
+
     def test_rejects_symbols_outside_alphabet(self):
         with pytest.raises(ValueError):
             replay_bins([1], np.array([[0, 2]], np.uint8), "x", ONE_BIT, 2)
@@ -442,6 +491,33 @@ class TestBatchedMlArgmax:
         monkeypatch.setattr(codec, "_LANE_BUDGET", 16)
         probs = np.random.default_rng(5).dirichlet(np.ones(25)).reshape(5, 5)
         self._check(JointDistribution.from_matrix(probs), BinningSchedule((3,)), 6, 60, True)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (5, 4)], ids=["6-symbols", "20-symbols"])
+    def test_score_is_the_left_to_right_sum(self, shape, monkeypatch):
+        # each pair's score, bit for bit, is the plain-Python sum of
+        # c log p over its joint symbols in ascending order; a zero cell makes
+        # some scores -inf, and 5 x 4 has more than 16 symbols
+        rng = np.random.default_rng(sum(shape))
+        probs = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+        probs[1, 0] = 0.0
+        trial_x = np.repeat(np.arange(6), rng.integers(1, 8, 6))
+        px = rng.integers(0, shape[0], (len(trial_x), 9)).astype(np.uint8)
+        py = rng.integers(0, shape[1], (6, 9)).astype(np.uint8)
+        scores = []
+        first_max = codec._first_max
+        monkeypatch.setattr(codec, "_first_max", lambda trial, score, slack:
+                            scores.append(score) or first_max(trial, score, slack))
+        codec._ml_winners(trial_x, px, np.arange(6), py, 6, probs=probs)
+        (score,) = scores  # one block, one pair per x lane
+        logs = [math.log(p) if p > 0 else -math.inf for p in probs.ravel().tolist()]
+        for lane, t in enumerate(trial_x):
+            counts = collections.Counter(int(a) * shape[1] + int(b)
+                                         for a, b in zip(px[lane], py[t]))
+            want = 0.0
+            for symbol in sorted(counts):
+                want += counts[symbol] * logs[symbol]
+            assert score[lane].tobytes() == np.float64(want).tobytes()
+        assert np.isneginf(score).any() and np.isfinite(score).any()
 
     def test_overflowed_trials_are_skipped(self):
         sparse = BinningSchedule((1, 0, 0, 0))

@@ -52,6 +52,12 @@ def test_exponent_commands_run_without_numpy(tmp_path):
         assert len(lines) == 1 + 76
 
 
+def test_sim_imports_no_process_pool():
+    # only a parallel run_trials loads concurrent.futures (and logging with it)
+    code = "import sys, swstream.sim; print('concurrent.futures' in sys.modules)"
+    assert _run(code).strip() == "False"
+
+
 def test_every_export_resolves():
     for info in pkgutil.iter_modules(swstream.__path__):
         module = importlib.import_module(f"swstream.{info.name}")
