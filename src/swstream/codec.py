@@ -11,8 +11,9 @@ the stream id computed once per stream, and a prefix extended by symbol a
 has state mix(s + (a + 1) * phi).  A prefix's b parity bits at its step are
 the top b bits of its own state, MSB first, so each prefix has one random
 label, as in the paper's sequential random binning, and a step emits at
-most 64 bits.  `_mix` runs on Python ints (the step-wise API, and the
-oracle of `_mix_lanes`, which mixes the lanes' uint64 arrays in place).
+most 64 bits.  The same `_mix` runs on Python ints (the step-wise API) and
+on uint64 arrays (the lanes, which key a whole chunk of trials at once),
+these in place by `_mix_lanes`, whose oracle is the Python-int `_mix`.
 
 Sequences and prefixes are byte strings (one byte per symbol); byte strings
 compare lexicographically, which is the tie-break order used everywhere.
@@ -35,15 +36,14 @@ y = 0^n, with the x-marginal as an |X| x 1 table.  Every pair then reads
 so the first maximizer is the lexicographically smallest.
 
 The Monte Carlo harness replays the bins of a chunk of trials at once
-(`replay_bins`: its encoder hashes each trial's own prefix, and its lanes
-keep back-pointers, from which their prefixes are built once), whose lanes
-are in order, so `first_errors` decodes them as they are; lane rows are
-gathered with `np.take(..., axis=0)`.  `candidate_set_for` is the one-trial
-case of `replay_bins`, and `initial_candidates`/`encode_step`/
-`update_candidates` remain the step-wise API.  The harness sizes a chunk by
-the closed-form mean bin size (`expected_bin_size`) against a lane budget
-of its own (`chunk_trials`), which bounds its memory; the decoders' blocks
-have a smaller one.
+(`replay_bins`: the encoder hashes each trial's own prefix, and the lanes
+keep back-pointers), whose lanes are in order, so `first_errors` decodes
+them as they are, gathering lane rows with `np.take(..., axis=0)`.
+`candidate_set_for` is the one-trial case of `replay_bins`, and
+`initial_candidates`/`encode_step`/`update_candidates` remain the step-wise
+API.  The harness sizes a chunk by the closed-form mean bin size
+(`expected_bin_size`) against a lane budget of its own (`chunk_trials`),
+which bounds its memory; the decoders' blocks have a smaller one.
 
 Every empirical entropy the decoders read comes from one lane entropy
 engine, which adds its terms as `info_core.entropy_of_counts` does: left to
@@ -186,9 +186,11 @@ def _as_bytes(seq) -> bytes:
 
 def _mix(z):
     """The splitmix64 finalizer, a bijection of 64-bit words, on a Python int
-    (reduced mod 2^64 first) or elementwise on a uint64 array, whose
-    arithmetic wraps mod 2^64 already.  Never a numpy scalar: its overflow
+    (reduced mod 2^64 first) or on a uint64 array, which `_mix_lanes` mixes
+    in place, so it must be a fresh one.  Never a numpy scalar: its overflow
     warns."""
+    if isinstance(z, np.ndarray):
+        return _mix_lanes(z)
     z = z & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
@@ -196,8 +198,7 @@ def _mix(z):
 
 
 def _mix_lanes(z):
-    """`_mix` on a uint64 array, in place and unmasked: the array's
-    arithmetic wraps mod 2^64.  Returns z."""
+    """`_mix` on a uint64 array z, in place and unmasked (it wraps mod 2^64)."""
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= z >> shift
         z *= factor
@@ -228,7 +229,7 @@ def _seed_words(seeds):
 
 def _chain(state, symbol):
     """The chain state of a prefix extended by symbol: Python ints, or uint64
-    arrays (uint64 + int64 would give float64)."""
+    arrays at their broadcast (uint64 + int64 would give float64)."""
     return _mix(state + (symbol + 1) * _GOLDEN)
 
 
@@ -345,14 +346,14 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
     `_seed_words`) and replay the decoder-side bins of all of them at once, as
     flat lanes, one per bin member, each carrying its prefix's chain state.  At
     each step the encoder chains each trial's true prefix and sends its top
-    bits, and each lane's children, built a symbol column at a time and mixed
-    in place (`_mix_lanes`), stay where their top bits equal the sent ones,
-    keeping their parent lane and symbol.  Children are kept in
-    parent-then-symbol order, so each trial's lanes are contiguous and in
-    lexicographic order; the prefixes are built once, back from the final
-    lanes.  A trial whose bin exceeds the cap at a step leaves the lanes and
-    the encoder there, its step recorded.  Only the trials the boolean mask
-    `live` selects are replayed; the others end with no lanes and overflow 0."""
+    bits, and every lane's children, chained at once a row per symbol, stay
+    where their top bits equal the sent ones, keeping their parent lane and
+    symbol.  Children are kept in parent-then-symbol order, so each trial's
+    lanes are contiguous and in lexicographic order; the prefixes are built
+    once, back from the final lanes.  A trial whose bin exceeds the cap at a
+    step leaves the lanes and the encoder there, its step recorded.  Only the
+    trials the boolean mask `live` selects are replayed; the others end with
+    no lanes and overflow 0."""
     if not (2 <= alphabet <= 256):
         raise ValueError("alphabet must be in [2, 256]")
     seqs = np.asarray(seqs, dtype=np.uint8)
@@ -361,25 +362,21 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
         raise ValueError("sequence symbol outside the alphabet")
     trial = np.arange(trials) if live is None else np.flatnonzero(live)
     state = _stream_key(_seed_words(seeds), stream_id)[trial]
-    steps = np.arange(1, alphabet + 1, dtype=np.uint64) * _GOLDEN
-    # the encoder: its trials, their true prefixes' states, their symbols' increments
-    sent, encoder = trial, state.copy()
-    increment = np.take(steps, np.take(seqs, trial, axis=0).T)
+    symbols = np.arange(alphabet, dtype=np.uint64)[:, None]
+    # the encoder: its trials, their true prefixes' states, their symbols step-major
+    sent, encoder, rows = trial, state, np.take(seqs, trial, axis=0).T.astype(np.uint64)
     target, overflow, links = np.zeros(trials, np.uint64), np.zeros(trials, np.int64), []
     for j in range(1, n + 1):
         # numpy shifts a uint64 by 64 to 0: a 0-bit step keeps every child
         shift = 64 - schedule.bits_at(j)
-        encoder += increment[j - 1]
-        target[sent] = _mix_lanes(encoder) >> shift
-        want = np.take(target, trial)
-        child = np.empty((alphabet, len(trial)), np.uint64)
+        encoder = _chain(encoder, rows[j - 1])
+        target[sent] = encoder >> shift
+        # the children a row per symbol, matched in parent-then-symbol order
+        child = _chain(state, symbols)
         match = np.empty((len(trial), alphabet), bool)
-        for a in range(alphabet):
-            _mix_lanes(np.add(state, steps[a], out=child[a]))
-            np.equal(child[a] >> shift, want, out=match[:, a])
+        np.equal(child >> shift, np.take(target, trial), out=match.T)
         keep = np.flatnonzero(match)
-        parent = keep // alphabet
-        symbol = keep - parent * alphabet
+        parent, symbol = np.divmod(keep, alphabet)
         state = np.take(child, symbol * len(trial) + parent)
         trial = np.take(trial, parent)
         # no trial can hold more lanes than the whole chunk
@@ -388,7 +385,7 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
             overflow[over] = j
             alive, sending = ~over[trial], ~over[sent]
             trial, state, parent, symbol = (v[alive] for v in (trial, state, parent, symbol))
-            sent, encoder, increment = sent[sending], encoder[sending], increment[:, sending]
+            sent, encoder, rows = sent[sending], encoder[sending], rows[:, sending]
         links.append((parent, symbol))
     prefixes = np.empty((len(trial), n), np.uint8)
     lane = np.arange(len(trial))
@@ -591,7 +588,8 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
     score within `_ML_TIE` * (n + |score|) of the maximum ties with it too,
     since equal likelihoods can differ in their last bits (two joint types
     of an independent source do).  A lane symbol outside the table is a
-    ValueError.  One bincount counts a block's symbols, a column per symbol.
+    ValueError.  One bincount counts a block's symbols, a row per symbol,
+    and the scores add the rows of the symbols present in the block.
     The pairs go in blocks of `_LANE_BUDGET`, which bounds the memory of a
     large product; a block that starts inside a trial's product is led by
     that trial's winner so far, which precedes its pairs there, so the first
@@ -626,10 +624,13 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
         code *= len(pair)
         code += np.arange(len(pair))[:, None]
         counts = np.bincount(code.ravel(), minlength=symbols * len(pair)).reshape(symbols, -1)
-        # added a column at a time; a zero count adds an exact -0.0 or 0.0
+        # in ascending order of the block's symbols: an absent one adds an exact 0.0
         score = np.zeros(len(pair))
-        for count, log in zip(counts, logs):
-            score += count * log if log > -math.inf else np.where(count > 0, log, 0.0)
+        for a in np.flatnonzero(np.einsum("ij->i", counts)).tolist():
+            if logs[a] > -math.inf:
+                score += counts[a] * logs[a]
+            else:
+                score[counts[a] > 0] = -math.inf
         slack = np.where(np.isfinite(score), _ML_TIE * (px.shape[1] + np.abs(score)), 0.0)
         win = _first_max(trial, score, slack)
         best[trial[win]] = pair[win]

@@ -51,7 +51,6 @@ from .codec import (
     DECODERS,
     _as_int,
     _mix,
-    _mix_lanes,
     _seed_words,
     chunk_trials,
     first_errors,
@@ -194,9 +193,9 @@ def _sample_rows(d: JointDistribution, n: int, seeds):
     """n iid draws from the joint per seed, as (x rows, y rows): two
     trials x n uint8 arrays.  A seed is taken mod 2^64."""
     _check_byte_alphabets(d)
-    keys = _mix_lanes(_seed_words(seeds) ^ _SAMPLE_KEY)
+    keys = _mix(_seed_words(seeds) ^ _SAMPLE_KEY)
     steps = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
-    u = (_mix_lanes(keys[:, None] + steps) >> 11) * 2.0 ** -53
+    u = (_mix(keys[:, None] + steps) >> 11) * 2.0 ** -53
     cum = np.cumsum(np.array(d.probs).ravel())
     cum[-1] = 1.0
     flat = np.searchsorted(cum, u, side="right")

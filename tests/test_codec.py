@@ -161,9 +161,9 @@ class TestEncodeStep:
         (256, 2),   # 512 bits over one parent's children
     ])
     def test_lane_words_match_stepwise_layout(self, alphabet, nbits):
-        # the lane path (uint64 chain states, every child chained at once and
-        # shifted to its top bits) gives every child the bits encode_step
-        # gives it
+        # the lane path of replay_bins (uint64 chain states, every child
+        # chained at once, a row per symbol, and shifted to its top bits)
+        # gives every child the bits encode_step gives it
         rng = np.random.default_rng(alphabet)
         schedule = BinningSchedule((nbits,))
         parents = [bytes(rng.integers(0, alphabet, size=k).tolist()) for k in (0, 1, 3, 5)]
@@ -173,12 +173,12 @@ class TestEncodeStep:
                 step = np.array([p[j] if j < len(p) else 0 for p in parents], np.uint64)
                 chained = codec._chain(state, step)
                 state = np.where([j < len(p) for p in parents], chained, state)
-            child = codec._chain(state[:, None], np.arange(alphabet, dtype=np.uint64))
+            child = codec._chain(state, np.arange(alphabet, dtype=np.uint64)[:, None])
             labels = child >> (64 - nbits)
             for i, parent in enumerate(parents):
                 for a in range(alphabet):
                     bits = encode_step(seed, "y", parent + bytes([a]), schedule)
-                    assert int(labels[i, a]) == int("".join(map(str, bits)), 2)
+                    assert int(labels[a, i]) == int("".join(map(str, bits)), 2)
 
 
 class TestLaneFinalizer:
