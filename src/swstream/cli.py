@@ -206,9 +206,8 @@ def _bin_report(cfg, stats) -> dict:
     from .codec import expected_bin_size
 
     report = {}
-    for stream, (bins, total, squares) in stats.bin_sizes.items():
-        alphabet, schedule = ((cfg.source.alphabet_x, cfg.schedule_x) if stream == "x"
-                              else (cfg.source.alphabet_y, cfg.schedule_y))
+    for stream, alphabet, schedule in cfg.streams:
+        bins, total, squares = stats.bin_sizes[stream]
         spread = bins * squares - total * total  # bins^2 times the variance
         report[stream] = {
             "bins": bins,
@@ -272,8 +271,14 @@ def cmd_simulate(args) -> int:
         "simulate",
         {
             "config_path": args.config,
-            "base_seed": cfg.base_seed,
+            # the trial config as run, --seed applied: a trial config file
+            "source": json.loads(cfg.source.to_json()),
+            "schedule_x": list(cfg.schedule_x.pattern),
+            "schedule_y": list(cfg.schedule_y.pattern) if cfg.schedule_y else None,
+            "n": cfg.n,
+            "delays": list(cfg.delays),
             "trials": cfg.trials,
+            "base_seed": cfg.base_seed,
             "decoder": cfg.decoder,
             "threads": args.threads,
         },

@@ -59,11 +59,6 @@ engine's values are read off its table of every count vector
 (`_keyed_entropies`).  The weighted suffix entropy of a pair lane at a cell
 (`_weighted_entropies`) combines three of its windows;
 `weighted_suffix_entropy` takes it at one cell of one pair.
-
-The decoders are exact but exponential-time by design; they are meant for
-desk-scale horizons (n <= 24 single-stream, n <= 12 for the two-encoder
-decoders, whose bin products grow exponentially in n at rates near the
-joint entropy).
 """
 
 from __future__ import annotations
@@ -105,8 +100,6 @@ __all__ = [
 ]
 
 DEFAULT_CANDIDATE_CAP = 2 ** 20
-MAX_HORIZON_SINGLE = 24
-MAX_HORIZON_TWO_ENCODER = 12
 _M64 = (1 << 64) - 1
 # splitmix64's increment, the odd integer nearest 2^64 / golden ratio
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -579,9 +572,9 @@ def _first_max(trial, score, slack=0.0):
     return top[np.r_[True, trial[top][1:] != trial[top][:-1]]]
 
 
-def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
+def _ml_winners(trial_x, px, trial_y, py, trials: int, logs):
     """The ML kernel over every pair of every trial's bin product, under the
-    joint table probs[a, b].  A trial's pair (a, b), a-major, reads the
+    joint log table logs[a, b].  A trial's pair (a, b), a-major, reads the
     joint symbols a * |Y| + b and scores c * log p summed over the symbols
     in ascending order, an absent symbol adding an exact 0.0 (never
     0 * -inf), so pairs of the same joint type tie bit-exactly; a finite
@@ -594,9 +587,9 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
     large product; a block that starts inside a trial's product is led by
     that trial's winner so far, which precedes its pairs there, so the first
     maximizer stays first."""
-    if px.max(initial=0) >= probs.shape[0] or py.max(initial=0) >= probs.shape[1]:
-        raise ValueError(f"a lane symbol lies outside the {probs.shape[0]} x "
-                         f"{probs.shape[1]} likelihood table")
+    if px.max(initial=0) >= logs.shape[0] or py.max(initial=0) >= logs.shape[1]:
+        raise ValueError(f"a lane symbol lies outside the {logs.shape[0]} x "
+                         f"{logs.shape[1]} likelihood table")
     size_x = np.bincount(trial_x, minlength=trials)
     size_y = np.bincount(trial_y, minlength=trials)
     pairs = size_x * size_y
@@ -608,8 +601,8 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
         a, b = np.divmod(pair - (ends - pairs)[trial], size_y[trial])
         return trial, start_x[trial] + a, start_y[trial] + b
 
-    logs = [math.log(p) if p > 0 else -math.inf for p in probs.ravel().tolist()]
-    symbols = len(logs)
+    symbols = logs.size
+    flat = logs.ravel()
     block = _LANE_BUDGET * 16 // max(16, symbols)
     best = np.full(trials, -1)
     total = int(pairs.sum())
@@ -619,7 +612,7 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
         if lead >= 0:
             pair = np.r_[lead, pair]
         trial, lane_x, lane_y = lanes(pair)
-        code = np.take(px, lane_x, axis=0).astype(np.intp) * probs.shape[1]
+        code = np.take(px, lane_x, axis=0).astype(np.intp) * logs.shape[1]
         code += np.take(py, lane_y, axis=0)
         code *= len(pair)
         code += np.arange(len(pair))[:, None]
@@ -627,8 +620,8 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, probs):
         # in ascending order of the block's symbols: an absent one adds an exact 0.0
         score = np.zeros(len(pair))
         for a in np.flatnonzero(np.einsum("ij->i", counts)).tolist():
-            if logs[a] > -math.inf:
-                score += counts[a] * logs[a]
+            if flat[a] > -math.inf:
+                score += counts[a] * flat[a]
             else:
                 score[counts[a] > 0] = -math.inf
         slack = np.where(np.isfinite(score), _ML_TIE * (px.shape[1] + np.abs(score)), 0.0)
@@ -829,26 +822,29 @@ def _sw_winners(trial_x, px, trial_y, py, trials: int):
 # ---------------------------------------------------------------------------
 
 
-# decoder -> its kernel, the joint table it scores, and how it gets y: read
-# as 0^n ("zero"), known ("known"), or decoded from a bin of its own ("binned")
+# decoder -> its kernel, the log of the joint table it scores (-inf at a zero
+# cell), and how it gets y: read as 0^n ("zero"), known ("known"), or decoded
+# from a bin of its own ("binned")
 _Decoder = collections.namedtuple("_Decoder", "kernel table y")
 _TABLE = {
-    "ml": _Decoder(_ml_winners, lambda d: np.array(d.probs).sum(axis=1).reshape(-1, 1), "zero"),
+    "ml": _Decoder(_ml_winners, lambda d: np.array(
+        [[math.log(p) if p > 0 else -math.inf] for p in np.sum(d.probs, axis=1).tolist()]),
+        "zero"),
     "universal": _Decoder(_universal_winners, None, "zero"),
-    "si_ml": _Decoder(_ml_winners, lambda d: np.array(d.probs), "known"),
+    "si_ml": _Decoder(_ml_winners, lambda d: np.array(d._log_probs), "known"),
     "si_universal": _Decoder(_universal_winners, None, "known"),
-    "sw_ml": _Decoder(_ml_winners, lambda d: np.array(d.probs), "binned"),
+    "sw_ml": _Decoder(_ml_winners, lambda d: np.array(d._log_probs), "binned"),
     "sw_universal": _Decoder(_sw_winners, None, "binned"),
 }
 DECODERS = tuple(_TABLE)
 
 
 def _kernel(decoder: str, source: JointDistribution):
-    """The decoder's kernel, its table bound in, and whether y reads as 0^n."""
+    """The decoder's kernel, its log table bound in, and whether y reads as 0^n."""
     if decoder not in _TABLE:
         raise ValueError(f"unknown decoder {decoder!r}")
     kernel, table, y = _TABLE[decoder]
-    return (functools.partial(kernel, probs=table(source)) if table else kernel), y == "zero"
+    return (functools.partial(kernel, logs=table(source)) if table else kernel), y == "zero"
 
 
 def _error_positions(bins: Bins, winners, seqs):

@@ -14,25 +14,24 @@ trials' seeds in one uint64 pass (`derive_trial_seed` is the one-trial
 case) and then draws every trial's source at once: uniform i of a trial is
 the 53 high bits of mix(k' + (i + 1) * phi), with k' = mix(seed ^ a
 sampling constant), so a trial's draws do not depend on its chunk, and
-`sample_source` is the one-trial case.  It replays all its bins at once
-with `codec.replay_bins` (y too for the two-encoder decoders; the others
-know y), and decodes them all with one `codec.first_errors` call, whose
-decoder table picks the kernel; it runs no Python loop over its trials.
-The chunk size is `codec.chunk_trials`: the chunk lane budget over the
-closed-form mean bin size, not an option; a parallel run caps it so that
-each worker gets at least 8 chunks.  A chunk returns histograms of its
-completed trials' first x, y and joint error positions, and the errors at
-delay D are the cumulative count up to symbol n - D.  Every count is a sum
-over chunks, so the counts do not depend on the chunk size or on
-`--threads`.  An aborted trial is counted under the stream and step at which
-its bin overflowed.  A chunk also sums each stream's final bin sizes (and
-their squares) over the trials whose bin did not overflow, so the mean final
-bin size is a sum too.
+`sample_source` is the one-trial case.  It replays the bin of each stream in
+`TrialConfig.streams` with one `codec.replay_bins` call, y only where x did
+not overflow, and decodes them all with one `codec.first_errors` call, whose
+decoder table picks the kernel; it runs no Python loop over its trials.  The
+chunk size (`TrialConfig.chunk_size`) is `codec.chunk_trials` over the
+stream list: the chunk lane budget over the closed-form mean bin size, not
+an option; a parallel run caps it so that each worker gets at least 8
+chunks.  A chunk returns three
+count arrays: a histogram of its completed trials' first x, y and joint
+error positions, its aborts by stream and step, and each stream's (bins, sum
+of sizes, sum of squared sizes) over the final bins of the trials whose bin
+did not overflow.  The errors at delay D are the cumulative count up to
+symbol n - D.  A run merges its chunks by one elementwise sum, so its counts
+do not depend on the chunk size or on `--threads`.
 """
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import itertools
 import json
@@ -44,8 +43,6 @@ import numpy as np
 from .codec import (
     DEFAULT_CANDIDATE_CAP,
     BinningSchedule,
-    MAX_HORIZON_SINGLE,
-    MAX_HORIZON_TWO_ENCODER,
     _GOLDEN,
     _TABLE,
     DECODERS,
@@ -86,6 +83,11 @@ __all__ = [
 
 # a trial's sampling key is mix(seed ^ _SAMPLE_KEY), apart from every stream key
 _SAMPLE_KEY = 0xB7E151628AED2A6A
+# the decoders are exact but exponential-time by design, meant for
+# desk-scale horizons; the two-encoder decoders' bin products grow
+# exponentially in n at rates near the joint entropy
+MAX_HORIZON_SINGLE = 24
+MAX_HORIZON_TWO_ENCODER = 12
 
 
 def _check_byte_alphabets(d: JointDistribution) -> None:
@@ -122,19 +124,33 @@ class TrialConfig:
             raise ValueError("delays must lie in [0, n]")
         if len(set(self.delays)) < len(self.delays):
             raise ValueError("delays must not repeat")
-        y = _TABLE[self.decoder].y
-        cap = MAX_HORIZON_TWO_ENCODER if y == "binned" else MAX_HORIZON_SINGLE
+        two = len(self.streams) == 2
+        cap = MAX_HORIZON_TWO_ENCODER if two else MAX_HORIZON_SINGLE
         if self.n > cap:
             raise ValueError(
                 f"horizon {self.n} exceeds the exact-decoder bound {cap} "
                 f"for decoder {self.decoder!r}"
             )
-        if y == "binned" and self.schedule_y is None:
+        if two and self.schedule_y is None:
             raise ValueError("two-encoder decoding needs schedule_y")
         _check_byte_alphabets(self.source)
-        if y != "zero" and self.source.alphabet_y < 2:
+        if _TABLE[self.decoder].y != "zero" and self.source.alphabet_y < 2:
             raise ValueError(f"decoder {self.decoder!r} needs |Y| >= 2")
         object.__setattr__(self, "delays", tuple(sorted(self.delays)))
+
+    @property
+    def streams(self) -> tuple:
+        """(stream id, alphabet, schedule) of each stream the decoder bins:
+        x, then y for the two-encoder decoders."""
+        x = ("x", self.source.alphabet_x, self.schedule_x)
+        if _TABLE[self.decoder].y != "binned":  # y is known or 0^n
+            return (x,)
+        return x, ("y", self.source.alphabet_y, self.schedule_y)
+
+    @property
+    def chunk_size(self) -> int:
+        """Trials per chunk: `codec.chunk_trials` over the streams."""
+        return chunk_trials(self.n, [stream[1:] for stream in self.streams])
 
 
 @dataclass
@@ -209,40 +225,32 @@ def sample_source(d: JointDistribution, n: int, seed: int):
     return x.tobytes(), y.tobytes()
 
 
-def _bin_tally(bins, done):
-    """(bins, sum of sizes, sum of squared sizes) of the final bins of the
-    trials that `done` selects."""
-    sizes = np.bincount(bins.trial, minlength=len(done))[done]
-    return np.array([len(sizes), sizes.sum(), (sizes * sizes).sum()])
-
-
 def _tally_chunk(cfg: TrialConfig, start: int, stop: int):
-    """Trials start..stop-1: a 3 x (n + 2) array counting the completed ones
-    by the position of their first x, y and joint error (column n + 1: no
-    error), a Counter of the aborted ones by (stream id, step), and a dict
-    of each stream's `_bin_tally`."""
+    """Trials start..stop-1, as three count arrays: a 3 x (n + 2) histogram
+    of the completed ones by the position of their first x, y and joint
+    error (column n + 1: no error); the aborted ones by stream (a row per
+    `cfg.streams` entry) and step (column j - 1: step j); and per stream
+    (bins, sum of sizes, sum of squared sizes) over the final bins of the
+    trials whose bins of that stream and those before it did not overflow."""
     n = cfg.n
     seeds = _trial_seeds(cfg.base_seed, np.arange(start, stop, dtype=np.uint64))
-    x_rows, y_rows = _sample_rows(cfg.source, n, seeds)
-    bins = {"x": replay_bins(seeds, x_rows, "x", cfg.schedule_x, cfg.source.alphabet_x,
-                             cfg.candidate_cap)}
-    if _TABLE[cfg.decoder].y == "binned":  # else y is known or 0^n
-        bins["y"] = replay_bins(seeds, y_rows, "y", cfg.schedule_y, cfg.source.alphabet_y,
-                                cfg.candidate_cap, live=bins["x"].overflow == 0)
-    # a y bin is replayed only where the x bin did not overflow, so each
-    # aborted trial is counted once
+    rows = dict(zip("xy", _sample_rows(cfg.source, n, seeds)))
     done = np.ones(stop - start, bool)
-    aborted = collections.Counter()
-    tally = {}
-    for stream, b in bins.items():
-        steps, counts = np.unique(b.overflow[b.overflow > 0], return_counts=True)
-        aborted.update({(stream, j): c for j, c in zip(steps.tolist(), counts.tolist())})
+    bins, aborts, sizes = {}, [], []
+    # a stream is replayed only where the ones before it did not overflow,
+    # so each aborted trial is counted once
+    for stream, alphabet, schedule in cfg.streams:
+        b = bins[stream] = replay_bins(seeds, rows[stream], stream, schedule, alphabet,
+                                       cfg.candidate_cap, live=done)
+        aborts.append(np.bincount(b.overflow, minlength=n + 1)[1:])
         done &= b.overflow == 0
-        tally[stream] = _bin_tally(b, done)
-    fx, fy = first_errors(cfg.decoder, cfg.source, bins["x"], bins.get("y"), x_rows, y_rows)
+        size = np.bincount(b.trial, minlength=len(done))[done]
+        sizes.append((len(size), size.sum(), (size * size).sum()))
+    fx, fy = first_errors(cfg.decoder, cfg.source, bins["x"], bins.get("y"),
+                          rows["x"], rows["y"])
     first = np.stack([fx, fy, np.minimum(fx, fy)])[:, done]
     hist = np.stack([np.bincount(row, minlength=n + 2) for row in first])
-    return hist, aborted, tally
+    return hist, np.array(aborts), np.array(sizes)
 
 
 def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
@@ -251,10 +259,7 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
     The merge is a plain sum of counts, so the result is independent of
     thread count and chunking.
     """
-    streams = [(cfg.source.alphabet_x, cfg.schedule_x)]
-    if _TABLE[cfg.decoder].y == "binned":
-        streams.append((cfg.source.alphabet_y, cfg.schedule_y))
-    size = chunk_trials(cfg.n, streams)
+    size = cfg.chunk_size
     parallel = threads > 1 and cfg.trials >= 64
     if parallel:
         size = min(size, -(-cfg.trials // (8 * threads)))
@@ -266,20 +271,19 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
             parts = list(pool.map(_tally_chunk, itertools.repeat(cfg), starts, stops))
     else:
         parts = list(map(_tally_chunk, itertools.repeat(cfg), starts, stops))
-    hist = sum(h for h, _, _ in parts)
-    aborted = sum((a for _, a, _ in parts), collections.Counter())
-    bin_sizes = {stream: tuple(int(v) for v in sum(t[stream] for _, _, t in parts))
-                 for stream in parts[0][2]}
+    hist, aborts, sizes = map(sum, zip(*parts))
     # an error at delay d is a first error in symbols 1..n-d; the nesting of
     # error events across delays is automatic
     ex, ey, ej = ({d: int(row[cfg.n - d]) for d in cfg.delays}
                   for row in np.cumsum(hist, axis=1))
-    completed = cfg.trials - aborted.total()
-    return DelayErrorStats(delays=cfg.delays, trials=completed,
-                           errors_x=ex, errors_y=ey, errors_joint=ej,
-                           aborted=cfg.trials - completed,
-                           aborted_by_step=dict(sorted(aborted.items())),
-                           bin_sizes=bin_sizes)
+    ids = [stream for stream, _, _ in cfg.streams]
+    by_step = {(stream, j): c for stream, row in zip(ids, aborts.tolist())
+               for j, c in enumerate(row, 1) if c}
+    aborted = sum(by_step.values())
+    return DelayErrorStats(delays=cfg.delays, trials=cfg.trials - aborted,
+                           errors_x=ex, errors_y=ey, errors_joint=ej, aborted=aborted,
+                           aborted_by_step=by_step,
+                           bin_sizes=dict(zip(ids, map(tuple, sizes.tolist()))))
 
 
 def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):

@@ -266,6 +266,32 @@ class TestSimulateCommand:
         assert (out1 / "stats.csv").read_bytes() == (out2 / "stats.csv").read_bytes()
         assert json.loads((out1 / "manifest.json").read_text())["seed"] == 99
 
+    @pytest.mark.parametrize("decoder, schedule_y", [("si_ml", None), ("sw_ml", [1, 2])])
+    def test_manifest_config_reruns_the_run(self, tmp_path, decoder, schedule_y):
+        # the manifest's trial fields, --seed applied, are a trial config
+        # file whose run writes the same bytes
+        path = tmp_path / "trials.json"
+        path.write_text(json.dumps({
+            "source": {"alphabet_x": 3, "alphabet_y": 2,
+                       "probs": [[0.3, 0.05], [0.05, 0.3], [0.1, 0.2]]},
+            "schedule_x": [2, 1], "schedule_y": schedule_y, "n": 8,
+            "delays": [4, 0, 2, 6], "trials": 80, "base_seed": 11, "decoder": decoder,
+        }))
+        first = tmp_path / "first"
+        assert main(["simulate", str(path), "--out", str(first), "--threads", "1",
+                     "--seed", "99"]) == 0
+        config = json.loads((first / "manifest.json").read_text())["config"]
+        assert config["base_seed"] == 99 and config["delays"] == [0, 2, 4, 6]
+        fields = ("source", "schedule_x", "schedule_y", "n", "delays", "trials",
+                  "base_seed", "decoder")
+        rerun_path = tmp_path / "rerun.json"
+        rerun_path.write_text(json.dumps({k: config[k] for k in fields}))
+        rerun = tmp_path / "rerun"
+        assert main(["simulate", str(rerun_path), "--out", str(rerun),
+                     "--threads", "2"]) == 0
+        for name in ("stats.csv", "fit.json"):
+            assert (rerun / name).read_bytes() == (first / name).read_bytes()
+
     def test_zero_trials_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({

@@ -507,9 +507,9 @@ class TestBatchedMlArgmax:
         first_max = codec._first_max
         monkeypatch.setattr(codec, "_first_max", lambda trial, score, slack:
                             scores.append(score) or first_max(trial, score, slack))
-        codec._ml_winners(trial_x, px, np.arange(6), py, 6, probs=probs)
-        (score,) = scores  # one block, one pair per x lane
         logs = [math.log(p) if p > 0 else -math.inf for p in probs.ravel().tolist()]
+        codec._ml_winners(trial_x, px, np.arange(6), py, 6, logs=np.reshape(logs, shape))
+        (score,) = scores  # one block, one pair per x lane
         for lane, t in enumerate(trial_x):
             counts = collections.Counter(int(a) * shape[1] + int(b)
                                          for a, b in zip(px[lane], py[t]))
@@ -518,6 +518,20 @@ class TestBatchedMlArgmax:
                 want += counts[symbol] * logs[symbol]
             assert score[lane].tobytes() == np.float64(want).tobytes()
         assert np.isneginf(score).any() and np.isfinite(score).any()
+
+    def test_kernel_binds_the_log_table(self):
+        # math.log of each cell, -inf at a zero one; of the row sums for ml
+        probs = [[0.5, 0.0], [0.1, 0.2], [0.0, 0.2]]
+        source = JointDistribution.from_matrix(probs)
+        kernel, y_zero = codec._kernel("si_ml", source)
+        assert not y_zero
+        want = [math.log(p) if p > 0 else -math.inf for row in probs for p in row]
+        assert kernel.keywords["logs"].shape == (3, 2)
+        assert kernel.keywords["logs"].ravel().tolist() == want
+        marginal, y_zero = codec._kernel("ml", source)
+        assert y_zero
+        assert marginal.keywords["logs"].ravel().tolist() == [
+            math.log(a + b) for a, b in probs]
 
     def test_overflowed_trials_are_skipped(self):
         sparse = BinningSchedule((1, 0, 0, 0))

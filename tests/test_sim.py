@@ -8,7 +8,6 @@ from swstream import codec
 from swstream.codec import (
     BinningSchedule,
     CandidateOverflowError,
-    chunk_trials,
     encode_step,
     initial_candidates,
     replay_bins,
@@ -142,6 +141,16 @@ class TestTrialConfig:
         assert (cfg.n, cfg.trials, cfg.base_seed, cfg.delays) == (8, 50, 7, (0, 4))
         assert all(type(v) is int for v in (cfg.n, cfg.trials, cfg.base_seed, *cfg.delays))
 
+    @pytest.mark.parametrize("decoder", ["ml", "universal", "si_ml", "si_universal",
+                                         "sw_ml", "sw_universal"])
+    def test_streams(self, decoder):
+        # the streams each decoder bins: y only for the two-encoder decoders,
+        # whatever schedule_y the config holds
+        cfg = _cfg(source=_TERNARY, decoder=decoder, schedule_x=TWO_BITS,
+                   schedule_y=ONE_BIT)
+        want = (("x", 3, TWO_BITS), ("y", 2, ONE_BIT))
+        assert cfg.streams == (want if decoder.startswith("sw") else want[:1])
+
     @pytest.mark.parametrize("decoder", ["sw_ml", "sw_universal"])
     def test_two_encoder_needs_schedule_y(self, decoder):
         with pytest.raises(ValueError, match="schedule_y"):
@@ -273,10 +282,9 @@ class TestRunTrials:
     def test_thread_count_invariant_across_chunks(self, decoder, n):
         source = JointDistribution.from_marginal([0.9, 0.1]) if decoder == "ml" \
             else _example1()
-        streams = [(2, ONE_BIT)] * (2 if decoder.startswith("sw") else 1)
         cfg = _cfg(source=source, decoder=decoder, schedule_y=ONE_BIT, n=n,
                    delays=(0, 2, 4), trials=1001, base_seed=5)
-        assert cfg.trials % chunk_trials(n, streams) != 0
+        assert cfg.trials % cfg.chunk_size != 0
         assert run_trials(cfg, threads=1) == run_trials(cfg, threads=2)
 
     @pytest.mark.parametrize("kw", [
@@ -287,11 +295,10 @@ class TestRunTrials:
     def test_results_independent_of_chunk_budget(self, kw, monkeypatch):
         # one trial per chunk, the default chunks and chunks 4 times as large
         cfg = _cfg(**kw)
-        streams = [(2, cfg.schedule_x)] + ([(2, cfg.schedule_y)] if cfg.schedule_y else [])
         sizes, results = [], []
         for lanes in (7, codec._CHUNK_LANES, 2 ** 16):
             monkeypatch.setattr(codec, "_CHUNK_LANES", lanes)
-            sizes.append(chunk_trials(cfg.n, streams))
+            sizes.append(cfg.chunk_size)
             results.append(run_trials(cfg))
         assert sizes[0] == 1 < sizes[1] < sizes[2]
         assert results[0] == results[1] == results[2]
@@ -330,20 +337,18 @@ class TestRunTrials:
         cap = 120 if decoder == "sw_universal" else 200
         cfg = _cfg(decoder=decoder, schedule_y=ONE_BIT, schedule_x=_SPARSE, n=10,
                    trials=90, base_seed=2, candidate_cap=cap)
-        whole, whole_aborted, whole_bins = _tally_chunk(cfg, 0, cfg.trials)
-        assert 0 < whole_aborted.total() < cfg.trials
-        assert whole.shape == (3, cfg.n + 2)
-        assert (whole.sum(axis=1) == cfg.trials - whole_aborted.total()).all()
+        whole = _tally_chunk(cfg, 0, cfg.trials)
+        hist, aborted, sizes = whole
+        streams = len(cfg.streams)
+        assert hist.shape == (3, cfg.n + 2)
+        assert aborted.shape == (streams, cfg.n) and sizes.shape == (streams, 3)
+        assert 0 < aborted.sum() < cfg.trials
+        assert (hist.sum(axis=1) == cfg.trials - aborted.sum()).all()
         for cuts in ([0, 1, 2, 90], [0, 37, 38, 61, 90], [0, 45, 90]):
             parts = [_tally_chunk(cfg, a, b) for a, b in zip(cuts, cuts[1:])]
-            assert (sum(h for h, _, _ in parts) == whole).all()
-            aborted = {}
-            for _, p, _ in parts:
-                for where, count in p.items():
-                    aborted[where] = aborted.get(where, 0) + count
-            assert aborted == whole_aborted
-            for stream, tally in whole_bins.items():
-                assert (sum(t[stream] for _, _, t in parts) == tally).all()
+            for i, want in enumerate(whole):
+                assert all(p[i].dtype.kind == "i" for p in parts)
+                assert np.array_equal(sum(p[i] for p in parts), want)
 
     def test_aborts_recorded_by_stream_and_step(self):
         # the sparse small-cap config: every trial overflows, at the step
