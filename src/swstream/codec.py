@@ -57,7 +57,8 @@ takes an array of lanes once and returns the entropies of any windows
 table, the rows are cumulative keys whose digits are the counts, and the
 engine's values are read off its table of every count vector
 (`_keyed_entropies`).  The weighted suffix entropy of a pair lane at a cell
-(`_weighted_entropies`) combines three of its windows;
+(`_weighted_entropies`) combines three of its windows, whose bounds and
+weights it reads off a table of every cell of the horizon (`_cell_windows`);
 `weighted_suffix_entropy` takes it at one cell of one pair.
 """
 
@@ -115,12 +116,17 @@ _CHUNK_LANES = 2 ** 14
 # kernel reads the entropies of this many lanes at a time
 _LANE_BUDGET = 2 ** 12
 # the two-encoder score pass takes whole trials' bin products in groups of
-# at most this many pairs (or one trial), and a group's cells in blocks of at
-# most this many times n + 1.  On the mc-sw-universal config (seeds 0 and 1)
-# the job's peak RSS (VmHWM) read 36.7-36.9 MB at 2 ** 9, against 36.6-36.9 MB
-# for the sibling-slot pass this replaced, 36.1-36.3 MB at 2 ** 8, whose
-# smaller groups cost more time, and 37.7-38.1 MB at 2 ** 10
-_PAIR_BUDGET = 2 ** 9
+# at most _GROUP_PAIRS pairs (or one trial), over which a group's fixed work
+# (prefix trees, child ranks, window counts) spreads, and a group's cells in
+# blocks of at most _BLOCK_PAIRS times n + 1 (or one depth), which bound the
+# block's cell arrays.  On the mc-sw-universal config (seeds 0 and 1, three
+# runs each) the simulate run's peak RSS (VmHWM) read 36.2-36.3 MB at these
+# values, against 36.3-36.5 MB for the one 2 ** 9 budget, with wider arrays,
+# that they replaced; 35.5-35.6 and 35.7-35.9 MB with groups of 2 ** 9 and
+# 2 ** 10, whose fixed work costs more time, 37.9-38.1 MB with groups of
+# 2 ** 12, and 37.2-37.3 MB with blocks of 2 ** 10
+_GROUP_PAIRS = 2 ** 11
+_BLOCK_PAIRS = 2 ** 9
 # ML log-likelihoods within _ML_TIE * (n + |score|) of each other tie: a
 # lane's score sums at most |A||Y| rounded terms c log p, each off by about
 # 2^-53 (c + |c log p|)
@@ -379,7 +385,9 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
             alive, sending = ~over[trial], ~over[sent]
             trial, state, parent, symbol = (v[alive] for v in (trial, state, parent, symbol))
             sent, encoder, rows = sent[sending], encoder[sending], rows[:, sending]
-        links.append((parent, symbol))
+        # kept narrow: the parent in the smallest dtype that holds the last
+        # step's lanes, the symbol in a byte
+        links.append((parent.astype(np.min_scalar_type(len(match))), symbol.astype(np.uint8)))
     prefixes = np.empty((len(trial), n), np.uint8)
     lane = np.arange(len(trial))
     for j, (parent, symbol) in reversed(list(enumerate(links))):
@@ -443,7 +451,7 @@ def _entropies_of(counts, total, n: int) -> np.ndarray:
     # added left to right from 0.0, as entropy_of_counts adds them; a zero
     # count adds an exact 0.0
     terms = _terms(n)
-    row = np.asarray(total) * (n + 1)
+    row = np.multiply(total, n + 1, dtype=np.intp)
     h = np.zeros(counts.shape[1:])
     index = np.empty(h.shape, np.intp)
     term = np.empty(h.shape)
@@ -482,21 +490,30 @@ def _window_counts(lanes):
     count, n = lanes.shape
     side = n + 1
     present = np.bincount(lanes.ravel(), minlength=1) > 0
-    rank = (np.cumsum(present) - 1)[lanes]
     if present.sum() > n:
+        rank = (np.cumsum(present) - 1)[lanes]
         order = np.argsort(rank, axis=1)
         ordered = np.take_along_axis(rank, order, axis=1)
         new = np.ones(lanes.shape, bool)
         new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
         np.put_along_axis(rank, order, np.cumsum(new, axis=1) - 1, axis=1)
-    columns = int(rank.max(initial=-1)) + 1
+        lanes, present = rank, np.ones(int(rank.max(initial=-1)) + 1, bool)
+    columns = int(present.sum())
     if side ** columns <= _KEYED:
-        key = np.zeros((count, side), np.int64)
-        np.cumsum((side ** np.arange(columns))[rank], axis=1, out=key[:, 1:])
+        # a symbol adds side ** its column to the key, which stays below
+        # _KEYED and so fits int32
+        weight = np.zeros(len(present), np.int32)
+        weight[present] = side ** np.arange(columns)
+        key = np.zeros((count, side), np.int32)
+        np.cumsum(np.take(weight, lanes), axis=1, out=key[:, 1:])
         key = key.ravel()
         table = _keyed_entropies(n, columns)
-        return lambda lane, lo, hi: table[key[np.multiply(lane, side) + hi]
-                                          - key[np.multiply(lane, side) + lo]]
+
+        def keyed(lane, lo, hi):
+            row = np.multiply(lane, side)
+            return table[np.subtract(key[row + hi], key[row + lo], dtype=np.intp)]
+        return keyed
+    rank = (np.cumsum(present) - 1)[lanes]
     rows = np.zeros((columns, count, side), np.min_scalar_type(n))
     np.cumsum(rank == np.arange(columns)[:, None, None], axis=2,
               dtype=rows.dtype, out=rows[:, :, 1:])
@@ -506,26 +523,43 @@ def _window_counts(lanes):
         np.subtract(hi, lo), n)
 
 
-def _weighted_entropies(joint, streams, n: int, lane, other, l, k) -> np.ndarray:
-    """The weighted suffix entropies of pair lanes of horizon n at cells
-    (l, k), at the broadcast of the index arrays: joint reads the entropies
-    of the pairs' joint symbols (`_window_counts`), lane the pair's lane
-    there; streams those of their x and y lanes, other the lane there of
-    the stream that is not disputed on the first window (the y lane when
-    l < k, else the x lane; either on the diagonal).  With a = min(l, k) - 1
-    and b = max(l, k) - 1 these are the operations of the definition, in
-    its order: the joint entropy of [a, b) less other's, times (b - a) /
-    (n - a), plus the joint entropy of [b, n) times (n - b) / (n - a).  An
-    empty window (the first on the diagonal, both at (n + 1, n + 1), where
-    the span n - a is taken as 1) adds an exact 0.0 times its weight."""
-    a, b = np.minimum(l, k) - 1, np.maximum(l, k) - 1
+@functools.lru_cache(maxsize=32)
+def _cell_windows(n: int):
+    """The windows and weights of the cells of horizon n, built on first use
+    and shared read-only: four arrays, at (l - 1) * (n + 1) + k - 1 the
+    values at the cell (l, k), 1 <= l, k <= n + 1, of a = min(l, k) - 1 and
+    b = max(l, k) - 1, in the smallest unsigned dtype that holds n, and of
+    (b - a) / span and (n - b) / span, with span = n - a, taken as 1 at
+    (n + 1, n + 1), whose windows are empty."""
+    a, b = np.sort(np.indices((n + 1, n + 1)).reshape(2, -1), axis=0)
     span = np.maximum(n - a, 1)
+    tables = (a.astype(np.min_scalar_type(n)), b.astype(np.min_scalar_type(n)),
+              (b - a) / span, (n - b) / span)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _weighted_entropies(joint, streams, n: int, lane, other, cell) -> np.ndarray:
+    """The weighted suffix entropies of pair lanes of horizon n at the
+    cells (l, k) numbered (l - 1) * (n + 1) + k - 1 by cell, at the
+    broadcast of the index arrays: joint reads the entropies of the pairs'
+    joint symbols (`_window_counts`), lane the pair's lane there; streams
+    those of their x and y lanes, other the lane there of the stream that is
+    not disputed on the first window (the y lane when l < k, else the x
+    lane; either on the diagonal).  With the cell's a, b and weights
+    (`_cell_windows`) these are the operations of the definition, in its
+    order: the joint entropy of [a, b) less other's, times (b - a) / (n - a),
+    plus the joint entropy of [b, n) times (n - b) / (n - a).  An empty
+    window adds an exact 0.0 times its weight."""
+    lo, hi, first, second = _cell_windows(n)
+    a, b = np.take(lo, cell), np.take(hi, cell)
     h = joint(lane, a, b)
     h -= streams(other, a, b)
-    h *= (b - a) / span
-    second = joint(lane, b, n)
-    second *= (n - b) / span
-    h += second
+    h *= np.take(first, cell)
+    last = joint(lane, b, n)
+    last *= np.take(second, cell)
+    h += last
     return h
 
 
@@ -548,9 +582,9 @@ def weighted_suffix_entropy(x: Sequence, y: Sequence, l: int, k: int, n: int) ->
     joint = x * (int(y.max(initial=0)) + 1) + y
     # one-element index arrays, as the engine's count step takes them: lane 0
     # of the joint lanes, and lane 1 (y) or 0 (x) of the stream lanes
-    lane, other, l, k = (np.array([i]) for i in (0, int(l < k), l, k))
+    lane, other, cell = (np.array([i]) for i in (0, int(l < k), (l - 1) * (n + 1) + k - 1))
     h = _weighted_entropies(_window_counts(joint), _window_counts(np.r_[x, y]), n, lane,
-                            other, l, k)
+                            other, cell)
     return float(h[0])
 
 
@@ -565,11 +599,11 @@ def _first_max(trial, score, slack=0.0):
     (ascending)."""
     if not len(trial):
         return trial[:0]
-    starts = np.flatnonzero(np.r_[True, trial[1:] != trial[:-1]])
-    best = np.repeat(np.maximum.reduceat(score, starts),
-                     np.diff(np.r_[starts, len(trial)]))
+    starts = np.flatnonzero(np.concatenate(([True], trial[1:] != trial[:-1])))
+    best = np.repeat(np.maximum.reduceat(score, starts), np.diff(starts, append=len(trial)))
     top = np.flatnonzero(score >= best - slack)
-    return top[np.r_[True, trial[top][1:] != trial[top][:-1]]]
+    lead = np.take(trial, top)
+    return top[np.concatenate(([True], lead[1:] != lead[:-1]))]
 
 
 def _ml_winners(trial_x, px, trial_y, py, trials: int, logs):
@@ -594,12 +628,12 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, logs):
     size_y = np.bincount(trial_y, minlength=trials)
     pairs = size_x * size_y
     ends = np.cumsum(pairs)
+    begin = ends - pairs
     start_x, start_y = np.cumsum(size_x) - size_x, np.cumsum(size_y) - size_y
 
-    def lanes(pair):
-        trial = np.searchsorted(ends, pair, "right")
-        a, b = np.divmod(pair - (ends - pairs)[trial], size_y[trial])
-        return trial, start_x[trial] + a, start_y[trial] + b
+    def lanes(pair, trial):
+        a, b = np.divmod(pair - begin[trial], size_y[trial])
+        return start_x[trial] + a, start_y[trial] + b
 
     symbols = logs.size
     flat = logs.ravel()
@@ -607,11 +641,16 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, logs):
     best = np.full(trials, -1)
     total = int(pairs.sum())
     for lo in range(0, total, block):
-        pair = np.arange(lo, min(lo + block, total))
-        lead = best[np.searchsorted(ends, lo, "right")]
-        if lead >= 0:
-            pair = np.r_[lead, pair]
-        trial, lane_x, lane_y = lanes(pair)
+        hi = min(lo + block, total)
+        # the block's pairs run over consecutive trials, first to last
+        first, last = np.searchsorted(ends, (lo, hi - 1), "right")
+        span = np.clip(ends[first:last + 1], lo, hi) - np.clip(begin[first:last + 1], lo, hi)
+        trial = np.repeat(np.arange(first, last + 1), span)
+        pair = np.arange(lo, hi)
+        if best[first] >= 0:
+            trial = np.concatenate(([first], trial))
+            pair = np.concatenate(([best[first]], pair))
+        lane_x, lane_y = lanes(pair, trial)
         code = np.take(px, lane_x, axis=0).astype(np.intp) * logs.shape[1]
         code += np.take(py, lane_y, axis=0)
         code *= len(pair)
@@ -627,7 +666,8 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, logs):
         slack = np.where(np.isfinite(score), _ML_TIE * (px.shape[1] + np.abs(score)), 0.0)
         win = _first_max(trial, score, slack)
         best[trial[win]] = pair[win]
-    return lanes(best[best >= 0])[1:]
+    won = np.flatnonzero(best >= 0)
+    return lanes(best[won], won)
 
 
 def _universal_winners(trial_x, px, trial_y, py, trials: int):
@@ -692,47 +732,65 @@ def _child_ranks(first):
     where every row reads r) and slots the most children of a node, at
     least two."""
     lane = np.arange(len(first))[:, None]
-    starts = np.cumsum(first == lane, axis=0)[:, 1:]
-    rank = np.c_[starts - np.take_along_axis(starts, first[:, :-1], axis=0),
-                 np.zeros(len(first), np.intp)]
+    n = first.shape[1] - 1
+    # the depth-l node starts up to each lane, less those up to its parent's
+    # first lane
+    starts = np.cumsum(first[:, 1:] == lane, axis=0)
+    rank = np.zeros(first.shape, np.intp)
+    np.subtract(starts, np.take(starts, first[:, :-1] * n + np.arange(n)), out=rank[:, :-1])
     slots = max(int(rank.max(initial=0)) + 1, 2)
-    shift = np.arange(slots)[:, None, None] * (np.arange(rank.shape[1]) < rank.shape[1] - 1)
-    return (lane - first).ravel(), ((rank + shift) % slots).reshape(slots, -1)
+    rows = rank + np.arange(slots)[:, None, None] * (np.arange(n + 1) < n)
+    rows -= slots * (rows >= slots)
+    return (lane - first).ravel(), rows.reshape(slots, -1)
 
 
 def _group_scores(trial_x, px, trial_y, py, trials: int):
     """The score pass over the bin products of a group of trials; see
     `_sw_scores`, which splits a chunk into such groups.  It computes
     weighted suffix entropies only at the live cells, where both lanes have
-    rivals.  One `np.minimum.at` takes the least value under each pair of
-    children of each parent node pair of a cell, into one slot per pair of
-    child ranks, and each pair reads its rival minimum off the slots of the
-    other children.  The depths l go in blocks of at most `_PAIR_BUDGET`
-    times n + 1 cells (or one depth)."""
+    rivals, listing each y lane's live depths once for the group.  One
+    `np.minimum.at` takes the least value under each pair of children of
+    each parent node pair of a cell, into one slot per pair of child ranks,
+    and each pair reads its rival minimum off the slots of the other
+    children.  The depths l go in blocks of at most `_BLOCK_PAIRS` times
+    n + 1 cells (or one depth); a block frees its index arrays before it
+    takes the entropies."""
     n = px.shape[1]
     side = n + 1
     size_x = np.bincount(trial_x, minlength=trials)
     size_y = np.bincount(trial_y, minlength=trials)
-    pairs = size_x * size_y
-    trial, own = _ragged(pairs)
+    trial, own = _ragged(size_x * size_y)
     start_x, start_y = np.cumsum(size_x) - size_x, np.cumsum(size_y) - size_y
-    pair_x = start_x[trial] + own // size_y[trial]
-    pair_y = start_y[trial] + own % size_y[trial]
+    step = size_y[trial]
+    pair_x = start_x[trial] + own // step
+    pair_y = start_y[trial] + own % step
     first_x, live_x = _nodes(trial_x, px)
     first_y, live_y = _nodes(trial_y, py)
-    joint = _window_counts(np.take(px, pair_x, axis=0).astype(np.uint16) << 8
+    joint = _window_counts(np.take(px.astype(np.uint16) << 8, pair_x, axis=0)
                            | np.take(py, pair_y, axis=0))
-    streams = _window_counts(np.r_[px, py])
+    streams = _window_counts(np.concatenate((px, py)))
     past_x, rank_x = _child_ranks(first_x)
     past_y, rank_y = _child_ranks(first_y)
-    slots_x, slots_y = len(rank_x), len(rank_y)
-    # the cells in order of l, pair and k: count[l - 1, pair] at depth l,
-    # one per live depth k of the pair's y lane (n + 1 last), but not
-    # (n + 1, n + 1), which is the pair itself
-    depth_y = np.nonzero(live_y)[1] + 1
-    cells = live_y.sum(axis=1)
+    slots = len(rank_x) * len(rank_y)
+    # the pair of child ranks (a, b) has the slot a * slots_y + b
+    rank_x = (rank_x * len(rank_y)).astype(np.int32)
+    # the live depths k of the y lanes, lane-major (n + 1 last), and at each
+    # k - 1, the lane's stream lane, its distance past the first lane of its
+    # depth-(k - 1) node, and its child ranks plus slots times the depth's
+    # rank among the lane's: a cell's slots are at the rank-th cell of its
+    # parent pair
+    cells = live_y.sum(axis=1, dtype=np.int32)
+    lane_y, rank_k = _ragged(cells)
+    at_y = np.flatnonzero(live_y)
+    depth_k = at_y - lane_y * side
+    stream_k = lane_y + len(px)
+    past_k = np.take(past_y, at_y)
+    rank_y = (np.take(rank_y, at_y, axis=1) + rank_k * slots).astype(np.int32)
     first_k = np.cumsum(cells) - cells
-    count = np.take(live_x, pair_x, axis=0).T * cells[pair_y]
+    # the cells in order of l, pair and k: count[l - 1, pair] at depth l,
+    # one per live depth k of the pair's y lane, but not (n + 1, n + 1),
+    # which is the pair itself
+    count = np.take(np.ascontiguousarray(live_x.T), pair_x, axis=1) * cells[pair_y]
     count[-1] -= 1
     totals = count.sum(axis=1)
     reach = np.cumsum(totals)
@@ -741,36 +799,48 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
     l0 = 0
     while l0 < side and len(trial):
         done = reach[l0] - totals[l0]
-        l1 = max(int(np.searchsorted(reach, done + _PAIR_BUDGET * side, "right")), l0 + 1)
-        # the block's (l, pair) with cells, whose cells start at begin; the
-        # (l, pair) of the first lane of the x lane's parent node with the
-        # same y lane, and the x lane's child ranks, its own in row 0
+        l1 = max(int(np.searchsorted(reach, done + _BLOCK_PAIRS * side, "right")), l0 + 1)
+        # the block's (l, pair) with cells, the first of which is begin[at],
+        # at depth l - 1; the (l, pair) of the first lane of the x lane's
+        # parent node with the same y lane, and the x lane's child ranks, its
+        # own in row 0
         block = count[l0:l1].ravel()
-        begin = np.cumsum(block) - block
+        begin = np.cumsum(block)
+        begin -= block
         at = np.flatnonzero(block)
-        l, pair = np.divmod(at, len(trial))
-        l += l0 + 1
-        at_x = pair_x[pair] * side + l - 1
-        parent = at - past_x[at_x] * size_y[trial[pair]]
-        a = np.take(rank_x, at_x, axis=1)
-        # then the cells themselves, the rank-th of their (l, pair).  Their
-        # slots sit at the cell (l, k) of the pair of the two parent nodes'
-        # first lanes, which is live there too, with k of the same rank
-        segment, rank = _ragged(block[at])
+        depth = at // len(trial)
+        pair = at - depth * len(trial)
+        depth += l0
+        at_x = np.take(pair_x, pair) * side + depth
+        parent = at - np.take(past_x, at_x) * np.take(step, pair)
+        size = np.take(block, at)
         l0 = l1
-        l, pair, parent, a = (np.take(v, segment, axis=-1) for v in (l, pair, parent, a))
-        y = pair_y[pair]
-        k = depth_y[first_k[y] + rank]
-        at_y = y * side + k - 1
-        cell = (begin[parent - past_y[at_y]] + rank) * (slots_x * slots_y)
-        value = _weighted_entropies(joint, streams, n, pair,
-                                    np.where(l < k, len(px) + y, pair_x[pair]), l, k)
-        b = np.take(rank_y, at_y, axis=1)
-        least = np.full(len(pair) * slots_x * slots_y, np.inf)
-        np.minimum.at(least, cell + a[0] * slots_y + b[0], value)
-        mark = least[cell + a[1:, None] * slots_y + b[1:]].min(axis=(0, 1)) <= value
-        np.minimum.at(i_x, pair[mark], l[mark] - 1)
-        np.minimum.at(i_y, pair[mark], k[mark] - 1)
+        # then the cells, each at the live depth entry of its pair's y lane;
+        # its slots are at the cell of the pair of the two parent nodes'
+        # first lanes, which is live there too, with k of the same rank
+        entry = np.repeat(np.take(first_k, np.take(pair_y, pair)) - np.take(begin, at), size)
+        entry += np.arange(len(entry))
+        own = np.take(begin, np.repeat(parent, size) - np.take(past_k, entry)) * slots
+        a = np.repeat(np.take(rank_x, at_x, axis=1), size, axis=1)
+        b = np.take(rank_y, entry, axis=1)
+        rivals = own + a[1:, None] + b[1:]
+        own += a[0]
+        own += b[0]
+        # k - 1 and the cell's number (l - 1) * (n + 1) + k - 1, and the
+        # stream lane that is not disputed on its first window
+        k = np.take(depth_k, entry)
+        at = np.repeat(depth * side, size) + k
+        other = np.where(at < k * (side + 1), np.take(stream_k, entry),
+                         np.repeat(np.take(pair_x, pair), size))
+        pair = np.repeat(pair, size)
+        del entry, a, b
+        value = _weighted_entropies(joint, streams, n, pair, other, at)
+        least = np.full(len(value) * slots, np.inf)
+        np.minimum.at(least, own, value)
+        mark = np.flatnonzero(np.take(least, rivals).min(axis=(0, 1)) <= value)
+        hit = np.take(pair, mark)
+        np.minimum.at(i_x, hit, np.take(at, mark) // side)
+        np.minimum.at(i_y, hit, np.take(k, mark))
     return pair_x, pair_y, i_x, i_y
 
 
@@ -785,14 +855,18 @@ def _sw_scores(trial_x, px, trial_y, py, trials: int):
     pair's own x lane at l = n + 1, y lane at k = n + 1).  Returns each
     pair's x and y lanes, each trial's product in a-major order, and its
     scores i_x and i_y; a trial without lanes in both bins has no pairs.
-    The trials go in groups of whole trials, as many as the pair budget
-    holds and at least one."""
+    The lanes come in the smallest integer dtypes that hold the bins' lane
+    counts, the scores in the smallest that holds n + 1.  The trials go in
+    groups of whole trials, as many as `_GROUP_PAIRS` pairs hold and at
+    least one."""
     pairs = np.bincount(trial_x, minlength=trials) * np.bincount(trial_y, minlength=trials)
     ends = np.cumsum(pairs)
-    scores = [np.empty(ends[-1] if trials else 0, np.intp) for _ in range(4)]
+    total = int(ends[-1]) if trials else 0
+    scores = [np.empty(total, np.min_scalar_type(most))
+              for most in (len(px), len(py), px.shape[1] + 1, px.shape[1] + 1)]
     t0 = 0
     while t0 < trials:
-        t1 = np.searchsorted(ends, ends[t0] - pairs[t0] + _PAIR_BUDGET, "right")
+        t1 = np.searchsorted(ends, ends[t0] - pairs[t0] + _GROUP_PAIRS, "right")
         t1 = max(int(t1), t0 + 1)
         x0, x1 = np.searchsorted(trial_x, (t0, t1))
         y0, y1 = np.searchsorted(trial_y, (t0, t1))

@@ -397,6 +397,18 @@ class TestReplayBins:
                 assert _members(bins, t) == want
         assert 0 < len(steps) < live.sum() and min(steps) < 8
 
+    def test_wide_alphabet_with_more_lanes_than_symbols(self):
+        # 256 symbols and more than 256 lanes after step 1: a child's index,
+        # symbol * lanes + parent, takes the symbol before it is stored as
+        # a byte, or the index wraps
+        schedule = BinningSchedule((1, 8))
+        seeds, seqs = _chunk(256, 2, 3, seed0=9)
+        assert len(replay_bins(seeds, seqs[:, :1], "x", schedule, 256).trial) > 256
+        bins = replay_bins(seeds, seqs, "x", schedule, 256)
+        for t, seed in enumerate(seeds):
+            assert _members(bins, t) == _stepwise(seed, "x", seqs[t].tobytes(), schedule, 256,
+                                                  2 ** 20)
+
     def test_rejects_symbols_outside_alphabet(self):
         with pytest.raises(ValueError):
             replay_bins([1], np.array([[0, 2]], np.uint8), "x", ONE_BIT, 2)
@@ -792,7 +804,8 @@ class TestSuffixEntropies:
         lane = np.arange(len(pairs))[:, None]
         l, k = (c.ravel() for c in np.indices((n + 1, n + 1)) + 1)
         table = _weighted_entropies(_window_counts(x * ay + y), _window_counts(np.r_[x, y]), n,
-                                    lane, np.where(l < k, len(pairs) + lane, lane), l, k)
+                                    lane, np.where(l < k, len(pairs) + lane, lane),
+                                    (l - 1) * (n + 1) + k - 1)
         table = table.reshape(len(pairs), n + 1, n + 1)
         for (x, y), cells in zip(pairs, table):
             for l in range(1, n + 2):
@@ -800,6 +813,30 @@ class TestSuffixEntropies:
                     assert cells[l - 1, k - 1] == _oracle_wse(x, y, l, k, n)
             for l, k in ((1, 1), (1, n + 1), (n + 1, 1), (n // 2 + 1, 1), (1, n // 2 + 1)):
                 assert weighted_suffix_entropy(x, y, l, k, n) == _oracle_wse(x, y, l, k, n)
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "sorted"])
+    @pytest.mark.parametrize("alphabet", [2, 3], ids=["binary", "ternary"])
+    def test_cell_values_match_the_definition(self, alphabet, keyed, monkeypatch):
+        # every cell (l, k) of every pair of two random bins, its windows
+        # and weights read off the cell tables, against the definition, on
+        # the keyed table and on the sorting network (_KEYED = 0)
+        if not keyed:
+            monkeypatch.setattr(codec, "_KEYED", 0)
+        n = 7
+        rng = np.random.default_rng(alphabet)
+        px, py = (rng.integers(0, alphabet, (4, n)) for _ in range(2))
+        x, y = np.repeat(px, len(py), axis=0), np.tile(py, (len(px), 1))
+        lane = np.arange(len(x))[:, None]
+        l, k = (c.ravel() for c in np.indices((n + 1, n + 1)) + 1)
+        joint = _window_counts(x * alphabet + y)
+        assert keyed == (joint.__name__ == "keyed")
+        cells = _weighted_entropies(joint, _window_counts(np.r_[x, y]), n, lane,
+                                    np.where(l < k, len(x) + lane, lane),
+                                    (l - 1) * (n + 1) + k - 1)
+        for pair, row in enumerate(cells):
+            for cell, value in enumerate(row.tolist()):
+                want = _oracle_wse(x[pair].tolist(), y[pair].tolist(), l[cell], k[cell], n)
+                assert value == want, (pair, l[cell], k[cell])
 
 
 def _first_error(decoded, truth, n):
@@ -853,10 +890,11 @@ class TestScoreKernel:
     ], ids=["example1", "example2", "ternary"])
     def test_chunk_matches_oracle(self, probs, schedule, n, trials, budget,
                                   monkeypatch):
-        # a small pair budget splits the chunk into groups of a few pairs,
-        # and a trial whose product exceeds it into a group of its own
+        # small group and block budgets split the chunk into groups of a few
+        # pairs, and a trial whose product exceeds them into a group of its own
         if budget:
-            monkeypatch.setattr(codec, "_PAIR_BUDGET", budget)
+            monkeypatch.setattr(codec, "_GROUP_PAIRS", budget)
+            monkeypatch.setattr(codec, "_BLOCK_PAIRS", budget)
         chunk = self._chunk(probs, schedule, n, trials, seed=n)
         if budget:
             bins_x, bins_y = chunk[:2]
@@ -963,13 +1001,18 @@ class TestScorePass:
         self._check([(xs, ys)], 3)
 
     def test_trial_over_the_pair_budget(self, monkeypatch):
-        # a trial of more pairs than the budget is a group of its own, and
-        # its depths go in several blocks
-        monkeypatch.setattr(codec, "_PAIR_BUDGET", 4)
+        # the group and block budgets each at 1, 7, the default and more than
+        # the chunk: a trial of more pairs than the group budget is a group
+        # of its own, and at a block budget of 1 its depth n + 1 alone, one
+        # cell per pair at least, fills a block
         rng = np.random.default_rng(5)
         products = self._products(rng, (2, 2), 5, 6)
-        assert max(len(xs) * len(ys) for xs, ys in products) > 4
-        self._check(products, 5)
+        assert any(len(xs) * len(ys) > 7 and len(ys) > 1 for xs, ys in products)
+        defaults = codec._GROUP_PAIRS, codec._BLOCK_PAIRS
+        for group, block in itertools.product(*((1, 7, d, 2 ** 16) for d in defaults)):
+            monkeypatch.setattr(codec, "_GROUP_PAIRS", group)
+            monkeypatch.setattr(codec, "_BLOCK_PAIRS", block)
+            self._check(products, 5)
 
 
 class TestTwoEncoderDecoders:

@@ -311,20 +311,28 @@ class TestRunTrials:
              schedule_y=ONE_BIT, n=7, trials=150, base_seed=6),
     ], ids=["mc-sw-universal", "ternary"])
     def test_scores_independent_of_pair_budget(self, kw, monkeypatch):
-        # one trial per group, with a block per depth, small groups, the
-        # default groups and the whole chunk in one group
+        # the group budget and the block budget, each in turn at 1, 7, the
+        # default and 2 ** 16 with the other at its default: one trial per
+        # group, small groups, the default groups and the whole chunk in one
+        # group; a block per depth, small blocks, the default blocks and
+        # every depth of a group in one block
         cfg = _cfg(**kw)
         seeds = _trial_seeds(cfg.base_seed, np.arange(cfg.trials, dtype=np.uint64))
         x_rows, y_rows = _sample_rows(cfg.source, cfg.n, seeds)
         bins_x = replay_bins(seeds, x_rows, "x", cfg.schedule_x, cfg.source.alphabet_x)
         bins_y = replay_bins(seeds, y_rows, "y", cfg.schedule_y, cfg.source.alphabet_y)
-        results, default = [], codec._PAIR_BUDGET
-        for budget in (1, 7, default, 2 ** 16):
-            monkeypatch.setattr(codec, "_PAIR_BUDGET", budget)
-            results.append(codec._sw_scores(bins_x.trial, bins_x.prefixes, bins_y.trial,
-                                            bins_y.prefixes, cfg.trials))
+        results = []
+        for name in ("_GROUP_PAIRS", "_BLOCK_PAIRS"):
+            default = getattr(codec, name)
+            for budget in (1, 7, default, 2 ** 16):
+                monkeypatch.setattr(codec, name, budget)
+                results.append(codec._sw_scores(bins_x.trial, bins_x.prefixes, bins_y.trial,
+                                                bins_y.prefixes, cfg.trials))
+            monkeypatch.setattr(codec, name, default)
+        # the ternary chunk's 1,846 pairs fit one default group
         pairs = len(results[0][0])
-        assert default < pairs < 2 ** 16
+        assert 7 < pairs < 2 ** 16
+        assert (pairs > codec._GROUP_PAIRS) == (cfg.source is not _TERNARY)
         for result in results[1:]:
             for want, got in zip(results[0], result):
                 assert np.array_equal(want, got)
