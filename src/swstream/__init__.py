@@ -5,8 +5,10 @@ source coding with and without side information, executable random-binning
 encoders/decoders at desk scale, and a Monte Carlo error-versus-delay
 harness.
 
-The exponents run on the standard library alone.  The encoders, decoders
-and simulations run on numpy, so their names are imported on first use.
+The package root imports `info_core` alone.  The names of the exponents,
+which run on the standard library, and of the encoders, decoders and
+simulations, which run on numpy, are imported on first use: `simulate`
+loads no exponent code, and the exponent commands load no numpy.
 """
 
 import importlib
@@ -22,26 +24,14 @@ from .info_core import (  # noqa: F401
     tilted,
     xy_tilted,
 )
-from .exponents import (  # noqa: F401
-    ExponentResult,
-    RatePair,
-    e_block_lower,
-    e_block_sw_x,
-    e_block_sw_y,
-    e_block_upper,
-    e_ml_pp,
-    e_ml_si,
-    e_sw_x,
-    e_sw_xy,
-    e_sw_y,
-    e_un_pp,
-    e_un_si,
-    e_x_gamma,
-    e_y_gamma,
-)
 
-# name -> the numpy module that defines it
+# name -> the module that defines it, imported on first use
 _LAZY = {
+    **dict.fromkeys((
+        "ExponentResult", "RatePair", "e_block_lower", "e_block_sw_x",
+        "e_block_sw_y", "e_block_upper", "e_ml_pp", "e_ml_si", "e_sw_x",
+        "e_sw_xy", "e_sw_y", "e_un_pp", "e_un_si", "e_x_gamma", "e_y_gamma",
+    ), "exponents"),
     "BinningSchedule": "codec",
     "CandidateSet": "codec",
     "weighted_suffix_entropy": "codec",

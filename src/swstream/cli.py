@@ -3,15 +3,32 @@
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 All numbers are computed in nats; `--units bits` rescales at format time.
 
-The exponent commands run on the standard library alone: `sim`, `codec`
-and `verify`, which load numpy, are imported by the commands that use them.
-`simulate` imports them while it loads its trial config, before any trial
-runs.
+Each command imports what it runs, before its first step, and each step is
+called through this module's names (`curve_row`, `run_trials`):
+- `exponents` and `reproduce-example1/2` import `exponents` in
+  `_compute_curve`, before the first rate point; with `info_core` they run
+  on the standard library, with no `dataclasses` and no numpy;
+- `simulate` imports `sim` and `codec`, which load numpy, while it loads its
+  trial config, before any trial runs, and no exponent code;
+- `verify` imports `verify`, which loads all of them.
+
+`main` has `gc.freeze` run at exit, registered once per process, so that
+interpreter finalization skips the collector's last pass over every object
+left over from the imports.  That pass took most of a short job's time: on
+a 2-core VM, exit took 33-48 ms after `import swstream.cli, swstream.sim`
+and 11-14 ms after `import swstream.cli`, against 8-11 and 3-4 ms with the
+hook (medians of 25 launches).  Exit stays the normal path: stdout and
+stderr are flushed, other atexit handlers run and exit codes are unchanged;
+CPython does not promise `__del__` for objects alive at exit anyway.  `main`
+never freezes in its body, which would pin every object of an in-process
+caller, such as pytest, for the rest of its life.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -20,7 +37,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .exponents import CURVE_HEADER, RatePair, curve_row, format_curve_row
 from .info_core import EXAMPLE_1, EXAMPLE_2, JointDistribution
 
 LN2 = math.log(2.0)
@@ -104,14 +120,23 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed,
     return path
 
 
+# the exponent step of `exponents` and `reproduce-*`, called through this
+# module's name like the Monte Carlo steps of `simulate` below
+def curve_row(d, rates):
+    from . import exponents
+    return exponents.curve_row(d, rates)
+
+
 def _curve_worker(args):
-    d, rx, ry = args
-    return curve_row(d, RatePair(rx, ry))
+    return curve_row(*args)
 
 
 def _compute_curve(d: JointDistribution, rx_grid, ry_grid, threads: int):
+    # loads `exponents` before the first point, while the command sets up
+    from .exponents import RatePair
+
     # the source itself, not its JSON: reloading would renormalize it again
-    points = [(d, rx, ry) for ry in ry_grid for rx in rx_grid]
+    points = [(d, RatePair(rx, ry)) for ry in ry_grid for rx in rx_grid]
     if threads > 1 and len(points) > _POOL_POINTS:
         import concurrent.futures
 
@@ -121,6 +146,8 @@ def _compute_curve(d: JointDistribution, rx_grid, ry_grid, threads: int):
 
 
 def _write_curve(path: Path, rows, units: str) -> None:
+    from .exponents import CURVE_HEADER, format_curve_row
+
     scale = LN2 if units == "bits" else 1.0
     lines = [CURVE_HEADER] + [format_curve_row(r, scale) for r in rows]
     path.write_text("\n".join(lines) + "\n")
@@ -401,6 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # at exit, once per process however often main runs (module docstring)
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 
 from .info_core import (
     JointDistribution,
+    _Frozen,
     _log_sum,
     _total,
     conditional_entropy_x_given_y,
@@ -86,16 +86,15 @@ _ROOT_TOL = 1e-13
 _RHO_INF = 2.0 ** 64
 
 
-@dataclass(frozen=True)
-class RatePair:
+class RatePair(_Frozen):
     """Encoding rates in nats per symbol; ry = 0 for point-to-point."""
 
-    rx: float
-    ry: float = 0.0
+    _fields = ("rx", "ry")
 
-    def __post_init__(self):
-        if not (self.rx >= 0 and self.ry >= 0):
+    def __init__(self, rx: float, ry: float = 0.0):
+        if not (rx >= 0 and ry >= 0):
             raise ValueError("rates must be nonnegative numbers")
+        vars(self).update(rx=rx, ry=ry)
 
     def r_gamma(self, gamma: float) -> float:
         """gamma*Rx + (1-gamma)*(Rx+Ry), the rate seen by the x error event."""
@@ -111,15 +110,15 @@ class RatePair:
         )
 
 
-@dataclass(frozen=True)
-class ExponentResult:
+class ExponentResult(_Frozen):
     """An optimized exponent plus the optimizer that attained it."""
 
-    value: float
-    rho_star: float
-    gamma_star: float | None = None
-    branch: str = ""
-    in_region: bool = True
+    _fields = ("value", "rho_star", "gamma_star", "branch", "in_region")
+
+    def __init__(self, value: float, rho_star: float, gamma_star: float | None = None,
+                 branch: str = "", in_region: bool = True):
+        vars(self).update(value=value, rho_star=rho_star, gamma_star=gamma_star,
+                          branch=branch, in_region=in_region)
 
 
 def _root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
@@ -388,7 +387,7 @@ def e_block_sw_y(d: JointDistribution, rates: RatePair) -> ExponentResult:
 
 
 def _endpoint(res: ExponentResult, in_region: bool) -> ExponentResult:
-    return replace(res, gamma_star=None, in_region=in_region)
+    return ExponentResult(res.value, res.rho_star, branch=res.branch, in_region=in_region)
 
 
 def _needs_y(d: JointDistribution) -> JointDistribution:

@@ -29,7 +29,6 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
 
 __all__ = [
     "JointDistribution",
@@ -71,8 +70,39 @@ def _total(values) -> float:
 _flat = itertools.chain.from_iterable
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class _Frozen:
+    """An immutable value, compared, hashed and shown by its `_fields` in
+    that order, as a frozen dataclass is (`repr` leaves out `_unshown`).
+    Written out because `dataclasses`, with the `inspect` that it loads,
+    took about 10 ms of each exponent command's start-up."""
+
+    _fields = ()
+    _unshown = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields
+                 if f not in self._unshown)
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+
+class JointDistribution(_Frozen):
     """Finite joint pmf over an |X| x |Y| alphabet.
 
     probs is a tuple of |X| row tuples: probs[x][y].  Entries must be
@@ -82,19 +112,17 @@ class JointDistribution:
     `from_json(to_json())` is exact.
     """
 
-    alphabet_x: int
-    alphabet_y: int
-    probs: tuple = field(repr=False)
+    _fields = ("alphabet_x", "alphabet_y", "probs")
+    _unshown = ("probs",)
 
-    def __post_init__(self):
+    def __init__(self, alphabet_x: int, alphabet_y: int, probs):
         try:
-            p = tuple(tuple(float(v) for v in row) for row in self.probs)
+            p = tuple(tuple(float(v) for v in row) for row in probs)
         except TypeError as e:
             raise ValueError(f"probs is not a table of numbers: {e}") from e
-        if len(p) != self.alphabet_x or any(len(row) != self.alphabet_y for row in p):
-            raise ValueError(
-                f"probs is not a {self.alphabet_x} x {self.alphabet_y} table")
-        if self.alphabet_x < 2 or self.alphabet_y < 1:
+        if len(p) != alphabet_x or any(len(row) != alphabet_y for row in p):
+            raise ValueError(f"probs is not a {alphabet_x} x {alphabet_y} table")
+        if alphabet_x < 2 or alphabet_y < 1:
             raise ValueError("need |X| >= 2 and |Y| >= 1")
         entries = list(_flat(p))
         if not all(map(math.isfinite, entries)):
@@ -109,7 +137,7 @@ class JointDistribution:
         # a sum off by more than the rounding of the division is divided out
         if abs(total - 1.0) > len(entries) * sys.float_info.epsilon:
             p = tuple(tuple(v / total for v in row) for row in p)
-        object.__setattr__(self, "probs", p)
+        vars(self).update(alphabet_x=alphabet_x, alphabet_y=alphabet_y, probs=p)
 
     @functools.cached_property
     def _log_probs(self) -> tuple:

@@ -1,6 +1,10 @@
 import dataclasses
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -461,3 +465,65 @@ class TestOutPath:
         assert err == f"error: output file {out / name} is a directory\n"
         assert [p.name for p in out.iterdir()] == [name]
         assert not any((out / name).iterdir())
+
+
+class TestExitHook:
+    """`main` has `gc.freeze` run at exit, so that finalization skips the
+    collector's pass over the objects left over from the imports."""
+
+    # the console script's entry, `sys.exit(main())`, with code run first
+    ENTRY = "import sys; from swstream.cli import main; {}sys.exit(main(sys.argv[1:]))"
+
+    def _subprocess(self, args, setup=""):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        return subprocess.run([sys.executable, "-c", self.ENTRY.format(setup), *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_subprocess_run_matches_in_process_run(self, tmp_path, source_file,
+                                                   trial_config_file, capsys):
+        # stdout piped, as when it goes to a file: the exit path still
+        # flushes the "wrote" line, and the codes and outputs are unchanged
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"source": EXAMPLE_1_JSON}))
+        out = tmp_path / "o"
+        runs = [
+            (["simulate", trial_config_file, "--threads", "1", "--out", str(out)],
+             0, ["stats.csv", "fit.json"]),
+            (["exponents", source_file, "--rx", "0.4:0.8:0.2", "--ry", "0.6",
+              "--threads", "1", "--out", str(out)], 0, ["exponents.csv"]),
+            (["simulate", str(bad), "--out", str(out)], 2, []),
+        ]
+        subs = []
+        for args, code, names in runs:
+            sub = self._subprocess(args)
+            files = {name: (out / name).read_bytes() for name in names}
+            assert sub.returncode == main(args) == code
+            captured = capsys.readouterr()
+            assert (sub.stdout, sub.stderr) == (captured.out, captured.err)
+            assert files == {name: (out / name).read_bytes() for name in names}
+            subs.append(sub)
+        simulate, exponents, bad_config = subs
+        assert simulate.stdout == f"wrote {out / 'stats.csv'} and {out / 'fit.json'}\n"
+        assert exponents.stdout == f"wrote {out / 'exponents.csv'} (3 rate points)\n"
+        assert bad_config.stderr == "error: trial config missing field 'schedule_x'\n"
+
+    def test_hook_runs_once_at_exit(self, tmp_path, source_file):
+        # a probe registered before main runs after the hook (atexit runs
+        # last in, first out) and counts its calls over two main calls
+        probe = ("import atexit, gc; calls = []; freeze = gc.freeze; "
+                 "gc.freeze = lambda: calls.append(1) or freeze(); "
+                 "atexit.register(lambda: print(len(calls), gc.get_freeze_count() > 0)); "
+                 "main(sys.argv[1:]); ")
+        args = ["exponents", source_file, "--rx", "0.6", "--threads", "1",
+                "--out", str(tmp_path / "o")]
+        sub = self._subprocess(args, probe)
+        assert sub.returncode == 0
+        assert sub.stdout.splitlines()[-1] == "1 True"
+
+    def test_in_process_calls_freeze_nothing(self, tmp_path, source_file, capsys):
+        # the hook only runs at exit: a caller such as pytest keeps its
+        # objects collectable
+        for _ in range(2):
+            assert main(["exponents", source_file, "--rx", "0.6", "--threads", "1",
+                         "--out", str(tmp_path / "o")]) == 0
+        assert gc.get_freeze_count() == 0

@@ -1,9 +1,11 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from swstream.exponents import (
+    ExponentResult,
     RatePair,
     _root,
     _sw_terms,
@@ -69,6 +71,21 @@ class TestRatePair:
         assert RatePair(0.6, 0.6).achievable(example1)
         assert not RatePair(0.5, 0.5).achievable(example1)  # rx + ry < H(x,y)
         assert not RatePair(0.3, 0.9).achievable(example1)  # rx < H(x|y)
+
+    def test_value_semantics(self):
+        # those of a frozen dataclass, for ExponentResult too
+        r = RatePair(0.6, 0.4)
+        assert r == RatePair(rx=0.6, ry=0.4) and hash(r) == hash(RatePair(0.6, 0.4))
+        assert r != RatePair(0.6) and repr(r) == "RatePair(rx=0.6, ry=0.4)"
+        with pytest.raises(AttributeError):
+            r.rx = 0.7
+        assert pickle.loads(pickle.dumps(r)) == r
+        res = ExponentResult(0.1, 0.5)
+        assert res == ExponentResult(value=0.1, rho_star=0.5, gamma_star=None)
+        assert repr(res) == ("ExponentResult(value=0.1, rho_star=0.5, gamma_star=None,"
+                             " branch='', in_region=True)")
+        with pytest.raises(AttributeError):
+            res.value = 0.2
 
 
 class TestRoot:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -109,6 +110,22 @@ class TestJointDistribution:
     def test_probs_immutable(self, example1):
         with pytest.raises(TypeError):
             example1.probs[0][0] = 0.5
+
+    def test_value_semantics(self, example1, example2):
+        # those of a frozen dataclass: fields compared and hashed, probs left
+        # out of repr, no assignment, and a pickle (the process pool's) that
+        # keeps the cached log table
+        d = JointDistribution.from_json(example1.to_json())
+        assert d == example1 and hash(d) == hash(example1) and d != example2
+        assert repr(d) == "JointDistribution(alphabet_x=2, alphabet_y=2)"
+        with pytest.raises(AttributeError):
+            d.probs = example2.probs
+        with pytest.raises(AttributeError):
+            del d.alphabet_x
+        logs = d._log_probs
+        assert d._log_probs is logs
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d and back._log_probs == logs
 
 
 class TestEntropies:
