@@ -8,7 +8,7 @@ called through this module's names (`curve_row`, `run_trials`):
 - `exponents` and `reproduce-example1/2` import `exponents` in
   `_compute_curve`, before the first rate point; with `info_core` they run
   on the standard library, with no `dataclasses` and no numpy;
-- `simulate` imports `sim` and `codec`, which load numpy, while it loads its
+- `simulate` imports `sim`, with `codec` and numpy, while it loads its
   trial config, before any trial runs, and no exponent code;
 - `verify` imports `verify`, which loads all of them.
 
@@ -137,10 +137,12 @@ def _compute_curve(d: JointDistribution, rx_grid, ry_grid, threads: int):
 
     # the source itself, not its JSON: reloading would renormalize it again
     points = [(d, RatePair(rx, ry)) for ry in ry_grid for rx in rx_grid]
-    if threads > 1 and len(points) > _POOL_POINTS:
+    # at most one worker per CPU: a fork pool starts all of them at once
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1 and len(points) > _POOL_POINTS:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_curve_worker, points, chunksize=4))
     return [_curve_worker(p) for p in points]
 
@@ -182,67 +184,16 @@ def cmd_exponents(args) -> int:
 
 def _load_trial_config(path: str, seed_override):
     """The trial config at path, as a `sim.TrialConfig`."""
-    from .codec import BinningSchedule
     from .sim import TrialConfig
 
     try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        return TrialConfig.from_json(Path(path).read_text(), seed_override)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read trial config: {e}") from e
-    try:
-        source = JointDistribution.from_json(json.dumps(obj["source"]))
-        schedule_x = BinningSchedule(tuple(obj["schedule_x"]))
-        schedule_y = (
-            BinningSchedule(tuple(obj["schedule_y"]))
-            if obj.get("schedule_y") else None
-        )
-        base_seed = obj["base_seed"] if seed_override is None else seed_override
-        return TrialConfig(
-            source=source,
-            schedule_x=schedule_x,
-            schedule_y=schedule_y,
-            n=obj["n"],
-            delays=tuple(obj["delays"]),
-            trials=obj["trials"],
-            base_seed=base_seed,
-            decoder=str(obj["decoder"]),
-        )
     except KeyError as e:
         raise ConfigError(f"trial config missing field {e}") from e
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad trial config: {e}") from e
-
-
-def _abort_report(stats) -> dict:
-    """Aborted trials by the stream and step at which their bin overflowed,
-    and the per-delay x-error rate that counts every abort as an error."""
-    by_step = {}
-    for (stream, step), count in stats.aborted_by_step.items():
-        by_step.setdefault(stream, {})[str(step)] = count
-    return {
-        "aborted": stats.aborted,
-        "aborted_by_step": by_step,
-        "rate_x_upper": {str(d): stats.rate_x_upper(d) for d in stats.delays},
-    }
-
-
-def _bin_report(cfg, stats) -> dict:
-    """Each stream's mean final bin size over the trials whose bin did not
-    overflow, with its standard error, next to the closed-form mean
-    `expected_bin_size(n)`: a check of the PRF that every run carries."""
-    from .codec import expected_bin_size
-
-    report = {}
-    for stream, alphabet, schedule in cfg.streams:
-        bins, total, squares = stats.bin_sizes[stream]
-        spread = bins * squares - total * total  # bins^2 times the variance
-        report[stream] = {
-            "bins": bins,
-            "mean": total / bins if bins else None,
-            "stderr": math.sqrt(spread / (bins - 1)) / bins if bins > 1 else None,
-            "expected": expected_bin_size(cfg.n, alphabet, schedule),
-        }
-    return {"final_bin_size": report}
 
 
 def _warn_aborts(stats) -> None:
@@ -296,23 +247,17 @@ def cmd_simulate(args) -> int:
     _write_manifest(
         out_dir,
         "simulate",
-        {
-            "config_path": args.config,
-            # the trial config as run, --seed applied: a trial config file
-            "source": json.loads(cfg.source.to_json()),
-            "schedule_x": list(cfg.schedule_x.pattern),
-            "schedule_y": list(cfg.schedule_y.pattern) if cfg.schedule_y else None,
-            "n": cfg.n,
-            "delays": list(cfg.delays),
-            "trials": cfg.trials,
-            "base_seed": cfg.base_seed,
-            "decoder": cfg.decoder,
-            "threads": args.threads,
-        },
+        # the trial config as run, --seed applied: a trial config file
+        {"config_path": args.config, **json.loads(cfg.to_json()), "threads": args.threads},
         cfg.base_seed,
         [stats_path, fit_path],
         started,
-        {**_abort_report(stats), **_bin_report(cfg, stats)},
+        {
+            "aborted": stats.aborted,
+            "aborted_by_step": stats.aborted_by_step,
+            "rate_x_upper": {d: stats.rate_x_upper(d) for d in stats.delays},
+            "final_bin_size": stats.final_bin_size,
+        },
     )
     if stats.aborted:
         _warn_aborts(stats)

@@ -3,53 +3,55 @@
 Each trial draws an iid source realization, encodes it causally, replays the
 decoder-side candidate sets, decodes once at full horizon, and scores an
 error at delay D whenever any of the first n - D symbols is wrong.  Trial
-t's seed is mix(k + (t + 1) * phi), with `codec._mix` and k an 8-byte
-BLAKE2b of the base seed: a counter-based generator (Salmon et al., SC
-2011), so a seed is a function of (base seed, t) alone, and trials are
-independent, reproducible, and may run in any order or process.
+t's seed is `codec._chain(k, t)` = mix(k + (t + 1) * phi), k the key word
+(`codec._stream_word`) of "trial:<base seed>": a counter-based generator
+(Salmon et al., SC 2011), so a seed is a function of (base seed, t) alone,
+and trials are independent, reproducible, and may run in any order or
+process.  `TrialConfig.from_json` and `to_json` define the trial config file.
 
 Trials run in chunks of consecutive trial indices, the one unit of work,
 serially or one chunk per task of a process pool.  A chunk derives all its
 trials' seeds in one uint64 pass (`derive_trial_seed` is the one-trial
 case) and then draws every trial's source at once: uniform i of a trial is
-the 53 high bits of mix(k' + (i + 1) * phi), with k' = mix(seed ^ a
-sampling constant), so a trial's draws do not depend on its chunk, and
+the 53 high bits of `_chain(k', i)`, with k' = mix(seed ^ a sampling
+constant), so a trial's draws do not depend on its chunk, and
 `sample_source` is the one-trial case.  It replays the bin of each stream in
 `TrialConfig.streams` with one `codec.replay_bins` call, y only where x did
 not overflow, and decodes them all with one `codec.first_errors` call, whose
 decoder table picks the kernel; it runs no Python loop over its trials.  The
 chunk size (`TrialConfig.chunk_size`) is `codec.chunk_trials` over the
 stream list: the chunk lane budget over the closed-form mean bin size, not
-an option; a parallel run caps it so that each worker gets at least 8
-chunks.  A chunk returns three
-count arrays: a histogram of its completed trials' first x, y and joint
-error positions, its aborts by stream and step, and each stream's (bins, sum
-of sizes, sum of squared sizes) over the final bins of the trials whose bin
-did not overflow.  The errors at delay D are the cumulative count up to
-symbol n - D.  A run merges its chunks by one elementwise sum, so its counts
-do not depend on the chunk size or on `--threads`.
+an option; a parallel run, with at most one worker per CPU, caps it so
+that each worker gets at least 8 chunks.  A chunk returns three count
+arrays: a histogram of its completed trials' first x, y and joint error
+positions, its aborts by stream and step, and each stream's (bins, sum of
+sizes, sum of squared sizes) over the final bins of the trials whose bin did
+not overflow.  The errors at delay D are the cumulative count up to symbol
+n - D.  A run merges its chunks by one elementwise sum, so its counts do not
+depend on the chunk size or on `--threads`, and reports them in the layout
+of the `simulate` manifest (`DelayErrorStats`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .codec import (
     DEFAULT_CANDIDATE_CAP,
     BinningSchedule,
-    _GOLDEN,
     _TABLE,
     DECODERS,
     _as_int,
+    _chain,
     _mix,
     _seed_words,
+    _stream_word,
     chunk_trials,
+    expected_bin_size,
     first_errors,
     replay_bins,
 )
@@ -66,6 +68,10 @@ from .codec import (  # noqa: F401
     update_candidates,
 )
 from .info_core import JointDistribution
+
+# loaded after `codec` compiles: without bytecode caches, compiling it on
+# top of numpy raised a `simulate` job's peak RSS by about 0.6 MB
+import numpy as np
 
 __all__ = [
     "TrialConfig",
@@ -152,6 +158,36 @@ class TrialConfig:
         """Trials per chunk: `codec.chunk_trials` over the streams."""
         return chunk_trials(self.n, [stream[1:] for stream in self.streams])
 
+    @classmethod
+    def from_json(cls, text: str, base_seed=None) -> "TrialConfig":
+        """A trial config file's config, with `base_seed`, if given, in place
+        of the file's; keys not named here are ignored."""
+        obj = json.loads(text)
+        return cls(
+            source=JointDistribution.from_json(json.dumps(obj["source"])),
+            schedule_x=BinningSchedule(tuple(obj["schedule_x"])),
+            schedule_y=(BinningSchedule(tuple(obj["schedule_y"]))
+                        if obj.get("schedule_y") else None),
+            n=obj["n"],
+            delays=tuple(obj["delays"]),
+            trials=obj["trials"],
+            base_seed=obj["base_seed"] if base_seed is None else base_seed,
+            decoder=str(obj["decoder"]),
+        )
+
+    def to_json(self) -> str:
+        """The trial config file: every field but `candidate_cap`."""
+        return json.dumps({
+            "source": json.loads(self.source.to_json()),
+            "schedule_x": list(self.schedule_x.pattern),
+            "schedule_y": list(self.schedule_y.pattern) if self.schedule_y else None,
+            "n": self.n,
+            "delays": list(self.delays),
+            "trials": self.trials,
+            "base_seed": self.base_seed,
+            "decoder": self.decoder,
+        })
+
 
 @dataclass
 class DelayErrorStats:
@@ -161,11 +197,13 @@ class DelayErrorStats:
     errors_y: dict
     errors_joint: dict
     aborted: int = 0
-    # (stream id, step) -> trials whose bin of that stream overflowed there
+    # stream id -> {step: trials whose bin of that stream overflowed there},
+    # over the streams and steps with aborts
     aborted_by_step: dict = field(default_factory=dict)
-    # stream id -> (bins, sum of sizes, sum of squared sizes) of the final
-    # bins of the trials whose bin of that stream did not overflow
-    bin_sizes: dict = field(default_factory=dict)
+    # stream id -> {"bins", "mean", "stderr", "expected"}: how many trials'
+    # bins of that stream did not overflow, their mean final size and its
+    # standard error (None below 1 and 2 bins), and `expected_bin_size(n)`
+    final_bin_size: dict = field(default_factory=dict)
 
     def rate_x(self, delay: int) -> float:
         return self.errors_x[delay] / self.trials
@@ -193,10 +231,9 @@ class FitResult:
 
 def _trial_seeds(base_seed: int, index):
     """The seeds of trials `index`, a Python int or elementwise a uint64
-    array: mix(k + (index + 1) * phi), k an 8-byte BLAKE2b of the base
-    seed."""
-    k = hashlib.blake2b(b"trial:%d" % base_seed, digest_size=8).digest()
-    return _mix(int.from_bytes(k, "big") + (index + 1) * _GOLDEN)
+    array: the chain step from k by symbol `index`, k the key word of the
+    stream id "trial:<base seed>"."""
+    return _chain(_stream_word(f"trial:{base_seed}"), index)
 
 
 def derive_trial_seed(base_seed: int, trial_index: int) -> int:
@@ -210,8 +247,7 @@ def _sample_rows(d: JointDistribution, n: int, seeds):
     trials x n uint8 arrays.  A seed is taken mod 2^64."""
     _check_byte_alphabets(d)
     keys = _mix(_seed_words(seeds) ^ _SAMPLE_KEY)
-    steps = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
-    u = (_mix(keys[:, None] + steps) >> 11) * 2.0 ** -53
+    u = (_chain(keys[:, None], np.arange(n, dtype=np.uint64)) >> 11) * 2.0 ** -53
     cum = np.cumsum(np.array(d.probs).ravel())
     cum[-1] = 1.0
     flat = np.searchsorted(cum, u, side="right")
@@ -257,17 +293,18 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
     """Run all trials in chunks and aggregate per-delay error counts.
 
     The merge is a plain sum of counts, so the result is independent of
-    thread count and chunking.
+    thread count and chunking.  A pool has at most one worker per CPU.
     """
     size = cfg.chunk_size
-    parallel = threads > 1 and cfg.trials >= 64
+    workers = min(threads, os.cpu_count() or 1)
+    parallel = workers > 1 and cfg.trials >= 64
     if parallel:
-        size = min(size, -(-cfg.trials // (8 * threads)))
+        size = min(size, -(-cfg.trials // (8 * workers)))
     starts = range(0, cfg.trials, size)
     stops = [min(a + size, cfg.trials) for a in starts]
     if parallel:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_tally_chunk, itertools.repeat(cfg), starts, stops))
     else:
         parts = list(map(_tally_chunk, itertools.repeat(cfg), starts, stops))
@@ -276,14 +313,22 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
     # error events across delays is automatic
     ex, ey, ej = ({d: int(row[cfg.n - d]) for d in cfg.delays}
                   for row in np.cumsum(hist, axis=1))
-    ids = [stream for stream, _, _ in cfg.streams]
-    by_step = {(stream, j): c for stream, row in zip(ids, aborts.tolist())
-               for j, c in enumerate(row, 1) if c}
-    aborted = sum(by_step.values())
+    by_step, final = {}, {}
+    for (stream, alphabet, schedule), row, (bins, total, squares) in zip(
+            cfg.streams, aborts.tolist(), sizes.tolist()):
+        if any(row):
+            by_step[stream] = {j: c for j, c in enumerate(row, 1) if c}
+        spread = bins * squares - total * total  # bins^2 times the variance
+        final[stream] = {
+            "bins": bins,
+            "mean": total / bins if bins else None,
+            "stderr": math.sqrt(spread / (bins - 1)) / bins if bins > 1 else None,
+            "expected": expected_bin_size(cfg.n, alphabet, schedule),
+        }
+    aborted = int(aborts.sum())
     return DelayErrorStats(delays=cfg.delays, trials=cfg.trials - aborted,
                            errors_x=ex, errors_y=ey, errors_joint=ej, aborted=aborted,
-                           aborted_by_step=by_step,
-                           bin_sizes=dict(zip(ids, map(tuple, sizes.tolist()))))
+                           aborted_by_step=by_step, final_bin_size=final)
 
 
 def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):

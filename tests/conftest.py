@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -13,6 +14,42 @@ with warnings.catch_warnings():
 
 from swstream.info_core import JointDistribution
 from swstream.verify import random_joint
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """`os.cpu_count` at 2: a run at 2 threads starts a real pool of 2
+    workers, even on a 1-CPU host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def fake_pool(two_cpus, monkeypatch):
+    """`concurrent.futures.ProcessPoolExecutor` replaced by a pool that maps
+    in this process, with `os.cpu_count` at 2.  Returns a list that gets
+    [max_workers, task count] of each pool, and no process is started."""
+    import concurrent.futures
+
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.record = [max_workers, 0]
+            pools.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            results = list(map(fn, *iterables))
+            self.record[1] += len(results)
+            return results
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return pools
 
 
 @pytest.fixture

@@ -299,6 +299,7 @@ def test_prf_error_curve_matches_exact_values(name):
 
 
 class TestCriterion9Determinism:
+    @pytest.mark.usefixtures("two_cpus")
     def test_exponents_thread_invariant(self, tmp_path):
         src = tmp_path / "src.json"
         src.write_text(json.dumps({
@@ -318,6 +319,7 @@ class TestCriterion9Determinism:
         [[0.1, 0.05], [0.05, 0.8]],
         [[0.3, 0.0], [0.1, 0.25], [0.05, 0.3]],
     ], ids=["example2", "3x2"])
+    @pytest.mark.usefixtures("two_cpus")
     def test_exponents_thread_invariant_on_a_two_encoder_grid(self, tmp_path, probs,
                                                               monkeypatch):
         # 15 points over three ry values: the process pool runs (a curve this
@@ -339,6 +341,7 @@ class TestCriterion9Determinism:
         assert outputs[0].count(b"\n") == 16
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_simulate_thread_invariant(self, tmp_path):
         cfg = tmp_path / "trials.json"
         cfg.write_text(json.dumps({

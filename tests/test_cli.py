@@ -120,6 +120,15 @@ class TestExponentsCommand:
         assert len(below) == 4
         assert all(float(r[column]) == 0.0 for r in below)
 
+    def test_pool_has_one_worker_per_cpu(self, fake_pool, monkeypatch, example2):
+        # 15 points over a lowered cutoff: 10,000 threads on 2 CPUs run a
+        # pool of 2 workers, with the rows of a serial run
+        monkeypatch.setattr(cli, "_POOL_POINTS", 8)
+        rx, ry = _parse_grid("0.30:0.90:0.15"), _parse_grid("0.35:0.49:0.07")
+        rows = cli._compute_curve(example2, rx, ry, threads=10_000)
+        assert fake_pool == [[2, 15]]
+        assert rows == cli._compute_curve(example2, rx, ry, threads=1)
+
     def test_byte_identical_reruns(self, tmp_path, source_file):
         outs = []
         for name in ("a", "b"):
@@ -216,7 +225,7 @@ class TestSimulateCommand:
         assert manifest["aborted"] == stats.aborted == 168
         assert set(manifest["aborted_by_step"]) == {"x"}
         assert manifest["aborted_by_step"]["x"] == {
-            str(step): count for (_, step), count in stats.aborted_by_step.items()}
+            str(step): count for step, count in stats.aborted_by_step["x"].items()}
         assert sum(manifest["aborted_by_step"]["x"].values()) == 168
         assert manifest["rate_x_upper"] == {
             str(d): (stats.errors_x[d] + 168) / 200 for d in (0, 4, 8)}
@@ -239,6 +248,7 @@ class TestSimulateCommand:
         assert manifest["aborted"] == 0 and manifest["aborted_by_step"] == {}
         assert set(manifest["rate_x_upper"]) == {"0", "2", "4"}
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_manifest_reports_final_bin_sizes(self, tmp_path):
         # each stream's mean final bin size is a sum over trials: the same
         # at any --threads, and within 4 standard errors of its closed form
@@ -270,10 +280,26 @@ class TestSimulateCommand:
         assert (out1 / "stats.csv").read_bytes() == (out2 / "stats.csv").read_bytes()
         assert json.loads((out1 / "manifest.json").read_text())["seed"] == 99
 
+    def test_seed_override_without_base_seed(self, tmp_path, trial_config_file):
+        config = json.loads(Path(trial_config_file).read_text())
+        del config["base_seed"]
+        path = tmp_path / "unseeded.json"
+        path.write_text(json.dumps(config))
+        outs = []
+        for name, config_path in (("file", trial_config_file), ("unseeded", str(path))):
+            out = tmp_path / name
+            assert main(["simulate", config_path, "--out", str(out), "--threads", "1",
+                         "--seed", "11"]) == 0
+            outs.append((out / "stats.csv").read_bytes())
+        assert outs[0] == outs[1]
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o"),
+                     "--threads", "1"]) == 2
+
     @pytest.mark.parametrize("decoder, schedule_y", [("si_ml", None), ("sw_ml", [1, 2])])
+    @pytest.mark.usefixtures("two_cpus")
     def test_manifest_config_reruns_the_run(self, tmp_path, decoder, schedule_y):
-        # the manifest's trial fields, --seed applied, are a trial config
-        # file whose run writes the same bytes
+        # the manifest's whole config, --seed applied, is a trial config
+        # file of the run's config, whose run writes the same bytes
         path = tmp_path / "trials.json"
         path.write_text(json.dumps({
             "source": {"alphabet_x": 3, "alphabet_y": 2,
@@ -286,10 +312,11 @@ class TestSimulateCommand:
                      "--seed", "99"]) == 0
         config = json.loads((first / "manifest.json").read_text())["config"]
         assert config["base_seed"] == 99 and config["delays"] == [0, 2, 4, 6]
-        fields = ("source", "schedule_x", "schedule_y", "n", "delays", "trials",
-                  "base_seed", "decoder")
+        assert (config["config_path"], config["threads"]) == (str(path), 1)
         rerun_path = tmp_path / "rerun.json"
-        rerun_path.write_text(json.dumps({k: config[k] for k in fields}))
+        rerun_path.write_text(json.dumps(config))
+        assert cli._load_trial_config(str(rerun_path), None) \
+            == cli._load_trial_config(str(path), 99)
         rerun = tmp_path / "rerun"
         assert main(["simulate", str(rerun_path), "--out", str(rerun),
                      "--threads", "2"]) == 0
@@ -370,6 +397,21 @@ class TestSimulateCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"source": EXAMPLE_1_JSON}))
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("data, message", [
+        (None, "error: cannot read trial config: "),
+        (b"\xff\xfe{", "error: cannot read trial config: "),
+        (b"{not json", "error: cannot read trial config: "),
+        (b'{"source": {}}', "error: trial config missing field 'alphabet_x'"),
+        (b"[1, 2]", "error: bad trial config: "),
+    ], ids=["missing-file", "not-utf8", "not-json", "missing-field", "not-an-object"])
+    def test_malformed_file_messages(self, tmp_path, data, message, capsys):
+        path = tmp_path / "trials.json"
+        if data is not None:
+            path.write_bytes(data)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o"),
+                     "--threads", "1"]) == 2
+        assert capsys.readouterr().err.startswith(message)
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_usage_error(self, tmp_path, trial_config_file,

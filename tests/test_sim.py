@@ -18,6 +18,7 @@ from swstream.sim import (
     _sample_rows,
     _tally_chunk,
     _trial_seeds,
+    DECODERS,
     DelayErrorStats,
     FitResult,
     TrialConfig,
@@ -162,6 +163,16 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match=r"needs \|Y\| >= 2"):
             _cfg(source=pp, decoder=decoder, schedule_y=ONE_BIT)
 
+    @pytest.mark.parametrize("decoder, schedule_y", [
+        (decoder, schedule_y) for decoder in DECODERS for schedule_y in (None, ONE_BIT)
+        if schedule_y or not decoder.startswith("sw")])
+    def test_file_round_trip(self, decoder, schedule_y):
+        cfg = _cfg(source=_TERNARY, decoder=decoder, schedule_x=_SPARSE,
+                   schedule_y=schedule_y, delays=(4, 0, 2), base_seed=-3)
+        text = cfg.to_json()
+        assert TrialConfig.from_json(text) == cfg
+        assert "candidate_cap" not in json.loads(text)
+
 
 class TestSampling:
     def test_reproducible(self):
@@ -245,11 +256,22 @@ class TestRunTrials:
         stats = run_trials(_cfg(trials=30))
         assert all(v == 0 for v in stats.errors_y.values())
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_thread_count_invariant(self):
         cfg = _cfg(trials=200, decoder="universal")
         a = run_trials(cfg, threads=1)
         b = run_trials(cfg, threads=2)
         assert a == b
+
+    def test_pool_has_one_worker_per_cpu(self, fake_pool):
+        # a fork pool starts all its workers at the first task: 10,000
+        # threads on 2 CPUs run 2 workers and at most 8 chunks each, with
+        # the counts of a serial run
+        cfg = _cfg(trials=200, decoder="universal")
+        assert run_trials(cfg, threads=10_000) == run_trials(cfg, threads=1)
+        assert len(fake_pool) == 1
+        workers, tasks = fake_pool[0]
+        assert workers == 2 and tasks <= 16
 
     def test_sw_universal_counts_pinned(self):
         # the benchmark's mc-sw-universal config at 150 trials; the counts
@@ -279,6 +301,7 @@ class TestRunTrials:
         ("si_ml", 16), ("ml", 24), ("universal", 24), ("si_universal", 16),
         ("sw_ml", 10), ("sw_universal", 8),
     ])
+    @pytest.mark.usefixtures("two_cpus")
     def test_thread_count_invariant_across_chunks(self, decoder, n):
         source = JointDistribution.from_marginal([0.9, 0.1]) if decoder == "ml" \
             else _example1()
@@ -373,18 +396,19 @@ class TestRunTrials:
                     cands = update_candidates(cands, encode_step(seed, "x", x[:j], _SPARSE),
                                               cap=64)
                 except CandidateOverflowError:
-                    want[("x", j)] = want.get(("x", j), 0) + 1
+                    want[j] = want.get(j, 0) + 1
                     break
         stats = run_trials(cfg)
         assert stats.aborted == 5
-        assert stats.aborted_by_step == want
+        assert stats.aborted_by_step == {"x": want}
         assert stats.rate_x_upper(0) == 1.0
 
     def test_y_stream_aborts_counted_under_y(self):
         kw = PINNED["sw_ml-aborts"][0]
         stats = run_trials(_cfg(**kw))
-        assert sum(stats.aborted_by_step.values()) == stats.aborted == 76
-        assert {s for s, _ in stats.aborted_by_step} == {"x", "y"}
+        assert set(stats.aborted_by_step) == {"x", "y"}
+        assert sum(sum(by_step.values()) for by_step in stats.aborted_by_step.values()) \
+            == stats.aborted == 76
         for d in stats.delays:
             assert stats.rate_x_upper(d) == (stats.errors_x[d] + 76) / 80
 
