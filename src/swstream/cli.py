@@ -82,7 +82,7 @@ def _parse_grid(spec: str):
 def _load_source(path: str) -> JointDistribution:
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read source file: {e}") from e
     try:
         return JointDistribution.from_json(text)

@@ -606,6 +606,25 @@ def _first_max(trial, score, slack=0.0):
     return top[np.concatenate(([True], lead[1:] != lead[:-1]))]
 
 
+def _ragged(sizes):
+    """Segments of the given sizes laid end to end: each element's segment
+    and its offset within the segment."""
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    return seg, np.arange(len(seg)) - (np.cumsum(sizes) - sizes)[seg]
+
+
+def _pairs(trial_x, trial_y, trials: int):
+    """Every pair of every trial's bin product: its trial, its x lane and
+    its y lane, each trial's pairs in a-major order and the trials in order.
+    Lane i of a bin belongs to trial[i] (ascending); a trial without lanes
+    in both bins has no pairs."""
+    size_x = np.bincount(trial_x, minlength=trials)
+    size_y = np.bincount(trial_y, minlength=trials)
+    trial, own = _ragged(size_x * size_y)
+    a, b = np.divmod(own, size_y[trial])
+    return trial, (np.cumsum(size_x) - size_x)[trial] + a, (np.cumsum(size_y) - size_y)[trial] + b
+
+
 def _ml_winners(trial_x, px, trial_y, py, trials: int, logs):
     """The ML kernel over every pair of every trial's bin product, under the
     joint log table logs[a, b].  A trial's pair (a, b), a-major, reads the
@@ -617,57 +636,32 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, logs):
     of an independent source do).  A lane symbol outside the table is a
     ValueError.  One bincount counts a block's symbols, a row per symbol,
     and the scores add the rows of the symbols present in the block.
-    The pairs go in blocks of `_LANE_BUDGET`, which bounds the memory of a
-    large product; a block that starts inside a trial's product is led by
-    that trial's winner so far, which precedes its pairs there, so the first
-    maximizer stays first."""
+    The pairs go in blocks of `_LANE_BUDGET`, which bound the memory of the
+    symbol counts; the winner is picked once, over all of a trial's pairs."""
     if px.max(initial=0) >= logs.shape[0] or py.max(initial=0) >= logs.shape[1]:
         raise ValueError(f"a lane symbol lies outside the {logs.shape[0]} x "
                          f"{logs.shape[1]} likelihood table")
-    size_x = np.bincount(trial_x, minlength=trials)
-    size_y = np.bincount(trial_y, minlength=trials)
-    pairs = size_x * size_y
-    ends = np.cumsum(pairs)
-    begin = ends - pairs
-    start_x, start_y = np.cumsum(size_x) - size_x, np.cumsum(size_y) - size_y
-
-    def lanes(pair, trial):
-        a, b = np.divmod(pair - begin[trial], size_y[trial])
-        return start_x[trial] + a, start_y[trial] + b
-
+    trial, pair_x, pair_y = _pairs(trial_x, trial_y, trials)
     symbols = logs.size
     flat = logs.ravel()
     block = _LANE_BUDGET * 16 // max(16, symbols)
-    best = np.full(trials, -1)
-    total = int(pairs.sum())
-    for lo in range(0, total, block):
-        hi = min(lo + block, total)
-        # the block's pairs run over consecutive trials, first to last
-        first, last = np.searchsorted(ends, (lo, hi - 1), "right")
-        span = np.clip(ends[first:last + 1], lo, hi) - np.clip(begin[first:last + 1], lo, hi)
-        trial = np.repeat(np.arange(first, last + 1), span)
-        pair = np.arange(lo, hi)
-        if best[first] >= 0:
-            trial = np.concatenate(([first], trial))
-            pair = np.concatenate(([best[first]], pair))
-        lane_x, lane_y = lanes(pair, trial)
-        code = np.take(px, lane_x, axis=0).astype(np.intp) * logs.shape[1]
-        code += np.take(py, lane_y, axis=0)
-        code *= len(pair)
-        code += np.arange(len(pair))[:, None]
-        counts = np.bincount(code.ravel(), minlength=symbols * len(pair)).reshape(symbols, -1)
+    score = np.zeros(len(trial))
+    for lo in range(0, len(trial), block):
+        part = score[lo:lo + block]
+        code = np.take(px, pair_x[lo:lo + block], axis=0).astype(np.intp) * logs.shape[1]
+        code += np.take(py, pair_y[lo:lo + block], axis=0)
+        code *= len(part)
+        code += np.arange(len(part))[:, None]
+        counts = np.bincount(code.ravel(), minlength=symbols * len(part)).reshape(symbols, -1)
         # in ascending order of the block's symbols: an absent one adds an exact 0.0
-        score = np.zeros(len(pair))
         for a in np.flatnonzero(np.einsum("ij->i", counts)).tolist():
             if flat[a] > -math.inf:
-                score += counts[a] * flat[a]
+                part += counts[a] * flat[a]
             else:
-                score[counts[a] > 0] = -math.inf
-        slack = np.where(np.isfinite(score), _ML_TIE * (px.shape[1] + np.abs(score)), 0.0)
-        win = _first_max(trial, score, slack)
-        best[trial[win]] = pair[win]
-    won = np.flatnonzero(best >= 0)
-    return lanes(best[won], won)
+                part[counts[a] > 0] = -math.inf
+    slack = np.where(np.isfinite(score), _ML_TIE * (px.shape[1] + np.abs(score)), 0.0)
+    win = _first_max(trial, score, slack)
+    return pair_x[win], pair_y[win]
 
 
 def _universal_winners(trial_x, px, trial_y, py, trials: int):
@@ -690,13 +684,6 @@ def _universal_winners(trial_x, px, trial_y, py, trials: int):
         lead = win[np.searchsorted(trial_x[win], trial_x[live])]
         live = live[code[live, l] == code[lead, l]]
     return live, trial_x[live]
-
-
-def _ragged(sizes):
-    """Segments of the given sizes laid end to end: each element's segment
-    and its offset within the segment."""
-    seg = np.repeat(np.arange(len(sizes)), sizes)
-    return seg, np.arange(len(seg)) - (np.cumsum(sizes) - sizes)[seg]
 
 
 def _nodes(trial, prefixes):
@@ -757,13 +744,8 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
     takes the entropies."""
     n = px.shape[1]
     side = n + 1
-    size_x = np.bincount(trial_x, minlength=trials)
-    size_y = np.bincount(trial_y, minlength=trials)
-    trial, own = _ragged(size_x * size_y)
-    start_x, start_y = np.cumsum(size_x) - size_x, np.cumsum(size_y) - size_y
-    step = size_y[trial]
-    pair_x = start_x[trial] + own // step
-    pair_y = start_y[trial] + own % step
+    trial, pair_x, pair_y = _pairs(trial_x, trial_y, trials)
+    step = np.bincount(trial_y, minlength=trials)[trial]
     first_x, live_x = _nodes(trial_x, px)
     first_y, live_y = _nodes(trial_y, py)
     joint = _window_counts(np.take(px.astype(np.uint16) << 8, pair_x, axis=0)

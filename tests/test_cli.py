@@ -165,18 +165,22 @@ class TestExponentsCommand:
         assert rc == 2
         assert not (out / "exponents.csv").exists()
 
-    @pytest.mark.parametrize("source", [
-        [1, 2],
-        {"alphabet_x": None, "alphabet_y": 2, "probs": [[0.5, 0.0], [0.0, 0.5]]},
-        {"alphabet_x": 2.7, "alphabet_y": "2", "probs": [[0.45, 0.05], [0.05, 0.45]]},
-    ], ids=["list", "null-alphabet", "fraction-and-string-alphabets"])
-    def test_malformed_source_is_config_error(self, tmp_path, source):
+    @pytest.mark.parametrize("source, message", [
+        ([1, 2], "error: bad source config "),
+        ({"alphabet_x": None, "alphabet_y": 2, "probs": [[0.5, 0.0], [0.0, 0.5]]},
+         "error: bad source config "),
+        ({"alphabet_x": 2.7, "alphabet_y": "2", "probs": [[0.45, 0.05], [0.05, 0.45]]},
+         "error: bad source config "),
+        (b"\xff\xfe{", "error: cannot read source file: "),
+    ], ids=["list", "null-alphabet", "fraction-and-string-alphabets", "not-utf8"])
+    def test_malformed_source_is_config_error(self, tmp_path, source, message, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(source))
+        path.write_bytes(source if isinstance(source, bytes) else json.dumps(source).encode())
         out = tmp_path / "o"
         rc = main(["exponents", str(path), "--rx", "0.6", "--ry", "0.6",
                    "--out", str(out), "--threads", "1"])
         assert rc == 2
+        assert capsys.readouterr().err.startswith(message)
         assert not (out / "exponents.csv").exists()
 
     def test_program_error_is_not_config_error(self, tmp_path, source_file,

@@ -36,7 +36,7 @@ from swstream.codec import (
 )
 from swstream.info_core import JointDistribution
 from swstream.sim import derive_trial_seed, sample_source
-from swstream.verify import _oracle_ml, _oracle_universal, enumerate_bin
+from swstream.verify import _first_near_max, _oracle_ml, _oracle_universal, enumerate_bin
 from oracles import (
     _oracle_scores,
     _oracle_sw_ml,
@@ -530,6 +530,20 @@ class TestBatchedMlArgmax:
                 want += counts[symbol] * logs[symbol]
             assert score[lane].tobytes() == np.float64(want).tobytes()
         assert np.isneginf(score).any() and np.isfinite(score).any()
+
+    def test_near_tie_chain_across_blocks(self, monkeypatch):
+        # one trial's pairs A < B < C score -1, -1 + 0.9s and -1 + 1.8s, with
+        # s the slack at n = 1: B ties with C and A does not, though A ties
+        # with B.  At a budget of 2 the blocks are A, B | C, and the winner
+        # is still the first pair within slack of the trial's maximum, B
+        monkeypatch.setattr(codec, "_LANE_BUDGET", 2)
+        s = codec._ML_TIE * 2
+        logs = np.array([[-1.0], [-1 + 0.9 * s], [-1 + 1.8 * s]])
+        px = np.arange(3, dtype=np.uint8)[:, None]
+        lane_x, lane_y = codec._ml_winners(np.zeros(3, np.intp), px, np.zeros(1, np.intp),
+                                           np.zeros((1, 1), np.uint8), 1, logs)
+        assert (lane_x.tolist(), lane_y.tolist()) == ([1], [0])
+        assert _first_near_max(range(3), lambda a: logs[a, 0], 1) == 1
 
     def test_kernel_binds_the_log_table(self):
         # math.log of each cell, -inf at a zero one; of the row sums for ml
@@ -1075,8 +1089,8 @@ class TestTwoEncoderDecoders:
         assert ml_decode(cx, JointDistribution.from_marginal([0.5, 0.5]), 0) == min(xs)
 
     def test_ml_argmax_across_lane_blocks(self):
-        # a product of four lane blocks, in shuffled list order: the first
-        # maximizer of an early block must survive the later blocks
+        # a product of four lane blocks, in shuffled list order: the winner
+        # is the first maximizer over all of the product's pairs
         members = [bytes(c) for c in itertools.product(range(2), repeat=7)]
         order = np.random.default_rng(4).permutation(len(members))
         cands = [_hand_built(s, [members[i] for i in order]) for s in ("x", "y")]
