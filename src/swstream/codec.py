@@ -105,11 +105,16 @@ _M64 = (1 << 64) - 1
 # splitmix64's increment, the odd integer nearest 2^64 / golden ratio
 _GOLDEN = 0x9E3779B97F4A7C15
 # lanes (bin members times symbols) a chunk of trials may hold at one step,
-# in the mean.  It bounds a chunk's memory, most of it per-lane prefixes and
-# child states, and each step's numpy calls cost the same per chunk, so a
-# larger chunk spends less per trial: on the README simulate config 2 ** 14
-# adds about 2 MB of peak RSS over 2 ** 12
-_CHUNK_LANES = 2 ** 14
+# in the mean.  It bounds a chunk's memory, most of it per-lane links, child
+# states and the ML kernel's pairs, and each step's numpy calls cost the same
+# per chunk, so a larger chunk spends less per trial.  2 ** 15 against
+# 2 ** 14 (best of 3 `run_trials` in process, and the `simulate` job's
+# VmHWM): the README simulate config 41 -> 39.5 ms in 6 chunks, not 11,
+# +0.2 MB; `sw_ml` on CI's swu-ex2 config 18.2 -> 16.4 ms, +1.1 MB; `ml` at
+# n = 24 160 -> 142 ms, +1.0 MB.  Each VmHWM stays below that of the wider
+# lane arrays at 2 ** 14 that the narrow ones replaced.  It stays below
+# 2 ** 16, the larger budget of test_results_independent_of_chunk_budget
+_CHUNK_LANES = 2 ** 15
 # the decoders' blocks: the ML kernel scores a bin product this many pairs at
 # a time (fewer when the joint table has more than 16 symbols, so that a
 # block holds at most 16 times as many symbol counts), and the universal
@@ -197,11 +202,13 @@ def _mix(z):
 
 
 def _mix_lanes(z):
-    """`_mix` on a uint64 array z, in place and unmasked (it wraps mod 2^64)."""
+    """`_mix` on a uint64 array z, in place and unmasked (it wraps mod 2^64),
+    its three shifts in one scratch array."""
+    scratch = np.empty_like(z)
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z ^= z >> shift
+        z ^= np.right_shift(z, shift, out=scratch)
         z *= factor
-    z ^= z >> 31
+    z ^= np.right_shift(z, 31, out=scratch)
     return z
 
 
@@ -329,7 +336,8 @@ def candidate_set_for(seed: int, stream_id: str, sequence, schedule: BinningSche
 class Bins:
     """The full-horizon bins of a chunk of trials, one lane per bin member.
 
-    `trial[i]` is lane i's trial (ascending), `prefixes[i]` its n symbols;
+    `trial[i]` is lane i's trial (ascending, in the smallest unsigned dtype
+    that holds the trial count), `prefixes[i]` its n symbols;
     `overflow[t]` is the step at which trial t's bin exceeded the cap, and 0
     when it did not (an overflowed trial has no lanes)."""
 
@@ -359,35 +367,44 @@ def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,
     trials, n = seqs.shape
     if seqs.size and int(seqs.max()) >= alphabet:
         raise ValueError("sequence symbol outside the alphabet")
-    trial = np.arange(trials) if live is None else np.flatnonzero(live)
+    trial = (np.arange(trials) if live is None else np.flatnonzero(live)).astype(
+        np.min_scalar_type(trials))
     state = _stream_key(_seed_words(seeds), stream_id)[trial]
     symbols = np.arange(alphabet, dtype=np.uint64)[:, None]
-    # the encoder: its trials, their true prefixes' states, their symbols step-major
-    sent, encoder, rows = trial, state, np.take(seqs, trial, axis=0).T.astype(np.uint64)
+    # the encoder: its trials and their true prefixes' states
+    sent, encoder = trial, state
     target, overflow, links = np.zeros(trials, np.uint64), np.zeros(trials, np.int64), []
     for j in range(1, n + 1):
         # numpy shifts a uint64 by 64 to 0: a 0-bit step keeps every child
         shift = 64 - schedule.bits_at(j)
-        encoder = _chain(encoder, rows[j - 1])
+        encoder = _chain(encoder, np.take(seqs[:, j - 1], sent).astype(np.uint64))
         target[sent] = encoder >> shift
-        # the children a row per symbol, matched in parent-then-symbol order
+        # the children a row per symbol, matched in parent-then-symbol order:
+        # the flat indices parent * |A| + symbol of match, and the child
+        # (parent, symbol) at symbol * lanes + parent of child
         child = _chain(state, symbols)
         match = np.empty((len(trial), alphabet), bool)
         np.equal(child >> shift, np.take(target, trial), out=match.T)
-        keep = np.flatnonzero(match)
-        parent, symbol = np.divmod(keep, alphabet)
-        state = np.take(child, symbol * len(trial) + parent)
+        index = np.flatnonzero(match)
+        parent = np.floor_divide(index, alphabet)
+        index -= parent * alphabet
+        symbol = index.astype(np.uint8)
+        index *= len(trial)
+        index += parent
+        state = np.take(child, index)
+        # kept narrow: the parent in the smallest dtype that holds the last
+        # step's lanes; the step's wide arrays go before the next step's
+        parent = parent.astype(np.min_scalar_type(len(trial)))
         trial = np.take(trial, parent)
+        del child, match, index
         # no trial can hold more lanes than the whole chunk
         if len(trial) > cap:
             over = np.bincount(trial, minlength=trials) > cap
             overflow[over] = j
             alive, sending = ~over[trial], ~over[sent]
             trial, state, parent, symbol = (v[alive] for v in (trial, state, parent, symbol))
-            sent, encoder, rows = sent[sending], encoder[sending], rows[:, sending]
-        # kept narrow: the parent in the smallest dtype that holds the last
-        # step's lanes, the symbol in a byte
-        links.append((parent.astype(np.min_scalar_type(len(match))), symbol.astype(np.uint8)))
+            sent, encoder = sent[sending], encoder[sending]
+        links.append((parent, symbol))
     prefixes = np.empty((len(trial), n), np.uint8)
     lane = np.arange(len(trial))
     for j, (parent, symbol) in reversed(list(enumerate(links))):
@@ -479,13 +496,15 @@ def _window_counts(lanes):
     """The count step of the entropy engine on lanes, rows of nonnegative
     integer symbols.  Returns entropies_at(lane, lo, hi): the entropy
     engine's values for the windows [lo, hi) of the lanes, at the broadcast
-    of the index arrays.  A window's counts are differences of cumulative
-    count rows, with one column per distinct symbol, in ascending order;
-    past n symbols, a column per rank of a symbol within its own lane, so
-    at most n columns.  When the count vectors fit `_KEYED` keys, the rows
-    are one cumulative key per lane and position, whose base-(n + 1)
-    digits are the counts, and a window's entropy is read off the engine's
-    table of every count vector (`_keyed_entropies`)."""
+    of the index arrays; entropies_at(lane, lo, hi, end) returns those and
+    the values for the windows [hi, end) that follow them.  A window's
+    counts are differences of cumulative count rows, with one column per
+    distinct symbol, in ascending order; past n symbols, a column per rank
+    of a symbol within its own lane, so at most n columns.  When the count
+    vectors fit `_KEYED` keys, the rows are one cumulative key per lane and
+    position, whose base-(n + 1) digits are the counts, filled a column at
+    a time, and a window's entropy is read off the engine's table of every
+    count vector (`_keyed_entropies`)."""
     lanes = np.asarray(lanes)
     count, n = lanes.shape
     side = n + 1
@@ -504,23 +523,31 @@ def _window_counts(lanes):
         # _KEYED and so fits int32
         weight = np.zeros(len(present), np.int32)
         weight[present] = side ** np.arange(columns)
+        digits = np.take(weight, lanes)
         key = np.zeros((count, side), np.int32)
-        np.cumsum(np.take(weight, lanes), axis=1, out=key[:, 1:])
+        for j in range(n):
+            np.add(key[:, j], digits[:, j], out=key[:, j + 1])
         key = key.ravel()
         table = _keyed_entropies(n, columns)
 
-        def keyed(lane, lo, hi):
+        def keyed(lane, lo, hi, end=None):
             row = np.multiply(lane, side)
-            return table[np.subtract(key[row + hi], key[row + lo], dtype=np.intp)]
+            top = key[row + hi]
+            h = table[np.subtract(top, key[row + lo], dtype=np.intp)]
+            return h if end is None else (h, table[np.subtract(key[row + end], top,
+                                                               dtype=np.intp)])
         return keyed
     rank = (np.cumsum(present) - 1)[lanes]
     rows = np.zeros((columns, count, side), np.min_scalar_type(n))
     np.cumsum(rank == np.arange(columns)[:, None, None], axis=2,
               dtype=rows.dtype, out=rows[:, :, 1:])
     rows = rows.reshape(columns, count * side)
-    return lambda lane, lo, hi: _entropies_of(
-        rows[:, np.multiply(lane, side) + hi] - rows[:, np.multiply(lane, side) + lo],
-        np.subtract(hi, lo), n)
+
+    def counted(lane, lo, hi, end=None):
+        row = np.multiply(lane, side)
+        h = _entropies_of(rows[:, row + hi] - rows[:, row + lo], np.subtract(hi, lo), n)
+        return h if end is None else (h, counted(lane, hi, end))
+    return counted
 
 
 @functools.lru_cache(maxsize=32)
@@ -554,10 +581,9 @@ def _weighted_entropies(joint, streams, n: int, lane, other, cell) -> np.ndarray
     window adds an exact 0.0 times its weight."""
     lo, hi, first, second = _cell_windows(n)
     a, b = np.take(lo, cell), np.take(hi, cell)
-    h = joint(lane, a, b)
+    h, last = joint(lane, a, b, n)
     h -= streams(other, a, b)
     h *= np.take(first, cell)
-    last = joint(lane, b, n)
     last *= np.take(second, cell)
     h += last
     return h
@@ -593,7 +619,7 @@ def weighted_suffix_entropy(x: Sequence, y: Sequence, l: int, k: int, n: int) ->
 # ---------------------------------------------------------------------------
 
 
-def _first_max(trial, score, slack=0.0):
+def _first_max(trial, score, slack=0):
     """Each trial's first lane whose score is at least the trial's maximal
     score less the lane's slack, in trial order: lane i belongs to trial[i]
     (ascending)."""
@@ -601,7 +627,8 @@ def _first_max(trial, score, slack=0.0):
         return trial[:0]
     starts = np.flatnonzero(np.concatenate(([True], trial[1:] != trial[:-1])))
     best = np.repeat(np.maximum.reduceat(score, starts), np.diff(starts, append=len(trial)))
-    top = np.flatnonzero(score >= best - slack)
+    best -= slack
+    top = np.flatnonzero(score >= best)
     lead = np.take(trial, top)
     return top[np.concatenate(([True], lead[1:] != lead[:-1]))]
 
@@ -615,14 +642,21 @@ def _ragged(sizes):
 
 def _pairs(trial_x, trial_y, trials: int):
     """Every pair of every trial's bin product: its trial, its x lane and
-    its y lane, each trial's pairs in a-major order and the trials in order.
-    Lane i of a bin belongs to trial[i] (ascending); a trial without lanes
-    in both bins has no pairs."""
-    size_x = np.bincount(trial_x, minlength=trials)
+    its y lane, each trial's pairs in a-major order and the trials in order,
+    in the smallest unsigned dtypes that hold the trial count and the bins'
+    lane counts.  Lane i of a bin belongs to trial[i] (ascending); a trial
+    without lanes in both bins has no pairs."""
     size_y = np.bincount(trial_y, minlength=trials)
-    trial, own = _ragged(size_x * size_y)
-    a, b = np.divmod(own, size_y[trial])
-    return trial, (np.cumsum(size_x) - size_x)[trial] + a, (np.cumsum(size_y) - size_y)[trial] + b
+    # x lane i heads a run of one pair per y lane of its trial, whose y lanes
+    # count on from the trial's first
+    run = np.take(size_y, trial_x)
+    start = np.take(np.cumsum(size_y) - size_y, trial_x)
+    start -= np.cumsum(run) - run
+    pair_y = np.repeat(start, run)
+    pair_y += np.arange(len(pair_y))
+    return (np.repeat(trial_x.astype(np.min_scalar_type(trials)), run),
+            np.repeat(np.arange(len(trial_x), dtype=np.min_scalar_type(len(trial_x))), run),
+            pair_y.astype(np.min_scalar_type(len(trial_y))))
 
 
 def _ml_winners(trial_x, px, trial_y, py, trials: int, logs):
@@ -634,31 +668,35 @@ def _ml_winners(trial_x, px, trial_y, py, trials: int, logs):
     score within `_ML_TIE` * (n + |score|) of the maximum ties with it too,
     since equal likelihoods can differ in their last bits (two joint types
     of an independent source do).  A lane symbol outside the table is a
-    ValueError.  One bincount counts a block's symbols, a row per symbol,
-    and the scores add the rows of the symbols present in the block.
-    The pairs go in blocks of `_LANE_BUDGET`, which bound the memory of the
-    symbol counts; the winner is picked once, over all of a trial's pairs."""
+    ValueError.  The pairs (`_pairs`, in narrow dtypes) go in blocks of
+    `_LANE_BUDGET`, which bound the memory of the symbol counts: a block's
+    joint symbols are built in the smallest unsigned dtype that holds them,
+    and cast once to intp, offset by pair, for one pair-major bincount, a
+    row per pair; the scores add the columns of the symbols present in the
+    block.  The winner is picked once, over all of a trial's pairs."""
     if px.max(initial=0) >= logs.shape[0] or py.max(initial=0) >= logs.shape[1]:
         raise ValueError(f"a lane symbol lies outside the {logs.shape[0]} x "
                          f"{logs.shape[1]} likelihood table")
     trial, pair_x, pair_y = _pairs(trial_x, trial_y, trials)
     symbols = logs.size
     flat = logs.ravel()
+    narrow = np.min_scalar_type(symbols - 1)
     block = _LANE_BUDGET * 16 // max(16, symbols)
     score = np.zeros(len(trial))
     for lo in range(0, len(trial), block):
         part = score[lo:lo + block]
-        code = np.take(px, pair_x[lo:lo + block], axis=0).astype(np.intp) * logs.shape[1]
-        code += np.take(py, pair_y[lo:lo + block], axis=0)
-        code *= len(part)
-        code += np.arange(len(part))[:, None]
-        counts = np.bincount(code.ravel(), minlength=symbols * len(part)).reshape(symbols, -1)
+        code = np.multiply(np.take(px, pair_x[lo:lo + block], axis=0), logs.shape[1],
+                           dtype=narrow)
+        np.add(code, np.take(py, pair_y[lo:lo + block], axis=0), out=code, dtype=narrow)
+        rows = np.arange(0, len(part) * symbols, symbols)[:, None]
+        counts = np.bincount(np.add(code, rows, dtype=np.intp).ravel(),
+                             minlength=len(part) * symbols).reshape(-1, symbols)
         # in ascending order of the block's symbols: an absent one adds an exact 0.0
-        for a in np.flatnonzero(np.einsum("ij->i", counts)).tolist():
+        for a in np.flatnonzero(np.einsum("ij->j", counts)).tolist():
             if flat[a] > -math.inf:
-                part += counts[a] * flat[a]
+                part += counts[:, a] * flat[a]
             else:
-                part[counts[a] > 0] = -math.inf
+                part[counts[:, a] > 0] = -math.inf
     slack = np.where(np.isfinite(score), _ML_TIE * (px.shape[1] + np.abs(score)), 0.0)
     win = _first_max(trial, score, slack)
     return pair_x[win], pair_y[win]
@@ -675,9 +713,11 @@ def _universal_winners(trial_x, px, trial_y, py, trials: int):
     n = code.shape[1]
     # each lane's suffix windows [l, n), taken a block of lanes at a time,
     # which bounds the memory of a large bin
-    blocks = (code[lo:lo + _LANE_BUDGET] for lo in range(0, max(len(code), 1), _LANE_BUDGET))
-    h = np.concatenate([_window_counts(block)(np.arange(len(block))[:, None], np.arange(n), n)
-                        for block in blocks])
+    h = np.empty(code.shape)
+    for lo in range(0, len(code), _LANE_BUDGET):
+        block = code[lo:lo + _LANE_BUDGET]
+        h[lo:lo + len(block)] = _window_counts(block)(np.arange(len(block))[:, None],
+                                                      np.arange(n), n)
     live = np.arange(len(trial_x))
     for l in range(n):
         win = live[_first_max(trial_x[live], -h[live, l])]
@@ -793,7 +833,8 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
         depth = at // len(trial)
         pair = at - depth * len(trial)
         depth += l0
-        at_x = np.take(pair_x, pair) * side + depth
+        at_x = np.multiply(np.take(pair_x, pair), side, dtype=np.intp)
+        at_x += depth
         parent = at - np.take(past_x, at_x) * np.take(step, pair)
         size = np.take(block, at)
         l0 = l1
@@ -855,7 +896,7 @@ def _sw_scores(trial_x, px, trial_y, py, trials: int):
         group = _group_scores(trial_x[x0:x1] - t0, px[x0:x1], trial_y[y0:y1] - t0,
                               py[y0:y1], t1 - t0)
         for whole, part, lane in zip(scores, group, (x0, y0, 0, 0)):
-            whole[ends[t0] - pairs[t0]:ends[t1 - 1]] = part + lane
+            whole[ends[t0] - pairs[t0]:ends[t1 - 1]] = np.add(part, lane, dtype=np.intp)
         t0 = t1
     return scores
 

@@ -251,7 +251,9 @@ def _sample_rows(d: JointDistribution, n: int, seeds):
     cum = np.cumsum(np.array(d.probs).ravel())
     cum[-1] = 1.0
     flat = np.searchsorted(cum, u, side="right")
-    return (flat // d.alphabet_y).astype(np.uint8), (flat % d.alphabet_y).astype(np.uint8)
+    # each joint symbol's x and y, looked up rather than divided
+    x_of, y_of = np.indices((d.alphabet_x, d.alphabet_y), np.uint8).reshape(2, -1)
+    return np.take(x_of, flat), np.take(y_of, flat)
 
 
 def sample_source(d: JointDistribution, n: int, seed: int):

@@ -8,6 +8,8 @@ exponential in alphabet size or quadratic in bin size, so they live with the
 tests and never on a production path.  The single-stream ML and universal
 decoder oracles, point to point and with side information, and the
 exhaustive bin, stay in `swstream.verify`, whose `oracle` suite runs them.
+`ideal_bins` replays bins under an ideal hash, the model of the paper's
+random-binning argument, with no PRF.
 """
 
 import itertools
@@ -17,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import optimize
 
+from swstream.codec import Bins
 from swstream.exponents import (
     ExponentResult,
     RatePair,
@@ -430,3 +433,32 @@ def _oracle_winners(members_x, members_y, n, delay):
     want_x = min(c for c, v in best_ix.items() if v == max(best_ix.values()))
     want_y = min(c for c, v in best_iy.items() if v == max(best_iy.values()))
     return want_x[: n - delay], want_y[: n - delay]
+
+
+# ---------------------------------------------------------------------------
+# Bins under an ideal hash: the PRF's oracle.
+# ---------------------------------------------------------------------------
+
+
+def ideal_bins(rng, seqs, schedule, alphabet):
+    """The full-horizon bins of the rows of seqs (trials x n symbols) under
+    an ideal hash.  At step j every child of a bin member survives with
+    probability 2^-b_j, independently, drawn from the numpy Generator rng;
+    the trial's true prefix always survives.  Children stay in
+    parent-then-symbol order, so each trial's lanes are contiguous and in
+    lexicographic order, as `codec.replay_bins` leaves them.  No bin
+    overflows."""
+    seqs = np.asarray(seqs, np.uint8)
+    trials, n = seqs.shape
+    trial = np.arange(trials)
+    true = np.ones(trials, bool)
+    prefixes = np.zeros((trials, 0), np.uint8)
+    for j in range(n):
+        parent = np.repeat(np.arange(len(trial)), alphabet)
+        symbol = np.tile(np.arange(alphabet, dtype=np.uint8), len(trial))
+        is_true = true[parent] & (symbol == seqs[trial[parent], j])
+        keep = is_true | (rng.random(len(parent)) < 0.5 ** schedule.bits_at(j + 1))
+        parent, symbol = parent[keep], symbol[keep]
+        prefixes = np.column_stack((prefixes[parent], symbol))
+        trial, true = trial[parent], is_true[keep]
+    return Bins(trial=trial, prefixes=prefixes, overflow=np.zeros(trials, np.int64))

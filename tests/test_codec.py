@@ -504,14 +504,17 @@ class TestBatchedMlArgmax:
         probs = np.random.default_rng(5).dirichlet(np.ones(25)).reshape(5, 5)
         self._check(JointDistribution.from_matrix(probs), BinningSchedule((3,)), 6, 60, True)
 
-    @pytest.mark.parametrize("shape", [(3, 2), (5, 4)], ids=["6-symbols", "20-symbols"])
-    def test_score_is_the_left_to_right_sum(self, shape, monkeypatch):
+    @pytest.mark.parametrize("shape, zero", [((3, 2), (1, 0)), ((5, 4), (1, 0)),
+                                             ((17, 16), (1, 8))],
+                             ids=["6-symbols", "20-symbols", "272-symbols"])
+    def test_score_is_the_left_to_right_sum(self, shape, zero, monkeypatch):
         # each pair's score, bit for bit, is the plain-Python sum of
         # c log p over its joint symbols in ascending order; a zero cell makes
-        # some scores -inf, and 5 x 4 has more than 16 symbols
+        # some scores -inf, 5 x 4 has more than 16 symbols, and 17 x 16 more
+        # joint symbols than a byte holds (its lanes read (1, 8) but not (1, 0))
         rng = np.random.default_rng(sum(shape))
         probs = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
-        probs[1, 0] = 0.0
+        probs[zero] = 0.0
         trial_x = np.repeat(np.arange(6), rng.integers(1, 8, 6))
         px = rng.integers(0, shape[0], (len(trial_x), 9)).astype(np.uint8)
         py = rng.integers(0, shape[1], (6, 9)).astype(np.uint8)

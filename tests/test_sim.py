@@ -9,10 +9,12 @@ from swstream.codec import (
     BinningSchedule,
     CandidateOverflowError,
     encode_step,
+    first_errors,
     initial_candidates,
     replay_bins,
     update_candidates,
 )
+from oracles import ideal_bins
 from swstream.info_core import JointDistribution
 from swstream.sim import (
     _sample_rows,
@@ -211,6 +213,20 @@ class TestSampling:
         assert derive_trial_seed(11, 5) == 0x8C79E1B9CD281F48
         assert derive_trial_seed(np.int64(11), np.int64(5)) == 0x8C79E1B9CD281F48
 
+    def test_rows_known_answer(self):
+        # literal x and y rows of four seeds on a 3 x 5 table with zero
+        # cells: a change of how a joint symbol splits into its x and y
+        # fails here
+        probs = [[0.1, 0.0, 0.05, 0.05, 0.1], [0.02, 0.08, 0.1, 0.0, 0.1],
+                 [0.2, 0.05, 0.0, 0.1, 0.05]]
+        x, y = _sample_rows(JointDistribution.from_matrix(probs), 8, [0, 1, 7, 2 ** 64 - 1])
+        assert x.dtype == y.dtype == np.uint8
+        assert x.tolist() == [[2, 2, 2, 2, 1, 2, 2, 0], [2, 2, 2, 1, 1, 2, 1, 1],
+                              [1, 0, 1, 1, 1, 2, 0, 0], [2, 1, 1, 0, 1, 0, 1, 2]]
+        assert y.tolist() == [[0, 0, 0, 3, 2, 3, 0, 0], [3, 3, 4, 2, 1, 1, 2, 2],
+                              [2, 4, 1, 4, 4, 0, 4, 4], [0, 2, 1, 4, 2, 0, 4, 3]]
+        assert all(probs[a][b] > 0 for a, b in zip(x.ravel().tolist(), y.ravel().tolist()))
+
     def test_point_mass(self):
         d = JointDistribution.from_matrix([[0.0, 0.0], [0.0, 1.0]])
         x, y = sample_source(d, 50, 1)
@@ -314,9 +330,17 @@ class TestRunTrials:
         # the README simulate config at 1,000 trials
         dict(decoder="si_ml", n=16, delays=(0, 2, 4, 6, 8), trials=1000, base_seed=11),
         PINNED["sw_ml-aborts"][0],
-    ], ids=["readme", "sw_ml-aborts"])
+        # the source, horizon and seed of test_8 at 300 trials
+        dict(source=JointDistribution.from_marginal([0.9, 0.1]), n=24, delays=(4, 8, 12),
+             trials=300, base_seed=20250606),
+        PINNED["universal"][0],
+        PINNED["si_universal-ternary-2bits"][0],
+        # the benchmark's mc-sw-universal config at 300 trials
+        dict(decoder="sw_universal", schedule_y=ONE_BIT, n=10, delays=tuple(range(7)),
+             trials=300, base_seed=11),
+    ], ids=["readme", "sw_ml-aborts", "ml", "universal", "si_universal", "sw_universal"])
     def test_results_independent_of_chunk_budget(self, kw, monkeypatch):
-        # one trial per chunk, the default chunks and chunks 4 times as large
+        # one trial per chunk, the default chunks and chunks 2 times as large
         cfg = _cfg(**kw)
         sizes, results = [], []
         for lanes in (7, codec._CHUNK_LANES, 2 ** 16):
@@ -419,6 +443,50 @@ class TestRunTrials:
         stats = run_trials(cfg)
         assert stats.aborted == 5
         assert stats.trials == 0
+
+
+class TestIdealHash:
+    """The PRF's error statistics are those of the paper's ideal hash: the
+    PRF route (`replay_bins`) and the ideal route (`oracles.ideal_bins`)
+    decode the same sampled sources, and at every delay their x-error counts
+    agree within 4 pooled two-sample standard errors.  The configs, both
+    seeds (123 for the sources, 2024 for the ideal hash) and the bound were
+    fixed before any result was seen."""
+
+    @staticmethod
+    def _errors(cfg, bins_of):
+        seeds = _trial_seeds(cfg.base_seed, np.arange(cfg.trials, dtype=np.uint64))
+        rows = dict(zip("xy", _sample_rows(cfg.source, cfg.n, seeds)))
+        bins = {stream: bins_of(seeds, rows[stream], stream, schedule, alphabet)
+                for stream, alphabet, schedule in cfg.streams}
+        fx, _ = first_errors(cfg.decoder, cfg.source, bins["x"], bins.get("y"),
+                             rows["x"], rows["y"])
+        return np.array([np.count_nonzero(fx <= cfg.n - d) for d in cfg.delays])
+
+    @pytest.mark.parametrize("kw", [
+        dict(source=JointDistribution.from_marginal([0.9, 0.1]), n=24,
+             delays=(0, 4, 8, 12), trials=10_000),
+        dict(source=_EXAMPLE2, decoder="universal", n=12, delays=(0, 2, 4, 6),
+             trials=5_000),
+        dict(decoder="si_ml", n=16, delays=(0, 2, 4, 6, 8), trials=10_000),
+        dict(source=_TERNARY, decoder="si_universal", schedule_x=TWO_BITS, n=8,
+             delays=(0, 2, 4), trials=5_000),
+        dict(source=_EXAMPLE2, decoder="sw_ml", schedule_y=ONE_BIT, n=10,
+             delays=(0, 2, 4, 6), trials=5_000),
+        dict(decoder="sw_universal", schedule_y=ONE_BIT, n=10, delays=(0, 2, 4, 6),
+             trials=2_000),
+    ], ids=["ml", "universal", "si_ml", "si_universal", "sw_ml", "sw_universal"])
+    def test_prf_errors_match_the_ideal_hash(self, kw):
+        cfg = _cfg(base_seed=123, **kw)
+        rng = np.random.default_rng(2024)
+        prf = self._errors(cfg, lambda seeds, seqs, stream, schedule, alphabet:
+                           replay_bins(seeds, seqs, stream, schedule, alphabet))
+        ideal = self._errors(cfg, lambda seeds, seqs, stream, schedule, alphabet:
+                             ideal_bins(rng, seqs, schedule, alphabet))
+        pooled = (prf + ideal) / (2 * cfg.trials)
+        bound = 4 * np.sqrt(2 * cfg.trials * pooled * (1 - pooled))
+        assert (np.abs(prf - ideal) <= bound).all(), (prf.tolist(), ideal.tolist())
+        assert ideal[0] > 0
 
 
 class TestWilsonInterval:
