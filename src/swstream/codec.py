@@ -772,16 +772,23 @@ def _child_ranks(first):
 
 
 def _group_scores(trial_x, px, trial_y, py, trials: int):
-    """The score pass over the bin products of a group of trials; see
-    `_sw_scores`, which splits a chunk into such groups.  It computes
-    weighted suffix entropies only at the live cells, where both lanes have
-    rivals, listing each y lane's live depths once for the group.  One
-    `np.minimum.at` takes the least value under each pair of children of
-    each parent node pair of a cell, into one slot per pair of child ranks,
-    and each pair reads its rival minimum off the slots of the other
-    children.  The depths l go in blocks of at most `_BLOCK_PAIRS` times
-    n + 1 cells (or one depth); a block frees its index arrays before it
-    takes the entropies."""
+    """The score pass over every pair of the bin products of a group of
+    trials.  A pair's scores i_x, i_y are one less than the smallest l and
+    k of the cells (l, k) it marks: those where a rival pair first
+    diverging there has weighted suffix entropy <= the pair's own (a tie
+    marks; no mark scores n + 1).  The rivals at (l, k) are the pairs under
+    the x lane's depth-(l - 1) node and the y lane's depth-(k - 1) node in
+    the trial's prefix trees (`_nodes`) with another l-th x and k-th y
+    symbol (the pair's own x lane at l = n + 1, y lane at k = n + 1).
+    Returns each pair's x and y lanes (`_pairs`) and its scores i_x and
+    i_y.  It computes weighted suffix entropies only at the live cells,
+    where both lanes have rivals, listing each y lane's live depths once
+    for the group.  One `np.minimum.at` takes the least value under each
+    pair of children of each parent node pair of a cell, into one slot per
+    pair of child ranks, and each pair reads its rival minimum off the slots
+    of the other children.  The depths l go in blocks of at most
+    `_BLOCK_PAIRS` times n + 1 cells (or one depth); a block frees its index
+    arrays before it takes the entropies."""
     n = px.shape[1]
     side = n + 1
     trial, pair_x, pair_y = _pairs(trial_x, trial_y, trials)
@@ -867,48 +874,29 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
     return pair_x, pair_y, i_x, i_y
 
 
-def _sw_scores(trial_x, px, trial_y, py, trials: int):
-    """The score pass over every pair of every trial's bin product.  A
-    pair's scores i_x, i_y are one less than the smallest l and k of the
-    cells (l, k) it marks: those where a rival pair first diverging there
-    has weighted suffix entropy <= the pair's own (a tie marks; no mark
-    scores n + 1).  The rivals at (l, k) are the pairs under the x lane's
-    depth-(l - 1) node and the y lane's depth-(k - 1) node in the trial's
-    prefix trees (`_nodes`) with another l-th x and k-th y symbol (the
-    pair's own x lane at l = n + 1, y lane at k = n + 1).  Returns each
-    pair's x and y lanes, each trial's product in a-major order, and its
-    scores i_x and i_y; a trial without lanes in both bins has no pairs.
-    The lanes come in the smallest integer dtypes that hold the bins' lane
-    counts, the scores in the smallest that holds n + 1.  The trials go in
-    groups of whole trials, as many as `_GROUP_PAIRS` pairs hold and at
-    least one."""
+def _sw_winners(trial_x, px, trial_y, py, trials: int):
+    """The two-encoder universal kernel: each trial's x (y) lane attaining
+    the maximal i_x (i_y) over its pairs, the first in lane order on ties.
+    The trials go in groups of whole trials, as many as `_GROUP_PAIRS` pairs
+    hold and at least one; each group's pair scores (`_group_scores`) fold
+    into its lanes' maxima before the next group is scored.  A lane without
+    pairs (its trial has no lanes in the other bin) wins nothing."""
     pairs = np.bincount(trial_x, minlength=trials) * np.bincount(trial_y, minlength=trials)
     ends = np.cumsum(pairs)
-    total = int(ends[-1]) if trials else 0
-    scores = [np.empty(total, np.min_scalar_type(most))
-              for most in (len(px), len(py), px.shape[1] + 1, px.shape[1] + 1)]
+    best_x, best_y = np.full(len(trial_x), -1), np.full(len(trial_y), -1)
     t0 = 0
     while t0 < trials:
         t1 = np.searchsorted(ends, ends[t0] - pairs[t0] + _GROUP_PAIRS, "right")
         t1 = max(int(t1), t0 + 1)
         x0, x1 = np.searchsorted(trial_x, (t0, t1))
         y0, y1 = np.searchsorted(trial_y, (t0, t1))
-        group = _group_scores(trial_x[x0:x1] - t0, px[x0:x1], trial_y[y0:y1] - t0,
-                              py[y0:y1], t1 - t0)
-        for whole, part, lane in zip(scores, group, (x0, y0, 0, 0)):
-            whole[ends[t0] - pairs[t0]:ends[t1 - 1]] = np.add(part, lane, dtype=np.intp)
+        pair_x, pair_y, i_x, i_y = _group_scores(trial_x[x0:x1] - t0, px[x0:x1],
+                                                 trial_y[y0:y1] - t0, py[y0:y1], t1 - t0)
+        np.maximum.at(best_x[x0:x1], pair_x, i_x)
+        np.maximum.at(best_y[y0:y1], pair_y, i_y)
         t0 = t1
-    return scores
-
-
-def _sw_winners(trial_x, px, trial_y, py, trials: int):
-    """The two-encoder universal kernel: each trial's x (y) lane attaining
-    the maximal i_x (i_y) over its pairs, the first in lane order on ties."""
-    pair_x, pair_y, i_x, i_y = _sw_scores(trial_x, px, trial_y, py, trials)
     winners = []
-    for trial, pair, score in ((trial_x, pair_x, i_x), (trial_y, pair_y, i_y)):
-        best = np.full(len(trial), -1)
-        np.maximum.at(best, pair, score)
+    for trial, best in ((trial_x, best_x), (trial_y, best_y)):
         live = np.flatnonzero(best >= 0)
         winners.append(live[_first_max(trial[live], best[live])])
     return winners
@@ -1048,6 +1036,6 @@ def compute_scores(pair, cands_x: CandidateSet, cands_y: CandidateSet):
     xs, ys = cands_x.prefixes, cands_y.prefixes
     lane = xs.index(_as_bytes(pair[0])) * len(ys) + ys.index(_as_bytes(pair[1]))
     n = cands_x.step
-    _, _, i_x, i_y = _sw_scores(np.zeros(len(xs), np.intp), _lanes(xs, n),
-                                np.zeros(len(ys), np.intp), _lanes(ys, n), 1)
+    _, _, i_x, i_y = _group_scores(np.zeros(len(xs), np.intp), _lanes(xs, n),
+                                   np.zeros(len(ys), np.intp), _lanes(ys, n), 1)
     return int(i_x[lane]), int(i_y[lane])

@@ -248,8 +248,10 @@ def _sample_rows(d: JointDistribution, n: int, seeds):
     _check_byte_alphabets(d)
     keys = _mix(_seed_words(seeds) ^ _SAMPLE_KEY)
     u = (_chain(keys[:, None], np.arange(n, dtype=np.uint64)) >> 11) * 2.0 ** -53
-    cum = np.cumsum(np.array(d.probs).ravel())
-    cum[-1] = 1.0
+    probs = np.array(d.probs).ravel()
+    cum = np.cumsum(probs)
+    # 1 from the last positive cell on: no uniform lands on a zero cell past it
+    cum[np.flatnonzero(probs)[-1]:] = 1.0
     flat = np.searchsorted(cum, u, side="right")
     # each joint symbol's x and y, looked up rather than divided
     x_of, y_of = np.indices((d.alphabet_x, d.alphabet_y), np.uint8).reshape(2, -1)

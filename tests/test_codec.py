@@ -952,25 +952,32 @@ class TestScoreKernel:
 
 class TestScorePass:
     """The score pass on hand-built chunks, pair by pair against the O(P^2)
-    oracle."""
+    oracle, and the kernel's winners against the oracle's."""
 
     @staticmethod
     def _check(products, n):
-        """products: each trial's sorted x and y members."""
+        """products: each trial's sorted x and y members.  The whole chunk
+        is one `_group_scores` call; `_sw_winners` splits it into groups by
+        `_GROUP_PAIRS`."""
         lanes = []
         for stream in (0, 1):
             members = [m for product in products for m in product[stream]]
             trial = np.repeat(np.arange(len(products)), [len(p[stream]) for p in products])
             lanes += [trial, np.array([list(m) for m in members], np.uint8).reshape(-1, n)]
-        pair_x, pair_y, i_x, i_y = codec._sw_scores(*lanes, len(products))
-        want, start_x, start_y = [], 0, 0
+        pair_x, pair_y, i_x, i_y = codec._group_scores(*lanes, len(products))
+        win_x, win_y = codec._sw_winners(*lanes, len(products))
+        want, wins, start_x, start_y = [], [], 0, 0
         for xs, ys in products:
             for a, x_bar in enumerate(xs):
                 for b, y_bar in enumerate(ys):
                     want.append((start_x + a, start_y + b)
                                 + _oracle_scores((x_bar, y_bar), xs, ys, n))
+            if xs and ys:
+                want_x, want_y = _oracle_winners(xs, ys, n, 0)
+                wins.append((start_x + xs.index(want_x), start_y + ys.index(want_y)))
             start_x, start_y = start_x + len(xs), start_y + len(ys)
         assert list(zip(pair_x.tolist(), pair_y.tolist(), i_x.tolist(), i_y.tolist())) == want
+        assert list(zip(win_x.tolist(), win_y.tolist())) == wins
 
     @staticmethod
     def _products(rng, alphabets, n, trials, most=5):

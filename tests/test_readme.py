@@ -1,12 +1,14 @@
 """The README's examples run against the current API."""
 
+import json
 import re
 from pathlib import Path
 
 from swstream import cli
 from swstream.info_core import JointDistribution
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def _json_block(name):
@@ -36,3 +38,9 @@ def test_trials_json_loads(tmp_path):
     path.write_text(_json_block("trials.json"))
     cfg = cli._load_trial_config(str(path), None)
     assert (cfg.decoder, cfg.n, cfg.trials) == ("si_ml", 16, 10000)
+
+
+def test_ci_simulates_the_readme_config():
+    # CI's cross-thread simulate check runs the README config from a file
+    ci = (ROOT / ".github" / "simulate" / "readme.json").read_text()
+    assert json.loads(ci) == json.loads(_json_block("trials.json"))

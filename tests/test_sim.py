@@ -227,6 +227,17 @@ class TestSampling:
                               [2, 4, 1, 4, 4, 0, 4, 4], [0, 2, 1, 4, 2, 0, 4, 3]]
         assert all(probs[a][b] > 0 for a, b in zip(x.ravel().tolist(), y.ravel().tolist()))
 
+    def test_largest_uniform_skips_trailing_zero_cells(self, monkeypatch):
+        # the positive cells sum, left to right, to just under 1, and the
+        # last cell is 0: all-ones chain words give every position the
+        # largest uniform, 1 - 2^-53, which must still land on a positive cell
+        d = JointDistribution.from_marginal([0.06, 0.57, 0.37, 0.0])
+        assert np.cumsum(np.array(d.probs).ravel())[2] < 1.0
+        monkeypatch.setattr("swstream.sim._chain", lambda state, symbol: np.full(
+            np.broadcast(state, symbol).shape, 2 ** 64 - 1, np.uint64))
+        x, y = _sample_rows(d, 8, [0, 1, 2])
+        assert all(d.probs[a][b] > 0 for a, b in zip(x.ravel().tolist(), y.ravel().tolist()))
+
     def test_point_mass(self):
         d = JointDistribution.from_matrix([[0.0, 0.0], [0.0, 1.0]])
         x, y = sample_source(d, 50, 1)
@@ -358,31 +369,45 @@ class TestRunTrials:
              schedule_y=ONE_BIT, n=7, trials=150, base_seed=6),
     ], ids=["mc-sw-universal", "ternary"])
     def test_scores_independent_of_pair_budget(self, kw, monkeypatch):
-        # the group budget and the block budget, each in turn at 1, 7, the
-        # default and 2 ** 16 with the other at its default: one trial per
-        # group, small groups, the default groups and the whole chunk in one
-        # group; a block per depth, small blocks, the default blocks and
-        # every depth of a group in one block
+        # each trial's scores alone are its slice of the whole chunk's; the
+        # whole chunk's scores at a block budget of 1, 7, the default and
+        # 2 ** 16: a block per depth, small blocks, the default blocks and
+        # every depth in one block; and the winners at a group budget of 1,
+        # 7, the default and 2 ** 16: one trial per group, small groups, the
+        # default groups and the whole chunk in one group
         cfg = _cfg(**kw)
         seeds = _trial_seeds(cfg.base_seed, np.arange(cfg.trials, dtype=np.uint64))
         x_rows, y_rows = _sample_rows(cfg.source, cfg.n, seeds)
         bins_x = replay_bins(seeds, x_rows, "x", cfg.schedule_x, cfg.source.alphabet_x)
         bins_y = replay_bins(seeds, y_rows, "y", cfg.schedule_y, cfg.source.alphabet_y)
-        results = []
-        for name in ("_GROUP_PAIRS", "_BLOCK_PAIRS"):
+        chunk = bins_x.trial, bins_x.prefixes, bins_y.trial, bins_y.prefixes, cfg.trials
+        whole = codec._group_scores(*chunk)
+        ends = np.cumsum(np.bincount(bins_x.trial, minlength=cfg.trials)
+                         * np.bincount(bins_y.trial, minlength=cfg.trials))
+        for t in range(cfg.trials):
+            x0, x1 = np.searchsorted(bins_x.trial, (t, t + 1))
+            y0, y1 = np.searchsorted(bins_y.trial, (t, t + 1))
+            alone = codec._group_scores(bins_x.trial[x0:x1] - t, bins_x.prefixes[x0:x1],
+                                        bins_y.trial[y0:y1] - t, bins_y.prefixes[y0:y1], 1)
+            part = slice(ends[t] - len(alone[0]), ends[t])
+            for want, got, lane in zip(whole, alone, (x0, y0, 0, 0)):
+                assert np.array_equal(want[part], got + lane)
+        for name, call in (("_BLOCK_PAIRS", codec._group_scores),
+                           ("_GROUP_PAIRS", codec._sw_winners)):
             default = getattr(codec, name)
+            results = []
             for budget in (1, 7, default, 2 ** 16):
                 monkeypatch.setattr(codec, name, budget)
-                results.append(codec._sw_scores(bins_x.trial, bins_x.prefixes, bins_y.trial,
-                                                bins_y.prefixes, cfg.trials))
+                results.append(call(*chunk))
             monkeypatch.setattr(codec, name, default)
+            for result in results[1:]:
+                for want, got in zip(results[0], result):
+                    assert np.array_equal(want, got)
         # the ternary chunk's 1,846 pairs fit one default group
-        pairs = len(results[0][0])
+        pairs = len(whole[0])
+        assert pairs == ends[-1]
         assert 7 < pairs < 2 ** 16
         assert (pairs > codec._GROUP_PAIRS) == (cfg.source is not _TERNARY)
-        for result in results[1:]:
-            for want, got in zip(results[0], result):
-                assert np.array_equal(want, got)
 
     @pytest.mark.parametrize("decoder", [
         "universal", "si_ml", "si_universal", "sw_ml", "sw_universal"])
