@@ -20,6 +20,9 @@
 #                         of several depths
 #   swml-ex2              the same with sw_ml: about 300 pairs per trial, so
 #                         trials straddle the ML kernel's 4,096-pair blocks
+#   si_ml-5x5             si_ml on a 5 x 5 table (25 joint symbols), 3 bits
+#                         a symbol, n = 8: about 9,100 pairs in one chunk, so
+#                         trials straddle the ML kernel's 4,096-pair blocks
 set -euo pipefail
 out=$1
 shift

@@ -116,9 +116,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # 2 ** 16, the larger budget of test_results_independent_of_chunk_budget
 _CHUNK_LANES = 2 ** 15
 # the decoders' blocks: the ML kernel scores a bin product this many pairs at
-# a time (fewer when the joint table has more than 16 symbols, so that a
-# block holds at most 16 times as many symbol counts), and the universal
-# kernel reads the entropies of this many lanes at a time
+# a time, and the universal kernel reads the entropies of this many lanes at
+# a time
 _LANE_BUDGET = 2 ** 12
 # the two-encoder score pass takes whole trials' bin products in groups of
 # at most _GROUP_PAIRS pairs (or one trial), over which a group's fixed work
@@ -133,8 +132,8 @@ _LANE_BUDGET = 2 ** 12
 _GROUP_PAIRS = 2 ** 11
 _BLOCK_PAIRS = 2 ** 9
 # ML log-likelihoods within _ML_TIE * (n + |score|) of each other tie: a
-# lane's score sums at most |A||Y| rounded terms c log p, each off by about
-# 2^-53 (c + |c log p|)
+# lane's score is n rounded additions of log p terms of one sign (none is
+# positive), so it is off by at most about n 2^-53 |score|
 _ML_TIE = 1e-12
 # count vectors whose entropies the engine tabulates once, rather than
 # sorting each window's counts (see `_window_counts`): (n + 1) ** columns of
@@ -662,41 +661,30 @@ def _pairs(trial_x, trial_y, trials: int):
 def _ml_winners(trial_x, px, trial_y, py, trials: int, logs):
     """The ML kernel over every pair of every trial's bin product, under the
     joint log table logs[a, b].  A trial's pair (a, b), a-major, reads the
-    joint symbols a * |Y| + b and scores c * log p summed over the symbols
-    in ascending order, an absent symbol adding an exact 0.0 (never
-    0 * -inf), so pairs of the same joint type tie bit-exactly; a finite
-    score within `_ML_TIE` * (n + |score|) of the maximum ties with it too,
-    since equal likelihoods can differ in their last bits (two joint types
-    of an independent source do).  A lane symbol outside the table is a
-    ValueError.  The pairs (`_pairs`, in narrow dtypes) go in blocks of
-    `_LANE_BUDGET`, which bound the memory of the symbol counts: a block's
-    joint symbols are built in the smallest unsigned dtype that holds them,
-    and cast once to intp, offset by pair, for one pair-major bincount, a
-    row per pair; the scores add the columns of the symbols present in the
-    block.  The winner is picked once, over all of a trial's pairs."""
+    joint symbols a_i * |Y| + b_i, and its score is its log-likelihood
+    summed left to right over the positions: 0.0 at i = 0, then the score at
+    i - 1 plus log p(a_i, b_i), so a lane's score is its parent's plus log p
+    of its new symbol, and a zero cell makes it -inf.  A finite score within
+    `_ML_TIE` * (n + |score|) of the maximum ties with it, since equal
+    likelihoods can differ in their last bits (pairs of one joint type, in
+    different orders, do).  A lane symbol outside the table is a ValueError.
+    The pairs (`_pairs`, in narrow dtypes) go in blocks of `_LANE_BUDGET`,
+    whose joint symbols are built in the smallest unsigned dtype that holds
+    them.  The winner is picked once, over all of a trial's pairs."""
     if px.max(initial=0) >= logs.shape[0] or py.max(initial=0) >= logs.shape[1]:
         raise ValueError(f"a lane symbol lies outside the {logs.shape[0]} x "
                          f"{logs.shape[1]} likelihood table")
     trial, pair_x, pair_y = _pairs(trial_x, trial_y, trials)
-    symbols = logs.size
     flat = logs.ravel()
-    narrow = np.min_scalar_type(symbols - 1)
-    block = _LANE_BUDGET * 16 // max(16, symbols)
+    narrow = np.min_scalar_type(logs.size - 1)
     score = np.zeros(len(trial))
-    for lo in range(0, len(trial), block):
-        part = score[lo:lo + block]
-        code = np.multiply(np.take(px, pair_x[lo:lo + block], axis=0), logs.shape[1],
+    for lo in range(0, len(trial), _LANE_BUDGET):
+        code = np.multiply(np.take(px, pair_x[lo:lo + _LANE_BUDGET], axis=0), logs.shape[1],
                            dtype=narrow)
-        np.add(code, np.take(py, pair_y[lo:lo + block], axis=0), out=code, dtype=narrow)
-        rows = np.arange(0, len(part) * symbols, symbols)[:, None]
-        counts = np.bincount(np.add(code, rows, dtype=np.intp).ravel(),
-                             minlength=len(part) * symbols).reshape(-1, symbols)
-        # in ascending order of the block's symbols: an absent one adds an exact 0.0
-        for a in np.flatnonzero(np.einsum("ij->j", counts)).tolist():
-            if flat[a] > -math.inf:
-                part += counts[:, a] * flat[a]
-            else:
-                part[counts[:, a] > 0] = -math.inf
+        np.add(code, np.take(py, pair_y[lo:lo + _LANE_BUDGET], axis=0), out=code, dtype=narrow)
+        part = score[lo:lo + _LANE_BUDGET]
+        for column in code.T:
+            part += np.take(flat, column)
     slack = np.where(np.isfinite(score), _ML_TIE * (px.shape[1] + np.abs(score)), 0.0)
     win = _first_max(trial, score, slack)
     return pair_x[win], pair_y[win]
@@ -913,8 +901,7 @@ def _sw_winners(trial_x, px, trial_y, py, trials: int):
 _Decoder = collections.namedtuple("_Decoder", "kernel table y")
 _TABLE = {
     "ml": _Decoder(_ml_winners, lambda d: np.array(
-        [[math.log(p) if p > 0 else -math.inf] for p in np.sum(d.probs, axis=1).tolist()]),
-        "zero"),
+        [[math.log(p) if p > 0 else -math.inf] for p in d.marginal_x()]), "zero"),
     "universal": _Decoder(_universal_winners, None, "zero"),
     "si_ml": _Decoder(_ml_winners, lambda d: np.array(d._log_probs), "known"),
     "si_universal": _Decoder(_universal_winners, None, "known"),

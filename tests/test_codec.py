@@ -498,20 +498,28 @@ class TestBatchedMlArgmax:
         self._check(d, TWO_BITS, 8, 80, True)
 
     def test_wide_table_in_small_blocks(self, monkeypatch):
-        # a 5 x 5 table has more than 16 joint symbols, so a block holds
-        # fewer pairs than the lane budget: 10 at a budget of 16
+        # a 5 x 5 table at a budget of 16 pairs a block: some trial's pairs
+        # straddle a block boundary, so its pairs are scored in two blocks and
+        # its winner picked over both
         monkeypatch.setattr(codec, "_LANE_BUDGET", 16)
+        calls = []
+        pairs = codec._pairs
+        monkeypatch.setattr(codec, "_pairs", lambda *args:
+                            calls.append(pairs(*args)) or calls[-1])
         probs = np.random.default_rng(5).dirichlet(np.ones(25)).reshape(5, 5)
         self._check(JointDistribution.from_matrix(probs), BinningSchedule((3,)), 6, 60, True)
+        trial = calls[0][0]  # the chunk's pairs; the per-trial decodes follow
+        assert (trial[15:-1:16] == trial[16::16]).any()
 
     @pytest.mark.parametrize("shape, zero", [((3, 2), (1, 0)), ((5, 4), (1, 0)),
                                              ((17, 16), (1, 8))],
                              ids=["6-symbols", "20-symbols", "272-symbols"])
     def test_score_is_the_left_to_right_sum(self, shape, zero, monkeypatch):
-        # each pair's score, bit for bit, is the plain-Python sum of
-        # c log p over its joint symbols in ascending order; a zero cell makes
-        # some scores -inf, 5 x 4 has more than 16 symbols, and 17 x 16 more
-        # joint symbols than a byte holds (its lanes read (1, 8) but not (1, 0))
+        # each pair's score on each prefix, bit for bit, is the plain-Python
+        # sum of log p over its positions, left to right from 0.0: the score
+        # at length j is the one at j - 1 plus log p of symbol j.  A zero cell
+        # makes some scores -inf, and 17 x 16 has more joint symbols than a
+        # byte holds (its lanes read (1, 8) but not (1, 0))
         rng = np.random.default_rng(sum(shape))
         probs = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
         probs[zero] = 0.0
@@ -523,16 +531,17 @@ class TestBatchedMlArgmax:
         monkeypatch.setattr(codec, "_first_max", lambda trial, score, slack:
                             scores.append(score) or first_max(trial, score, slack))
         logs = [math.log(p) if p > 0 else -math.inf for p in probs.ravel().tolist()]
-        codec._ml_winners(trial_x, px, np.arange(6), py, 6, logs=np.reshape(logs, shape))
-        (score,) = scores  # one block, one pair per x lane
+        for j in range(1, 10):  # one block, one pair per x lane, at each prefix length
+            codec._ml_winners(trial_x, px[:, :j], np.arange(6), py[:, :j], 6,
+                              logs=np.reshape(logs, shape))
         for lane, t in enumerate(trial_x):
-            counts = collections.Counter(int(a) * shape[1] + int(b)
-                                         for a, b in zip(px[lane], py[t]))
-            want = 0.0
-            for symbol in sorted(counts):
-                want += counts[symbol] * logs[symbol]
-            assert score[lane].tobytes() == np.float64(want).tobytes()
-        assert np.isneginf(score).any() and np.isfinite(score).any()
+            want, steps = 0.0, []
+            for a, b in zip(px[lane].tolist(), py[t].tolist()):
+                want += logs[a * shape[1] + b]
+                steps.append(want)
+            assert b"".join(score[lane].tobytes() for score in scores) == \
+                np.array(steps).tobytes()
+        assert np.isneginf(scores[-1]).any() and np.isfinite(scores[-1]).any()
 
     def test_near_tie_chain_across_blocks(self, monkeypatch):
         # one trial's pairs A < B < C score -1, -1 + 0.9s and -1 + 1.8s, with
@@ -561,6 +570,13 @@ class TestBatchedMlArgmax:
         assert y_zero
         assert marginal.keywords["logs"].ravel().tolist() == [
             math.log(a + b) for a, b in probs]
+        # a 3 x 8 row's sum, left to right as in marginal_x(), differs in its
+        # last bits from numpy's pairwise sum
+        wide = JointDistribution.from_matrix(
+            np.random.default_rng(2).dirichlet(np.ones(24)).reshape(3, 8))
+        marginal, _ = codec._kernel("ml", wide)
+        assert marginal.keywords["logs"].ravel().tolist() == [
+            math.log(p) for p in wide.marginal_x()]
 
     def test_overflowed_trials_are_skipped(self):
         sparse = BinningSchedule((1, 0, 0, 0))
