@@ -86,7 +86,7 @@ def _load_source(path: str) -> JointDistribution:
         raise ConfigError(f"cannot read source file: {e}") from e
     try:
         return JointDistribution.from_json(text)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"bad source config {path}: {e}") from e
 
 
@@ -188,7 +188,7 @@ def _load_trial_config(path: str, seed_override):
 
     try:
         return TrialConfig.from_json(Path(path).read_text(), seed_override)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"cannot read trial config: {e}") from e
     except KeyError as e:
         raise ConfigError(f"trial config missing field {e}") from e

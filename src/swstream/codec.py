@@ -7,7 +7,8 @@ automatically agree on the parity bits of the first l steps.  The hash is a
 keyed splitmix64-style mixer (Steele, Lea & Flood, OOPSLA 2014), `_mix`,
 chained over the prefix: the empty prefix's state is mix(seed ^ K), with
 the seed taken mod 2^64 and K the stream's key word, an 8-byte BLAKE2b of
-the stream id computed once per stream, and a prefix extended by symbol a
+the stream id (`_stream_word`, run once per stream id per process, from
+`_blake2`, which loads no OpenSSL), and a prefix extended by symbol a
 has state mix(s + (a + 1) * phi).  A prefix's b parity bits at its step are
 the top b bits of its own state, MSB first, so each prefix has one random
 label, as in the paper's sequential random binning, and a step emits at
@@ -66,8 +67,8 @@ from __future__ import annotations
 
 import collections
 import functools
-import hashlib
 import math
+from _blake2 import blake2b
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -213,8 +214,10 @@ def _mix_lanes(z):
 
 @functools.cache
 def _stream_word(stream_id: str) -> int:
-    """The stream's key word: an 8-byte BLAKE2b of the stream id."""
-    return int.from_bytes(hashlib.blake2b(stream_id.encode(), digest_size=8).digest(), "big")
+    """The stream's key word: an 8-byte BLAKE2b of the stream id, computed
+    once per stream id per process.  `_blake2.blake2b` is `hashlib.blake2b`
+    itself; taken from `_blake2`, it loads no OpenSSL."""
+    return int.from_bytes(blake2b(stream_id.encode(), digest_size=8).digest(), "big")
 
 
 def _stream_key(seed, stream_id: str):
@@ -776,7 +779,8 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
     pair of child ranks, and each pair reads its rival minimum off the slots
     of the other children.  The depths l go in blocks of at most
     `_BLOCK_PAIRS` times n + 1 cells (or one depth); a block frees its index
-    arrays before it takes the entropies."""
+    arrays before it takes the entropies, and its cell arrays before the
+    next block is built."""
     n = px.shape[1]
     side = n + 1
     trial, pair_x, pair_y = _pairs(trial_x, trial_y, trials)
@@ -851,7 +855,7 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
         other = np.where(at < k * (side + 1), np.take(stream_k, entry),
                          np.repeat(np.take(pair_x, pair), size))
         pair = np.repeat(pair, size)
-        del entry, a, b
+        del entry, a, b, begin, depth, at_x, parent, size
         value = _weighted_entropies(joint, streams, n, pair, other, at)
         least = np.full(len(value) * slots, np.inf)
         np.minimum.at(least, own, value)
@@ -859,6 +863,7 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
         hit = np.take(pair, mark)
         np.minimum.at(i_x, hit, np.take(at, mark) // side)
         np.minimum.at(i_y, hit, np.take(k, mark))
+        del value, least, rivals, own, other, pair, at, k, mark, hit
     return pair_x, pair_y, i_x, i_y
 
 

@@ -172,7 +172,9 @@ class TestExponentsCommand:
         ({"alphabet_x": 2.7, "alphabet_y": "2", "probs": [[0.45, 0.05], [0.05, 0.45]]},
          "error: bad source config "),
         (b"\xff\xfe{", "error: cannot read source file: "),
-    ], ids=["list", "null-alphabet", "fraction-and-string-alphabets", "not-utf8"])
+        (b"[" * 100_000 + b"]" * 100_000, "error: bad source config "),
+    ], ids=["list", "null-alphabet", "fraction-and-string-alphabets", "not-utf8",
+            "deeply-nested"])
     def test_malformed_source_is_config_error(self, tmp_path, source, message, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(source if isinstance(source, bytes) else json.dumps(source).encode())
@@ -408,7 +410,9 @@ class TestSimulateCommand:
         (b"{not json", "error: cannot read trial config: "),
         (b'{"source": {}}', "error: trial config missing field 'alphabet_x'"),
         (b"[1, 2]", "error: bad trial config: "),
-    ], ids=["missing-file", "not-utf8", "not-json", "missing-field", "not-an-object"])
+        (b"[" * 100_000 + b"]" * 100_000, "error: cannot read trial config: "),
+    ], ids=["missing-file", "not-utf8", "not-json", "missing-field", "not-an-object",
+            "deeply-nested"])
     def test_malformed_file_messages(self, tmp_path, data, message, capsys):
         path = tmp_path / "trials.json"
         if data is not None:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -62,6 +63,20 @@ def test_exponent_command_loads_no_dataclasses(tmp_path):
             "--threads", "1", "--out", str(tmp_path / "e")]
     code = (f"import sys; from swstream import cli; rc = cli.main({args!r}); "
             "print(rc, [m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    assert _run(code).splitlines()[-1] == "0 []"
+
+
+def test_simulate_loads_no_openssl(tmp_path):
+    # codec takes BLAKE2b from _blake2, which hashlib.blake2b is: hashlib
+    # loads OpenSSL's _hashlib, about 3.4 MB of each simulate process
+    config = tmp_path / "trials.json"
+    config.write_text(json.dumps({
+        "source": json.loads(EXAMPLE_1.to_json()), "schedule_x": [1], "schedule_y": None,
+        "n": 8, "delays": [0, 2], "trials": 100, "base_seed": 11, "decoder": "si_ml"}))
+    args = ["simulate", str(config), "--threads", "1", "--out", str(tmp_path / "s")]
+    code = (f"import sys; from swstream import cli; rc = cli.main({args!r}); "
+            "import swstream.verify; "
+            "print(rc, [m for m in ('hashlib', '_hashlib') if m in sys.modules])")
     assert _run(code).splitlines()[-1] == "0 []"
 
 
