@@ -17,7 +17,9 @@
 #   swu-ex2               sw_universal on example 2 at x (1, 1, 2) and
 #                         y (1, 0), n = 12: y bins of about 127 lanes, so the
 #                         score pass runs groups of several trials and blocks
-#                         of several depths
+#                         of several trials
+#   swu-3x2               sw_universal on a 3 x 2 table at x 2 bits and y 1
+#                         bit, n = 8: x nodes with three children
 #   swml-ex2              the same with sw_ml: about 300 pairs per trial, so
 #                         trials straddle the ML kernel's 4,096-pair blocks
 #   si_ml-5x5             si_ml on a 5 x 5 table (25 joint symbols), 3 bits

@@ -23,23 +23,22 @@ There is one maximum-likelihood rule (a joint-likelihood argmax over a
 product of x and y candidate lists), one universal rule (minimum joint
 empirical suffix entropy, decided left to right) and the two-encoder
 universal score decoder, and each is one kernel that decodes every trial of
-a chunk as numpy lanes: it takes the chunk's x and y lanes and returns each
-trial's winning x and y lanes.  Known y is a y bin of one lane per trial.
+a chunk as numpy lanes, returning each trial's winning x and y lanes.  Known
+y is a y bin of one lane per trial.
 One table, keyed by `DECODERS`, maps each of the paper's six decoders to its
 kernel, the joint table it scores and how it gets y.  The two-encoder
 decoders run over Cx x Cy, the side-information decoders over Cx x {y}, and
 the point-to-point decoders are the |Y| = 1 case: the same rules against
 y = 0^n, with the x-marginal as an |X| x 1 table.  Every pair then reads
 (a, 0), so the counts, and the floats, are those of x alone.
-`first_errors` runs a decoder over a chunk, and `ml_decode`, `si_decode_ml`,
-`sw_ml_decode`, `universal_decode`, `si_decode_universal` and
-`sw_universal_decode` are its one-trial case, on the sorted candidate lists,
-so the first maximizer is the lexicographically smallest.
+`first_errors` runs a decoder over a chunk, and `ml_decode` and the five
+other decode functions are its one-trial case, on the sorted candidate
+lists, so the first maximizer is the lexicographically smallest.
 
 The Monte Carlo harness replays the bins of a chunk of trials at once
 (`replay_bins`: the encoder hashes each trial's own prefix, and the lanes
 keep back-pointers), whose lanes are in order, so `first_errors` decodes
-them as they are, gathering lane rows with `np.take(..., axis=0)`.
+them as they are.
 `candidate_set_for` is the one-trial case of `replay_bins`, and
 `initial_candidates`/`encode_step`/`update_candidates` remain the step-wise
 API.  The harness sizes a chunk by the closed-form mean bin size
@@ -58,8 +57,7 @@ takes an array of lanes once and returns the entropies of any windows
 table, the rows are cumulative keys whose digits are the counts, and the
 engine's values are read off its table of every count vector
 (`_keyed_entropies`).  The weighted suffix entropy of a pair lane at a cell
-(`_weighted_entropies`) combines three of its windows, whose bounds and
-weights it reads off a table of every cell of the horizon (`_cell_windows`);
+(`_weighted_entropies`) combines three of its windows;
 `weighted_suffix_entropy` takes it at one cell of one pair.
 """
 
@@ -106,15 +104,9 @@ _M64 = (1 << 64) - 1
 # splitmix64's increment, the odd integer nearest 2^64 / golden ratio
 _GOLDEN = 0x9E3779B97F4A7C15
 # lanes (bin members times symbols) a chunk of trials may hold at one step,
-# in the mean.  It bounds a chunk's memory, most of it per-lane links, child
-# states and the ML kernel's pairs, and each step's numpy calls cost the same
-# per chunk, so a larger chunk spends less per trial.  2 ** 15 against
-# 2 ** 14 (best of 3 `run_trials` in process, and the `simulate` job's
-# VmHWM): the README simulate config 41 -> 39.5 ms in 6 chunks, not 11,
-# +0.2 MB; `sw_ml` on CI's swu-ex2 config 18.2 -> 16.4 ms, +1.1 MB; `ml` at
-# n = 24 160 -> 142 ms, +1.0 MB.  Each VmHWM stays below that of the wider
-# lane arrays at 2 ** 14 that the narrow ones replaced.  It stays below
-# 2 ** 16, the larger budget of test_results_independent_of_chunk_budget
+# in the mean: it bounds a chunk's memory, and a larger chunk spends less per
+# trial on each step's numpy calls.  It stays below 2 ** 16, the larger
+# budget of test_results_independent_of_chunk_budget
 _CHUNK_LANES = 2 ** 15
 # the decoders' blocks: the ML kernel scores a bin product this many pairs at
 # a time, and the universal kernel reads the entropies of this many lanes at
@@ -122,15 +114,12 @@ _CHUNK_LANES = 2 ** 15
 _LANE_BUDGET = 2 ** 12
 # the two-encoder score pass takes whole trials' bin products in groups of
 # at most _GROUP_PAIRS pairs (or one trial), over which a group's fixed work
-# (prefix trees, child ranks, window counts) spreads, and a group's cells in
-# blocks of at most _BLOCK_PAIRS times n + 1 (or one depth), which bound the
-# block's cell arrays.  On the mc-sw-universal config (seeds 0 and 1, three
-# runs each) the simulate run's peak RSS (VmHWM) read 36.2-36.3 MB at these
-# values, against 36.3-36.5 MB for the one 2 ** 9 budget, with wider arrays,
-# that they replaced; 35.5-35.6 and 35.7-35.9 MB with groups of 2 ** 9 and
-# 2 ** 10, whose fixed work costs more time, 37.9-38.1 MB with groups of
-# 2 ** 12, and 37.2-37.3 MB with blocks of 2 ** 10
-_GROUP_PAIRS = 2 ** 11
+# (prefix trees, child ranks, window counts) spreads, and each depth's cells
+# in blocks of at most _BLOCK_PAIRS times n + 1 (or one trial).  On the
+# mc-sw-universal config the simulate run's VmHWM read 31.8-31.9 MB at these
+# values, 31.5-31.6 with groups of 2 ** 11, whose score pass is a third
+# slower, 32.3-32.5 with 2 ** 13, and 31.8-32.0 with blocks of 2 ** 10
+_GROUP_PAIRS = 2 ** 12
 _BLOCK_PAIRS = 2 ** 9
 # ML log-likelihoods within _ML_TIE * (n + |score|) of each other tie: a
 # lane's score is n rounded additions of log p terms of one sign (none is
@@ -525,10 +514,9 @@ def _window_counts(lanes):
         # _KEYED and so fits int32
         weight = np.zeros(len(present), np.int32)
         weight[present] = side ** np.arange(columns)
-        digits = np.take(weight, lanes)
         key = np.zeros((count, side), np.int32)
         for j in range(n):
-            np.add(key[:, j], digits[:, j], out=key[:, j + 1])
+            np.add(key[:, j], np.take(weight, lanes[:, j]), out=key[:, j + 1])
         key = key.ravel()
         table = _keyed_entropies(n, columns)
 
@@ -611,7 +599,7 @@ def weighted_suffix_entropy(x: Sequence, y: Sequence, l: int, k: int, n: int) ->
     # one-element index arrays, as the engine's count step takes them: lane 0
     # of the joint lanes, and lane 1 (y) or 0 (x) of the stream lanes
     lane, other, cell = (np.array([i]) for i in (0, int(l < k), (l - 1) * (n + 1) + k - 1))
-    h = _weighted_entropies(_window_counts(joint), _window_counts(np.r_[x, y]), n, lane,
+    h = _weighted_entropies(_window_counts(joint), _window_counts(np.concatenate((x, y))), n, lane,
                             other, cell)
     return float(h[0])
 
@@ -729,8 +717,8 @@ def _nodes(trial, prefixes):
     lane = np.arange(count)
     # the position where each lane first differs from its predecessor, and
     # -1 at a trial's first lane
-    differ = np.c_[prefixes[1:] != prefixes[:-1], np.ones(max(count - 1, 0), bool)]
-    d = np.r_[-1, np.where(trial[1:] == trial[:-1], differ.argmax(axis=1), -1)][:count]
+    differ = np.append(prefixes[1:] != prefixes[:-1], np.ones((max(count - 1, 0), 1), bool), 1)
+    d = np.append(-1, np.where(trial[1:] == trial[:-1], differ.argmax(axis=1), -1))[:count]
     # a lane starts a node of prefix length j when it differs from its
     # predecessor before position j
     first = np.maximum.accumulate(np.where(d[:, None] < np.arange(n + 1), lane[:, None], 0),
@@ -739,7 +727,7 @@ def _nodes(trial, prefixes):
     # first lane
     node = first + count * np.arange(n + 1)
     size = np.bincount(node.ravel(), minlength=node.size)[node]
-    return first, np.c_[size[:, 1:] < size[:, :-1], np.ones(count, bool)]
+    return first, np.append(size[:, 1:] < size[:, :-1], np.ones((count, 1), bool), 1)
 
 
 def _child_ranks(first):
@@ -757,9 +745,9 @@ def _child_ranks(first):
     rank = np.zeros(first.shape, np.intp)
     np.subtract(starts, np.take(starts, first[:, :-1] * n + np.arange(n)), out=rank[:, :-1])
     slots = max(int(rank.max(initial=0)) + 1, 2)
-    rows = rank + np.arange(slots)[:, None, None] * (np.arange(n + 1) < n)
-    rows -= slots * (rows >= slots)
-    return (lane - first).ravel(), rows.reshape(slots, -1)
+    rows = np.add(rank, np.arange(slots)[:, None, None] * (np.arange(n + 1) < n), dtype=np.int32)
+    np.subtract(rows, slots, out=rows, where=rows >= slots)
+    return (lane - first).astype(np.min_scalar_type(len(first))).ravel(), rows.reshape(slots, -1)
 
 
 def _group_scores(trial_x, px, trial_y, py, trials: int):
@@ -772,98 +760,111 @@ def _group_scores(trial_x, px, trial_y, py, trials: int):
     the trial's prefix trees (`_nodes`) with another l-th x and k-th y
     symbol (the pair's own x lane at l = n + 1, y lane at k = n + 1).
     Returns each pair's x and y lanes (`_pairs`) and its scores i_x and
-    i_y.  It computes weighted suffix entropies only at the live cells,
-    where both lanes have rivals, listing each y lane's live depths once
-    for the group.  One `np.minimum.at` takes the least value under each
-    pair of children of each parent node pair of a cell, into one slot per
-    pair of child ranks, and each pair reads its rival minimum off the slots
-    of the other children.  The depths l go in blocks of at most
-    `_BLOCK_PAIRS` times n + 1 cells (or one depth); a block frees its index
-    arrays before it takes the entropies, and its cell arrays before the
-    next block is built."""
+    i_y.  The pairs under one x and one y node at a live cell (both lanes
+    have rivals) are a cell group: one `np.minimum.at` takes the least value
+    under each pair of children into one slot per pair of child ranks, and
+    each pair reads its rival minimum off the slots of the other children.
+
+    The depths l go in order, skipping the cell groups that can lower no
+    score.  A mark at depth l lowers a pair's i_x only if it has no mark
+    yet, and then its i_y is n + 1; it lowers i_y only if k - 1 < i_y.  So
+    under an x node whose pairs' largest i_y is b, the cells with k > b
+    lower nothing.  They are a tail of each y lane's live depths, and a cell
+    group's slots are at its first-lane pair's cell of the same k rank, so
+    the kept slots, and every score, ties included, are exact.  A depth's
+    cells go in blocks of whole trials, at most `_BLOCK_PAIRS` times n + 1
+    cells (or one trial)."""
     n = px.shape[1]
     side = n + 1
     trial, pair_x, pair_y = _pairs(trial_x, trial_y, trials)
-    step = np.bincount(trial_y, minlength=trials)[trial]
+    narrow = np.min_scalar_type(side)
+    step = np.take(np.bincount(trial_y, minlength=trials).astype(pair_y.dtype), trial)
+    ends = np.cumsum(np.bincount(trial, minlength=trials))
     first_x, live_x = _nodes(trial_x, px)
     first_y, live_y = _nodes(trial_y, py)
-    joint = _window_counts(np.take(px.astype(np.uint16) << 8, pair_x, axis=0)
-                           | np.take(py, pair_y, axis=0))
+    joint = np.take(px.astype(np.uint16) << 8, pair_x, axis=0)
+    joint |= np.take(py, pair_y, axis=0)
+    joint = _window_counts(joint)
     streams = _window_counts(np.concatenate((px, py)))
     past_x, rank_x = _child_ranks(first_x)
     past_y, rank_y = _child_ranks(first_y)
+    del first_x, first_y
     slots = len(rank_x) * len(rank_y)
     # the pair of child ranks (a, b) has the slot a * slots_y + b
-    rank_x = (rank_x * len(rank_y)).astype(np.int32)
-    # the live depths k of the y lanes, lane-major (n + 1 last), and at each
-    # k - 1, the lane's stream lane, its distance past the first lane of its
-    # depth-(k - 1) node, and its child ranks plus slots times the depth's
-    # rank among the lane's: a cell's slots are at the rank-th cell of its
-    # parent pair
+    rank_x *= len(rank_y)
+    # the y lanes' live depths k, lane-major (n + 1 last), and at each k - 1
+    # the stream lane, the distance past the first lane of the depth-(k - 1)
+    # node, and the child ranks plus slots times the depth's rank
     cells = live_y.sum(axis=1, dtype=np.int32)
     lane_y, rank_k = _ragged(cells)
     at_y = np.flatnonzero(live_y)
-    depth_k = at_y - lane_y * side
+    depth_k = (at_y - lane_y * side).astype(narrow)
     stream_k = lane_y + len(px)
     past_k = np.take(past_y, at_y)
-    rank_y = (np.take(rank_y, at_y, axis=1) + rank_k * slots).astype(np.int32)
+    rank_y = np.add(np.take(rank_y, at_y, axis=1), rank_k * slots, dtype=np.int32)
     first_k = np.cumsum(cells) - cells
-    # the cells in order of l, pair and k: count[l - 1, pair] at depth l,
-    # one per live depth k of the pair's y lane, but not (n + 1, n + 1),
-    # which is the pair itself
-    count = np.take(np.ascontiguousarray(live_x.T), pair_x, axis=1) * cells[pair_y]
-    count[-1] -= 1
-    totals = count.sum(axis=1)
-    reach = np.cumsum(totals)
-    i_x = np.full(len(trial), side)
-    i_y = np.full(len(trial), side)
-    l0 = 0
-    while l0 < side and len(trial):
-        done = reach[l0] - totals[l0]
-        l1 = max(int(np.searchsorted(reach, done + _BLOCK_PAIRS * side, "right")), l0 + 1)
-        # the block's (l, pair) with cells, the first of which is begin[at],
-        # at depth l - 1; the (l, pair) of the first lane of the x lane's
-        # parent node with the same y lane, and the x lane's child ranks, its
-        # own in row 0
-        block = count[l0:l1].ravel()
-        begin = np.cumsum(block)
-        begin -= block
-        at = np.flatnonzero(block)
-        depth = at // len(trial)
-        pair = at - depth * len(trial)
-        depth += l0
-        at_x = np.multiply(np.take(pair_x, pair), side, dtype=np.intp)
-        at_x += depth
-        parent = at - np.take(past_x, at_x) * np.take(step, pair)
-        size = np.take(block, at)
-        l0 = l1
-        # then the cells, each at the live depth entry of its pair's y lane;
-        # its slots are at the cell of the pair of the two parent nodes'
-        # first lanes, which is live there too, with k of the same rank
-        entry = np.repeat(np.take(first_k, np.take(pair_y, pair)) - np.take(begin, at), size)
-        entry += np.arange(len(entry))
-        own = np.take(begin, np.repeat(parent, size) - np.take(past_k, entry)) * slots
-        a = np.repeat(np.take(rank_x, at_x, axis=1), size, axis=1)
-        b = np.take(rank_y, entry, axis=1)
-        rivals = own + a[1:, None] + b[1:]
-        own += a[0]
-        own += b[0]
-        # k - 1 and the cell's number (l - 1) * (n + 1) + k - 1, and the
-        # stream lane that is not disputed on its first window
-        k = np.take(depth_k, entry)
-        at = np.repeat(depth * side, size) + k
-        other = np.where(at < k * (side + 1), np.take(stream_k, entry),
-                         np.repeat(np.take(pair_x, pair), size))
-        pair = np.repeat(pair, size)
-        del entry, a, b, begin, depth, at_x, parent, size
-        value = _weighted_entropies(joint, streams, n, pair, other, at)
-        least = np.full(len(value) * slots, np.inf)
-        np.minimum.at(least, own, value)
-        mark = np.flatnonzero(np.take(least, rivals).min(axis=(0, 1)) <= value)
-        hit = np.take(pair, mark)
-        np.minimum.at(i_x, hit, np.take(at, mark) // side)
-        np.minimum.at(i_y, hit, np.take(k, mark))
-        del value, least, rivals, own, other, pair, at, k, mark, hit
+    # at row_y + b, the pair's y lane's live depths k <= b
+    below = np.zeros((len(py), side + 1), narrow)
+    np.cumsum(live_y, axis=1, out=below[:, 1:])
+    row_y = np.multiply(pair_y, side + 1, dtype=np.intp)
+    i_x = np.full(len(trial), side, narrow)
+    i_y = np.full(len(trial), side, narrow)
+    cum = np.zeros(len(trial) + 1, np.intp)
+    for l in range(1, side + 1) if len(trial) else ():
+        # each x node's b, 0 where it has one child and at most n at n + 1,
+        # whose cell (n + 1, n + 1) is the pair itself: a pair's cells are
+        # its y lane's live depths k <= b
+        node = pair_x - np.take(past_x[l - 1::side], pair_x)
+        top = np.zeros(len(px), narrow)
+        np.maximum.at(top, node, i_y)
+        top *= live_x[:, l - 1]
+        np.minimum(top, n if l == side else side, out=top)
+        count = np.take(below, row_y + np.take(top, node))
+        np.cumsum(count, out=cum[1:])
+        reach = np.take(cum, ends)
+        t0 = p0 = 0
+        while t0 < trials:
+            t1 = max(int(np.searchsorted(reach, cum[p0] + _BLOCK_PAIRS * side, "right")),
+                     t0 + 1)
+            p1 = ends[t1 - 1]
+            base = cum[p0]
+            # the block's pairs with cells, the first at cum[at]; the x
+            # node's first lane's pair with the same y lane, and the x lane's
+            # child ranks, its own in row 0
+            at = p0 + np.flatnonzero(count[p0:p1])
+            t0, p0 = t1, p1
+            if not len(at):
+                continue
+            size = np.take(count, at)
+            at_x = np.multiply(np.take(pair_x, at), side, dtype=np.intp)
+            at_x += l - 1
+            parent = at - np.multiply(np.take(past_x, at_x), np.take(step, at), dtype=np.intp)
+            # then the cells, each at the live depth entry of its pair's y
+            # lane, and their slots
+            entry = np.repeat(np.take(first_k, np.take(pair_y, at)) - np.take(cum, at), size)
+            entry += np.arange(base, cum[p1])
+            own = np.take(cum, np.repeat(parent, size) - np.take(past_k, entry)) - base
+            own *= slots
+            a = np.repeat(np.take(rank_x, at_x, axis=1), size, axis=1)
+            b = np.take(rank_y, entry, axis=1)
+            rivals = own + a[1:, None] + b[1:]
+            own += a[0]
+            own += b[0]
+            # k - 1, and the stream lane undisputed on the cell's first window
+            k = np.take(depth_k, entry)
+            other = np.where(k >= l, np.take(stream_k, entry),
+                             np.repeat(np.take(pair_x, at), size))
+            pair = np.repeat(at, size)
+            del entry, a, b, at_x, parent, size, at
+            value = _weighted_entropies(joint, streams, n, pair, other,
+                                        np.add(k, (l - 1) * side, dtype=np.intp))
+            least = np.full(len(value) * slots, np.inf)
+            np.minimum.at(least, own, value)
+            mark = np.flatnonzero(np.take(least, rivals).min(axis=(0, 1)) <= value)
+            hit = np.take(pair, mark)
+            i_x[hit] = np.minimum(i_x[hit], l - 1)
+            np.minimum.at(i_y, hit, np.take(k, mark))
+            del value, least, rivals, own, other, pair, k, mark, hit
     return pair_x, pair_y, i_x, i_y
 
 
@@ -876,7 +877,8 @@ def _sw_winners(trial_x, px, trial_y, py, trials: int):
     pairs (its trial has no lanes in the other bin) wins nothing."""
     pairs = np.bincount(trial_x, minlength=trials) * np.bincount(trial_y, minlength=trials)
     ends = np.cumsum(pairs)
-    best_x, best_y = np.full(len(trial_x), -1), np.full(len(trial_y), -1)
+    best_x, best_y = (np.zeros(len(t), np.min_scalar_type(px.shape[1] + 1))
+                      for t in (trial_x, trial_y))
     t0 = 0
     while t0 < trials:
         t1 = np.searchsorted(ends, ends[t0] - pairs[t0] + _GROUP_PAIRS, "right")
@@ -890,7 +892,7 @@ def _sw_winners(trial_x, px, trial_y, py, trials: int):
         t0 = t1
     winners = []
     for trial, best in ((trial_x, best_x), (trial_y, best_y)):
-        live = np.flatnonzero(best >= 0)
+        live = np.flatnonzero(np.take(pairs, trial))
         winners.append(live[_first_max(trial[live], best[live])])
     return winners
 

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -966,22 +967,39 @@ class TestScoreKernel:
                 pair, cx.prefixes, cy.prefixes, 7)
 
 
+def _live_cells(products, n):
+    """The live cells of the bin products: per pair, its x lane's live l
+    times its y lane's live k, less the pair's own cell (n + 1, n + 1).  A
+    depth j < n + 1 is live when another member shares the first j - 1
+    symbols and not the j-th."""
+    def live(members, m):
+        return 1 + sum(any(o[:j] == m[:j] and o[j] != m[j] for o in members) for j in range(n))
+    return sum(live(xs, x) * live(ys, y) - 1 for xs, ys in products for x in xs for y in ys)
+
+
 class TestScorePass:
     """The score pass on hand-built chunks, pair by pair against the O(P^2)
     oracle, and the kernel's winners against the oracle's."""
 
     @staticmethod
-    def _check(products, n):
-        """products: each trial's sorted x and y members.  The whole chunk
-        is one `_group_scores` call; `_sw_winners` splits it into groups by
-        `_GROUP_PAIRS`."""
+    def _lanes(products, n):
+        """products: each trial's sorted x and y members.  Returns the
+        chunk's x and y lanes and trial count, as `_group_scores` takes
+        them."""
         lanes = []
         for stream in (0, 1):
             members = [m for product in products for m in product[stream]]
             trial = np.repeat(np.arange(len(products)), [len(p[stream]) for p in products])
             lanes += [trial, np.array([list(m) for m in members], np.uint8).reshape(-1, n)]
-        pair_x, pair_y, i_x, i_y = codec._group_scores(*lanes, len(products))
-        win_x, win_y = codec._sw_winners(*lanes, len(products))
+        return (*lanes, len(products))
+
+    @classmethod
+    def _check(cls, products, n):
+        """The whole chunk is one `_group_scores` call; `_sw_winners` splits
+        it into groups by `_GROUP_PAIRS`."""
+        lanes = cls._lanes(products, n)
+        pair_x, pair_y, i_x, i_y = codec._group_scores(*lanes)
+        win_x, win_y = codec._sw_winners(*lanes)
         want, wins, start_x, start_y = [], [], 0, 0
         for xs, ys in products:
             for a, x_bar in enumerate(xs):
@@ -1009,6 +1027,51 @@ class TestScorePass:
         rng = np.random.default_rng(sum(alphabets))
         for n in (2, 3, 4, 6):
             self._check(self._products(rng, alphabets, n, 16, most=6), n)
+
+    @pytest.mark.parametrize("alphabets", [(2, 4), (3, 3), (4, 2), (4, 4)])
+    def test_skips_dead_cell_groups(self, alphabets, monkeypatch):
+        # bins of up to 8 random members over 2-4 symbols: most pairs are
+        # marked at small l and k, so a third or more of the live cells lie
+        # in dead cell groups, which the pass skips; every pair's scores
+        # must still be the oracle's
+        cells = []
+        weighted = codec._weighted_entropies
+        monkeypatch.setattr(codec, "_weighted_entropies",
+                            lambda *args: cells.append(len(args[-1])) or weighted(*args))
+        rng = np.random.default_rng(sum(alphabets) + 40)
+        scored = live = 0
+        for n in (3, 5, 8):
+            products = self._products(rng, alphabets, n, 10, most=8)
+            self._check(products, n)
+            cells.clear()
+            codec._group_scores(*self._lanes(products, n))
+            scored += sum(cells)
+            live += _live_cells(products, n)
+        assert 3 * scored <= 2 * live
+
+    def test_benchmark_config_skips_dead_cells(self, monkeypatch):
+        # the mc-sw-universal config at its base seed: its bin products have
+        # 513,590 live cells, and the pass scores 260,864 of them; one that
+        # scores every live cell again fails here
+        config = Path(__file__).resolve().parents[1] / ".github/simulate/mc-sw-universal.json"
+        cfg = sim.TrialConfig.from_json(config.read_text())
+        counts = collections.Counter()
+        scores, weighted = codec._group_scores, codec._weighted_entropies
+
+        def group_scores(trial_x, px, trial_y, py, trials):
+            live_x, live_y = (codec._nodes(t, p)[1].sum(axis=1) for t, p in
+                              ((trial_x, px), (trial_y, py)))
+            out = scores(trial_x, px, trial_y, py, trials)
+            counts["live"] += int(np.sum(live_x[out[0]] * live_y[out[1]] - 1))
+            return out
+
+        def weighted_entropies(*args):
+            counts["scored"] += len(args[-1])
+            return weighted(*args)
+        monkeypatch.setattr(codec, "_group_scores", group_scores)
+        monkeypatch.setattr(codec, "_weighted_entropies", weighted_entropies)
+        sim.run_trials(cfg)
+        assert counts["scored"] <= 0.6 * counts["live"]
 
     def test_node_with_three_children(self):
         # both roots have three children, so a pair has two sibling x and
@@ -1043,8 +1106,8 @@ class TestScorePass:
     def test_trial_over_the_pair_budget(self, monkeypatch):
         # the group and block budgets each at 1, 7, the default and more than
         # the chunk: a trial of more pairs than the group budget is a group
-        # of its own, and at a block budget of 1 its depth n + 1 alone, one
-        # cell per pair at least, fills a block
+        # of its own, and at a block budget of 1 each trial's cells at one
+        # depth are a block of their own
         rng = np.random.default_rng(5)
         products = self._products(rng, (2, 2), 5, 6)
         assert any(len(xs) * len(ys) > 7 and len(ys) > 1 for xs, ys in products)

@@ -371,10 +371,10 @@ class TestRunTrials:
     def test_scores_independent_of_pair_budget(self, kw, monkeypatch):
         # each trial's scores alone are its slice of the whole chunk's; the
         # whole chunk's scores at a block budget of 1, 7, the default and
-        # 2 ** 16: a block per depth, small blocks, the default blocks and
-        # every depth in one block; and the winners at a group budget of 1,
-        # 7, the default and 2 ** 16: one trial per group, small groups, the
-        # default groups and the whole chunk in one group
+        # 2 ** 16: each depth's cells in blocks of one trial, of one or a few
+        # trials, the default blocks and one block; and the winners at a
+        # group budget of 1, 7, the default and 2 ** 16: one trial per group,
+        # small groups, the default groups and the whole chunk in one group
         cfg = _cfg(**kw)
         seeds = _trial_seeds(cfg.base_seed, np.arange(cfg.trials, dtype=np.uint64))
         x_rows, y_rows = _sample_rows(cfg.source, cfg.n, seeds)
