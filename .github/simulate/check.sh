@@ -13,6 +13,8 @@
 #                         whose suffix entropies come from the count step
 #   ml-n24                the test_8 source with ml, the longest
 #                         single-stream replay (n = 24)
+#   universal-n24         the same with the universal decoder, so that the
+#                         configs cover all six decoders
 #   mc-sw-universal       the mc-sw-universal benchmark config
 #   swu-ex2               sw_universal on example 2 at x (1, 1, 2) and
 #                         y (1, 0), n = 12: y bins of about 127 lanes, so the

@@ -7,10 +7,11 @@ Each command imports what it runs, before its first step, and each step is
 called through this module's names (`curve_row`, `run_trials`):
 - `exponents` and `reproduce-example1/2` import `exponents` in
   `_compute_curve`, before the first rate point; with `info_core` they run
-  on the standard library, with no `dataclasses` and no numpy;
+  on the standard library, with no numpy;
 - `simulate` imports `sim`, with `codec` and numpy, while it loads its
   trial config, before any trial runs, and no exponent code;
 - `verify` imports `verify`, which loads all of them.
+No command loads `dataclasses`: every value class is an `info_core._Frozen`.
 
 `main` has `gc.freeze` run at exit, registered once per process, so that
 interpreter finalization skips the collector's last pass over every object
@@ -56,7 +57,8 @@ class ConfigError(Exception):
 
 def _parse_grid(spec: str):
     """`a:b:step` sweeps inclusive of both ends (within step/2); `v` is a
-    single value.  Rates are finite and nonnegative."""
+    single value.  Rates are finite and nonnegative, and the step moves each
+    value of the sweep: b + step > b, and no sum rounds back to its value."""
     parts = spec.split(":")
     try:
         if len(parts) == 1:
@@ -66,12 +68,14 @@ def _parse_grid(spec: str):
             return [v]
         if len(parts) == 3:
             a, b, step = (float(p) for p in parts)
-            if not (0.0 <= a <= b < math.inf and 0.0 < step < math.inf):
+            if not (0.0 <= a <= b < b + step and step < math.inf):
                 raise ValueError
             out = []
             v = a
             while v <= b + step / 2:
                 out.append(round(v, 12))
+                if v + step == v:
+                    raise ValueError
                 v += step
             return out
     except ValueError:

@@ -67,12 +67,11 @@ import collections
 import functools
 import math
 from _blake2 import blake2b
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .info_core import JointDistribution, _as_int
+from .info_core import JointDistribution, _Frozen, _as_int
 
 __all__ = [
     "BinningSchedule",
@@ -139,14 +138,13 @@ class CandidateOverflowError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class BinningSchedule:
+class BinningSchedule(_Frozen):
     """Periodic bits-per-step pattern, e.g. (2, 1, 1, 1) for 5/4 bits/symbol."""
 
-    pattern: tuple
+    _fields = ("pattern",)
 
-    def __post_init__(self):
-        pattern = tuple(_as_int(b) for b in self.pattern)
+    def __init__(self, pattern: tuple):
+        pattern = tuple(_as_int(b) for b in pattern)
         if not pattern:
             raise ValueError("empty schedule pattern")
         if any(b < 0 for b in pattern):
@@ -156,7 +154,7 @@ class BinningSchedule:
                              "the top bits of a 64-bit chain state")
         if sum(pattern) == 0:
             raise ValueError("schedule must emit at least one bit per period")
-        object.__setattr__(self, "pattern", pattern)
+        vars(self).update(pattern=pattern)
 
     @property
     def period(self) -> int:
@@ -254,17 +252,16 @@ def encode_step(seed: int, stream_id: str, prefix, schedule: BinningSchedule):
     return tuple((label >> (nbits - 1 - i)) & 1 for i in range(nbits))
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(_Frozen):
     """The bin as a pruned prefix tree: every length-j sequence whose
     self-generated parities match the received stream so far."""
 
-    seed: int
-    stream_id: str
-    schedule: BinningSchedule
-    alphabet: int
-    prefixes: tuple = (b"",)
-    step: int = 0
+    _fields = ("seed", "stream_id", "schedule", "alphabet", "prefixes", "step")
+
+    def __init__(self, seed: int, stream_id: str, schedule: BinningSchedule, alphabet: int,
+                 prefixes: tuple = (b"",), step: int = 0):
+        vars(self).update(seed=seed, stream_id=stream_id, schedule=schedule,
+                          alphabet=alphabet, prefixes=prefixes, step=step)
 
 
 def initial_candidates(seed: int, stream_id: str, schedule: BinningSchedule,
@@ -323,8 +320,7 @@ def candidate_set_for(seed: int, stream_id: str, sequence, schedule: BinningSche
                         step=len(seq))
 
 
-@dataclass(frozen=True)
-class Bins:
+class Bins(_Frozen):
     """The full-horizon bins of a chunk of trials, one lane per bin member.
 
     `trial[i]` is lane i's trial (ascending, in the smallest unsigned dtype
@@ -332,9 +328,10 @@ class Bins:
     `overflow[t]` is the step at which trial t's bin exceeded the cap, and 0
     when it did not (an overflowed trial has no lanes)."""
 
-    trial: np.ndarray
-    prefixes: np.ndarray
-    overflow: np.ndarray
+    _fields = ("trial", "prefixes", "overflow")
+
+    def __init__(self, trial: np.ndarray, prefixes: np.ndarray, overflow: np.ndarray):
+        vars(self).update(trial=trial, prefixes=prefixes, overflow=overflow)
 
 
 def replay_bins(seeds, seqs, stream_id: str, schedule: BinningSchedule,

@@ -34,11 +34,10 @@ of the `simulate` manifest (`DelayErrorStats`).
 
 from __future__ import annotations
 
-import itertools
+import collections
 import json
 import math
 import os
-from dataclasses import dataclass, field
 
 from .codec import (
     DEFAULT_CANDIDATE_CAP,
@@ -67,7 +66,7 @@ from .codec import (  # noqa: F401
     universal_decode,
     update_candidates,
 )
-from .info_core import JointDistribution
+from .info_core import JointDistribution, _Frozen
 
 # loaded after `codec` compiles: without bytecode caches, compiling it on
 # top of numpy raised a `simulate` job's peak RSS by about 0.6 MB
@@ -102,47 +101,41 @@ def _check_byte_alphabets(d: JointDistribution) -> None:
                          "is stored one byte per symbol")
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    source: JointDistribution
-    schedule_x: BinningSchedule
-    schedule_y: BinningSchedule | None
-    n: int
-    delays: tuple
-    trials: int
-    base_seed: int
-    decoder: str
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP
+class TrialConfig(_Frozen):
+    _fields = ("source", "schedule_x", "schedule_y", "n", "delays", "trials", "base_seed",
+               "decoder", "candidate_cap")
 
-    def __post_init__(self):
-        for name in ("n", "trials", "base_seed"):
-            object.__setattr__(self, name, _as_int(getattr(self, name)))
-        object.__setattr__(self, "delays", tuple(_as_int(d) for d in self.delays))
-        if self.decoder not in DECODERS:
-            raise ValueError(f"unknown decoder {self.decoder!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.n < 1:
+    def __init__(self, source: JointDistribution, schedule_x: BinningSchedule,
+                 schedule_y: BinningSchedule | None, n: int, delays: tuple, trials: int,
+                 base_seed: int, decoder: str, candidate_cap: int = DEFAULT_CANDIDATE_CAP):
+        n, trials, base_seed = _as_int(n), _as_int(trials), _as_int(base_seed)
+        delays = tuple(sorted(_as_int(d) for d in delays))
+        if decoder not in DECODERS:
+            raise ValueError(f"unknown decoder {decoder!r}")
+        # trial indices are uint64, and the counts int64
+        if not 1 <= trials < 2 ** 63:
+            raise ValueError("trials must be >= 1 and < 2^63")
+        if n < 1:
             raise ValueError("horizon n must be >= 1")
-        if not self.delays:
+        if not delays:
             raise ValueError("need at least one delay")
-        if any(d < 0 or d > self.n for d in self.delays):
+        if any(d < 0 or d > n for d in delays):
             raise ValueError("delays must lie in [0, n]")
-        if len(set(self.delays)) < len(self.delays):
+        if len(set(delays)) < len(delays):
             raise ValueError("delays must not repeat")
-        two = len(self.streams) == 2
+        two = _TABLE[decoder].y == "binned"
         cap = MAX_HORIZON_TWO_ENCODER if two else MAX_HORIZON_SINGLE
-        if self.n > cap:
+        if n > cap:
             raise ValueError(
-                f"horizon {self.n} exceeds the exact-decoder bound {cap} "
-                f"for decoder {self.decoder!r}"
-            )
-        if two and self.schedule_y is None:
+                f"horizon {n} exceeds the exact-decoder bound {cap} for decoder {decoder!r}")
+        if two and schedule_y is None:
             raise ValueError("two-encoder decoding needs schedule_y")
-        _check_byte_alphabets(self.source)
-        if _TABLE[self.decoder].y != "zero" and self.source.alphabet_y < 2:
-            raise ValueError(f"decoder {self.decoder!r} needs |Y| >= 2")
-        object.__setattr__(self, "delays", tuple(sorted(self.delays)))
+        _check_byte_alphabets(source)
+        if _TABLE[decoder].y != "zero" and source.alphabet_y < 2:
+            raise ValueError(f"decoder {decoder!r} needs |Y| >= 2")
+        vars(self).update(source=source, schedule_x=schedule_x, schedule_y=schedule_y, n=n,
+                          delays=delays, trials=trials, base_seed=base_seed, decoder=decoder,
+                          candidate_cap=candidate_cap)
 
     @property
     def streams(self) -> tuple:
@@ -189,21 +182,23 @@ class TrialConfig:
         })
 
 
-@dataclass
-class DelayErrorStats:
-    delays: tuple
-    trials: int
-    errors_x: dict
-    errors_y: dict
-    errors_joint: dict
-    aborted: int = 0
-    # stream id -> {step: trials whose bin of that stream overflowed there},
-    # over the streams and steps with aborts
-    aborted_by_step: dict = field(default_factory=dict)
-    # stream id -> {"bins", "mean", "stderr", "expected"}: how many trials'
-    # bins of that stream did not overflow, their mean final size and its
-    # standard error (None below 1 and 2 bins), and `expected_bin_size(n)`
-    final_bin_size: dict = field(default_factory=dict)
+class DelayErrorStats(_Frozen):
+    _fields = ("delays", "trials", "errors_x", "errors_y", "errors_joint", "aborted",
+               "aborted_by_step", "final_bin_size")
+
+    # aborted_by_step: stream id -> {step: trials whose bin of that stream
+    # overflowed there}, over the streams and steps with aborts;
+    # final_bin_size: stream id -> {"bins", "mean", "stderr", "expected"}:
+    # how many trials' bins of that stream did not overflow, their mean final
+    # size and its standard error (None below 1 and 2 bins), and
+    # `expected_bin_size(n)`
+    def __init__(self, delays: tuple, trials: int, errors_x: dict, errors_y: dict,
+                 errors_joint: dict, aborted: int = 0, aborted_by_step: dict | None = None,
+                 final_bin_size: dict | None = None):
+        vars(self).update(delays=delays, trials=trials, errors_x=errors_x, errors_y=errors_y,
+                          errors_joint=errors_joint, aborted=aborted,
+                          aborted_by_step=aborted_by_step or {},
+                          final_bin_size=final_bin_size or {})
 
     def rate_x(self, delay: int) -> float:
         return self.errors_x[delay] / self.trials
@@ -217,12 +212,11 @@ class DelayErrorStats:
         return wilson_interval(self.errors_x[delay], self.trials)
 
 
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    stderr: float
-    r2: float
-    points_used: int
+class FitResult(_Frozen):
+    _fields = ("slope", "stderr", "r2", "points_used")
+
+    def __init__(self, slope: float, stderr: float, r2: float, points_used: int):
+        vars(self).update(slope=slope, stderr=stderr, r2=r2, points_used=points_used)
 
     @property
     def ok(self) -> bool:
@@ -293,26 +287,39 @@ def _tally_chunk(cfg: TrialConfig, start: int, stop: int):
     return hist, np.array(aborts), np.array(sizes)
 
 
+def _tallies(cfg: TrialConfig, size: int, workers: int):
+    """`_tally_chunk` over the chunks of `size` trials in order, each taken
+    when needed: here, or in a pool of `workers`, 8 chunks a worker ahead."""
+    chunks = ((a, min(a + size, cfg.trials)) for a in range(0, cfg.trials, size))
+    if workers == 1:
+        yield from (_tally_chunk(cfg, *chunk) for chunk in chunks)
+        return
+    import concurrent.futures
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = collections.deque()
+        for chunk in chunks:
+            pending.append(pool.submit(_tally_chunk, cfg, *chunk))
+            if len(pending) == 8 * workers:
+                yield pending.popleft().result()
+        yield from (future.result() for future in pending)
+
+
 def run_trials(cfg: TrialConfig, threads: int = 1) -> DelayErrorStats:
     """Run all trials in chunks and aggregate per-delay error counts.
 
     The merge is a plain sum of counts, so the result is independent of
-    thread count and chunking.  A pool has at most one worker per CPU.
+    thread count and chunking.  Each chunk's counts are added as it comes,
+    in Python ints, so memory does not grow with the trial count.  A pool
+    has at most one worker per CPU.
     """
     size = cfg.chunk_size
-    workers = min(threads, os.cpu_count() or 1)
-    parallel = workers > 1 and cfg.trials >= 64
-    if parallel:
+    workers = min(threads, os.cpu_count() or 1) if cfg.trials >= 64 else 1
+    if workers > 1:
         size = min(size, -(-cfg.trials // (8 * workers)))
-    starts = range(0, cfg.trials, size)
-    stops = [min(a + size, cfg.trials) for a in starts]
-    if parallel:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_tally_chunk, itertools.repeat(cfg), starts, stops))
-    else:
-        parts = list(map(_tally_chunk, itertools.repeat(cfg), starts, stops))
-    hist, aborts, sizes = map(sum, zip(*parts))
+    hist = aborts = sizes = 0
+    for h, a, s in _tallies(cfg, size, workers):
+        hist, aborts, sizes = (hist + h.astype(object), aborts + a.astype(object),
+                               sizes + s.astype(object))
     # an error at delay d is a first error in symbols 1..n-d; the nesting of
     # error events across delays is automatic
     ex, ey, ej = ({d: int(row[cfg.n - d]) for d in cfg.delays}
@@ -392,10 +399,6 @@ def fit_exponent(stats: DelayErrorStats) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.9g}"
-
-
 def stats_to_csv(stats: DelayErrorStats) -> str:
     lines = ["delta,trials,errors_x,errors_y,errors_joint,rate_x_err,lo95,hi95"]
     for d in stats.delays:
@@ -403,21 +406,12 @@ def stats_to_csv(stats: DelayErrorStats) -> str:
         rate = stats.rate_x(d) if stats.trials else 0.0
         lines.append(
             f"{d},{stats.trials},{stats.errors_x[d]},{stats.errors_y[d]},"
-            f"{stats.errors_joint[d]},{_fmt(rate)},{_fmt(lo)},{_fmt(hi)}"
+            f"{stats.errors_joint[d]},{rate:.9g},{lo:.9g},{hi:.9g}"
         )
     return "\n".join(lines) + "\n"
 
 
 def fit_to_json(fit: FitResult) -> str:
-    def clean(v):
-        return None if not math.isfinite(v) else v
-
-    return json.dumps(
-        {
-            "slope": clean(fit.slope),
-            "stderr": clean(fit.stderr),
-            "r2": clean(fit.r2),
-            "points_used": fit.points_used,
-        },
-        indent=2,
-    ) + "\n"
+    """The fit's fields, with null for a non-finite one."""
+    return json.dumps({f: v if math.isfinite(v) else None
+                       for f, v in zip(fit._fields, fit._key())}, indent=2) + "\n"

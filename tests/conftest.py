@@ -26,9 +26,11 @@ def two_cpus(monkeypatch):
 @pytest.fixture
 def fake_pool(two_cpus, monkeypatch):
     """`concurrent.futures.ProcessPoolExecutor` replaced by a pool that maps
-    in this process, with `os.cpu_count` at 2.  Returns a list that gets
-    [max_workers, task count] of each pool, and no process is started."""
+    in this process, with `os.cpu_count` at 2; a submitted task runs when
+    its result is asked for.  Returns a list that gets [max_workers, task
+    count] of each pool, and no process is started."""
     import concurrent.futures
+    import types
 
     pools = []
 
@@ -47,6 +49,10 @@ def fake_pool(two_cpus, monkeypatch):
             results = list(map(fn, *iterables))
             self.record[1] += len(results)
             return results
+
+        def submit(self, fn, *args):
+            self.record[1] += 1
+            return types.SimpleNamespace(result=lambda: fn(*args))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return pools

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import math
@@ -11,8 +10,9 @@ import pytest
 
 from swstream import cli, verify
 from swstream.cli import _parse_grid, main
+from swstream.codec import BinningSchedule
 from swstream.exponents import CURVE_HEADER
-from swstream.sim import fit_exponent, fit_to_json, run_trials, stats_to_csv
+from swstream.sim import TrialConfig, fit_exponent, fit_to_json, run_trials, stats_to_csv
 from swstream.verify import EXAMPLE_1
 
 EXAMPLE_1_JSON = json.loads(EXAMPLE_1.to_json())
@@ -51,7 +51,13 @@ class TestGridParsing:
 
     def test_bad_specs(self):
         from swstream.cli import ConfigError
-        for bad in ("a:b:c", "0.5:0.3:0.1", "1:2", "0.3:0.5:0"):
+        # the last four grids have a step that, added to a value of the grid,
+        # leaves it unchanged: at the end for the first three, and for the
+        # last only past it, at 1.0, where the step is half an ulp and the
+        # sum rounds back to 1.0
+        for bad in ("a:b:c", "0.5:0.3:0.1", "1:2", "0.3:0.5:0",
+                    "1:1:1e-17", "0:1:1e-17", "0.3:0.3:1e-300",
+                    "0.9999999999999999:0.9999999999999999:1.1102230246251565e-16"):
             with pytest.raises(ConfigError):
                 _parse_grid(bad)
 
@@ -148,7 +154,8 @@ class TestExponentsCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    @pytest.mark.parametrize("grid", ["-0.2:0.5:0.1", "-0.1", "nan", "0.3:inf:0.1"])
+    @pytest.mark.parametrize("grid", ["-0.2:0.5:0.1", "-0.1", "nan", "0.3:inf:0.1",
+                                      "1:1:1e-17"])
     def test_negative_or_nonfinite_rate_is_config_error(self, tmp_path, source_file,
                                                         grid):
         rc = main(["exponents", source_file, f"--rx={grid}", "--ry", "0.6",
@@ -212,15 +219,14 @@ class TestSimulateCommand:
         assert manifest["seed"] == 11
 
     def test_manifest_reports_aborts(self, tmp_path, monkeypatch, capsys):
-        # the sparse small-cap config; the cap is no config field, so the
-        # loaded config is given one that aborts most trials
+        # the sparse small-cap config; the cap is no field of the config
+        # file, so the command is given a config built with one that aborts
+        # most trials
+        cfg = TrialConfig(source=EXAMPLE_1, schedule_x=BinningSchedule((1, 0, 0, 0)),
+                          schedule_y=None, n=12, delays=(0, 4, 8), trials=200,
+                          base_seed=3, decoder="ml", candidate_cap=500)
         path = tmp_path / "sparse.json"
-        path.write_text(json.dumps({
-            "source": EXAMPLE_1_JSON, "schedule_x": [1, 0, 0, 0], "n": 12,
-            "delays": [0, 4, 8], "trials": 200, "base_seed": 3, "decoder": "ml",
-        }))
-        load = cli._load_trial_config
-        cfg = dataclasses.replace(load(str(path), None), candidate_cap=500)
+        path.write_text(cfg.to_json())
         monkeypatch.setattr(cli, "_load_trial_config", lambda *args: cfg)
         out = tmp_path / "o"
         assert main(["simulate", str(path), "--out", str(out), "--threads", "1"]) == 0
@@ -368,6 +374,8 @@ class TestSimulateCommand:
         ("n", 16.5),
         ("n", math.inf),
         ("trials", 100.9),
+        # trial indices are uint64 and the counts int64
+        ("trials", 2 ** 63),
         ("base_seed", 1.5),
         ("schedule_x", [1.7, 0.2]),
         # numbers given as strings or booleans

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import pickle
 import warnings
 from pathlib import Path
 
@@ -78,6 +79,17 @@ class TestBinningSchedule:
         with pytest.raises(ValueError):
             BinningSchedule((1, 65))
         assert BinningSchedule((64, 0)).bits_at(1) == 64
+
+    def test_value_semantics(self):
+        # those of a frozen dataclass: the pattern compared, hashed and
+        # shown, no assignment, and a pickle (the process pool's)
+        s = BinningSchedule((2, 1.0))
+        assert repr(s) == "BinningSchedule(pattern=(2, 1))"
+        assert s == BinningSchedule(pattern=(2, 1)) and s != BinningSchedule((2,))
+        assert hash(s) == hash(BinningSchedule((2, 1))) == hash(((2, 1),))
+        assert pickle.loads(pickle.dumps(s)) == s
+        with pytest.raises(AttributeError):
+            s.pattern = (1,)
 
 
 class TestEncodeStep:
@@ -211,6 +223,17 @@ class TestCandidateSets:
         c = initial_candidates(1, "x", ONE_BIT, 2)
         assert c.prefixes == (b"",) and c.step == 0
 
+    def test_value_semantics(self):
+        c = initial_candidates(9, "x", TWO_BITS, 3)
+        assert repr(c) == ("CandidateSet(seed=9, stream_id='x', schedule=BinningSchedule("
+                           "pattern=(2,)), alphabet=3, prefixes=(b'',), step=0)")
+        same = CandidateSet(9, "x", BinningSchedule((2,)), 3, (b"",), 0)
+        assert c == same and hash(c) == hash(same)
+        assert c != update_candidates(c, (0, 1))
+        assert pickle.loads(pickle.dumps(c)) == c
+        with pytest.raises(AttributeError):
+            c.step = 1
+
     def test_alphabet_bounds(self):
         with pytest.raises(ValueError):
             initial_candidates(1, "x", ONE_BIT, 1)
@@ -309,6 +332,23 @@ def _chunk(alphabet, n, trials, seed0=0, rng_seed=0):
 
 
 class TestReplayBins:
+    def test_value_semantics(self):
+        # a frozen record of arrays: shown by its fields, equal to itself,
+        # unhashable, no assignment, and a pickle that keeps the arrays
+        bins = replay_bins([5], np.array([[0, 1, 1]], np.uint8), "x", ONE_BIT, 2)
+        assert repr(bins) == ("Bins(trial=array([0, 0], dtype=uint8), prefixes=array("
+                              "[[0, 1, 0],\n       [0, 1, 1]], dtype=uint8), "
+                              "overflow=array([0]))")
+        assert bins == bins
+        with pytest.raises(TypeError):
+            hash(bins)
+        back = pickle.loads(pickle.dumps(bins))
+        for name in ("trial", "prefixes", "overflow"):
+            got, want = getattr(back, name), getattr(bins, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        with pytest.raises(AttributeError):
+            bins.trial = bins.overflow
+
     @pytest.mark.parametrize("alphabet, pattern, n", [
         (2, (1,), 10),
         (2, (1, 0), 9),            # 0-bit steps keep every child

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy
+import pytest
 
 import swstream
 from swstream.info_core import EXAMPLE_1
@@ -66,6 +67,24 @@ def test_exponent_command_loads_no_dataclasses(tmp_path):
     code = (f"import sys; from swstream import cli; rc = cli.main({args!r}); "
             "print(rc, [m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     assert _run(code).splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_numpy_commands_load_no_dataclasses(tmp_path, command):
+    # `codec` and `sim` write their value classes out too: `dataclasses`
+    # and its generated methods took about 6 ms of each simulate process's
+    # start-up.  numpy loads `inspect` itself, so only `dataclasses` is
+    # asserted on
+    config = tmp_path / "trials.json"
+    config.write_text(json.dumps({
+        "source": json.loads(EXAMPLE_1.to_json()), "schedule_x": [1], "schedule_y": None,
+        "n": 8, "delays": [0, 2], "trials": 100, "base_seed": 11, "decoder": "si_ml"}))
+    args = {"simulate": ["simulate", str(config), "--threads", "1",
+                         "--out", str(tmp_path / "s")],
+            "verify": ["verify", "examples"]}[command]
+    code = (f"import sys; from swstream import cli; rc = cli.main({args!r}); "
+            "print(rc, 'dataclasses' in sys.modules)")
+    assert _run(code).splitlines()[-1] == "0 False"
 
 
 def test_simulate_loads_no_openssl(tmp_path):

@@ -1,10 +1,11 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from swstream import codec
+from swstream import codec, sim
 from swstream.codec import (
     BinningSchedule,
     CandidateOverflowError,
@@ -116,6 +117,13 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             _cfg(trials=0)
 
+    def test_trials_below_2_pow_63(self):
+        # trial indices are uint64 and the counts int64
+        assert _cfg(trials=2 ** 63 - 1).trials == 2 ** 63 - 1
+        for trials in (2 ** 63, 10 ** 30):
+            with pytest.raises(ValueError):
+                _cfg(trials=trials)
+
     def test_delays_sorted_and_bounded(self):
         cfg = _cfg(delays=(4, 0, 2))
         assert cfg.delays == (0, 2, 4)
@@ -164,6 +172,25 @@ class TestTrialConfig:
         pp = JointDistribution.from_marginal([0.5, 0.5])
         with pytest.raises(ValueError, match=r"needs \|Y\| >= 2"):
             _cfg(source=pp, decoder=decoder, schedule_y=ONE_BIT)
+
+    def test_value_semantics(self):
+        # those of a frozen dataclass: fields compared and hashed in order,
+        # shown in repr, no assignment, and a pickle (the process pool's)
+        cfg = _cfg(schedule_x=BinningSchedule((2, 1.0)), delays=(4.0, 0))
+        assert repr(cfg) == (
+            "TrialConfig(source=JointDistribution(alphabet_x=2, alphabet_y=2), "
+            "schedule_x=BinningSchedule(pattern=(2, 1)), schedule_y=None, n=8, "
+            "delays=(0, 4), trials=50, base_seed=7, decoder='ml', candidate_cap=1048576)")
+        same = TrialConfig(_example1(), BinningSchedule((2, 1)), None, 8, (0, 4), 50, 7,
+                           "ml", 2 ** 20)
+        assert cfg == same and hash(cfg) == hash(same)
+        assert hash(cfg) == hash((cfg.source, cfg.schedule_x, None, 8, (0, 4), 50, 7,
+                                  "ml", 2 ** 20))
+        assert cfg != _cfg(schedule_x=BinningSchedule((2, 1)), delays=(0, 4),
+                           candidate_cap=500)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        with pytest.raises(AttributeError):
+            cfg.trials = 10
 
     @pytest.mark.parametrize("decoder, schedule_y", [
         (decoder, schedule_y) for decoder in DECODERS for schedule_y in (None, ONE_BIT)
@@ -289,6 +316,34 @@ class TestRunTrials:
         a = run_trials(cfg, threads=1)
         b = run_trials(cfg, threads=2)
         assert a == b
+
+    def test_chunks_taken_lazily(self, monkeypatch):
+        # a serial run builds no list of chunk bounds up front: the first
+        # chunk runs at once, however many trials the config asks for
+        def first_chunk(*args):
+            raise RuntimeError("first chunk")
+
+        monkeypatch.setattr(sim, "_tally_chunk", first_chunk)
+        with pytest.raises(RuntimeError, match="first chunk"):
+            run_trials(_cfg(trials=2 ** 40), threads=1)
+
+    def test_pool_keeps_8_chunks_a_worker_in_flight(self, fake_pool, monkeypatch):
+        # a chunk is submitted as an earlier one finishes, so a run of many
+        # chunks holds at most 8 a worker, with the counts of a serial run
+        cfg = _cfg(trials=200, decoder="universal")
+        serial = run_trials(cfg)
+        tally, in_flight = sim._tally_chunk, []
+
+        def counted(*args):
+            in_flight.append(fake_pool[0][1] - len(in_flight))
+            return tally(*args)
+
+        monkeypatch.setattr(sim, "_tally_chunk", counted)
+        monkeypatch.setattr(codec, "_CHUNK_LANES", 7)
+        assert cfg.chunk_size == 1
+        assert run_trials(cfg, threads=2) == serial
+        assert fake_pool == [[2, 200]] and len(in_flight) == 200
+        assert max(in_flight) == 16
 
     def test_pool_has_one_worker_per_cpu(self, fake_pool):
         # a fork pool starts all its workers at the first task: 10,000
@@ -575,6 +630,36 @@ class TestFit:
         rates = [0.5 * math.exp(-0.3 * d) for d in range(6)] + [3 / trials]
         fit = fit_exponent(_stats_from_rates(rates, trials))
         assert fit.slope == pytest.approx(0.3, abs=0.05)
+
+
+class TestRecords:
+    def test_fit_value_semantics(self):
+        fit = FitResult(0.25, 0.5, 1.0, 3)
+        assert repr(fit) == "FitResult(slope=0.25, stderr=0.5, r2=1.0, points_used=3)"
+        same = FitResult(slope=0.25, stderr=0.5, r2=1.0, points_used=3)
+        assert fit == same and hash(fit) == hash(same) == hash((0.25, 0.5, 1.0, 3))
+        assert fit != FitResult(0.25, 0.5, 1.0, 2) and fit.ok
+        assert pickle.loads(pickle.dumps(fit)) == fit
+        with pytest.raises(AttributeError):
+            fit.slope = 0.3
+
+    def test_stats_value_semantics(self):
+        # compared by its fields, each with a dict of its own by default;
+        # its dict fields make it unhashable, and it refuses assignment
+        stats = DelayErrorStats((0,), 5, {0: 1}, {0: 0}, {0: 1})
+        assert repr(stats) == (
+            "DelayErrorStats(delays=(0,), trials=5, errors_x={0: 1}, errors_y={0: 0}, "
+            "errors_joint={0: 1}, aborted=0, aborted_by_step={}, final_bin_size={})")
+        other = DelayErrorStats(delays=(0,), trials=5, errors_x={0: 1}, errors_y={0: 0},
+                                errors_joint={0: 1}, aborted=0)
+        assert stats == other and stats != DelayErrorStats((0,), 5, {0: 2}, {0: 0}, {0: 2})
+        assert stats.aborted_by_step is not other.aborted_by_step
+        assert stats.final_bin_size is not other.final_bin_size
+        with pytest.raises(TypeError):
+            hash(stats)
+        assert pickle.loads(pickle.dumps(stats)) == stats
+        with pytest.raises(AttributeError):
+            stats.trials = 6
 
 
 class TestExport:
