@@ -374,8 +374,6 @@ class TestSimulateCommand:
         ("n", 16.5),
         ("n", math.inf),
         ("trials", 100.9),
-        # trial indices are uint64 and the counts int64
-        ("trials", 2 ** 63),
         ("base_seed", 1.5),
         ("schedule_x", [1.7, 0.2]),
         # numbers given as strings or booleans
@@ -384,6 +382,8 @@ class TestSimulateCommand:
         ("delays", "02"),
         ("schedule_x", "1"),
         ("base_seed", "11"),
+        # trial indices are uint64 and the counts int64
+        ("trials", 2 ** 63),
     ])
     def test_invalid_trial_config_is_config_error(self, tmp_path, field, value):
         config = {"source": EXAMPLE_1_JSON, "schedule_x": [1], "n": 8,
